@@ -78,6 +78,21 @@ cargo run --release --offline -q -p scnn-bench --bin uarch_lint \
 cargo run --release --offline -q -p scnn-bench --bin uarch_lint -- crates/core/presets/*.json \
   || { echo "FAIL: preset files did not lint"; exit 1; }
 
+step "hostile uarch fixtures (typed, field-named rejection: no panic, no abort)"
+# uarch_lint exits 1 on a rejected config; a panic would exit 101 and an
+# allocation abort 134.
+hostile_lint() {  # <fixture> <fragment the error must contain>
+  local err status=0
+  err="$(cargo run --release --offline -q -p scnn-bench --bin uarch_lint -- "$1" 2>&1)" || status=$?
+  [ "$status" -eq 1 ] \
+    || { echo "FAIL: uarch_lint exited $status on $1, want 1"; printf '%s\n' "$err"; exit 1; }
+  printf '%s' "$err" | grep -qF "$2" \
+    || { echo "FAIL: error for $1 does not contain $2"; printf '%s\n' "$err"; exit 1; }
+  printf '%s\n' "$err"
+}
+hostile_lint ci/fixtures/hostile-assoc-128.json 'field "l1d": assoc 128'
+hostile_lint ci/fixtures/hostile-llc-1tib.json 'field "l3": size_bytes'
+
 step "uarch zoo sweep (>=3 presets, warm rerun skips train/collect, stdout byte-identical)"
 sweep_cache="$(mktemp -d)"
 sweep_json="$(mktemp)"

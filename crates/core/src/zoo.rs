@@ -655,6 +655,36 @@ mod tests {
     }
 
     #[test]
+    fn more_than_64_ways_is_a_named_validation_error() {
+        let src = patch(PRESETS[0].1, "\"assoc\": 20", "\"assoc\": 128");
+        let err = parse_uarch(&src).unwrap_err();
+        assert!(matches!(err, UarchError::Invalid(_)), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("\"l3\"") && msg.contains("assoc 128"), "{msg}");
+    }
+
+    #[test]
+    fn oversized_geometries_are_named_validation_errors() {
+        let src = patch(
+            PRESETS[0].1,
+            "\"size_bytes\": 20971520",
+            "\"size_bytes\": 1099511627776",
+        );
+        let err = parse_uarch(&src).unwrap_err();
+        assert!(matches!(err, UarchError::Invalid(_)), "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("\"l3\"") && msg.contains("size_bytes"),
+            "{msg}"
+        );
+
+        let src = patch(PRESETS[0].1, "\"entries\": 64", "\"entries\": 1048576");
+        let err = parse_uarch(&src).unwrap_err();
+        assert!(matches!(err, UarchError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("\"tlb\": entries"), "{err}");
+    }
+
+    #[test]
     fn missing_field_is_named() {
         let src = patch(PRESETS[0].1, "\"line_bytes\": 64, ", "");
         let err = parse_uarch(&src).unwrap_err();

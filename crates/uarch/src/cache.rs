@@ -79,6 +79,18 @@ impl WritePolicy {
     }
 }
 
+/// Widest associativity the simulator models: a set's valid bits, dirty
+/// bits and tree-PLRU state each live in one `u64`.
+pub const MAX_ASSOCIATIVITY: usize = 64;
+
+/// Largest capacity a cache may declare (1 GiB).
+pub const MAX_CACHE_BYTES: usize = 1 << 30;
+
+/// Most lines a cache may hold (1 GiB of 64-byte lines). The tag and
+/// stamp arrays are allocated up front, so this bounds their size even
+/// for tiny line sizes.
+pub const MAX_CACHE_LINES: usize = 1 << 24;
+
 /// Geometry and behaviour of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -128,7 +140,8 @@ impl CacheConfig {
     /// # Errors
     ///
     /// Returns [`CacheConfigError`] when sizes are zero, not powers of two
-    /// where required, or inconsistent.
+    /// where required, inconsistent, or beyond the simulator's bounds
+    /// ([`MAX_ASSOCIATIVITY`], [`MAX_CACHE_BYTES`], [`MAX_CACHE_LINES`]).
     pub fn validate(&self) -> Result<(), CacheConfigError> {
         if self.size_bytes == 0 || self.associativity == 0 || self.line_bytes == 0 {
             return Err(CacheConfigError::Zero);
@@ -136,10 +149,21 @@ impl CacheConfig {
         if !self.line_bytes.is_power_of_two() {
             return Err(CacheConfigError::LineNotPowerOfTwo(self.line_bytes));
         }
-        if !self
-            .size_bytes
-            .is_multiple_of(self.associativity * self.line_bytes)
+        if self.associativity > MAX_ASSOCIATIVITY {
+            return Err(CacheConfigError::TooManyWays(self.associativity));
+        }
+        if self.size_bytes > MAX_CACHE_BYTES || self.size_bytes / self.line_bytes > MAX_CACHE_LINES
         {
+            return Err(CacheConfigError::TooLarge {
+                size: self.size_bytes,
+                line: self.line_bytes,
+            });
+        }
+        let indivisible = self
+            .associativity
+            .checked_mul(self.line_bytes)
+            .is_none_or(|way_bytes| !self.size_bytes.is_multiple_of(way_bytes));
+        if indivisible {
             return Err(CacheConfigError::Indivisible {
                 size: self.size_bytes,
                 assoc: self.associativity,
@@ -160,6 +184,16 @@ pub enum CacheConfigError {
     Zero,
     /// Line size is not a power of two.
     LineNotPowerOfTwo(usize),
+    /// Associativity above [`MAX_ASSOCIATIVITY`].
+    TooManyWays(usize),
+    /// Capacity above [`MAX_CACHE_BYTES`], or more than
+    /// [`MAX_CACHE_LINES`] lines.
+    TooLarge {
+        /// Total capacity.
+        size: usize,
+        /// Line size.
+        line: usize,
+    },
     /// Capacity is not divisible by way size.
     Indivisible {
         /// Total capacity.
@@ -180,6 +214,17 @@ impl fmt::Display for CacheConfigError {
             CacheConfigError::LineNotPowerOfTwo(l) => {
                 write!(f, "line size {l} is not a power of two")
             }
+            CacheConfigError::TooManyWays(a) => {
+                write!(
+                    f,
+                    "assoc {a} exceeds the maximum of {MAX_ASSOCIATIVITY} ways"
+                )
+            }
+            CacheConfigError::TooLarge { size, line } => write!(
+                f,
+                "size_bytes {size} exceeds the maximum of {MAX_CACHE_BYTES} bytes \
+                 and {MAX_CACHE_LINES} lines ({line}-byte lines)"
+            ),
             CacheConfigError::Indivisible { size, assoc, line } => write!(
                 f,
                 "capacity {size} not divisible by associativity {assoc} × line {line}"
@@ -229,19 +274,15 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU timestamp or FIFO fill order, depending on policy.
-    stamp: u64,
-}
-
 /// One set-associative cache level.
 ///
 /// Addresses are byte-granular; the cache derives line/set/tag with shifts
 /// from the configured geometry.
+///
+/// Storage is flat and set-major: way `w` of set `s` lives at index
+/// `s * ways + w` of `tags` and `stamps`, and each set keeps its valid and
+/// dirty bits in one `u64` each. A lookup scans one contiguous tag row, and
+/// [`flush`](Self::flush) clears only the per-set words.
 ///
 /// # Examples
 ///
@@ -259,14 +300,25 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Line tags, set-major. Meaningful only where the valid bit is set.
+    tags: Vec<u64>,
+    /// LRU timestamp or FIFO fill order per line, depending on policy.
+    stamps: Vec<u64>,
+    /// Valid bits, one word per set (bit `w` = way `w`).
+    valid: Vec<u64>,
+    /// Dirty bits, one word per set.
+    dirty: Vec<u64>,
+    /// PLRU tree bits, one word per set; written only under tree-PLRU.
+    plru: Vec<u64>,
     stats: CacheStats,
     clock: u64,
+    ways: usize,
+    /// The low `ways` bits set.
+    way_mask: u64,
     line_shift: u32,
+    set_bits: u32,
     set_mask: u64,
     rng_state: u64,
-    /// PLRU tree bits, one word per set (supports associativity ≤ 64).
-    plru: Vec<u64>,
 }
 
 impl Cache {
@@ -278,15 +330,22 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Result<Self, CacheConfigError> {
         config.validate()?;
         let sets = config.num_sets();
+        let ways = config.associativity;
         Ok(Cache {
             config,
-            sets: vec![vec![Line::default(); config.associativity]; sets],
+            tags: vec![0; sets * ways],
+            stamps: vec![0; sets * ways],
+            valid: vec![0; sets],
+            dirty: vec![0; sets],
+            plru: vec![0; sets],
             stats: CacheStats::default(),
             clock: 0,
+            ways,
+            way_mask: u64::MAX >> (64 - ways),
             line_shift: config.line_bytes.trailing_zeros(),
+            set_bits: sets.trailing_zeros(),
             set_mask: (sets - 1) as u64,
             rng_state: 0x9E37_79B9_7F4A_7C15,
-            plru: vec![0; sets],
         })
     }
 
@@ -307,38 +366,30 @@ impl Cache {
         self.clock += 1;
         self.stats.accesses += 1;
         let line_addr = addr >> self.line_shift;
-        let set_idx = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_mask.count_ones();
+        let set = (line_addr & self.set_mask) as usize;
+        let tag = line_addr >> self.set_bits;
+        let base = set * self.ways;
         let write_through = self.config.write_policy == WritePolicy::WriteThroughNoAllocate;
+        // Write-through lines are never dirty: the store is forwarded to
+        // the next level immediately.
+        let dirties = write && !write_through;
 
-        // Hit path.
-        let hit_way = self.sets[set_idx]
-            .iter()
-            .position(|l| l.valid && l.tag == tag);
-        if let Some(way) = hit_way {
+        if let Some(way) = self.find(set, tag) {
             // FIFO must not refresh recency on hit; LRU must.
-            let refresh_on_hit = self.config.policy != ReplacementPolicy::Fifo;
-            let clock_now = self.clock;
-            let line = &mut self.sets[set_idx][way];
-            if refresh_on_hit {
-                line.stamp = clock_now;
+            if self.config.policy != ReplacementPolicy::Fifo {
+                self.stamps[base + way] = self.clock;
             }
-            // Write-through lines are never dirty: the store is forwarded
-            // to the next level immediately.
-            line.dirty |= write && !write_through;
+            if dirties {
+                self.dirty[set] |= 1 << way;
+            }
             self.stats.hits += 1;
-            self.touch_plru(set_idx, way);
+            self.touch_plru(set, way);
             return AccessOutcome {
                 hit: true,
-                writeback: if write && write_through {
-                    Some(line_addr << self.line_shift)
-                } else {
-                    None
-                },
+                writeback: (write && write_through).then_some(line_addr << self.line_shift),
             };
         }
 
-        // Miss.
         self.stats.misses += 1;
 
         // No-write-allocate: a write miss bypasses the cache entirely and
@@ -351,31 +402,41 @@ impl Cache {
         }
 
         // Choose a victim and fill.
-        let victim_way = self.choose_victim(set_idx);
-        let clock = self.clock;
-        let line_shift = self.line_shift;
-        let set_bits = self.set_mask.count_ones();
-        let victim = &mut self.sets[set_idx][victim_way];
+        let way = self.choose_victim(set);
+        let bit = 1u64 << way;
         let mut writeback = None;
-        if victim.valid {
+        if self.valid[set] & bit != 0 {
             self.stats.evictions += 1;
-            if victim.dirty {
+            if self.dirty[set] & bit != 0 {
                 self.stats.writebacks += 1;
-                let victim_line = (victim.tag << set_bits) | set_idx as u64;
-                writeback = Some(victim_line << line_shift);
+                let victim_line = (self.tags[base + way] << self.set_bits) | set as u64;
+                writeback = Some(victim_line << self.line_shift);
             }
         }
-        *victim = Line {
-            tag,
-            valid: true,
-            dirty: write && !write_through,
-            stamp: clock,
-        };
-        self.touch_plru(set_idx, victim_way);
+        self.tags[base + way] = tag;
+        self.stamps[base + way] = self.clock;
+        self.valid[set] |= bit;
+        if dirties {
+            self.dirty[set] |= bit;
+        } else {
+            self.dirty[set] &= !bit;
+        }
+        self.touch_plru(set, way);
         AccessOutcome {
             hit: false,
             writeback,
         }
+    }
+
+    /// The way of `set` holding `tag`, if resident.
+    #[inline]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let base = set * self.ways;
+        let valid = self.valid[set];
+        self.tags[base..base + self.ways]
+            .iter()
+            .enumerate()
+            .position(|(way, &t)| t == tag && valid >> way & 1 != 0)
     }
 
     /// True when `addr`'s line is currently resident (does not perturb
@@ -383,20 +444,18 @@ impl Cache {
     /// the noise model).
     pub fn probe_resident(&self, addr: u64) -> bool {
         let line_addr = addr >> self.line_shift;
-        let set_idx = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_mask.count_ones();
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        let set = (line_addr & self.set_mask) as usize;
+        self.find(set, line_addr >> self.set_bits).is_some()
     }
 
     /// Invalidates every line (models a flush; dirty data is dropped).
+    /// Clears the per-set bit words only; tags and stamps of invalid lines
+    /// are never read.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                *line = Line::default();
-            }
-        }
-        for bits in &mut self.plru {
-            *bits = 0;
+        self.valid.fill(0);
+        self.dirty.fill(0);
+        if self.config.policy == ReplacementPolicy::TreePlru {
+            self.plru.fill(0);
         }
     }
 
@@ -407,15 +466,17 @@ impl Cache {
         let fraction = fraction.clamp(0.0, 1.0);
         let threshold = (fraction * u32::MAX as f64) as u32;
         let mut state = seed | 1;
-        for set in &mut self.sets {
-            for line in set {
+        for (valid, dirty) in self.valid.iter_mut().zip(&mut self.dirty) {
+            // One draw per line, valid or not, in set-major order.
+            for way in 0..self.ways {
                 // xorshift64*
                 state ^= state >> 12;
                 state ^= state << 25;
                 state ^= state >> 27;
                 let draw = (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as u32;
-                if line.valid && draw < threshold {
-                    *line = Line::default();
+                if draw < threshold {
+                    *valid &= !(1 << way);
+                    *dirty &= !(1 << way);
                 }
             }
         }
@@ -423,10 +484,7 @@ impl Cache {
 
     /// Number of valid lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter().filter(|l| l.valid).count())
-            .sum()
+        self.valid.iter().map(|v| v.count_ones() as usize).sum()
     }
 
     /// Resets statistics without touching cache contents.
@@ -434,19 +492,21 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    fn choose_victim(&mut self, set_idx: usize) -> usize {
+    fn choose_victim(&mut self, set: usize) -> usize {
         // Invalid way first, regardless of policy.
-        if let Some(way) = self.sets[set_idx].iter().position(|l| !l.valid) {
-            return way;
+        let free = !self.valid[set] & self.way_mask;
+        if free != 0 {
+            return free.trailing_zeros() as usize;
         }
         match self.config.policy {
             ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
                 // For LRU the stamp is updated on every touch; for FIFO
                 // only on fill — victim selection is identical.
-                self.sets[set_idx]
+                let base = set * self.ways;
+                self.stamps[base..base + self.ways]
                     .iter()
                     .enumerate()
-                    .min_by_key(|(_, l)| l.stamp)
+                    .min_by_key(|&(_, &stamp)| stamp)
                     .map(|(w, _)| w)
                     .expect("associativity > 0 by validation")
             }
@@ -454,16 +514,14 @@ impl Cache {
                 self.rng_state ^= self.rng_state >> 12;
                 self.rng_state ^= self.rng_state << 25;
                 self.rng_state ^= self.rng_state >> 27;
-                (self.rng_state.wrapping_mul(0x2545_F491_4F6C_DD1D) as usize)
-                    % self.config.associativity
+                (self.rng_state.wrapping_mul(0x2545_F491_4F6C_DD1D) as usize) % self.ways
             }
             ReplacementPolicy::TreePlru => {
                 // Walk the PLRU tree away from recently used halves.
-                let ways = self.config.associativity;
-                let bits = self.plru[set_idx];
+                let bits = self.plru[set];
                 let mut node = 0usize; // root at index 0 of implicit tree
                 let mut lo = 0usize;
-                let mut hi = ways;
+                let mut hi = self.ways;
                 while hi - lo > 1 {
                     let bit = (bits >> node) & 1;
                     let mid = (lo + hi) / 2;
@@ -481,28 +539,24 @@ impl Cache {
         }
     }
 
-    fn touch_plru(&mut self, set_idx: usize, way: usize) {
+    fn touch_plru(&mut self, set: usize, way: usize) {
         if self.config.policy != ReplacementPolicy::TreePlru {
-            // FIFO must not refresh stamps on hit; LRU stamps are handled
-            // at the access site.
-            if self.config.policy == ReplacementPolicy::Fifo {
-                // Restore fill-order semantics: nothing to do on touch.
-            }
             return;
         }
-        let ways = self.config.associativity;
+        // With at most 64 ways the tree has at most 63 internal nodes,
+        // all with index < 63.
         let mut node = 0usize;
         let mut lo = 0usize;
-        let mut hi = ways;
+        let mut hi = self.ways;
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
             if way < mid {
                 // Used left half: set bit to 0 (left recently used).
-                self.plru[set_idx] &= !(1 << node);
+                self.plru[set] &= !(1 << node);
                 node = 2 * node + 1;
                 hi = mid;
             } else {
-                self.plru[set_idx] |= 1 << node;
+                self.plru[set] |= 1 << node;
                 node = 2 * node + 2;
                 lo = mid;
             }
@@ -539,6 +593,35 @@ mod tests {
             CacheConfig::new(3 * 2 * 64, 2, 64).validate(),
             Err(CacheConfigError::SetsNotPowerOfTwo(3))
         ));
+    }
+
+    #[test]
+    fn config_validation_bounds_the_storage() {
+        assert!(CacheConfig::new(64 * 64, 64, 64).validate().is_ok());
+        assert_eq!(
+            CacheConfig::new(128 * 64, 128, 64).validate(),
+            Err(CacheConfigError::TooManyWays(128))
+        );
+        assert!(CacheConfig::new(MAX_CACHE_BYTES, 16, 64).validate().is_ok());
+        assert_eq!(
+            CacheConfig::new(1 << 40, 16, 64).validate(),
+            Err(CacheConfigError::TooLarge {
+                size: 1 << 40,
+                line: 64
+            })
+        );
+        // Within the byte bound but too many lines for the tag arrays.
+        assert!(matches!(
+            CacheConfig::new(MAX_CACHE_BYTES, 16, 8).validate(),
+            Err(CacheConfigError::TooLarge { .. })
+        ));
+        // A way size that overflows `usize` is indivisible, not a panic.
+        assert!(matches!(
+            CacheConfig::new(1024, 64, 1 << 63).validate(),
+            Err(CacheConfigError::Indivisible { .. })
+        ));
+        let msg = CacheConfigError::TooManyWays(128).to_string();
+        assert!(msg.contains("assoc 128"), "{msg}");
     }
 
     #[test]
@@ -689,6 +772,19 @@ mod tests {
         assert_eq!(c.occupancy(), 8);
         let s = *c.stats();
         assert_eq!(s.misses, 16);
+    }
+
+    #[test]
+    fn plru_at_the_64_way_limit() {
+        let mut c =
+            Cache::new(CacheConfig::new(64 * 64, 64, 64).with_policy(ReplacementPolicy::TreePlru))
+                .unwrap();
+        for i in 0..256u64 {
+            c.access(i * 64, i % 2 == 0);
+        }
+        assert_eq!(c.occupancy(), 64);
+        assert!(c.probe_resident(255 * 64));
+        assert_eq!(c.stats().misses, 256);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::core::CoreSim;
 use crate::cycles::CycleModel;
 use crate::hierarchy::{HierarchyConfig, LatencyModel};
 use crate::prefetch::PrefetcherKind;
-use crate::tlb::TlbConfig;
+use crate::tlb::{TlbConfig, MAX_TLB_ENTRIES};
 use std::error::Error;
 use std::fmt;
 
@@ -202,6 +202,12 @@ impl UarchConfig {
         if tlb.entries == 0 || tlb.associativity == 0 {
             return Err(tlb_err("entries and assoc must be non-zero".into()));
         }
+        if tlb.entries > MAX_TLB_ENTRIES {
+            return Err(tlb_err(format!(
+                "entries ({}) exceeds the maximum of {MAX_TLB_ENTRIES}",
+                tlb.entries
+            )));
+        }
         if !tlb.entries.is_multiple_of(tlb.associativity) {
             return Err(tlb_err(format!(
                 "entries ({}) must be divisible by assoc ({})",
@@ -330,6 +336,29 @@ mod tests {
         u.core.cycles.memory_overlap = 1.5;
         let err = u.validate().unwrap_err();
         assert!(err.to_string().contains("memory_overlap"), "{err}");
+
+        let mut u = UarchConfig::xeon_like();
+        u.core.hierarchy.l1d.associativity = 128;
+        let err = u.validate().unwrap_err();
+        assert_eq!(
+            err,
+            UarchConfigError::Cache {
+                level: "l1d",
+                source: CacheConfigError::TooManyWays(128)
+            }
+        );
+
+        let mut u = UarchConfig::xeon_like();
+        u.core.hierarchy.l3.size_bytes = 1 << 40;
+        let err = u.validate().unwrap_err();
+        assert!(matches!(err, UarchConfigError::Cache { level: "l3", .. }));
+        assert!(err.to_string().contains("size_bytes"), "{err}");
+        assert!(u.build().is_err());
+
+        let mut u = UarchConfig::xeon_like();
+        u.core.tlb.entries = MAX_TLB_ENTRIES * 2;
+        let err = u.validate().unwrap_err();
+        assert!(err.to_string().contains("\"tlb\": entries"), "{err}");
 
         // `build` refuses the same configs instead of panicking deeper in.
         let mut u = UarchConfig::xeon_like();

@@ -127,6 +127,8 @@ pub struct MemoryHierarchy {
     l3: Cache,
     latency: LatencyModel,
     prefetcher: Option<Box<dyn Prefetcher + Send>>,
+    /// Reused target buffer for [`Prefetcher::observe`].
+    prefetch_targets: Vec<u64>,
     stats_llc_references: u64,
     stats_llc_misses: u64,
     stats_prefetches: u64,
@@ -158,6 +160,7 @@ impl MemoryHierarchy {
             l3: Cache::new(config.l3)?,
             latency: config.latency,
             prefetcher: config.prefetcher.build(config.l2.line_bytes),
+            prefetch_targets: Vec::new(),
             stats_llc_references: 0,
             stats_llc_misses: 0,
             stats_prefetches: 0,
@@ -197,8 +200,9 @@ impl MemoryHierarchy {
         // so it counts toward `cache-misses` exactly as on real PMUs —
         // prefetching hides *latency*, not *traffic*.
         if let Some(pf) = self.prefetcher.as_mut() {
-            let targets = pf.observe(pc, addr, !l1.hit);
-            for t in targets {
+            self.prefetch_targets.clear();
+            pf.observe(pc, addr, !l1.hit, &mut self.prefetch_targets);
+            for &t in &self.prefetch_targets {
                 self.stats_prefetches += 1;
                 self.stats_llc_references += 1;
                 let l3 = self.l3.access(t, false);

@@ -43,18 +43,15 @@ impl PrefetcherKind {
 /// A prefetcher that proposes addresses to preload.
 pub trait Prefetcher {
     /// Observes a demand access (`pc` identifies the load site) and
-    /// returns the byte addresses the hierarchy should prefetch.
-    fn observe(&mut self, pc: u64, addr: u64, miss: bool) -> Vec<u64>;
-
-    /// Number of prefetches issued so far.
-    fn issued(&self) -> u64;
+    /// appends the byte addresses the hierarchy should prefetch to `out`.
+    /// The caller owns and reuses `out`, so the hot path never allocates.
+    fn observe(&mut self, pc: u64, addr: u64, miss: bool, out: &mut Vec<u64>);
 }
 
 /// Trivial next-line prefetcher.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NextLinePrefetcher {
     line_bytes: u64,
-    issued: u64,
 }
 
 impl NextLinePrefetcher {
@@ -62,23 +59,15 @@ impl NextLinePrefetcher {
     pub fn new(line_bytes: usize) -> Self {
         NextLinePrefetcher {
             line_bytes: line_bytes as u64,
-            issued: 0,
         }
     }
 }
 
 impl Prefetcher for NextLinePrefetcher {
-    fn observe(&mut self, _pc: u64, addr: u64, miss: bool) -> Vec<u64> {
+    fn observe(&mut self, _pc: u64, addr: u64, miss: bool, out: &mut Vec<u64>) {
         if miss {
-            self.issued += 1;
-            vec![(addr & !(self.line_bytes - 1)) + self.line_bytes]
-        } else {
-            Vec::new()
+            out.push((addr & !(self.line_bytes - 1)) + self.line_bytes);
         }
-    }
-
-    fn issued(&self) -> u64 {
-        self.issued
     }
 }
 
@@ -98,7 +87,6 @@ pub struct StridePrefetcher {
     table: Vec<StrideEntry>,
     mask: u64,
     degree: usize,
-    issued: u64,
 }
 
 impl StridePrefetcher {
@@ -115,13 +103,12 @@ impl StridePrefetcher {
             table: vec![StrideEntry::default(); size],
             mask: (size - 1) as u64,
             degree,
-            issued: 0,
         }
     }
 }
 
 impl Prefetcher for StridePrefetcher {
-    fn observe(&mut self, pc: u64, addr: u64, _miss: bool) -> Vec<u64> {
+    fn observe(&mut self, pc: u64, addr: u64, _miss: bool, out: &mut Vec<u64>) {
         let idx = (pc & self.mask) as usize;
         let e = &mut self.table[idx];
         if !e.valid || e.pc != pc {
@@ -132,7 +119,7 @@ impl Prefetcher for StridePrefetcher {
                 confidence: 0,
                 valid: true,
             };
-            return Vec::new();
+            return;
         }
         let stride = addr as i64 - e.last_addr as i64;
         if stride == e.stride && stride != 0 {
@@ -143,22 +130,13 @@ impl Prefetcher for StridePrefetcher {
         }
         e.last_addr = addr;
         if e.confidence >= 2 {
-            let mut out = Vec::with_capacity(self.degree);
             for d in 1..=self.degree {
                 let target = addr as i64 + e.stride * d as i64;
                 if target >= 0 {
                     out.push(target as u64);
                 }
             }
-            self.issued += out.len() as u64;
-            out
-        } else {
-            Vec::new()
         }
-    }
-
-    fn issued(&self) -> u64 {
-        self.issued
     }
 }
 
@@ -177,12 +155,25 @@ impl PrefetcherKind {
 mod tests {
     use super::*;
 
+    fn observe(p: &mut impl Prefetcher, pc: u64, addr: u64, miss: bool) -> Vec<u64> {
+        let mut out = Vec::new();
+        p.observe(pc, addr, miss, &mut out);
+        out
+    }
+
     #[test]
     fn next_line_on_miss_only() {
         let mut p = NextLinePrefetcher::new(64);
-        assert_eq!(p.observe(0, 100, false), Vec::<u64>::new());
-        assert_eq!(p.observe(0, 100, true), vec![128]);
-        assert_eq!(p.issued(), 1);
+        assert_eq!(observe(&mut p, 0, 100, false), Vec::<u64>::new());
+        assert_eq!(observe(&mut p, 0, 100, true), vec![128]);
+    }
+
+    #[test]
+    fn observe_appends_to_the_callers_buffer() {
+        let mut p = NextLinePrefetcher::new(64);
+        let mut out = vec![7];
+        p.observe(0, 100, true, &mut out);
+        assert_eq!(out, vec![7, 128]);
     }
 
     #[test]
@@ -190,34 +181,30 @@ mod tests {
         let mut p = StridePrefetcher::new(4, 2);
         let pc = 0x40;
         // Accesses with stride 64: needs 3 observations to gain confidence.
-        assert!(p.observe(pc, 0, true).is_empty());
-        assert!(p.observe(pc, 64, true).is_empty());
-        assert!(p.observe(pc, 128, true).is_empty());
-        let out = p.observe(pc, 192, true);
-        assert_eq!(out, vec![256, 320]);
-        assert_eq!(p.issued(), 2);
+        assert!(observe(&mut p, pc, 0, true).is_empty());
+        assert!(observe(&mut p, pc, 64, true).is_empty());
+        assert!(observe(&mut p, pc, 128, true).is_empty());
+        assert_eq!(observe(&mut p, pc, 192, true), vec![256, 320]);
     }
 
     #[test]
     fn stride_resets_on_pattern_change() {
         let mut p = StridePrefetcher::new(4, 1);
         let pc = 0x40;
-        for i in 0..5u64 {
-            p.observe(pc, i * 64, true);
-        }
-        assert!(p.issued() > 0);
-        let before = p.issued();
+        let issued: usize = (0..5u64)
+            .map(|i| observe(&mut p, pc, i * 64, true).len())
+            .sum();
+        assert!(issued > 0);
         // Random jumps: confidence collapses, no more prefetches.
-        assert!(p.observe(pc, 10_000, true).is_empty());
-        assert!(p.observe(pc, 3, true).is_empty());
-        assert_eq!(p.issued(), before);
+        assert!(observe(&mut p, pc, 10_000, true).is_empty());
+        assert!(observe(&mut p, pc, 3, true).is_empty());
     }
 
     #[test]
     fn stride_zero_never_prefetches() {
         let mut p = StridePrefetcher::new(4, 2);
         for _ in 0..10 {
-            assert!(p.observe(0x40, 512, true).is_empty());
+            assert!(observe(&mut p, 0x40, 512, true).is_empty());
         }
     }
 
@@ -225,13 +212,11 @@ mod tests {
     fn distinct_pcs_tracked_separately() {
         let mut p = StridePrefetcher::new(4, 1);
         for i in 0..4u64 {
-            p.observe(0x40, i * 64, true);
-            p.observe(0x41, i * 128, true);
+            observe(&mut p, 0x40, i * 64, true);
+            observe(&mut p, 0x41, i * 128, true);
         }
-        let a = p.observe(0x40, 4 * 64, true);
-        let b = p.observe(0x41, 4 * 128, true);
-        assert_eq!(a, vec![5 * 64]);
-        assert_eq!(b, vec![5 * 128]);
+        assert_eq!(observe(&mut p, 0x40, 4 * 64, true), vec![5 * 64]);
+        assert_eq!(observe(&mut p, 0x41, 4 * 128, true), vec![5 * 128]);
     }
 
     #[test]

@@ -1,5 +1,10 @@
 //! A simple set-associative translation lookaside buffer.
 
+/// Most entries a TLB may declare. Real data TLBs hold at most a few
+/// thousand; the bound keeps a hostile config from sizing the entry
+/// arrays without limit.
+pub const MAX_TLB_ENTRIES: usize = 1 << 16;
+
 /// TLB geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
@@ -45,13 +50,6 @@ impl TlbStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Entry {
-    vpn: u64,
-    valid: bool,
-    stamp: u64,
-}
-
 /// A set-associative, LRU TLB.
 ///
 /// # Examples
@@ -66,7 +64,13 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    sets: Vec<Vec<Entry>>,
+    /// Virtual page numbers, set-major: way `w` of set `s` is at
+    /// `s * associativity + w`.
+    vpns: Vec<u64>,
+    /// Last-use clock per entry, same layout. The clock starts at 1, so 0
+    /// marks an invalid entry and LRU victim selection picks invalid
+    /// entries first.
+    stamps: Vec<u64>,
     stats: TlbStats,
     clock: u64,
     page_shift: u32,
@@ -79,11 +83,16 @@ impl Tlb {
     /// # Panics
     ///
     /// Panics when the geometry is inconsistent (zero fields, entry count
-    /// not divisible by associativity, non-power-of-two sets or page size).
+    /// not divisible by associativity, non-power-of-two sets or page size,
+    /// more than [`MAX_TLB_ENTRIES`] entries).
     pub fn new(config: TlbConfig) -> Self {
         assert!(
             config.entries > 0 && config.associativity > 0 && config.page_bytes > 0,
             "TLB geometry fields must be non-zero"
+        );
+        assert!(
+            config.entries <= MAX_TLB_ENTRIES,
+            "TLB entries must not exceed {MAX_TLB_ENTRIES}"
         );
         assert!(
             config.entries.is_multiple_of(config.associativity),
@@ -97,7 +106,8 @@ impl Tlb {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Tlb {
             config,
-            sets: vec![vec![Entry::default(); config.associativity]; sets],
+            vpns: vec![0; config.entries],
+            stamps: vec![0; config.entries],
             stats: TlbStats::default(),
             clock: 0,
             page_shift: config.page_bytes.trailing_zeros(),
@@ -111,38 +121,29 @@ impl Tlb {
         self.clock += 1;
         self.stats.accesses += 1;
         let vpn = addr >> self.page_shift;
-        let set_idx = (vpn & self.set_mask) as usize;
-        let clock = self.clock;
+        let ways = self.config.associativity;
+        let base = (vpn & self.set_mask) as usize * ways;
+        let vpns = &mut self.vpns[base..base + ways];
+        let stamps = &mut self.stamps[base..base + ways];
 
-        if let Some(e) = self.sets[set_idx]
-            .iter_mut()
-            .find(|e| e.valid && e.vpn == vpn)
-        {
-            e.stamp = clock;
+        if let Some(way) = (0..ways).find(|&w| stamps[w] != 0 && vpns[w] == vpn) {
+            stamps[way] = self.clock;
             self.stats.hits += 1;
             return true;
         }
 
         self.stats.misses += 1;
-        let victim = self.sets[set_idx]
-            .iter_mut()
-            .min_by_key(|e| if e.valid { e.stamp } else { 0 })
+        let victim = (0..ways)
+            .min_by_key(|&w| stamps[w])
             .expect("associativity > 0");
-        *victim = Entry {
-            vpn,
-            valid: true,
-            stamp: clock,
-        };
+        vpns[victim] = vpn;
+        stamps[victim] = self.clock;
         false
     }
 
     /// Invalidates every entry (context switch without PCID).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for e in set {
-                *e = Entry::default();
-            }
-        }
+        self.stamps.fill(0);
     }
 
     /// Statistics so far.

@@ -1,0 +1,248 @@
+//! Differential tests: the flat, allocation-free simulator against the
+//! nested-`Vec` reference model in `reference/`.
+//!
+//! Both sides see the same seeded `scnn-rng` streams, with `flush`,
+//! `pollute` and `reset_stats` interleaved, and every observable result
+//! — access outcomes, statistics, occupancy, residency probes, prefetch
+//! targets, TLB verdicts and whole-core counter snapshots — must match
+//! exactly. A failing case prints its configuration and step.
+
+mod reference;
+
+use reference::{
+    assert_cores_agree, core_ops, RefCache, RefCore, RefHierarchy, RefPrefetcher, RefTlb,
+};
+use scnn_rng::{ChaCha8Rng, Rng, SeedableRng};
+use scnn_uarch::cache::{Cache, CacheConfig, ReplacementPolicy, WritePolicy};
+use scnn_uarch::hierarchy::{HierarchyConfig, MemoryHierarchy};
+use scnn_uarch::{CoreConfig, CoreSim, PrefetcherKind, Tlb, TlbConfig};
+
+/// (size, ways, line): direct-mapped, small, odd way counts for the PLRU
+/// tree, and the 64-way limit.
+const GEOMETRIES: [(usize, usize, usize); 6] = [
+    (1024, 1, 64),
+    (4096, 4, 64),
+    (20 * 64 * 4, 20, 64),
+    (6 * 32 * 8, 6, 32),
+    (3 * 64 * 2, 3, 64),
+    (64 * 64 * 2, 64, 64),
+];
+
+/// An address with locality: mostly a hot window a few times the cache
+/// size, sometimes anywhere in a 1 MiB region.
+fn address(rng: &mut ChaCha8Rng, size: usize) -> u64 {
+    if rng.gen_range(0u32..8) == 0 {
+        rng.gen_range(0u64..1 << 20)
+    } else {
+        rng.gen_range(0..4 * size as u64)
+    }
+}
+
+#[test]
+fn cache_matches_reference_for_every_policy_and_write_policy() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xd1ff_0001);
+    for (size, ways, line) in GEOMETRIES {
+        for policy in ReplacementPolicy::ALL {
+            for write_policy in WritePolicy::ALL {
+                let config = CacheConfig::new(size, ways, line)
+                    .with_policy(policy)
+                    .with_write_policy(write_policy);
+                let case = format!("{config:?}");
+                let mut flat = Cache::new(config).unwrap();
+                let mut reference = RefCache::new(config);
+                for step in 0..3000 {
+                    match rng.gen_range(0u32..200) {
+                        0 => {
+                            flat.flush();
+                            reference.flush();
+                        }
+                        1..=3 => {
+                            let fraction = rng.gen_range(0.0..1.0);
+                            let seed = rng.gen();
+                            flat.pollute(fraction, seed);
+                            reference.pollute(fraction, seed);
+                        }
+                        4 => {
+                            flat.reset_stats();
+                            reference.reset_stats();
+                        }
+                        5..=14 => {
+                            let addr = address(&mut rng, size);
+                            assert_eq!(
+                                flat.probe_resident(addr),
+                                reference.probe_resident(addr),
+                                "{case} step {step}: probe_resident({addr})"
+                            );
+                        }
+                        _ => {
+                            let addr = address(&mut rng, size);
+                            let write = rng.gen_range(0u32..3) == 0;
+                            assert_eq!(
+                                flat.access(addr, write),
+                                reference.access(addr, write),
+                                "{case} step {step}: access({addr}, {write})"
+                            );
+                        }
+                    }
+                    assert_eq!(flat.stats(), reference.stats(), "{case} step {step}");
+                    assert_eq!(
+                        flat.occupancy(),
+                        reference.occupancy(),
+                        "{case} step {step}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn tlb_matches_reference() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xd1ff_0002);
+    for (entries, associativity) in [(64, 4), (8, 2), (16, 1), (64, 64), (1536, 12)] {
+        let config = TlbConfig {
+            entries,
+            associativity,
+            page_bytes: 4096,
+        };
+        let mut flat = Tlb::new(config);
+        let mut reference = RefTlb::new(config);
+        for step in 0..5000 {
+            match rng.gen_range(0u32..100) {
+                0 => {
+                    flat.flush();
+                    reference.flush();
+                }
+                1 => {
+                    flat.reset_stats();
+                    reference.reset_stats();
+                }
+                _ => {
+                    let pages = 2 * entries as u64;
+                    let addr = rng.gen_range(0..pages * 4096);
+                    assert_eq!(
+                        flat.translate(addr),
+                        reference.translate(addr),
+                        "{config:?} step {step}: translate({addr})"
+                    );
+                }
+            }
+            assert_eq!(flat.stats(), reference.stats(), "{config:?} step {step}");
+        }
+    }
+}
+
+#[test]
+fn prefetchers_match_reference() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xd1ff_0003);
+    for kind in PrefetcherKind::ALL {
+        let (Some(mut flat), Some(mut reference)) =
+            (kind.build(64), RefPrefetcher::build(kind, 64))
+        else {
+            assert_eq!(kind, PrefetcherKind::None);
+            continue;
+        };
+        let mut cursors = [0u64; 4];
+        // One buffer for the whole stream: `observe` must only append.
+        let mut out = Vec::new();
+        for step in 0..20_000 {
+            let site = rng.gen_range(0usize..4);
+            if rng.gen_range(0u32..16) == 0 {
+                cursors[site] = rng.gen_range(0u64..1 << 24);
+            } else {
+                cursors[site] += 64 * (site as u64 + 1);
+            }
+            // Two sites per table slot exercise tag replacement.
+            let pc = 0x40 + site as u64 * 0x80;
+            let miss = rng.gen::<bool>();
+            let before = out.len();
+            flat.observe(pc, cursors[site], miss, &mut out);
+            assert_eq!(
+                out[before..],
+                reference.observe(pc, cursors[site], miss)[..],
+                "{kind:?} step {step}"
+            );
+            if out.len() > 64 {
+                out.clear();
+            }
+        }
+    }
+}
+
+#[test]
+fn hierarchy_matches_reference_for_every_prefetcher() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xd1ff_0004);
+    let combos = PrefetcherKind::ALL.into_iter().flat_map(|prefetcher| {
+        ReplacementPolicy::ALL.into_iter().flat_map(move |policy| {
+            WritePolicy::ALL.map(|write_policy| (prefetcher, policy, write_policy))
+        })
+    });
+    for (prefetcher, policy, write_policy) in combos {
+        let level = |size, ways| {
+            CacheConfig::new(size, ways, 64)
+                .with_policy(policy)
+                .with_write_policy(write_policy)
+        };
+        let config = HierarchyConfig {
+            l1d: level(1024, 2),
+            l2: level(4096, 4),
+            l3: level(16 * 1024, 8),
+            prefetcher,
+            ..HierarchyConfig::default()
+        };
+        let mut flat = MemoryHierarchy::new(config).unwrap();
+        let mut reference = RefHierarchy::new(config);
+        let mut cursor = 0u64;
+        for step in 0..10_000 {
+            match rng.gen_range(0u32..500) {
+                0 => {
+                    flat.flush();
+                    reference.flush();
+                }
+                1..=2 => {
+                    let fraction = rng.gen_range(0.0..1.0);
+                    let seed = rng.gen();
+                    flat.pollute(fraction, seed);
+                    reference.pollute(fraction, seed);
+                }
+                3 => {
+                    flat.reset_stats();
+                    reference.reset_stats();
+                }
+                n => {
+                    // Half strided (trains the prefetchers), half random.
+                    let (addr, pc) = if n % 2 == 0 {
+                        cursor += 64;
+                        (cursor, 0x40)
+                    } else {
+                        (rng.gen_range(0u64..64 * 1024), 0x80)
+                    };
+                    let write = rng.gen_range(0u32..4) == 0;
+                    assert_eq!(
+                        flat.access(addr, write, pc),
+                        reference.access(addr, write, pc),
+                        "{config:?} step {step}"
+                    );
+                }
+            }
+            assert_eq!(flat.stats(), reference.stats(), "{config:?} step {step}");
+        }
+        assert_eq!(flat.l1d().occupancy(), reference.l1d.occupancy());
+        assert_eq!(flat.l3().occupancy(), reference.l3.occupancy());
+    }
+}
+
+#[test]
+fn core_matches_reference_on_every_core_preset() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xd1ff_0005);
+    for (name, config) in [
+        ("default", CoreConfig::default()),
+        ("xeon-e5-2690", CoreConfig::xeon_e5_2690()),
+        ("tiny", CoreConfig::tiny()),
+    ] {
+        let ops = core_ops(&mut rng, 20_000);
+        let mut core = CoreSim::new(config).unwrap();
+        let mut reference = RefCore::new(config);
+        assert_cores_agree(name, &mut core, &mut reference, &ops);
+    }
+}
