@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local tier-1 gate — mirrors .github/workflows/ci.yml exactly.
+# Tier-1 gate: the one list of checks, run as is by
+# .github/workflows/ci.yml and locally.
 #
 # The workspace is hermetic (zero external crates), so every cargo step
 # runs with --offline / CARGO_NET_OFFLINE=true: a step that needs the

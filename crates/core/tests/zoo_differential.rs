@@ -1,15 +1,19 @@
 //! Every preset of the uarch zoo, simulated by the flat production core
 //! and by the nested-`Vec` reference model of `scnn-uarch`'s differential
-//! tests, must produce identical counter snapshots after every event of
+//! tests, must produce identical counter snapshots: after every event of
 //! a seeded inference-shaped stream (with cold starts, counter resets and
-//! pollution interleaved).
+//! pollution interleaved), and at every layer boundary of the recorded
+//! event stream of a real traced inference.
 
 #[path = "../../uarch/tests/reference/mod.rs"]
 mod reference;
 
-use reference::{assert_cores_agree, core_ops, RefCore};
+use reference::{apply, assert_cores_agree, core_ops, CoreOp, RefCore};
 use scnn_core::zoo::zoo;
-use scnn_rng::{ChaCha8Rng, SeedableRng};
+use scnn_nn::{models, Network};
+use scnn_rng::{ChaCha8Rng, Rng, SeedableRng};
+use scnn_tensor::Tensor;
+use scnn_uarch::Probe;
 
 #[test]
 fn every_zoo_preset_matches_the_reference_core() {
@@ -19,5 +23,85 @@ fn every_zoo_preset_matches_the_reference_core() {
         let mut core = preset.build().unwrap();
         let mut reference = RefCore::new(preset.core);
         assert_cores_agree(&preset.name, &mut core, &mut reference, &ops);
+    }
+}
+
+/// Records a traced inference as replayable ops, noting where each layer
+/// starts.
+#[derive(Default)]
+struct Recorder {
+    ops: Vec<CoreOp>,
+    /// `ops.len()` at each layer boundary.
+    boundaries: Vec<usize>,
+}
+
+impl Probe for Recorder {
+    fn load(&mut self, addr: u64, pc: u64) {
+        self.ops.push(CoreOp::Load(addr, pc));
+    }
+
+    fn store(&mut self, addr: u64, pc: u64) {
+        self.ops.push(CoreOp::Store(addr, pc));
+    }
+
+    fn branch(&mut self, pc: u64, taken: bool) {
+        self.ops.push(CoreOp::Branch(pc, taken));
+    }
+
+    fn alu(&mut self, n: u64) {
+        self.ops.push(CoreOp::Alu(n));
+    }
+
+    fn layer_boundary(&mut self, _index: usize) {
+        self.boundaries.push(self.ops.len());
+    }
+}
+
+/// An image-like input: mostly zero background, bright strokes elsewhere.
+fn image(rng: &mut ChaCha8Rng, dims: [usize; 3]) -> Tensor {
+    let data = (0..dims.iter().product())
+        .map(|_| {
+            if rng.gen_range(0u32..10) < 7 {
+                0.0
+            } else {
+                rng.gen_range(0.0f32..1.0)
+            }
+        })
+        .collect();
+    Tensor::from_vec(data, dims).unwrap()
+}
+
+#[test]
+fn every_zoo_preset_matches_the_reference_core_on_a_traced_inference() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x200_d200);
+    let victims: [(&str, Network, [usize; 3]); 2] = [
+        ("mnist_cnn", models::mnist_cnn(7), [1, 28, 28]),
+        ("cifar_cnn", models::cifar_cnn(7), [3, 32, 32]),
+    ];
+    for (model, net, dims) in victims {
+        let mut recorder = Recorder::default();
+        net.infer_traced(&image(&mut rng, dims), &mut recorder)
+            .unwrap();
+        assert!(
+            recorder.boundaries.len() >= net.len(),
+            "{model}: every layer reports its boundary"
+        );
+        for preset in zoo() {
+            let mut core = preset.build().unwrap();
+            let mut reference = RefCore::new(preset.core);
+            let mut start = 0;
+            for &end in recorder.boundaries.iter().chain([&recorder.ops.len()]) {
+                for &op in &recorder.ops[start..end] {
+                    apply(&mut core, &mut reference, op);
+                }
+                assert_eq!(
+                    core.snapshot(),
+                    reference.snapshot(),
+                    "{model} on {}: after op {end}",
+                    preset.name
+                );
+                start = end;
+            }
+        }
     }
 }

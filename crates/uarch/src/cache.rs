@@ -284,6 +284,10 @@ impl CacheStats {
 /// dirty bits in one `u64` each. A lookup scans one contiguous tag row, and
 /// [`flush`](Self::flush) clears only the per-set words.
 ///
+/// [`access`](Self::access) is split into an inlined hit path and an
+/// out-of-line miss path, and it remembers where the line of the latest
+/// access lives, so a repeat access to that line skips the tag scan.
+///
 /// # Examples
 ///
 /// ```
@@ -319,7 +323,23 @@ pub struct Cache {
     set_bits: u32,
     set_mask: u64,
     rng_state: u64,
+    /// Every policy but FIFO refreshes the stamp on a hit.
+    refresh_on_hit: bool,
+    /// [`WritePolicy::WriteThroughNoAllocate`].
+    write_through: bool,
+    /// [`ReplacementPolicy::TreePlru`].
+    tree_plru: bool,
+    /// Line address of the latest access that left its line resident.
+    /// Valid only while `last_idx` is not [`NO_MEMO`].
+    last_line: u64,
+    /// Flat index (`set * ways + way`) of `last_line`, or [`NO_MEMO`].
+    last_idx: usize,
 }
+
+/// `last_idx` of a cache or TLB that remembers no line. Cleared memos also
+/// set the remembered line or page to `u64::MAX`; the index is what makes
+/// them exact, because with 1-byte lines `u64::MAX` is a line address too.
+pub(crate) const NO_MEMO: usize = usize::MAX;
 
 impl Cache {
     /// Builds a cache from a validated config.
@@ -346,6 +366,11 @@ impl Cache {
             set_bits: sets.trailing_zeros(),
             set_mask: (sets - 1) as u64,
             rng_state: 0x9E37_79B9_7F4A_7C15,
+            refresh_on_hit: config.policy != ReplacementPolicy::Fifo,
+            write_through: config.write_policy == WritePolicy::WriteThroughNoAllocate,
+            tree_plru: config.policy == ReplacementPolicy::TreePlru,
+            last_line: u64::MAX,
+            last_idx: NO_MEMO,
         })
     }
 
@@ -362,39 +387,53 @@ impl Cache {
     /// Accesses `addr`; `write` marks the line dirty under write-back.
     /// Fills on miss, except for write misses under
     /// [`WritePolicy::WriteThroughNoAllocate`].
+    ///
+    /// A hit on the line of the previous access reuses its index without
+    /// a tag scan and skips the tree-PLRU update, which touching the same
+    /// way again would leave unchanged.
+    #[inline(always)]
     pub fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
         self.clock += 1;
         self.stats.accesses += 1;
         let line_addr = addr >> self.line_shift;
         let set = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_bits;
         let base = set * self.ways;
-        let write_through = self.config.write_policy == WritePolicy::WriteThroughNoAllocate;
+        let idx = if line_addr == self.last_line && self.last_idx != NO_MEMO {
+            self.last_idx
+        } else {
+            let Some(way) = self.find(set, line_addr >> self.set_bits) else {
+                return self.miss(line_addr, write);
+            };
+            self.touch_plru(set, way);
+            self.last_line = line_addr;
+            self.last_idx = base + way;
+            base + way
+        };
+        if self.refresh_on_hit {
+            self.stamps[idx] = self.clock;
+        }
         // Write-through lines are never dirty: the store is forwarded to
         // the next level immediately.
-        let dirties = write && !write_through;
-
-        if let Some(way) = self.find(set, tag) {
-            // FIFO must not refresh recency on hit; LRU must.
-            if self.config.policy != ReplacementPolicy::Fifo {
-                self.stamps[base + way] = self.clock;
-            }
-            if dirties {
-                self.dirty[set] |= 1 << way;
-            }
-            self.stats.hits += 1;
-            self.touch_plru(set, way);
-            return AccessOutcome {
-                hit: true,
-                writeback: (write && write_through).then_some(line_addr << self.line_shift),
-            };
+        if write && !self.write_through {
+            self.dirty[set] |= 1 << (idx - base);
         }
+        self.stats.hits += 1;
+        AccessOutcome {
+            hit: true,
+            writeback: (write && self.write_through).then_some(line_addr << self.line_shift),
+        }
+    }
 
+    /// The rest of an access that missed: the write-through bypass, or a
+    /// victim choice, writeback and fill.
+    #[inline(never)]
+    fn miss(&mut self, line_addr: u64, write: bool) -> AccessOutcome {
         self.stats.misses += 1;
 
         // No-write-allocate: a write miss bypasses the cache entirely and
-        // the store goes straight down (reported via `writeback`).
-        if write && write_through {
+        // the store goes straight down (reported via `writeback`). Nothing
+        // is evicted, so the remembered line stays resident.
+        if write && self.write_through {
             return AccessOutcome {
                 hit: false,
                 writeback: Some(line_addr << self.line_shift),
@@ -402,6 +441,8 @@ impl Cache {
         }
 
         // Choose a victim and fill.
+        let set = (line_addr & self.set_mask) as usize;
+        let base = set * self.ways;
         let way = self.choose_victim(set);
         let bit = 1u64 << way;
         let mut writeback = None;
@@ -413,15 +454,18 @@ impl Cache {
                 writeback = Some(victim_line << self.line_shift);
             }
         }
-        self.tags[base + way] = tag;
+        self.tags[base + way] = line_addr >> self.set_bits;
         self.stamps[base + way] = self.clock;
         self.valid[set] |= bit;
-        if dirties {
+        // Only write-back caches get here on a write.
+        if write {
             self.dirty[set] |= bit;
         } else {
             self.dirty[set] &= !bit;
         }
         self.touch_plru(set, way);
+        self.last_line = line_addr;
+        self.last_idx = base + way;
         AccessOutcome {
             hit: false,
             writeback,
@@ -439,6 +483,12 @@ impl Cache {
             .position(|(way, &t)| t == tag && valid >> way & 1 != 0)
     }
 
+    /// Forgets the remembered line, before lines are invalidated.
+    fn forget_last_line(&mut self) {
+        self.last_line = u64::MAX;
+        self.last_idx = NO_MEMO;
+    }
+
     /// True when `addr`'s line is currently resident (does not perturb
     /// statistics or replacement state — an observer, used by tests and by
     /// the noise model).
@@ -452,9 +502,10 @@ impl Cache {
     /// Clears the per-set bit words only; tags and stamps of invalid lines
     /// are never read.
     pub fn flush(&mut self) {
+        self.forget_last_line();
         self.valid.fill(0);
         self.dirty.fill(0);
-        if self.config.policy == ReplacementPolicy::TreePlru {
+        if self.tree_plru {
             self.plru.fill(0);
         }
     }
@@ -463,6 +514,7 @@ impl Cache {
     /// `fraction` of all lines — models cache pollution by a co-running
     /// process or a context switch.
     pub fn pollute(&mut self, fraction: f64, seed: u64) {
+        self.forget_last_line();
         let fraction = fraction.clamp(0.0, 1.0);
         let threshold = (fraction * u32::MAX as f64) as u32;
         let mut state = seed | 1;
@@ -539,8 +591,9 @@ impl Cache {
         }
     }
 
+    #[inline]
     fn touch_plru(&mut self, set: usize, way: usize) {
-        if self.config.policy != ReplacementPolicy::TreePlru {
+        if !self.tree_plru {
             return;
         }
         // With at most 64 ways the tree has at most 63 internal nodes,

@@ -126,9 +126,7 @@ pub struct MemoryHierarchy {
     l2: Cache,
     l3: Cache,
     latency: LatencyModel,
-    prefetcher: Option<Box<dyn Prefetcher + Send>>,
-    /// Reused target buffer for [`Prefetcher::observe`].
-    prefetch_targets: Vec<u64>,
+    prefetcher: Prefetcher,
     stats_llc_references: u64,
     stats_llc_misses: u64,
     stats_prefetches: u64,
@@ -159,8 +157,7 @@ impl MemoryHierarchy {
             l2: Cache::new(config.l2)?,
             l3: Cache::new(config.l3)?,
             latency: config.latency,
-            prefetcher: config.prefetcher.build(config.l2.line_bytes),
-            prefetch_targets: Vec::new(),
+            prefetcher: Prefetcher::new(config.prefetcher, config.l2.line_bytes),
             stats_llc_references: 0,
             stats_llc_misses: 0,
             stats_prefetches: 0,
@@ -170,6 +167,7 @@ impl MemoryHierarchy {
 
     /// A demand access from the core. `pc` identifies the load/store site
     /// for the prefetcher. Returns the level that served the access.
+    #[inline]
     pub fn access(&mut self, addr: u64, write: bool, pc: u64) -> ServedBy {
         let l1 = self.l1d.access(addr, write);
         let mut served = ServedBy::L1;
@@ -199,18 +197,15 @@ impl MemoryHierarchy {
         // prefetch that misses the LLC still fetches the line from DRAM,
         // so it counts toward `cache-misses` exactly as on real PMUs —
         // prefetching hides *latency*, not *traffic*.
-        if let Some(pf) = self.prefetcher.as_mut() {
-            self.prefetch_targets.clear();
-            pf.observe(pc, addr, !l1.hit, &mut self.prefetch_targets);
-            for &t in &self.prefetch_targets {
-                self.stats_prefetches += 1;
-                self.stats_llc_references += 1;
-                let l3 = self.l3.access(t, false);
-                if !l3.hit {
-                    self.stats_llc_misses += 1;
-                }
-                self.l2.access(t, false);
+        let (targets, n) = self.prefetcher.observe(pc, addr, !l1.hit);
+        for &t in &targets[..n] {
+            self.stats_prefetches += 1;
+            self.stats_llc_references += 1;
+            let l3 = self.l3.access(t, false);
+            if !l3.hit {
+                self.stats_llc_misses += 1;
             }
+            self.l2.access(t, false);
         }
         served
     }

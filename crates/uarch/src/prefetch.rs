@@ -40,12 +40,41 @@ impl PrefetcherKind {
     }
 }
 
-/// A prefetcher that proposes addresses to preload.
-pub trait Prefetcher {
-    /// Observes a demand access (`pc` identifies the load site) and
-    /// appends the byte addresses the hierarchy should prefetch to `out`.
-    /// The caller owns and reuses `out`, so the hot path never allocates.
-    fn observe(&mut self, pc: u64, addr: u64, miss: bool, out: &mut Vec<u64>);
+/// The hierarchy's prefetcher, dispatched by `match` rather than through a
+/// trait object so that [`observe`](Self::observe) inlines into the access
+/// path.
+#[derive(Debug, Clone)]
+pub enum Prefetcher {
+    /// No prefetching.
+    None,
+    /// See [`NextLinePrefetcher`].
+    NextLine(NextLinePrefetcher),
+    /// See [`StridePrefetcher`].
+    Stride(StridePrefetcher),
+}
+
+impl Prefetcher {
+    /// Builds the prefetcher of `kind` for a cache with the given line
+    /// size. The stride prefetcher tracks 256 load sites at degree 2.
+    pub fn new(kind: PrefetcherKind, line_bytes: usize) -> Self {
+        match kind {
+            PrefetcherKind::None => Prefetcher::None,
+            PrefetcherKind::NextLine => Prefetcher::NextLine(NextLinePrefetcher::new(line_bytes)),
+            PrefetcherKind::Stride => Prefetcher::Stride(StridePrefetcher::new(8, 2)),
+        }
+    }
+
+    /// Observes a demand access (`pc` identifies the load site) and returns
+    /// the byte addresses the hierarchy should prefetch: the first `n`
+    /// entries of the array.
+    #[inline]
+    pub fn observe(&mut self, pc: u64, addr: u64, miss: bool) -> ([u64; 2], usize) {
+        match self {
+            Prefetcher::None => ([0; 2], 0),
+            Prefetcher::NextLine(p) => p.observe(addr, miss),
+            Prefetcher::Stride(p) => p.observe(pc, addr),
+        }
+    }
 }
 
 /// Trivial next-line prefetcher.
@@ -61,12 +90,14 @@ impl NextLinePrefetcher {
             line_bytes: line_bytes as u64,
         }
     }
-}
 
-impl Prefetcher for NextLinePrefetcher {
-    fn observe(&mut self, _pc: u64, addr: u64, miss: bool, out: &mut Vec<u64>) {
+    /// Proposes the line after `addr`'s on a miss.
+    #[inline]
+    pub fn observe(&mut self, addr: u64, miss: bool) -> ([u64; 2], usize) {
         if miss {
-            out.push((addr & !(self.line_bytes - 1)) + self.line_bytes);
+            ([(addr & !(self.line_bytes - 1)) + self.line_bytes, 0], 1)
+        } else {
+            ([0; 2], 0)
         }
     }
 }
@@ -95,9 +126,17 @@ impl StridePrefetcher {
     ///
     /// # Panics
     ///
-    /// Panics when `index_bits` is 0 or `degree` is 0.
+    /// Panics when `index_bits` is outside `1..=24` (the range the branch
+    /// predictors accept) or `degree` is outside `1..=2`.
     pub fn new(index_bits: u32, degree: usize) -> Self {
-        assert!(index_bits > 0 && degree > 0);
+        assert!(
+            (1..=24).contains(&index_bits),
+            "stride prefetcher index bits must be in 1..=24, got {index_bits}"
+        );
+        assert!(
+            (1..=2).contains(&degree),
+            "stride prefetcher degree must be 1 or 2, got {degree}"
+        );
         let size = 1usize << index_bits;
         StridePrefetcher {
             table: vec![StrideEntry::default(); size],
@@ -105,10 +144,13 @@ impl StridePrefetcher {
             degree,
         }
     }
-}
 
-impl Prefetcher for StridePrefetcher {
-    fn observe(&mut self, pc: u64, addr: u64, _miss: bool, out: &mut Vec<u64>) {
+    /// Observes a demand access from load site `pc` and proposes up to
+    /// `degree` addresses one stride apart once the site's stride has
+    /// repeated twice.
+    #[inline]
+    pub fn observe(&mut self, pc: u64, addr: u64) -> ([u64; 2], usize) {
+        let mut targets = ([0; 2], 0);
         let idx = (pc & self.mask) as usize;
         let e = &mut self.table[idx];
         if !e.valid || e.pc != pc {
@@ -119,7 +161,7 @@ impl Prefetcher for StridePrefetcher {
                 confidence: 0,
                 valid: true,
             };
-            return;
+            return targets;
         }
         let stride = addr as i64 - e.last_addr as i64;
         if stride == e.stride && stride != 0 {
@@ -133,21 +175,12 @@ impl Prefetcher for StridePrefetcher {
             for d in 1..=self.degree {
                 let target = addr as i64 + e.stride * d as i64;
                 if target >= 0 {
-                    out.push(target as u64);
+                    targets.0[targets.1] = target as u64;
+                    targets.1 += 1;
                 }
             }
         }
-    }
-}
-
-impl PrefetcherKind {
-    /// Builds the prefetcher for a cache with the given line size.
-    pub fn build(self, line_bytes: usize) -> Option<Box<dyn Prefetcher + Send>> {
-        match self {
-            PrefetcherKind::None => None,
-            PrefetcherKind::NextLine => Some(Box::new(NextLinePrefetcher::new(line_bytes))),
-            PrefetcherKind::Stride => Some(Box::new(StridePrefetcher::new(8, 2))),
-        }
+        targets
     }
 }
 
@@ -155,25 +188,15 @@ impl PrefetcherKind {
 mod tests {
     use super::*;
 
-    fn observe(p: &mut impl Prefetcher, pc: u64, addr: u64, miss: bool) -> Vec<u64> {
-        let mut out = Vec::new();
-        p.observe(pc, addr, miss, &mut out);
-        out
+    fn targets((addrs, n): ([u64; 2], usize)) -> Vec<u64> {
+        addrs[..n].to_vec()
     }
 
     #[test]
     fn next_line_on_miss_only() {
         let mut p = NextLinePrefetcher::new(64);
-        assert_eq!(observe(&mut p, 0, 100, false), Vec::<u64>::new());
-        assert_eq!(observe(&mut p, 0, 100, true), vec![128]);
-    }
-
-    #[test]
-    fn observe_appends_to_the_callers_buffer() {
-        let mut p = NextLinePrefetcher::new(64);
-        let mut out = vec![7];
-        p.observe(0, 100, true, &mut out);
-        assert_eq!(out, vec![7, 128]);
+        assert_eq!(targets(p.observe(100, false)), Vec::<u64>::new());
+        assert_eq!(targets(p.observe(100, true)), vec![128]);
     }
 
     #[test]
@@ -181,48 +204,92 @@ mod tests {
         let mut p = StridePrefetcher::new(4, 2);
         let pc = 0x40;
         // Accesses with stride 64: needs 3 observations to gain confidence.
-        assert!(observe(&mut p, pc, 0, true).is_empty());
-        assert!(observe(&mut p, pc, 64, true).is_empty());
-        assert!(observe(&mut p, pc, 128, true).is_empty());
-        assert_eq!(observe(&mut p, pc, 192, true), vec![256, 320]);
+        assert!(targets(p.observe(pc, 0)).is_empty());
+        assert!(targets(p.observe(pc, 64)).is_empty());
+        assert!(targets(p.observe(pc, 128)).is_empty());
+        assert_eq!(targets(p.observe(pc, 192)), vec![256, 320]);
     }
 
     #[test]
     fn stride_resets_on_pattern_change() {
         let mut p = StridePrefetcher::new(4, 1);
         let pc = 0x40;
-        let issued: usize = (0..5u64)
-            .map(|i| observe(&mut p, pc, i * 64, true).len())
-            .sum();
+        let issued: usize = (0..5u64).map(|i| p.observe(pc, i * 64).1).sum();
         assert!(issued > 0);
         // Random jumps: confidence collapses, no more prefetches.
-        assert!(observe(&mut p, pc, 10_000, true).is_empty());
-        assert!(observe(&mut p, pc, 3, true).is_empty());
+        assert!(targets(p.observe(pc, 10_000)).is_empty());
+        assert!(targets(p.observe(pc, 3)).is_empty());
     }
 
     #[test]
     fn stride_zero_never_prefetches() {
         let mut p = StridePrefetcher::new(4, 2);
         for _ in 0..10 {
-            assert!(observe(&mut p, 0x40, 512, true).is_empty());
+            assert!(targets(p.observe(0x40, 512)).is_empty());
         }
+    }
+
+    #[test]
+    fn stride_drops_negative_targets() {
+        let mut p = StridePrefetcher::new(4, 2);
+        for addr in [320, 256, 192] {
+            p.observe(0x40, addr);
+        }
+        assert_eq!(targets(p.observe(0x40, 128)), vec![64, 0]);
+        assert_eq!(targets(p.observe(0x40, 64)), vec![0]);
     }
 
     #[test]
     fn distinct_pcs_tracked_separately() {
         let mut p = StridePrefetcher::new(4, 1);
         for i in 0..4u64 {
-            observe(&mut p, 0x40, i * 64, true);
-            observe(&mut p, 0x41, i * 128, true);
+            p.observe(0x40, i * 64);
+            p.observe(0x41, i * 128);
         }
-        assert_eq!(observe(&mut p, 0x40, 4 * 64, true), vec![5 * 64]);
-        assert_eq!(observe(&mut p, 0x41, 4 * 128, true), vec![5 * 128]);
+        assert_eq!(targets(p.observe(0x40, 4 * 64)), vec![5 * 64]);
+        assert_eq!(targets(p.observe(0x41, 4 * 128)), vec![5 * 128]);
     }
 
     #[test]
-    fn kind_builders() {
-        assert!(PrefetcherKind::None.build(64).is_none());
-        assert!(PrefetcherKind::NextLine.build(64).is_some());
-        assert!(PrefetcherKind::Stride.build(64).is_some());
+    fn enum_dispatches_to_the_kind() {
+        let mut none = Prefetcher::new(PrefetcherKind::None, 64);
+        assert_eq!(targets(none.observe(0x40, 100, true)), Vec::<u64>::new());
+        let mut next = Prefetcher::new(PrefetcherKind::NextLine, 64);
+        assert_eq!(targets(next.observe(0x40, 100, true)), vec![128]);
+        let mut stride = Prefetcher::new(PrefetcherKind::Stride, 64);
+        for i in 0..3u64 {
+            stride.observe(0x40, i * 64, false);
+        }
+        assert_eq!(targets(stride.observe(0x40, 192, false)), vec![256, 320]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index bits")]
+    fn stride_rejects_zero_index_bits() {
+        StridePrefetcher::new(0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "index bits")]
+    fn stride_rejects_index_bits_that_overflow_the_shift() {
+        StridePrefetcher::new(64, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "index bits")]
+    fn stride_rejects_index_bits_above_24() {
+        StridePrefetcher::new(25, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "degree")]
+    fn stride_rejects_zero_degree() {
+        StridePrefetcher::new(8, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "degree")]
+    fn stride_rejects_degree_beyond_the_target_array() {
+        StridePrefetcher::new(8, 3);
     }
 }

@@ -1,5 +1,7 @@
 //! A simple set-associative translation lookaside buffer.
 
+use crate::cache::NO_MEMO;
+
 /// Most entries a TLB may declare. Real data TLBs hold at most a few
 /// thousand; the bound keeps a hostile config from sizing the entry
 /// arrays without limit.
@@ -75,6 +77,11 @@ pub struct Tlb {
     clock: u64,
     page_shift: u32,
     set_mask: u64,
+    /// Page number of the latest translation. Valid only while `last_idx`
+    /// is not [`NO_MEMO`].
+    last_vpn: u64,
+    /// Flat index of `last_vpn`'s entry, or [`NO_MEMO`].
+    last_idx: usize,
 }
 
 impl Tlb {
@@ -112,15 +119,24 @@ impl Tlb {
             clock: 0,
             page_shift: config.page_bytes.trailing_zeros(),
             set_mask: (sets - 1) as u64,
+            last_vpn: u64::MAX,
+            last_idx: NO_MEMO,
         }
     }
 
     /// Translates `addr`, returning `true` on a TLB hit. Misses install the
-    /// page with LRU replacement.
+    /// page with LRU replacement. A repeat translation of the previous
+    /// page reuses its entry without a set scan.
+    #[inline(always)]
     pub fn translate(&mut self, addr: u64) -> bool {
         self.clock += 1;
         self.stats.accesses += 1;
         let vpn = addr >> self.page_shift;
+        if vpn == self.last_vpn && self.last_idx != NO_MEMO {
+            self.stamps[self.last_idx] = self.clock;
+            self.stats.hits += 1;
+            return true;
+        }
         let ways = self.config.associativity;
         let base = (vpn & self.set_mask) as usize * ways;
         let vpns = &mut self.vpns[base..base + ways];
@@ -129,6 +145,8 @@ impl Tlb {
         if let Some(way) = (0..ways).find(|&w| stamps[w] != 0 && vpns[w] == vpn) {
             stamps[way] = self.clock;
             self.stats.hits += 1;
+            self.last_vpn = vpn;
+            self.last_idx = base + way;
             return true;
         }
 
@@ -138,11 +156,15 @@ impl Tlb {
             .expect("associativity > 0");
         vpns[victim] = vpn;
         stamps[victim] = self.clock;
+        self.last_vpn = vpn;
+        self.last_idx = base + victim;
         false
     }
 
     /// Invalidates every entry (context switch without PCID).
     pub fn flush(&mut self) {
+        self.last_vpn = u64::MAX;
+        self.last_idx = NO_MEMO;
         self.stamps.fill(0);
     }
 

@@ -15,6 +15,7 @@ use reference::{
 use scnn_rng::{ChaCha8Rng, Rng, SeedableRng};
 use scnn_uarch::cache::{Cache, CacheConfig, ReplacementPolicy, WritePolicy};
 use scnn_uarch::hierarchy::{HierarchyConfig, MemoryHierarchy};
+use scnn_uarch::prefetch::Prefetcher;
 use scnn_uarch::{CoreConfig, CoreSim, PrefetcherKind, Tlb, TlbConfig};
 
 /// (size, ways, line): direct-mapped, small, odd way counts for the PLRU
@@ -136,15 +137,13 @@ fn tlb_matches_reference() {
 fn prefetchers_match_reference() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xd1ff_0003);
     for kind in PrefetcherKind::ALL {
-        let (Some(mut flat), Some(mut reference)) =
-            (kind.build(64), RefPrefetcher::build(kind, 64))
-        else {
+        let mut flat = Prefetcher::new(kind, 64);
+        let Some(mut reference) = RefPrefetcher::build(kind, 64) else {
             assert_eq!(kind, PrefetcherKind::None);
+            assert_eq!(flat.observe(0x40, 0, true).1, 0);
             continue;
         };
         let mut cursors = [0u64; 4];
-        // One buffer for the whole stream: `observe` must only append.
-        let mut out = Vec::new();
         for step in 0..20_000 {
             let site = rng.gen_range(0usize..4);
             if rng.gen_range(0u32..16) == 0 {
@@ -155,16 +154,12 @@ fn prefetchers_match_reference() {
             // Two sites per table slot exercise tag replacement.
             let pc = 0x40 + site as u64 * 0x80;
             let miss = rng.gen::<bool>();
-            let before = out.len();
-            flat.observe(pc, cursors[site], miss, &mut out);
+            let (targets, n) = flat.observe(pc, cursors[site], miss);
             assert_eq!(
-                out[before..],
+                targets[..n],
                 reference.observe(pc, cursors[site], miss)[..],
                 "{kind:?} step {step}"
             );
-            if out.len() > 64 {
-                out.clear();
-            }
         }
     }
 }
@@ -244,5 +239,153 @@ fn core_matches_reference_on_every_core_preset() {
         let mut core = CoreSim::new(config).unwrap();
         let mut reference = RefCore::new(config);
         assert_cores_agree(name, &mut core, &mut reference, &ops);
+    }
+}
+
+/// One step of a repeat-heavy stream for a single cache or TLB.
+#[derive(Debug, Clone, Copy)]
+enum RepeatOp {
+    Access(u64, bool),
+    Flush,
+    Pollute(f64, u64),
+    ResetStats,
+}
+
+/// A stream that keeps returning to the line (or page) just touched, so
+/// the last-line memo decides most outcomes: 4-byte runs inside one
+/// line, 2–3 interleaved element streams, a load and a store to one line,
+/// `flush`/`pollute`/`reset_stats` between two accesses to one line, and
+/// a write miss right after a hit (a write-through cache does not
+/// allocate it, so the memoised line stays resident).
+fn repeat_heavy_ops(rng: &mut ChaCha8Rng, size: usize, unit: u64, len: usize) -> Vec<RepeatOp> {
+    let mut ops = Vec::new();
+    while ops.len() < len {
+        let addr = address(rng, size) & !3;
+        match rng.gen_range(0u32..6) {
+            0 => {
+                let base = addr & !(unit - 1);
+                for i in 0..rng.gen_range(2..=(unit / 4).min(32)) {
+                    ops.push(RepeatOp::Access(base + 4 * i, rng.gen_range(0u32..4) == 0));
+                }
+            }
+            1 => {
+                let mut cursors: Vec<u64> = (0..rng.gen_range(2usize..=3))
+                    .map(|_| address(rng, size) & !3)
+                    .collect();
+                for _ in 0..rng.gen_range(4..24) {
+                    for c in &mut cursors {
+                        ops.push(RepeatOp::Access(*c, false));
+                        *c += 4;
+                    }
+                }
+            }
+            2 => {
+                ops.push(RepeatOp::Access(addr, false));
+                ops.push(RepeatOp::Access(addr, true));
+            }
+            3 => {
+                ops.push(RepeatOp::Access(addr, rng.gen()));
+                ops.push(match rng.gen_range(0u32..4) {
+                    0 => RepeatOp::Flush,
+                    1 => RepeatOp::Pollute(1.0, rng.gen()),
+                    2 => RepeatOp::Pollute(rng.gen_range(0.0..1.0), rng.gen()),
+                    _ => RepeatOp::ResetStats,
+                });
+                ops.push(RepeatOp::Access(addr ^ (unit / 2), rng.gen()));
+            }
+            4 => {
+                ops.push(RepeatOp::Access(addr, false));
+                ops.push(RepeatOp::Access(addr, false));
+                ops.push(RepeatOp::Access(rng.gen_range(1u64 << 30..1 << 31), true));
+                ops.push(RepeatOp::Access(addr ^ 4, rng.gen()));
+            }
+            _ => ops.push(RepeatOp::Access(addr, rng.gen_range(0u32..3) == 0)),
+        }
+    }
+    ops
+}
+
+#[test]
+fn cache_memo_matches_reference_on_repeat_heavy_streams() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xd1ff_0006);
+    for (size, ways, line) in GEOMETRIES {
+        for policy in ReplacementPolicy::ALL {
+            for write_policy in WritePolicy::ALL {
+                let config = CacheConfig::new(size, ways, line)
+                    .with_policy(policy)
+                    .with_write_policy(write_policy);
+                let mut flat = Cache::new(config).unwrap();
+                let mut reference = RefCache::new(config);
+                for (step, op) in repeat_heavy_ops(&mut rng, size, line as u64, 3000)
+                    .into_iter()
+                    .enumerate()
+                {
+                    match op {
+                        RepeatOp::Access(addr, write) => assert_eq!(
+                            flat.access(addr, write),
+                            reference.access(addr, write),
+                            "{config:?} step {step}: {op:?}"
+                        ),
+                        RepeatOp::Flush => {
+                            flat.flush();
+                            reference.flush();
+                        }
+                        RepeatOp::Pollute(fraction, seed) => {
+                            flat.pollute(fraction, seed);
+                            reference.pollute(fraction, seed);
+                        }
+                        RepeatOp::ResetStats => {
+                            flat.reset_stats();
+                            reference.reset_stats();
+                        }
+                    }
+                    assert_eq!(flat.stats(), reference.stats(), "{config:?} step {step}");
+                    assert_eq!(
+                        flat.occupancy(),
+                        reference.occupancy(),
+                        "{config:?} step {step}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn tlb_memo_matches_reference_on_repeat_heavy_streams() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xd1ff_0007);
+    for (entries, associativity) in [(64, 4), (8, 2), (16, 1), (64, 64), (1536, 12)] {
+        let config = TlbConfig {
+            entries,
+            associativity,
+            page_bytes: 4096,
+        };
+        let mut flat = Tlb::new(config);
+        let mut reference = RefTlb::new(config);
+        let reach = entries * 4096;
+        // Pages are 4 KiB, so a "line" of the stream is one page.
+        for (step, op) in repeat_heavy_ops(&mut rng, reach, 4096, 5000)
+            .into_iter()
+            .enumerate()
+        {
+            match op {
+                RepeatOp::Access(addr, _) => assert_eq!(
+                    flat.translate(addr),
+                    reference.translate(addr),
+                    "{config:?} step {step}: {op:?}"
+                ),
+                // A TLB has no partial invalidation: pollution flushes it,
+                // as `CoreSim::pollute` does.
+                RepeatOp::Flush | RepeatOp::Pollute(..) => {
+                    flat.flush();
+                    reference.flush();
+                }
+                RepeatOp::ResetStats => {
+                    flat.reset_stats();
+                    reference.reset_stats();
+                }
+            }
+            assert_eq!(flat.stats(), reference.stats(), "{config:?} step {step}");
+        }
     }
 }

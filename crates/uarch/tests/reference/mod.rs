@@ -328,7 +328,7 @@ pub struct StrideEntry {
 }
 
 impl RefPrefetcher {
-    /// The reference twin of [`PrefetcherKind::build`].
+    /// The reference twin of `Prefetcher::new`.
     pub fn build(kind: PrefetcherKind, line_bytes: usize) -> Option<Self> {
         match kind {
             PrefetcherKind::None => None,
@@ -636,40 +636,45 @@ pub fn core_ops<R: scnn_rng::Rng>(rng: &mut R, len: usize) -> Vec<CoreOp> {
         .collect()
 }
 
+/// Applies one op to both `core` and `reference`.
+pub fn apply(core: &mut CoreSim, reference: &mut RefCore, op: CoreOp) {
+    match op {
+        CoreOp::Load(addr, pc) => {
+            core.load(addr, pc);
+            reference.load(addr, pc);
+        }
+        CoreOp::Store(addr, pc) => {
+            core.store(addr, pc);
+            reference.store(addr, pc);
+        }
+        CoreOp::Branch(pc, taken) => {
+            core.branch(pc, taken);
+            reference.branch(pc, taken);
+        }
+        CoreOp::Alu(n) => {
+            core.alu(n);
+            reference.alu(n);
+        }
+        CoreOp::ColdStart => {
+            core.cold_start();
+            reference.cold_start();
+        }
+        CoreOp::ResetCounters => {
+            core.reset_counters();
+            reference.reset_counters();
+        }
+        CoreOp::Pollute(fraction, seed) => {
+            core.pollute(fraction, seed);
+            reference.pollute(fraction, seed);
+        }
+    }
+}
+
 /// Drives `core` and `reference` with the same ops, comparing snapshots
 /// after every step.
 pub fn assert_cores_agree(name: &str, core: &mut CoreSim, reference: &mut RefCore, ops: &[CoreOp]) {
     for (step, &op) in ops.iter().enumerate() {
-        match op {
-            CoreOp::Load(addr, pc) => {
-                core.load(addr, pc);
-                reference.load(addr, pc);
-            }
-            CoreOp::Store(addr, pc) => {
-                core.store(addr, pc);
-                reference.store(addr, pc);
-            }
-            CoreOp::Branch(pc, taken) => {
-                core.branch(pc, taken);
-                reference.branch(pc, taken);
-            }
-            CoreOp::Alu(n) => {
-                core.alu(n);
-                reference.alu(n);
-            }
-            CoreOp::ColdStart => {
-                core.cold_start();
-                reference.cold_start();
-            }
-            CoreOp::ResetCounters => {
-                core.reset_counters();
-                reference.reset_counters();
-            }
-            CoreOp::Pollute(fraction, seed) => {
-                core.pollute(fraction, seed);
-                reference.pollute(fraction, seed);
-            }
-        }
+        apply(core, reference, op);
         assert_eq!(
             core.snapshot(),
             reference.snapshot(),
