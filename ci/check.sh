@@ -30,6 +30,10 @@ cargo test -q --offline --workspace
 step "batch-equivalence suite (batched GEMM path bitwise-equals scalar path)"
 cargo test -q --offline -p scnn-nn --test batch
 
+step "perfbench self-tests (readings digest and exact traced counts repeat, traced or not)"
+# perfbench is a package of its own, outside the workspace above.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 step "repro smoke run (tiny scale, threads 1 vs 4 must be byte-identical)"
 out="$(cargo run --release --offline -q -p scnn-bench --bin repro -- \
       table1 --quick --samples 8 --threads 1)"

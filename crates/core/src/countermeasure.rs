@@ -203,16 +203,11 @@ impl<'p> PaddingProbe<'p> {
     /// ceiling (impossible when the ceiling came from the same network)
     /// are left as-is.
     fn pad(&mut self) {
-        for _ in self.current.loads..self.ceiling.loads {
-            let i = self.cursor % PAD_ARENA;
-            self.cursor += 1;
-            self.inner.load(PAD_BASE + i * 4, PAD_PC);
-        }
-        for _ in self.current.stores..self.ceiling.stores {
-            let i = self.cursor % PAD_ARENA;
-            self.cursor += 1;
-            self.inner.store(PAD_BASE + i * 4, PAD_PC);
-        }
+        self.walk(self.ceiling.loads.saturating_sub(self.current.loads), false);
+        self.walk(
+            self.ceiling.stores.saturating_sub(self.current.stores),
+            true,
+        );
         for _ in self.current.branches..self.ceiling.branches {
             self.inner.branch(PAD_PC + 0x40, false);
         }
@@ -220,6 +215,23 @@ impl<'p> PaddingProbe<'p> {
             self.inner.alu(self.ceiling.alu - self.current.alu);
         }
         self.current = ShapeCounts::default();
+    }
+
+    /// `n` padding loads or stores walking the arena from the cursor, as
+    /// one run per arena segment: a walk that reaches the arena's end
+    /// goes on from its start in a new run.
+    fn walk(&mut self, mut n: u64, write: bool) {
+        while n > 0 {
+            let i = self.cursor % PAD_ARENA;
+            let k = n.min(PAD_ARENA - i);
+            if write {
+                self.inner.store_run(PAD_BASE + i * 4, 4, k, PAD_PC);
+            } else {
+                self.inner.load_run(PAD_BASE + i * 4, 4, k, PAD_PC);
+            }
+            self.cursor += k;
+            n -= k;
+        }
     }
 
     /// Pads the final (still-open) layer window; call after the workload
@@ -609,6 +621,65 @@ mod tests {
             probe.loads
         };
         assert_ne!(counts(&Tensor::zeros([1, 8, 8])), counts(&image(0.9)));
+    }
+
+    #[test]
+    fn padding_walks_the_arena_as_one_run_per_segment() {
+        #[derive(Default)]
+        struct Recorder {
+            accesses: Vec<(u64, bool)>,
+            runs: Vec<(u64, u64)>,
+        }
+        impl Probe for Recorder {
+            fn load(&mut self, addr: u64, _pc: u64) {
+                self.accesses.push((addr, false));
+            }
+            fn store(&mut self, addr: u64, _pc: u64) {
+                self.accesses.push((addr, true));
+            }
+            fn load_run(&mut self, base: u64, stride: i64, count: u64, pc: u64) {
+                assert_eq!((stride, pc), (4, PAD_PC));
+                self.runs.push((base, count));
+                let mut addr = base;
+                for _ in 0..count {
+                    self.load(addr, pc);
+                    addr = addr.wrapping_add_signed(stride);
+                }
+            }
+        }
+        let ceiling = ShapeCounts {
+            loads: PAD_ARENA + 100,
+            stores: 3,
+            ..ShapeCounts::default()
+        };
+        let mut inner = Recorder::default();
+        let mut pad = PaddingProbe::new(&mut inner, ceiling);
+        pad.layer_boundary(0);
+        pad.load(0x10, 0x20);
+        pad.layer_boundary(1);
+        pad.flush();
+        // The per-element walk: one arena slot per padding access, the
+        // cursor carried from loads to stores and across windows.
+        let mut expected = vec![(0x10, false)];
+        let mut cursor = 0;
+        for (loads, stores) in [(PAD_ARENA + 99, 3), (PAD_ARENA + 100, 3)] {
+            for (n, write) in [(loads, false), (stores, true)] {
+                for _ in 0..n {
+                    expected.push((PAD_BASE + cursor % PAD_ARENA * 4, write));
+                    cursor += 1;
+                }
+            }
+        }
+        assert_eq!(inner.accesses, expected);
+        assert_eq!(
+            inner.runs,
+            [
+                (PAD_BASE, PAD_ARENA),
+                (PAD_BASE, 99),
+                (PAD_BASE + 102 * 4, PAD_ARENA - 102),
+                (PAD_BASE, 202),
+            ]
+        );
     }
 
     #[test]

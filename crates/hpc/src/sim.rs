@@ -198,6 +198,14 @@ impl Probe for LayerCapture<'_> {
         self.core.store(addr, pc);
     }
 
+    fn load_run(&mut self, base: u64, stride: i64, count: u64, pc: u64) {
+        self.core.load_run(base, stride, count, pc);
+    }
+
+    fn store_run(&mut self, base: u64, stride: i64, count: u64, pc: u64) {
+        self.core.store_run(base, stride, count, pc);
+    }
+
     fn branch(&mut self, pc: u64, taken: bool) {
         self.core.branch(pc, taken);
     }

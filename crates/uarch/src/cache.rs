@@ -288,6 +288,9 @@ impl CacheStats {
 /// out-of-line miss path, and it remembers where the line of the latest
 /// access lives, so a repeat access to that line skips the tag scan.
 ///
+/// Two caches compare equal when every bit of their state does, stamps
+/// and memos included.
+///
 /// # Examples
 ///
 /// ```
@@ -301,7 +304,7 @@ impl CacheStats {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     config: CacheConfig,
     /// Line tags, set-major. Meaningful only where the valid bit is set.
@@ -340,6 +343,20 @@ pub struct Cache {
 /// set the remembered line or page to `u64::MAX`; the index is what makes
 /// them exact, because with 1-byte lines `u64::MAX` is a line address too.
 pub(crate) const NO_MEMO: usize = usize::MAX;
+
+/// How many of the first `n` elements of the run `addr`, `addr + stride`,
+/// … lie in `addr`'s aligned block of `1 << shift` bytes. Counted with
+/// exact arithmetic: inside one block the run cannot wrap.
+#[inline]
+pub(crate) fn run_in_block(addr: u64, stride: i64, n: u64, shift: u32) -> u64 {
+    let offset = addr & ((1u64 << shift) - 1);
+    let room = match stride.cmp(&0) {
+        std::cmp::Ordering::Equal => return n,
+        std::cmp::Ordering::Greater => ((1u64 << shift) - 1 - offset) / stride as u64,
+        std::cmp::Ordering::Less => offset / stride.unsigned_abs(),
+    };
+    n.min(room + 1)
+}
 
 impl Cache {
     /// Builds a cache from a validated config.
@@ -421,6 +438,38 @@ impl Cache {
         AccessOutcome {
             hit: true,
             writeback: (write && self.write_through).then_some(line_addr << self.line_shift),
+        }
+    }
+
+    /// How many leading accesses of the run `addr`, `addr + stride`, …
+    /// (at most `n`) fall on the remembered line, and so would hit it
+    /// without a tag scan; 0 when no line is remembered or `addr` lies
+    /// elsewhere.
+    #[inline]
+    pub(crate) fn memo_run(&self, addr: u64, stride: i64, n: u64) -> u64 {
+        if addr >> self.line_shift != self.last_line || self.last_idx == NO_MEMO {
+            return 0;
+        }
+        run_in_block(addr, stride, n, self.line_shift)
+    }
+
+    /// Applies `k` hits on the remembered line, as `k` calls of
+    /// [`access`](Self::access) on it would: the clock and counts advance
+    /// by `k`, the stamp takes the final clock where hits refresh it, and
+    /// a write-back store sets the dirty bit. Tree-PLRU bits stay as
+    /// they are, as on any memo hit. Call only within a
+    /// [`memo_run`](Self::memo_run).
+    #[inline]
+    pub(crate) fn repeat_memo_hits(&mut self, k: u64, write: bool) {
+        debug_assert_ne!(self.last_idx, NO_MEMO, "no remembered line");
+        self.clock += k;
+        self.stats.accesses += k;
+        self.stats.hits += k;
+        if self.refresh_on_hit {
+            self.stamps[self.last_idx] = self.clock;
+        }
+        if write && !self.write_through {
+            self.dirty[self.last_idx / self.ways] |= 1 << (self.last_idx % self.ways);
         }
     }
 

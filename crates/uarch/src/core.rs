@@ -202,6 +202,44 @@ impl CoreSim {
     pub fn hierarchy(&self) -> &MemoryHierarchy {
         &self.hierarchy
     }
+
+    /// Immutable access to the data TLB.
+    pub fn tlb(&self) -> &Tlb {
+        &self.tlb
+    }
+
+    /// `count` accesses `stride` bytes apart from `base`, as that many
+    /// [`Probe::load`] or [`Probe::store`] calls. Accesses go one at a
+    /// time until one starts a steady chunk: accesses that stay on the
+    /// TLB's remembered page and are steady in the hierarchy (see
+    /// [`MemoryHierarchy::steady_run`]). A chunk is applied in closed
+    /// form.
+    fn run(&mut self, base: u64, stride: i64, count: u64, pc: u64, write: bool) {
+        let mut addr = base;
+        let mut left = count;
+        while left > 0 {
+            let on_page = self.tlb.memo_run(addr, stride, left);
+            let mut k = if on_page == 0 {
+                0
+            } else {
+                self.hierarchy.steady_run(addr, stride, on_page, write, pc)
+            };
+            if k == 0 {
+                self.tlb.translate(addr);
+                self.hierarchy.access(addr, write, pc);
+                k = 1;
+            } else {
+                self.tlb.repeat_memo_hits(k);
+            }
+            if write {
+                self.stores += k;
+            } else {
+                self.loads += k;
+            }
+            addr = addr.wrapping_add_signed(stride.wrapping_mul(k as i64));
+            left -= k;
+        }
+    }
 }
 
 impl Probe for CoreSim {
@@ -215,6 +253,14 @@ impl Probe for CoreSim {
         self.stores += 1;
         self.tlb.translate(addr);
         self.hierarchy.access(addr, true, pc);
+    }
+
+    fn load_run(&mut self, base: u64, stride: i64, count: u64, pc: u64) {
+        self.run(base, stride, count, pc, false);
+    }
+
+    fn store_run(&mut self, base: u64, stride: i64, count: u64, pc: u64) {
+        self.run(base, stride, count, pc, true);
     }
 
     fn branch(&mut self, pc: u64, taken: bool) {

@@ -5,7 +5,7 @@
 //! them: `cache-references` counts accesses that reach the last-level
 //! cache, `cache-misses` counts LLC misses (DRAM fills).
 
-use crate::cache::{Cache, CacheConfig, CacheConfigError, CacheStats};
+use crate::cache::{Cache, CacheConfig, CacheConfigError, CacheStats, WritePolicy};
 use crate::prefetch::{Prefetcher, PrefetcherKind};
 
 /// Which level ultimately served a demand access.
@@ -107,7 +107,8 @@ pub struct HierarchyStats {
     pub demand_cycles: u64,
 }
 
-/// The three-level memory hierarchy.
+/// The three-level memory hierarchy. Two hierarchies compare equal when
+/// every bit of their state does.
 ///
 /// # Examples
 ///
@@ -121,6 +122,7 @@ pub struct HierarchyStats {
 /// # Ok(())
 /// # }
 /// ```
+#[derive(PartialEq, Eq)]
 pub struct MemoryHierarchy {
     l1d: Cache,
     l2: Cache,
@@ -208,6 +210,64 @@ impl MemoryHierarchy {
             self.l2.access(t, false);
         }
         served
+    }
+
+    /// Applies, in closed form, the longest steady prefix (at most `n`
+    /// accesses) of the run `addr`, `addr + stride`, … from load site
+    /// `pc`, and returns its length; 0 when the first access is not
+    /// steady. An access is steady when it hits L1's remembered line,
+    /// the prefetcher is steady on it (see [`Prefetcher::steady`]), and
+    /// every target it proposes lies on the remembered line of both L3
+    /// and L2, below 2^63. Stores into a write-through L1 are never
+    /// steady. The effect equals that many calls of
+    /// [`access`](Self::access).
+    #[inline]
+    pub(crate) fn steady_run(
+        &mut self,
+        addr: u64,
+        stride: i64,
+        n: u64,
+        write: bool,
+        pc: u64,
+    ) -> u64 {
+        if write && self.l1d.config().write_policy == WritePolicy::WriteThroughNoAllocate {
+            return 0;
+        }
+        let mut k = self.l1d.memo_run(addr, stride, n);
+        if k == 0 {
+            return 0;
+        }
+        let Some(degree) = self.prefetcher.steady(pc, addr, stride) else {
+            return 0;
+        };
+        let per_access = degree as u64;
+        if per_access > 0 {
+            // The targets of accesses 0..k are the run's next k + d - 1
+            // elements after `addr`.
+            let Some(first) = addr.checked_add_signed(stride) else {
+                return 0;
+            };
+            let want = k + per_access - 1;
+            let targets = self
+                .l3
+                .memo_run(first, stride, want)
+                .min(self.l2.memo_run(first, stride, want));
+            k = k.min((targets + 1).saturating_sub(per_access));
+            // Every target shares `first`'s L3 line, and no line straddles
+            // 2^63, so either all are in the prefetcher's range or none.
+            if k == 0 || first > i64::MAX as u64 {
+                return 0;
+            }
+            self.l3.repeat_memo_hits(per_access * k, false);
+            self.l2.repeat_memo_hits(per_access * k, false);
+            self.stats_prefetches += per_access * k;
+            self.stats_llc_references += per_access * k;
+        }
+        self.l1d.repeat_memo_hits(k, write);
+        self.stats_demand_cycles += k * self.latency.l1;
+        let last_addr = addr.wrapping_add_signed(stride.wrapping_mul(k as i64 - 1));
+        self.prefetcher.advance(pc, last_addr);
+        k
     }
 
     /// Statistics snapshot.
@@ -378,6 +438,62 @@ mod tests {
             (l3_lost as f64) < (l3_before as f64) * 0.4,
             "LLC should lose ≲20%: lost {l3_lost} of {l3_before}"
         );
+    }
+
+    /// Two hierarchies after the same 4-byte loads from 0x40 over line
+    /// 0, which train the stride entry (confidence 2 after the fourth).
+    fn trained(write_policy: WritePolicy, base: u64) -> [MemoryHierarchy; 2] {
+        [(); 2].map(|_| {
+            let level = |c: CacheConfig| c.with_write_policy(write_policy);
+            let d = HierarchyConfig::default();
+            let mut m = MemoryHierarchy::new(HierarchyConfig {
+                l1d: level(d.l1d),
+                l2: level(d.l2),
+                l3: level(d.l3),
+                ..d
+            })
+            .unwrap();
+            for i in 0..4 {
+                m.access(base + i * 4, false, 0x40);
+            }
+            m
+        })
+    }
+
+    #[test]
+    fn steady_run_stops_where_a_target_leaves_the_line() {
+        let [mut fast, mut stepped] = trained(WritePolicy::WriteBackAllocate, 0);
+        // Loads at 16..=52 hit line 0 and prefetch +4, +8 inside it; the
+        // load at 56 would prefetch 64.
+        assert_eq!(fast.steady_run(16, 4, 100, true, 0x40), 10);
+        for i in 0..10 {
+            stepped.access(16 + i * 4, true, 0x40);
+        }
+        assert!(fast == stepped, "closed form left another state");
+        assert_eq!(fast.stats().prefetches, 2 + 20);
+        assert_eq!(fast.steady_run(56, 4, 100, false, 0x40), 0);
+        assert_eq!(fast.steady_run(60, 4, 100, false, 0x40), 0, "gap");
+    }
+
+    #[test]
+    fn steady_run_leaves_write_through_stores_per_element() {
+        let [mut m, _] = trained(WritePolicy::WriteThroughNoAllocate, 0);
+        assert_eq!(m.steady_run(16, 4, 100, true, 0x40), 0);
+        assert_eq!(m.steady_run(16, 4, 100, false, 0x40), 10);
+    }
+
+    #[test]
+    fn steady_run_leaves_targets_past_i64_max_per_element() {
+        // Above 2^63 the stride entry trains but every target is dropped,
+        // while the demand miss left the line remembered in L3 and L2.
+        let base = 1 << 63;
+        let [mut fast, mut stepped] = trained(WritePolicy::WriteBackAllocate, base);
+        assert_eq!(fast.stats().prefetches, 0);
+        assert_eq!(fast.steady_run(base + 16, 4, 100, false, 0x40), 0);
+        stepped.access(base + 16, false, 0x40);
+        fast.access(base + 16, false, 0x40);
+        assert!(fast == stepped);
+        assert_eq!(fast.stats().prefetches, 0);
     }
 
     #[test]

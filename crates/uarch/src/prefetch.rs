@@ -43,7 +43,7 @@ impl PrefetcherKind {
 /// The hierarchy's prefetcher, dispatched by `match` rather than through a
 /// trait object so that [`observe`](Self::observe) inlines into the access
 /// path.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Prefetcher {
     /// No prefetching.
     None,
@@ -75,10 +75,38 @@ impl Prefetcher {
             Prefetcher::Stride(p) => p.observe(pc, addr),
         }
     }
+
+    /// Whether the next access of a run from load site `pc`, at `addr`
+    /// and `stride` bytes past the previous one, finds this prefetcher
+    /// in a steady state, given that the access hits L1. Returns how
+    /// many targets each such access proposes: `Some(0)` when it
+    /// proposes nothing (no prefetcher, or next-line on a hit), the
+    /// degree when the stride entry of `pc` already follows this stream
+    /// with full confidence, and `None` otherwise. In a steady state the
+    /// access's targets are that many addresses, `stride` apart, after
+    /// `addr` (those outside the prefetcher's range dropped), and each
+    /// further access of the run stays steady.
+    #[inline]
+    pub(crate) fn steady(&self, pc: u64, addr: u64, stride: i64) -> Option<usize> {
+        match self {
+            Prefetcher::None | Prefetcher::NextLine(_) => Some(0),
+            Prefetcher::Stride(p) => p.steady(pc, addr, stride),
+        }
+    }
+
+    /// Applies one or more steady accesses of a run whose last access is
+    /// at `last_addr`: the state [`observe`](Self::observe) would leave.
+    /// Call only after [`steady`](Self::steady) returned `Some`.
+    #[inline]
+    pub(crate) fn advance(&mut self, pc: u64, last_addr: u64) {
+        if let Prefetcher::Stride(p) = self {
+            p.advance(pc, last_addr);
+        }
+    }
 }
 
 /// Trivial next-line prefetcher.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NextLinePrefetcher {
     line_bytes: u64,
 }
@@ -91,18 +119,18 @@ impl NextLinePrefetcher {
         }
     }
 
-    /// Proposes the line after `addr`'s on a miss.
+    /// Proposes the line after `addr`'s on a miss, unless that line
+    /// would lie past the end of the address space.
     #[inline]
     pub fn observe(&mut self, addr: u64, miss: bool) -> ([u64; 2], usize) {
-        if miss {
-            ([(addr & !(self.line_bytes - 1)) + self.line_bytes, 0], 1)
-        } else {
-            ([0; 2], 0)
+        match (addr & !(self.line_bytes - 1)).checked_add(self.line_bytes) {
+            Some(next) if miss => ([next, 0], 1),
+            _ => ([0; 2], 0),
         }
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct StrideEntry {
     pc: u64,
     last_addr: u64,
@@ -113,7 +141,7 @@ struct StrideEntry {
 
 /// IP-stride prefetcher: learns a per-load-site stride and, once confident,
 /// prefetches `degree` strides ahead.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StridePrefetcher {
     table: Vec<StrideEntry>,
     mask: u64,
@@ -147,7 +175,9 @@ impl StridePrefetcher {
 
     /// Observes a demand access from load site `pc` and proposes up to
     /// `degree` addresses one stride apart once the site's stride has
-    /// repeated twice.
+    /// repeated twice. The stride is the wrapping difference of the two
+    /// addresses read as signed; targets outside `0..=i64::MAX` are
+    /// dropped.
     #[inline]
     pub fn observe(&mut self, pc: u64, addr: u64) -> ([u64; 2], usize) {
         let mut targets = ([0; 2], 0);
@@ -163,7 +193,7 @@ impl StridePrefetcher {
             };
             return targets;
         }
-        let stride = addr as i64 - e.last_addr as i64;
+        let stride = addr.wrapping_sub(e.last_addr) as i64;
         if stride == e.stride && stride != 0 {
             e.confidence = (e.confidence + 1).min(3);
         } else {
@@ -173,14 +203,37 @@ impl StridePrefetcher {
         e.last_addr = addr;
         if e.confidence >= 2 {
             for d in 1..=self.degree {
-                let target = addr as i64 + e.stride * d as i64;
-                if target >= 0 {
+                let target = addr as i128 + e.stride as i128 * d as i128;
+                if (0..=i64::MAX as i128).contains(&target) {
                     targets.0[targets.1] = target as u64;
                     targets.1 += 1;
                 }
             }
         }
         targets
+    }
+
+    /// See [`Prefetcher::steady`]: the entry of `pc` holds `stride`, its
+    /// last address is one stride before `addr`, and it is confident.
+    #[inline]
+    fn steady(&self, pc: u64, addr: u64, stride: i64) -> Option<usize> {
+        let e = &self.table[(pc & self.mask) as usize];
+        let follows = e.valid
+            && e.pc == pc
+            && e.stride == stride
+            && e.last_addr.wrapping_add_signed(stride) == addr
+            && e.confidence >= 2;
+        follows.then_some(self.degree)
+    }
+
+    /// See [`Prefetcher::advance`]: each steady access moves the entry's
+    /// last address on and raises its confidence by one, up to 3. It was
+    /// at least 2, so after one access or more it is 3.
+    #[inline]
+    fn advance(&mut self, pc: u64, last_addr: u64) {
+        let e = &mut self.table[(pc & self.mask) as usize];
+        e.last_addr = last_addr;
+        e.confidence = 3;
     }
 }
 
@@ -237,6 +290,77 @@ mod tests {
         }
         assert_eq!(targets(p.observe(0x40, 128)), vec![64, 0]);
         assert_eq!(targets(p.observe(0x40, 64)), vec![0]);
+    }
+
+    #[test]
+    fn next_line_drops_the_line_past_the_address_space() {
+        let mut p = NextLinePrefetcher::new(64);
+        assert_eq!(targets(p.observe(u64::MAX - 3, true)), Vec::<u64>::new());
+        assert_eq!(targets(p.observe(u64::MAX - 64, true)), vec![u64::MAX - 63]);
+    }
+
+    #[test]
+    fn stride_is_a_wrapping_difference() {
+        let mut p = StridePrefetcher::new(4, 2);
+        // A jump from 1 to 2^63 is a stride of i64::MAX.
+        assert!(targets(p.observe(0x40, 1)).is_empty());
+        assert!(targets(p.observe(0x40, 1 << 63)).is_empty());
+        // From u64::MAX - 63 to 0 is a stride of +64 across the wrap.
+        let mut p = StridePrefetcher::new(4, 2);
+        for addr in [u64::MAX - 191, u64::MAX - 127, u64::MAX - 63] {
+            assert!(targets(p.observe(0x40, addr)).is_empty());
+        }
+        assert_eq!(targets(p.observe(0x40, 0)), vec![64, 128]);
+    }
+
+    #[test]
+    fn stride_drops_targets_past_i64_max() {
+        let mut p = StridePrefetcher::new(4, 2);
+        let top = i64::MAX as u64;
+        for addr in [top - 320, top - 256, top - 192] {
+            p.observe(0x40, addr);
+        }
+        assert_eq!(targets(p.observe(0x40, top - 128)), vec![top - 64, top]);
+        assert_eq!(targets(p.observe(0x40, top - 64)), vec![top]);
+        assert!(targets(p.observe(0x40, top)).is_empty());
+        // Above 2^63 every forward target is out of range.
+        let mut p = StridePrefetcher::new(4, 2);
+        for i in 0..6u64 {
+            assert!(targets(p.observe(0x40, (1 << 63) + 64 * i)).is_empty());
+        }
+    }
+
+    #[test]
+    fn steady_holds_only_on_a_confident_matching_stream() {
+        let mut p = Prefetcher::new(PrefetcherKind::Stride, 64);
+        assert_eq!(p.steady(0x40, 0, 64), None, "untrained");
+        for i in 0..3u64 {
+            p.observe(0x40, i * 64, false);
+        }
+        assert_eq!(p.steady(0x40, 192, 64), None, "confidence 1");
+        p.observe(0x40, 192, false);
+        assert_eq!(p.steady(0x40, 256, 64), Some(2));
+        assert_eq!(p.steady(0x40, 320, 64), None, "gap in the stream");
+        assert_eq!(p.steady(0x40, 224, 32), None, "another stride");
+        assert_eq!(p.steady(0x41, 256, 64), None, "another load site");
+        for kind in [PrefetcherKind::None, PrefetcherKind::NextLine] {
+            assert_eq!(Prefetcher::new(kind, 64).steady(0x40, 0, 4), Some(0));
+        }
+    }
+
+    #[test]
+    fn advance_matches_observing_each_access() {
+        let mut stepped = Prefetcher::new(PrefetcherKind::Stride, 64);
+        for i in 0..4u64 {
+            stepped.observe(0x40, i * 64, false);
+        }
+        let mut advanced = stepped.clone();
+        assert_eq!(advanced.steady(0x40, 4 * 64, 64), Some(2));
+        for i in 4..10u64 {
+            stepped.observe(0x40, i * 64, false);
+        }
+        advanced.advance(0x40, 9 * 64);
+        assert_eq!(advanced, stepped);
     }
 
     #[test]

@@ -10,8 +10,12 @@
 /// workload.
 ///
 /// Implementors translate the stream into microarchitectural state updates
-/// (cache fills, predictor updates, …). All methods have empty defaults so
-/// lightweight probes only override what they observe.
+/// (cache fills, predictor updates, …). The single-event methods have
+/// empty defaults so lightweight probes only override what they observe;
+/// the run methods ([`load_run`](Self::load_run),
+/// [`store_run`](Self::store_run)) default to one single-event call per
+/// element, so a probe that overrides only `load` and `store` still sees
+/// every access of a run.
 pub trait Probe {
     /// A data load at virtual address `addr`, issued by the load
     /// instruction at program counter `pc` (the PC lets PC-indexed
@@ -23,6 +27,29 @@ pub trait Probe {
     /// A data store at virtual address `addr` issued from `pc`.
     fn store(&mut self, addr: u64, pc: u64) {
         let _ = (addr, pc);
+    }
+
+    /// `count` data loads from `pc`, at `base`, `base + stride`, … with
+    /// wrapping address arithmetic: the same events as that many
+    /// [`load`](Self::load) calls, which is what the default makes.
+    /// Probes that can account for a run faster override it.
+    fn load_run(&mut self, base: u64, stride: i64, count: u64, pc: u64) {
+        let mut addr = base;
+        for _ in 0..count {
+            self.load(addr, pc);
+            addr = addr.wrapping_add_signed(stride);
+        }
+    }
+
+    /// `count` data stores from `pc`, laid out as in
+    /// [`load_run`](Self::load_run): the same events as that many
+    /// [`store`](Self::store) calls.
+    fn store_run(&mut self, base: u64, stride: i64, count: u64, pc: u64) {
+        let mut addr = base;
+        for _ in 0..count {
+            self.store(addr, pc);
+            addr = addr.wrapping_add_signed(stride);
+        }
     }
 
     /// A conditional branch at program location `pc` whose outcome was
@@ -100,6 +127,14 @@ impl Probe for CountingProbe {
         self.stores += 1;
     }
 
+    fn load_run(&mut self, _base: u64, _stride: i64, count: u64, _pc: u64) {
+        self.loads += count;
+    }
+
+    fn store_run(&mut self, _base: u64, _stride: i64, count: u64, _pc: u64) {
+        self.stores += count;
+    }
+
     fn branch(&mut self, _pc: u64, taken: bool) {
         self.branches += 1;
         if taken {
@@ -142,6 +177,62 @@ mod tests {
         assert_eq!(p.taken_branches, 2);
         assert_eq!(p.alu_ops, 10);
         assert_eq!(p.instructions(), 16);
+    }
+
+    /// Forwards single events only, so runs take the trait's default.
+    struct PerElement(CountingProbe);
+
+    impl Probe for PerElement {
+        fn load(&mut self, addr: u64, pc: u64) {
+            self.0.load(addr, pc);
+        }
+
+        fn store(&mut self, addr: u64, pc: u64) {
+            self.0.store(addr, pc);
+        }
+    }
+
+    #[test]
+    fn counting_probe_runs_match_the_per_element_default() {
+        let mut fast = CountingProbe::new();
+        let mut slow = PerElement(CountingProbe::new());
+        for (base, stride, count) in [(0, 4, 0), (64, 4, 1), (u64::MAX - 8, 4, 17), (0, -64, 1000)]
+        {
+            fast.load_run(base, stride, count, 0x40);
+            slow.load_run(base, stride, count, 0x40);
+            fast.store_run(base, stride, count / 2, 0x40);
+            slow.store_run(base, stride, count / 2, 0x40);
+            assert_eq!(fast, slow.0, "run ({base}, {stride}, {count})");
+        }
+        assert_eq!(fast.loads, 1018);
+        assert_eq!(fast.stores, 508);
+    }
+
+    #[test]
+    fn default_runs_walk_with_wrapping_addresses() {
+        #[derive(Default)]
+        struct Addrs(Vec<(u64, bool)>);
+        impl Probe for Addrs {
+            fn load(&mut self, addr: u64, _pc: u64) {
+                self.0.push((addr, false));
+            }
+            fn store(&mut self, addr: u64, _pc: u64) {
+                self.0.push((addr, true));
+            }
+        }
+        let mut p = Addrs::default();
+        p.load_run(u64::MAX - 3, 2, 3, 0x40);
+        p.store_run(2, -2, 2, 0x40);
+        assert_eq!(
+            p.0,
+            [
+                (u64::MAX - 3, false),
+                (u64::MAX - 1, false),
+                (0, false),
+                (2, true),
+                (0, true)
+            ]
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A simple set-associative translation lookaside buffer.
 
-use crate::cache::NO_MEMO;
+use crate::cache::{run_in_block, NO_MEMO};
 
 /// Most entries a TLB may declare. Real data TLBs hold at most a few
 /// thousand; the bound keeps a hostile config from sizing the entry
@@ -52,7 +52,8 @@ impl TlbStats {
     }
 }
 
-/// A set-associative, LRU TLB.
+/// A set-associative, LRU TLB. Two TLBs compare equal when every bit of
+/// their state does.
 ///
 /// # Examples
 ///
@@ -63,7 +64,7 @@ impl TlbStats {
 /// assert!(!tlb.translate(0x1234));        // cold miss
 /// assert!(tlb.translate(0x1234 + 100));   // same page
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tlb {
     config: TlbConfig,
     /// Virtual page numbers, set-major: way `w` of set `s` is at
@@ -159,6 +160,29 @@ impl Tlb {
         self.last_vpn = vpn;
         self.last_idx = base + victim;
         false
+    }
+
+    /// How many leading translations of the run `addr`, `addr + stride`,
+    /// … (at most `n`) fall on the remembered page; 0 when no page is
+    /// remembered or `addr` lies elsewhere.
+    #[inline]
+    pub(crate) fn memo_run(&self, addr: u64, stride: i64, n: u64) -> u64 {
+        if addr >> self.page_shift != self.last_vpn || self.last_idx == NO_MEMO {
+            return 0;
+        }
+        run_in_block(addr, stride, n, self.page_shift)
+    }
+
+    /// Applies `k` hits on the remembered page, as `k` calls of
+    /// [`translate`](Self::translate) on it would. Call only within a
+    /// [`memo_run`](Self::memo_run).
+    #[inline]
+    pub(crate) fn repeat_memo_hits(&mut self, k: u64) {
+        debug_assert_ne!(self.last_idx, NO_MEMO, "no remembered page");
+        self.clock += k;
+        self.stats.accesses += k;
+        self.stats.hits += k;
+        self.stamps[self.last_idx] = self.clock;
     }
 
     /// Invalidates every entry (context switch without PCID).

@@ -5,18 +5,22 @@
 //! `pollute` and `reset_stats` interleaved, and every observable result
 //! — access outcomes, statistics, occupancy, residency probes, prefetch
 //! targets, TLB verdicts and whole-core counter snapshots — must match
-//! exactly. A failing case prints its configuration and step.
+//! exactly. A failing case prints its configuration and step. Runs of
+//! accesses (`Probe::load_run`/`store_run`) are also checked against
+//! the same accesses made one by one on a second production core, whose
+//! whole state must match.
 
 mod reference;
 
 use reference::{
-    assert_cores_agree, core_ops, RefCache, RefCore, RefHierarchy, RefPrefetcher, RefTlb,
+    apply_to, assert_cores_agree, core_ops, CoreOp, RefCache, RefCore, RefHierarchy, RefPrefetcher,
+    RefTlb,
 };
 use scnn_rng::{ChaCha8Rng, Rng, SeedableRng};
 use scnn_uarch::cache::{Cache, CacheConfig, ReplacementPolicy, WritePolicy};
 use scnn_uarch::hierarchy::{HierarchyConfig, MemoryHierarchy};
 use scnn_uarch::prefetch::Prefetcher;
-use scnn_uarch::{CoreConfig, CoreSim, PrefetcherKind, Tlb, TlbConfig};
+use scnn_uarch::{CoreConfig, CoreSim, PrefetcherKind, Probe, Tlb, TlbConfig};
 
 /// (size, ways, line): direct-mapped, small, odd way counts for the PLRU
 /// tree, and the 64-way limit.
@@ -386,6 +390,214 @@ fn tlb_memo_matches_reference_on_repeat_heavy_streams() {
                 }
             }
             assert_eq!(flat.stats(), reference.stats(), "{config:?} step {step}");
+        }
+    }
+}
+
+/// One step of a run-heavy core workload.
+#[derive(Debug, Clone, Copy)]
+enum RunStep {
+    /// `count` loads or stores from `pc` at `base`, `base + stride`, …
+    Run {
+        base: u64,
+        stride: i64,
+        count: u64,
+        pc: u64,
+        write: bool,
+    },
+    Op(CoreOp),
+}
+
+const RUN_STRIDES: [i64; 11] = [1, 3, 4, 8, 60, 64, 100, 4096, 4100, -4, -64];
+const RUN_COUNTS: [u64; 6] = [0, 1, 2, 17, 1000, 20_000];
+/// Load sites of the runs; 0x140 shares 0x40's stride-table entry.
+const RUN_PCS: [u64; 3] = [0x40, 0x80, 0x140];
+
+/// Where a fresh run starts: mid-line in a 1 MiB region, just below 2^63
+/// (stride targets run past `i64::MAX`), or just below `u64::MAX` (the
+/// run wraps to address 0).
+fn run_base(rng: &mut ChaCha8Rng) -> u64 {
+    match rng.gen_range(0u32..8) {
+        0 => (1 << 63) - rng.gen_range(1u64..1 << 14),
+        1 => u64::MAX - rng.gen_range(0u64..1 << 14),
+        _ => rng.gen_range(0u64..1 << 20),
+    }
+}
+
+/// Single loads from `pc` at `start`, `start + stride`, …, returning the
+/// next address of the stream.
+fn stream(steps: &mut Vec<RunStep>, start: u64, stride: i64, n: i64, pc: u64) -> u64 {
+    for i in 0..n {
+        let addr = start.wrapping_add_signed(stride * i);
+        steps.push(RunStep::Op(CoreOp::Load(addr, pc)));
+    }
+    start.wrapping_add_signed(stride * n)
+}
+
+/// Runs of every stride and count in [`RUN_STRIDES`] and [`RUN_COUNTS`]
+/// (20 000-element runs rarely, they dominate the per-element side's
+/// time), starting fresh, continuing the previous run of their load
+/// site, continuing a stream that single loads at the same site have
+/// trained, or at a site whose stride entry holds another stride; with
+/// cold starts, pollution, counter resets and stray events in between.
+fn run_steps(rng: &mut ChaCha8Rng, len: usize) -> Vec<RunStep> {
+    let mut steps = Vec::new();
+    let mut resume = [(0u64, 4i64); RUN_PCS.len()];
+    while steps.len() < len {
+        let site = rng.gen_range(0..RUN_PCS.len());
+        let pc = RUN_PCS[site];
+        let mut stride = RUN_STRIDES[rng.gen_range(0..RUN_STRIDES.len())];
+        let base = match rng.gen_range(0u32..10) {
+            0..=2 => {
+                let n = rng.gen_range(1..=4);
+                stream(&mut steps, run_base(rng), stride, n, pc)
+            }
+            3 => {
+                let other = RUN_STRIDES[rng.gen_range(0..RUN_STRIDES.len())];
+                let n = rng.gen_range(3..=5);
+                let last = stream(&mut steps, run_base(rng), other, n, pc);
+                last.wrapping_add_signed(stride - other)
+            }
+            4..=5 => {
+                stride = resume[site].1;
+                resume[site].0
+            }
+            _ => run_base(rng),
+        };
+        let count = if rng.gen_range(0u32..24) == 0 {
+            RUN_COUNTS[5]
+        } else {
+            RUN_COUNTS[rng.gen_range(0..5)]
+        };
+        steps.push(RunStep::Run {
+            base,
+            stride,
+            count,
+            pc,
+            write: rng.gen_range(0u32..3) == 0,
+        });
+        resume[site] = (
+            base.wrapping_add_signed(stride.wrapping_mul(count as i64)),
+            stride,
+        );
+        let op = match rng.gen_range(0u32..16) {
+            0 => CoreOp::ColdStart,
+            1 => CoreOp::Pollute(1.0, rng.gen()),
+            2 => CoreOp::Pollute(rng.gen_range(0.0..1.0), rng.gen()),
+            3 => CoreOp::ResetCounters,
+            4 => CoreOp::Load(rng.gen_range(0u64..1 << 20), 0x4000),
+            5 => CoreOp::Store(rng.gen_range(0u64..1 << 20), pc),
+            6 => CoreOp::Branch(0x800, rng.gen()),
+            7 => CoreOp::Alu(rng.gen_range(1u64..64)),
+            _ => continue,
+        };
+        steps.push(RunStep::Op(op));
+    }
+    steps
+}
+
+/// Forwards single events only, so runs take the trait's per-element
+/// default.
+struct PerElement<'c>(&'c mut CoreSim);
+
+impl Probe for PerElement<'_> {
+    fn load(&mut self, addr: u64, pc: u64) {
+        self.0.load(addr, pc);
+    }
+
+    fn store(&mut self, addr: u64, pc: u64) {
+        self.0.store(addr, pc);
+    }
+}
+
+#[test]
+fn runs_match_per_element_accesses_for_every_cache_shape() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xd1ff_0008);
+    let tlbs = [
+        (64, 4, 4096),
+        (8, 2, 4096),
+        (16, 1, 1024),
+        (64, 64, 256),
+        (1536, 12, 4096),
+        (4, 1, 64),
+        // Pages smaller than a line.
+        (8, 2, 32),
+    ];
+    let mut case_index = 0;
+    for (size, ways, line) in GEOMETRIES {
+        for policy in ReplacementPolicy::ALL {
+            for write_policy in WritePolicy::ALL {
+                for prefetcher in PrefetcherKind::ALL {
+                    let level = |size| {
+                        CacheConfig::new(size, ways, line)
+                            .with_policy(policy)
+                            .with_write_policy(write_policy)
+                    };
+                    let (entries, associativity, page_bytes) = tlbs[case_index % tlbs.len()];
+                    case_index += 1;
+                    let config = CoreConfig {
+                        hierarchy: HierarchyConfig {
+                            l1d: level(size),
+                            l2: level(4 * size),
+                            l3: level(16 * size),
+                            prefetcher,
+                            ..HierarchyConfig::default()
+                        },
+                        tlb: TlbConfig {
+                            entries,
+                            associativity,
+                            page_bytes,
+                        },
+                        ..CoreConfig::tiny()
+                    };
+                    let case = format!("{config:?}");
+                    let mut fast = CoreSim::new(config).unwrap();
+                    let mut slow = CoreSim::new(config).unwrap();
+                    let mut reference = RefCore::new(config);
+                    for (step, op) in run_steps(&mut rng, 24).into_iter().enumerate() {
+                        match op {
+                            RunStep::Run {
+                                base,
+                                stride,
+                                count,
+                                pc,
+                                write,
+                            } => {
+                                if write {
+                                    fast.store_run(base, stride, count, pc);
+                                    PerElement(&mut slow).store_run(base, stride, count, pc);
+                                } else {
+                                    fast.load_run(base, stride, count, pc);
+                                    PerElement(&mut slow).load_run(base, stride, count, pc);
+                                }
+                                let mut addr = base;
+                                for _ in 0..count {
+                                    if write {
+                                        reference.store(addr, pc);
+                                    } else {
+                                        reference.load(addr, pc);
+                                    }
+                                    addr = addr.wrapping_add_signed(stride);
+                                }
+                            }
+                            RunStep::Op(op) => {
+                                apply_to(&mut fast, op);
+                                apply_to(&mut slow, op);
+                                apply_to(&mut reference, op);
+                            }
+                        }
+                        assert_eq!(
+                            fast.snapshot(),
+                            reference.snapshot(),
+                            "{case} step {step}: {op:?}"
+                        );
+                        assert!(
+                            fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb(),
+                            "{case} step {step}: {op:?} left another state than per-element accesses"
+                        );
+                    }
+                }
+            }
         }
     }
 }

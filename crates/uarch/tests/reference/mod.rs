@@ -346,10 +346,9 @@ impl RefPrefetcher {
     pub fn observe(&mut self, pc: u64, addr: u64, miss: bool) -> Vec<u64> {
         match self {
             RefPrefetcher::NextLine { line_bytes } => {
-                if miss {
-                    vec![(addr & !(*line_bytes - 1)) + *line_bytes]
-                } else {
-                    Vec::new()
+                match (addr & !(*line_bytes - 1)).checked_add(*line_bytes) {
+                    Some(next) if miss => vec![next],
+                    _ => Vec::new(),
                 }
             }
             RefPrefetcher::Stride {
@@ -368,7 +367,7 @@ impl RefPrefetcher {
                     };
                     return Vec::new();
                 }
-                let stride = addr as i64 - e.last_addr as i64;
+                let stride = addr.wrapping_sub(e.last_addr) as i64;
                 if stride == e.stride && stride != 0 {
                     e.confidence = (e.confidence + 1).min(3);
                 } else {
@@ -379,8 +378,8 @@ impl RefPrefetcher {
                 let mut out = Vec::new();
                 if e.confidence >= 2 {
                     for d in 1..=*degree {
-                        let target = addr as i64 + e.stride * d as i64;
-                        if target >= 0 {
+                        let target = addr as i128 + e.stride as i128 * d as i128;
+                        if (0..=i64::MAX as i128).contains(&target) {
                             out.push(target as u64);
                         }
                     }
@@ -543,8 +542,32 @@ impl RefCore {
             bus_cycles: self.config.cycles.bus_cycles(cycles),
         }
     }
+}
 
-    pub fn reset_counters(&mut self) {
+/// The calls a differential test makes on a whole core, production or
+/// reference.
+pub trait Core: Probe {
+    fn cold_start(&mut self);
+    fn reset_counters(&mut self);
+    fn pollute(&mut self, fraction: f64, seed: u64);
+}
+
+impl Core for CoreSim {
+    fn cold_start(&mut self) {
+        CoreSim::cold_start(self);
+    }
+
+    fn reset_counters(&mut self) {
+        CoreSim::reset_counters(self);
+    }
+
+    fn pollute(&mut self, fraction: f64, seed: u64) {
+        CoreSim::pollute(self, fraction, seed);
+    }
+}
+
+impl Core for RefCore {
+    fn reset_counters(&mut self) {
         self.hierarchy.reset_stats();
         self.predictor.reset_stats();
         self.tlb.reset_stats();
@@ -553,12 +576,12 @@ impl RefCore {
         self.alu_ops = 0;
     }
 
-    pub fn cold_start(&mut self) {
+    fn cold_start(&mut self) {
         self.hierarchy.flush();
         self.tlb.flush();
     }
 
-    pub fn pollute(&mut self, fraction: f64, seed: u64) {
+    fn pollute(&mut self, fraction: f64, seed: u64) {
         self.hierarchy.pollute(fraction, seed);
         self.tlb.flush();
     }
@@ -636,38 +659,23 @@ pub fn core_ops<R: scnn_rng::Rng>(rng: &mut R, len: usize) -> Vec<CoreOp> {
         .collect()
 }
 
+/// Applies one op to one core.
+pub fn apply_to(core: &mut dyn Core, op: CoreOp) {
+    match op {
+        CoreOp::Load(addr, pc) => core.load(addr, pc),
+        CoreOp::Store(addr, pc) => core.store(addr, pc),
+        CoreOp::Branch(pc, taken) => core.branch(pc, taken),
+        CoreOp::Alu(n) => core.alu(n),
+        CoreOp::ColdStart => core.cold_start(),
+        CoreOp::ResetCounters => core.reset_counters(),
+        CoreOp::Pollute(fraction, seed) => core.pollute(fraction, seed),
+    }
+}
+
 /// Applies one op to both `core` and `reference`.
 pub fn apply(core: &mut CoreSim, reference: &mut RefCore, op: CoreOp) {
-    match op {
-        CoreOp::Load(addr, pc) => {
-            core.load(addr, pc);
-            reference.load(addr, pc);
-        }
-        CoreOp::Store(addr, pc) => {
-            core.store(addr, pc);
-            reference.store(addr, pc);
-        }
-        CoreOp::Branch(pc, taken) => {
-            core.branch(pc, taken);
-            reference.branch(pc, taken);
-        }
-        CoreOp::Alu(n) => {
-            core.alu(n);
-            reference.alu(n);
-        }
-        CoreOp::ColdStart => {
-            core.cold_start();
-            reference.cold_start();
-        }
-        CoreOp::ResetCounters => {
-            core.reset_counters();
-            reference.reset_counters();
-        }
-        CoreOp::Pollute(fraction, seed) => {
-            core.pollute(fraction, seed);
-            reference.pollute(fraction, seed);
-        }
-    }
+    apply_to(core, op);
+    apply_to(reference, op);
 }
 
 /// Drives `core` and `reference` with the same ops, comparing snapshots
