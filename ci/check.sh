@@ -98,81 +98,71 @@ hostile_lint() {  # <fixture> <fragment the error must contain>
 hostile_lint ci/fixtures/hostile-assoc-128.json 'field "l1d": assoc 128'
 hostile_lint ci/fixtures/hostile-llc-1tib.json 'field "l3": size_bytes'
 
-step "uarch zoo sweep (>=3 presets, warm rerun skips train/collect, stdout byte-identical)"
-sweep_cache="$(mktemp -d)"
-sweep_json="$(mktemp)"
-sweep_tel="$(mktemp)"
-out_sweep_cold="$(cargo run --release --offline -q -p scnn-bench --bin repro -- \
-      sweep --quick --samples 8 --threads 4 --cache-dir "$sweep_cache" --out "$sweep_json")"
-out_sweep_warm="$(cargo run --release --offline -q -p scnn-bench --bin repro -- \
-      sweep --quick --samples 8 --threads 4 --cache-dir "$sweep_cache" --out "$sweep_json" \
-      --telemetry "$sweep_tel")"
-printf '%s\n' "$out_sweep_cold"
-for preset in xeon-like mobile-like embedded-like xeon-plru; do
-  printf '%s' "$out_sweep_cold" | grep -q "$preset" \
-    || { echo "FAIL: sweep table missing preset $preset"; exit 1; }
-  grep -q "\"preset\":\"$preset\"" "$sweep_json" \
-    || { echo "FAIL: sweep JSON missing preset row $preset"; exit 1; }
-done
-diff <(printf '%s' "$out_sweep_cold") <(printf '%s' "$out_sweep_warm") \
-  || { echo "FAIL: sweep stdout differs between cold and warm cache runs"; exit 1; }
-# Warm rerun must resume from artifacts: no train or collect spans.
-if grep -q '"name":"pipeline.train"' "$sweep_tel"; then
-  echo "FAIL: warm sweep re-trained the model"; exit 1
-fi
-if grep -q '"name":"pipeline.collect"' "$sweep_tel"; then
-  echo "FAIL: warm sweep re-collected observations"; exit 1
-fi
-grep -q '"name":"sweep.preset"' "$sweep_tel" \
-  || { echo "FAIL: sweep telemetry missing per-preset spans"; exit 1; }
+step "campaign smokes: sweep, extract, frontier (every arm, cold/warm byte-identical, warm run skips train/collect, JSON)"
+# One smoke per multi-arm campaign: a cold run and a warm run against one
+# cache, every arm named on stdout and in the --out JSON, identical
+# stdout, no train/collect span but every per-arm span in the warm run's
+# telemetry, and the --out JSON through its lint binary (if any). The
+# run's files stay in $campaign_dir for the campaign's own checks.
+campaign_smoke() {  # <command> <per-arm span> <JSON arm key> <lint binary or ""> <arm>...
+  local cmd="$1" span="$2" key="$3" lint="$4" arm
+  shift 4
+  campaign_dir="$(mktemp -d)"
+  local run=(cargo run --release --offline -q -p scnn-bench --bin repro --
+             "$cmd" --quick --samples 8 --threads 4
+             --cache-dir "$campaign_dir/cache" --out "$campaign_dir/out.json")
+  "${run[@]}" > "$campaign_dir/cold.out"
+  "${run[@]}" --telemetry "$campaign_dir/telemetry.json" > "$campaign_dir/warm.out"
+  cat "$campaign_dir/cold.out"
+  for arm in "$@"; do
+    grep -q -- "$arm" "$campaign_dir/cold.out" \
+      || { echo "FAIL: $cmd table missing arm $arm"; exit 1; }
+    grep -q "\"$key\":\"$arm\"" "$campaign_dir/out.json" \
+      || { echo "FAIL: $cmd JSON missing arm row $arm"; exit 1; }
+  done
+  diff "$campaign_dir/cold.out" "$campaign_dir/warm.out" \
+    || { echo "FAIL: $cmd stdout differs between cold and warm cache runs"; exit 1; }
+  if grep -q '"name":"pipeline.train"' "$campaign_dir/telemetry.json"; then
+    echo "FAIL: warm $cmd re-trained the model"; exit 1
+  fi
+  if grep -q '"name":"pipeline.collect"' "$campaign_dir/telemetry.json"; then
+    echo "FAIL: warm $cmd re-collected observations"; exit 1
+  fi
+  grep -q "\"name\":\"$span\"" "$campaign_dir/telemetry.json" \
+    || { echo "FAIL: $cmd telemetry missing per-arm $span spans"; exit 1; }
+  if [ -n "$lint" ]; then
+    cargo run --release --offline -q -p scnn-bench --bin "$lint" -- "$campaign_dir/out.json" \
+      || { echo "FAIL: $cmd JSON did not lint"; exit 1; }
+  fi
+}
+
+campaign_smoke sweep sweep.preset preset "" xeon-like mobile-like embedded-like xeon-plru
 # The zoo must actually separate platforms: at least two distinct
 # distinguishable-pair counts across presets.
-distinct="$(grep -o '"distinguishable_pairs":[0-9]*' "$sweep_json" | sort -u | wc -l)"
+distinct="$(grep -o '"distinguishable_pairs":[0-9]*' "$campaign_dir/out.json" | sort -u | wc -l)"
 [ "$distinct" -ge 2 ] \
-  || { echo "FAIL: all presets report identical distinguishable-pair counts"; cat "$sweep_json"; exit 1; }
-rm -rf "$sweep_cache" "$sweep_json" "$sweep_tel"
+  || { echo "FAIL: all presets report identical distinguishable-pair counts"; cat "$campaign_dir/out.json"; exit 1; }
+rm -rf "$campaign_dir"
 
-step "architecture extraction smoke (recovery floor, cold/warm byte-identical, JSON lints)"
-extract_cache="$(mktemp -d)"
-extract_json="$(mktemp)"
-out_ex_cold="$(cargo run --release --offline -q -p scnn-bench --bin repro -- \
-      extract --quick --samples 8 --threads 4 --cache-dir "$extract_cache" --out "$extract_json")"
-out_ex_warm="$(cargo run --release --offline -q -p scnn-bench --bin repro -- \
-      extract --quick --samples 8 --threads 4 --cache-dir "$extract_cache" --out "$extract_json")"
-printf '%s\n' "$out_ex_cold"
-for arm in unprotected constant-time noise-injection combined; do
-  printf '%s' "$out_ex_cold" | grep -q "$arm" \
-    || { echo "FAIL: extraction table missing arm $arm"; exit 1; }
-done
-printf '%s' "$out_ex_cold" | grep -q "victim (ground truth)" \
+campaign_smoke extract extract.arm arm extract_lint unprotected constant-time noise-injection combined
+grep -q "victim (ground truth)" "$campaign_dir/cold.out" \
   || { echo "FAIL: extraction output missing the ground-truth line"; exit 1; }
-diff <(printf '%s' "$out_ex_cold") <(printf '%s' "$out_ex_warm") \
-  || { echo "FAIL: extraction stdout differs between cold and warm cache runs"; exit 1; }
-cargo run --release --offline -q -p scnn-bench --bin extract_lint -- "$extract_json" \
-  || { echo "FAIL: extraction JSON did not lint"; exit 1; }
-rm -rf "$extract_cache" "$extract_json"
+rm -rf "$campaign_dir"
 
-step "countermeasure frontier smoke (all arms, Pareto set, cold/warm byte-identical, JSON lints)"
-frontier_cache="$(mktemp -d)"
-frontier_json="$(mktemp)"
-out_fr_cold="$(cargo run --release --offline -q -p scnn-bench --bin repro -- \
-      frontier --quick --samples 8 --threads 4 --cache-dir "$frontier_cache" --out "$frontier_json")"
-out_fr_warm="$(cargo run --release --offline -q -p scnn-bench --bin repro -- \
-      frontier --quick --samples 8 --threads 4 --cache-dir "$frontier_cache" --out "$frontier_json")"
-printf '%s\n' "$out_fr_cold"
-for arm in baseline constant-time shuffle noise-injection decoy-inference oblivious-shape calibrated-noise; do
-  printf '%s' "$out_fr_cold" | grep -q "$arm" \
-    || { echo "FAIL: frontier table missing arm $arm"; exit 1; }
-  grep -q "\"arm\":\"$arm\"" "$frontier_json" \
-    || { echo "FAIL: frontier JSON missing arm row $arm"; exit 1; }
-done
-printf '%s' "$out_fr_cold" | grep -q "pareto frontier: [a-z]" \
+campaign_smoke frontier frontier.arm arm frontier_lint baseline constant-time shuffle \
+  noise-injection decoy-inference oblivious-shape calibrated-noise
+grep -q "pareto frontier: [a-z]" "$campaign_dir/cold.out" \
   || { echo "FAIL: frontier printed an empty Pareto set"; exit 1; }
-diff <(printf '%s' "$out_fr_cold") <(printf '%s' "$out_fr_warm") \
-  || { echo "FAIL: frontier stdout differs between cold and warm cache runs"; exit 1; }
-cargo run --release --offline -q -p scnn-bench --bin frontier_lint -- "$frontier_json" \
-  || { echo "FAIL: frontier JSON did not lint"; exit 1; }
-rm -rf "$frontier_cache" "$frontier_json"
+rm -rf "$campaign_dir"
+
+step "campaign trains once (uncached frontier records exactly one training span)"
+frontier_tel="$(mktemp)"
+cargo run --release --offline -q -p scnn-bench --bin repro -- \
+      frontier --quick --samples 8 --threads 1 --telemetry "$frontier_tel" > /dev/null
+trained="$(grep -o '"name":"pipeline.train"' "$frontier_tel" | wc -l)"
+[ "$trained" -eq 1 ] \
+  || { echo "FAIL: uncached frontier recorded $trained training spans, want 1"; exit 1; }
+rm -f "$frontier_tel"
 
 step "evaluation service smoke (concurrent jobs, shared cache, byte-identical to direct runs)"
 serve_dir="$(mktemp -d)"

@@ -22,11 +22,12 @@
 //! ```
 //!
 //! Options (see `repro --help` for the generated page): `--samples <n>`
-//! (measurements per category, default 100), `--quick` (tiny models, for
-//! smoke tests), `--csv <dir>` (additionally write the raw figure/table
-//! series as CSV files for external plotting), `--threads <n|auto>`
-//! (worker threads for collection, evaluation and minibatch training;
-//! output is bit-identical at every setting), `--telemetry <path>`
+//! (measurements per category, at least 2, default 100), `--quick` (tiny
+//! models, for smoke tests), `--csv <dir>` (additionally write the raw
+//! figure/table series as CSV files for external plotting), `--threads
+//! <n|auto>` (worker threads, at least 1, for collection, evaluation,
+//! minibatch training and campaign arms; output is bit-identical at
+//! every setting), `--telemetry <path>`
 //! (record span/metric telemetry to a JSON file and show live per-phase
 //! progress on stderr — stdout stays byte-identical), `--cache-dir <dir>`
 //! (persist trained models and per-category observations so reruns skip
@@ -36,7 +37,8 @@
 //! `--classifier <name>` (for `attack`: run one profiling classifier —
 //! `gaussian-template`, `lda`, `knn[:K]` — instead of all three),
 //! `--profile-frac <f>` (for `attack`/`extract`/`frontier`: the
-//! fraction of measurements spent profiling, strictly inside (0, 1)),
+//! fraction of measurements spent profiling, strictly inside (0, 1);
+//! defaults 0.5/0.75/0.6),
 //! `--dummy-events <N>` (noise-injection volume for
 //! `ablation`/`extract`/`frontier`, default 20000), `--decoys <N>`
 //! (decoy classifications per real inference for `frontier`, default
@@ -57,8 +59,10 @@
 //! stream in over stdin, a file (`--jobs <path>`) or a Unix socket
 //! (`--socket <path>`); a bounded worker fleet (`--workers <n|auto>`)
 //! executes them against one shared artifact cache (`--cache-dir`), and
-//! one JSON response per job streams back in completion order. Each job
-//! runs through the **same** `Runner` code path as the direct CLI, so
+//! one JSON response per job streams back in completion order. A job's
+//! parameters (`"samples":8`) go through the same option decoder as the
+//! flags (`--samples 8`), and the job runs through the **same** `Runner`
+//! code path as the direct CLI, so
 //! its captured stdout is byte-identical to the equivalent direct
 //! invocation (pinned by `ci/check.sh`). `--job-stdout-dir <dir>`
 //! writes each job's stdout to `<dir>/<id>.out`; `--cache-budget
@@ -69,10 +73,11 @@
 use scnn_bench::repro_flags;
 use scnn_cache::ArtifactCache;
 use scnn_core::attack::{AttackClassifier, AttackConfig};
+use scnn_core::campaign::{map_arms, Campaign};
 use scnn_core::countermeasure::Countermeasure;
 use scnn_core::json::ToJson;
 use scnn_core::pipeline::{
-    Architecture, DatasetKind, Experiment, ExperimentConfig, ExperimentOutcome,
+    Architecture, CacheUsage, DatasetKind, Experiment, ExperimentConfig, ExperimentOutcome,
 };
 use scnn_core::report::{render_distributions, render_summary};
 use scnn_core::service::{self, CacheTraffic, JobOutput, JobSpec, ServiceConfig, ServiceReport};
@@ -107,14 +112,15 @@ macro_rules! op {
 struct Options {
     samples: usize,
     quick: bool,
-    csv: Option<std::path::PathBuf>,
+    csv: Option<PathBuf>,
     threads: Threads,
-    telemetry: Option<std::path::PathBuf>,
+    telemetry: Option<PathBuf>,
     uarch: Option<UarchConfig>,
-    out: Option<std::path::PathBuf>,
+    out: Option<PathBuf>,
     /// `--classifier`: restrict `attack` to one profiling classifier.
     classifier: Option<AttackClassifier>,
-    /// `--profile-frac`: profiling split for `attack` and `extract`.
+    /// `--profile-frac`: profiling split for `attack`, `extract` and
+    /// `frontier`.
     profile_frac: Option<f64>,
     /// `--dummy-events`: mean dummy events of the noise arms in
     /// `ablation`, `extract` and `frontier` (never 0).
@@ -126,7 +132,103 @@ struct Options {
     target_t: f64,
 }
 
+impl Default for Options {
+    fn default() -> Self {
+        Options {
+            samples: 100,
+            quick: false,
+            csv: None,
+            threads: Threads::Auto,
+            telemetry: None,
+            uarch: None,
+            out: None,
+            classifier: None,
+            profile_frac: None,
+            dummy_events: 20_000,
+            decoys: 3,
+            target_t: 1.5,
+        }
+    }
+}
+
 impl Options {
+    /// The options every artefact command reads, by flag. A `serve` job
+    /// sets the same options by key — the flag without its dashes, `-`
+    /// spelled `_` (`--profile-frac` ↔ `"profile_frac"`) — through the
+    /// same decoder, [`Options::set`].
+    const FLAGS: [&'static str; 9] = [
+        "--samples",
+        "--quick",
+        "--threads",
+        "--uarch",
+        "--classifier",
+        "--profile-frac",
+        "--dummy-events",
+        "--decoys",
+        "--target-t",
+    ];
+
+    /// Decodes and validates one option from its flag text (`"true"` for
+    /// a set switch).
+    fn set(&mut self, flag: &str, text: &str) -> Result<(), String> {
+        match flag {
+            // Every command ends in pairwise t-tests, which need two
+            // observations per category: reject fewer before training.
+            "--samples" => match text.parse::<usize>() {
+                Ok(n) if n >= 2 => self.samples = n,
+                _ => {
+                    return Err(format!(
+                        "--samples needs a count of at least 2, got {text:?}"
+                    ))
+                }
+            },
+            "--quick" => {
+                self.quick = text
+                    .parse()
+                    .map_err(|_| format!("--quick is true or false, got {text:?}"))?;
+            }
+            "--threads" => {
+                self.threads = match text.parse::<usize>() {
+                    Ok(n) if n > 0 => Threads::Count(n),
+                    _ if text.eq_ignore_ascii_case("auto") => Threads::Auto,
+                    _ => {
+                        return Err(format!(
+                            "--threads needs a count of at least 1 or \"auto\", got {text:?}"
+                        ))
+                    }
+                }
+            }
+            "--uarch" => {
+                self.uarch =
+                    Some(scnn_core::zoo::load_uarch(text).map_err(|e| format!("--uarch: {e}"))?);
+            }
+            "--classifier" => {
+                self.classifier = Some(AttackClassifier::parse_flag(text).ok_or_else(|| {
+                    format!("--classifier: unknown classifier {text:?} (expected gaussian-template, lda or knn[:K])")
+                })?);
+            }
+            "--profile-frac" => {
+                self.profile_frac = Some(text.parse().map_err(|_| {
+                    format!("--profile-frac needs a fraction in (0,1), got {text:?}")
+                })?);
+            }
+            "--dummy-events" => {
+                self.dummy_events = scnn_bench::parse_positive_u64("--dummy-events", text)
+                    .map_err(|e| e.to_string())?;
+            }
+            "--decoys" => {
+                self.decoys =
+                    scnn_bench::parse_positive_u64("--decoys", text).map_err(|e| e.to_string())?;
+            }
+            "--target-t" => {
+                self.target_t = scnn_bench::parse_positive_f64("--target-t", text)
+                    .map_err(|e| e.to_string())?;
+            }
+            other => return Err(format!("{other} is not an artefact option")),
+        }
+        Ok(())
+    }
+
     fn config(&self, dataset: DatasetKind) -> ExperimentConfig {
         let base = if self.quick {
             ExperimentConfig::quick(dataset)
@@ -143,6 +245,9 @@ impl Options {
         cfg
     }
 }
+
+/// One artefact command: prints its artefact to the runner's sink.
+type Command<W> = fn(&mut Runner<W>) -> Result<(), Error>;
 
 /// Runs (and caches) the main experiment per dataset so `repro all` does
 /// not retrain and remeasure for every artefact.
@@ -165,55 +270,118 @@ struct Runner<W: Write> {
     traffic: CacheTraffic,
 }
 
+/// The footnote under every table of distinguishable-pair counts.
+const PAIRS_FOOTNOTE: &str = "\n(* category pairs distinguishable at 95% confidence)\n";
+
+/// Category pairs distinguishable at 95% on `event`.
+fn leaks(outcome: &ExperimentOutcome, event: HpcEvent) -> usize {
+    outcome
+        .report
+        .event(event)
+        .map(|e| e.pairwise.leak_count())
+        .unwrap_or(0)
+}
+
+/// The default template attack's accuracy, as a table cell.
+fn attack_cell(outcome: &ExperimentOutcome) -> String {
+    outcome
+        .mount_attack(&AttackConfig::default())
+        .map(|a| format!("{:.0}%", a.accuracy * 100.0))
+        .unwrap_or_else(|_| "n/a".into())
+}
+
 impl<W: Write> Runner<W> {
-    /// Runs one experiment, through the persistent artifact cache when
-    /// `--cache-dir` is set. Cache chatter goes to stderr only — stdout
-    /// is byte-identical with and without a cache.
-    fn run_experiment(
-        &mut self,
-        label: &str,
-        cfg: ExperimentConfig,
-    ) -> Result<ExperimentOutcome, scnn_core::pipeline::ExperimentError> {
-        let Some(cache) = &self.artifact_cache else {
-            return Experiment::new(cfg).run();
-        };
-        let outcome = Experiment::new(cfg).run_cached(cache)?;
-        let u = outcome.cache;
-        self.traffic.add_usage(&u);
+    /// Every artefact command, in `repro all` order. The usage line's
+    /// command list ([`scnn_bench::REPRO_COMMANDS`]) matches it name for
+    /// name.
+    const COMMANDS: [(&'static str, Command<W>); 15] = [
+        ("fig1", Self::fig1),
+        ("fig2b", Self::fig2b),
+        ("fig3", |r| r.distributions(DatasetKind::Mnist)),
+        ("fig4", |r| r.distributions(DatasetKind::Cifar10)),
+        ("table1", |r| r.table(DatasetKind::Mnist)),
+        ("table2", |r| r.table(DatasetKind::Cifar10)),
+        ("attack", Self::attack),
+        ("extract", Self::extract),
+        ("ablation", Self::ablation),
+        ("noise", Self::noise),
+        ("events", Self::events),
+        ("uarch", Self::uarch),
+        ("archs", Self::archs),
+        ("sweep", Self::sweep),
+        ("frontier", Self::frontier),
+    ];
+
+    fn new(options: Options, artifact_cache: Option<ArtifactCache>, out: W) -> Self {
+        Runner {
+            options,
+            cache: HashMap::new(),
+            artifact_cache,
+            out,
+            traffic: CacheTraffic::default(),
+        }
+    }
+
+    /// Prints an artefact's title between two rules.
+    fn banner(&mut self, title: &str) {
+        const RULE: &str = "==============================================================";
+        o!(self, "{RULE}\n{title}\n{RULE}");
+    }
+
+    /// Reports one experiment's artifact-cache traffic: on stderr (stdout
+    /// is byte-identical with and without a cache) and in the runner's
+    /// totals. Silent without `--cache-dir`.
+    fn log_cache(&mut self, label: &str, u: &CacheUsage) {
+        if self.artifact_cache.is_none() {
+            return;
+        }
+        self.traffic.add_usage(u);
         if u.model_hit {
             eprintln!("[cache] {label}: model hit — training skipped");
         } else {
             eprintln!("[cache] {label}: model miss — trained and stored");
         }
-        eprintln!(
-            "[cache] {label}: {}/{} categories from cache, {} collected, {} artifacts written",
-            u.categories_hit,
-            u.categories_hit + u.categories_collected,
-            u.categories_collected,
-            u.writes
-        );
-        Ok(outcome)
+        let categories = u.categories_hit + u.categories_collected;
+        if categories > 0 {
+            eprintln!(
+                "[cache] {label}: {}/{categories} categories from cache, {} collected, {} artifacts written",
+                u.categories_hit, u.categories_collected, u.writes
+            );
+        }
+    }
+
+    /// Writes `result` to `--out` as JSON, if set.
+    fn write_out(&self, command: &str, result: &dyn ToJson) -> Result<(), Error> {
+        if let Some(path) = &self.options.out {
+            std::fs::write(path, result.to_json())
+                .map_err(|e| Error::io(path.display().to_string(), e))?;
+            eprintln!("[{command}] wrote {}", path.display());
+        }
+        Ok(())
     }
 
     /// Ensures the memoised outcome for `dataset` exists and returns its
     /// key into `self.cache`. Callers index the map themselves
     /// (`&self.cache[key]`) so the borrow stays on that one field and
     /// artefact text can keep flowing to `self.out` alongside it.
-    fn ensure(&mut self, dataset: DatasetKind) -> &'static str {
+    fn ensure(&mut self, dataset: DatasetKind) -> Result<&'static str, Error> {
         let key = match dataset {
             DatasetKind::Mnist => "mnist",
             DatasetKind::Cifar10 => "cifar",
         };
-        #[allow(clippy::map_entry)]
         if !self.cache.contains_key(key) {
             let t0 = Instant::now();
             eprintln!(
                 "[repro] running {dataset} experiment (train + {} measurements/category)…",
                 self.options.samples
             );
-            let outcome = self
-                .run_experiment(key, self.options.config(dataset))
-                .unwrap_or_else(|e| panic!("{dataset} experiment failed: {e}"));
+            let experiment = Experiment::new(self.options.config(dataset));
+            let outcome = match &self.artifact_cache {
+                Some(cache) => experiment.run_cached(cache),
+                None => experiment.run(),
+            }
+            .map_err(|e| Error::msg(format!("{dataset} experiment failed: {e}")))?;
+            self.log_cache(key, &outcome.cache);
             eprintln!(
                 "[repro] {dataset} done in {:.1?} (CNN test accuracy {:.1}%)",
                 t0.elapsed(),
@@ -221,7 +389,38 @@ impl<W: Write> Runner<W> {
             );
             self.cache.insert(key, outcome);
         }
-        key
+        Ok(key)
+    }
+
+    /// Runs `arms` as one campaign on `base`'s model — in arm order, on
+    /// the `--threads` workers, each arm single-threaded inside — and
+    /// returns every `(label, outcome)` in arm order.
+    fn run_arms(
+        &mut self,
+        command: &str,
+        base: &ExperimentConfig,
+        arms: Vec<(String, ExperimentConfig)>,
+    ) -> Result<Vec<(String, ExperimentOutcome)>, Error> {
+        let campaign = Campaign::new(base, self.artifact_cache.as_ref())?;
+        let model_hit = campaign.model_hit;
+        let outcomes = map_arms(
+            self.options.threads,
+            "repro.arm",
+            arms,
+            |_, (label, cfg)| match campaign.run(cfg.threads(Threads::Count(1))) {
+                Ok(outcome) => Ok((label, outcome)),
+                Err(e) => Err(Error::msg(format!("{command} arm '{label}' failed: {e}"))),
+            },
+        )?;
+        let warm_up = CacheUsage {
+            model_hit,
+            ..CacheUsage::default()
+        };
+        self.log_cache(command, &warm_up);
+        for (label, outcome) in &outcomes {
+            self.log_cache(&format!("{command}/{label}"), &outcome.cache);
+        }
+        Ok(outcomes)
     }
 
     /// Writes one CSV file into the `--csv` directory, if set.
@@ -247,11 +446,11 @@ impl<W: Write> Runner<W> {
     }
 
     /// Raw per-measurement series of one experiment as CSV rows.
-    fn csv_observations(&mut self, dataset: DatasetKind, file: &str) {
+    fn csv_observations(&mut self, dataset: DatasetKind, file: &str) -> Result<(), Error> {
         if self.options.csv.is_none() {
-            return;
+            return Ok(());
         }
-        let key = self.ensure(dataset);
+        let key = self.ensure(dataset)?;
         let outcome = &self.cache[key];
         let mut rows = Vec::new();
         for obs in &outcome.observations {
@@ -268,24 +467,17 @@ impl<W: Write> Runner<W> {
             }
         }
         self.write_csv(file, "dataset,category,event,measurement,value", &rows);
+        Ok(())
     }
 
-    fn fig1(&mut self) {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(self, "Figure 1: average cache-misses during classification");
-        o!(
-            self,
-            "=============================================================="
-        );
+    fn fig1(&mut self) -> Result<(), Error> {
+        self.banner("Figure 1: average cache-misses during classification");
         for dataset in [DatasetKind::Mnist, DatasetKind::Cifar10] {
             let panel = match dataset {
                 DatasetKind::Mnist => "(a) MNIST",
                 DatasetKind::Cifar10 => "(b) CIFAR-10",
             };
-            let key = self.ensure(dataset);
+            let key = self.ensure(dataset)?;
             let outcome = &self.cache[key];
             o!(self, "\n--- Figure 1{panel} ---");
             op!(
@@ -313,21 +505,11 @@ impl<W: Write> Runner<W> {
             self.write_csv(file, "dataset,category,mean_cache_misses,std", &rows);
         }
         o!(self);
+        Ok(())
     }
 
-    fn fig2b(&mut self) {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(
-            self,
-            "Figure 2(b): HPC events of a single MNIST classification"
-        );
-        o!(
-            self,
-            "=============================================================="
-        );
+    fn fig2b(&mut self) -> Result<(), Error> {
+        self.banner("Figure 2(b): HPC events of a single MNIST classification");
         let cfg = self.options.config(DatasetKind::Mnist);
         let image = scnn_data::mnist_synth::generate(
             &scnn_data::mnist_synth::MnistSynthConfig {
@@ -336,79 +518,59 @@ impl<W: Write> Runner<W> {
                 ..Default::default()
             },
             7,
-        )
-        .expect("generator is infallible for valid configs")
+        )?
         .get(0)
         .map(|(img, _)| img.clone())
-        .expect("per_class = 1 yields an image");
+        .ok_or_else(|| Error::msg("per_class = 1 yields no image"))?;
         // One trained model, one classification, all eight events at once.
-        let key = self.ensure(DatasetKind::Mnist);
+        let key = self.ensure(DatasetKind::Mnist)?;
         let outcome = &self.cache[key];
-        let pmu = SimulatedPmu::new(cfg.pmu, 0x000F_162B).expect("default geometry is valid");
-        let group = CounterGroup::new(HpcEvent::FIG2B.to_vec(), 8).expect("8 distinct events");
+        let pmu = SimulatedPmu::new(cfg.pmu, 0x000F_162B)?;
+        let group = CounterGroup::new(HpcEvent::FIG2B.to_vec(), 8)?;
         let mut session = PerfStat::new(pmu, group);
         let net = &outcome.network;
-        let report = session
-            .stat(&mut |probe| {
-                let _ = net.classify_traced(&image, probe);
-            })
-            .expect("simulated measurement cannot fail");
+        let report = session.stat(&mut |probe| {
+            let _ = net.classify_traced(&image, probe);
+        })?;
         o!(self, "{report}");
+        Ok(())
     }
 
-    fn distributions(&mut self, dataset: DatasetKind) {
+    fn distributions(&mut self, dataset: DatasetKind) -> Result<(), Error> {
         let (figure, name) = match dataset {
             DatasetKind::Mnist => ("Figure 3", "MNIST"),
             DatasetKind::Cifar10 => ("Figure 4", "CIFAR-10"),
         };
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(self, "{figure}: per-category HPC distributions, {name}");
-        o!(
-            self,
-            "=============================================================="
-        );
-        {
-            let key = self.ensure(dataset);
-            let outcome = &self.cache[key];
-            for (panel, event) in [("a", HpcEvent::CacheMisses), ("b", HpcEvent::Branches)] {
-                o!(self, "\n--- {figure}({panel}): {event} ---");
-                op!(self, "{}", render_summary(&outcome.observations, event));
-                op!(
-                    self,
-                    "{}",
-                    render_distributions(&outcome.observations, event, 12)
-                );
-            }
+        self.banner(&format!("{figure}: per-category HPC distributions, {name}"));
+        let key = self.ensure(dataset)?;
+        let outcome = &self.cache[key];
+        for (panel, event) in [("a", HpcEvent::CacheMisses), ("b", HpcEvent::Branches)] {
+            o!(self, "\n--- {figure}({panel}): {event} ---");
+            op!(self, "{}", render_summary(&outcome.observations, event));
+            op!(
+                self,
+                "{}",
+                render_distributions(&outcome.observations, event, 12)
+            );
         }
         let file = match dataset {
             DatasetKind::Mnist => "fig3_mnist_observations.csv",
             DatasetKind::Cifar10 => "fig4_cifar_observations.csv",
         };
-        self.csv_observations(dataset, file);
+        self.csv_observations(dataset, file)?;
         o!(self);
+        Ok(())
     }
 
-    fn table(&mut self, dataset: DatasetKind) {
+    fn table(&mut self, dataset: DatasetKind) -> Result<(), Error> {
         let (table, name) = match dataset {
             DatasetKind::Mnist => ("Table 1", "MNIST"),
             DatasetKind::Cifar10 => ("Table 2", "CIFAR-10"),
         };
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(
-            self,
+        self.banner(&format!(
             "{table}: pairwise t-tests, {name} (* = distinguishable at 95%)"
-        );
-        o!(
-            self,
-            "=============================================================="
-        );
-        let key = self.ensure(dataset);
+        ));
+        let key = self.ensure(dataset)?;
         let outcome = &self.cache[key];
         op!(self, "{}", outcome.report.render_table());
 
@@ -428,40 +590,34 @@ impl<W: Write> Runner<W> {
             }
         }
         o!(self);
+        Ok(())
     }
 
-    fn attack(&mut self) {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(
-            self,
-            "Extension A: input-category recovery from HPC readings"
-        );
-        o!(
-            self,
-            "=============================================================="
-        );
+    fn attack(&mut self) -> Result<(), Error> {
+        self.banner("Extension A: input-category recovery from HPC readings");
         // `--classifier` narrows the panel to one entry; the default
         // three-classifier stdout stays byte-identical when it is absent.
-        let arms: Vec<(String, AttackClassifier)> = match self.options.classifier {
-            Some(c) => vec![(attack_panel_label(&c), c)],
+        let classifiers = match self.options.classifier {
+            Some(c) => vec![c],
             None => vec![
-                (
-                    "gaussian template".into(),
-                    AttackClassifier::GaussianTemplate,
-                ),
-                ("LDA (pooled covariance)".into(), AttackClassifier::Lda),
-                ("5-NN".into(), AttackClassifier::Knn { k: 5 }),
+                AttackClassifier::GaussianTemplate,
+                AttackClassifier::Lda,
+                AttackClassifier::Knn { k: 5 },
             ],
         };
+        // The attack parameters shared by every classifier panel:
+        // defaults, with `--profile-frac` applied when given.
+        let config = match self.options.profile_frac {
+            Some(frac) => AttackConfig::default().profile_fraction(frac),
+            None => AttackConfig::default(),
+        };
         for dataset in [DatasetKind::Mnist, DatasetKind::Cifar10] {
-            let key = self.ensure(dataset);
+            let key = self.ensure(dataset)?;
             let outcome = &self.cache[key];
             o!(self, "\n--- {dataset} ---");
-            for (label, classifier) in &arms {
-                match outcome.mount_attack(&self.attack_config().classifier(*classifier)) {
+            for classifier in &classifiers {
+                let label = attack_panel_label(classifier);
+                match outcome.mount_attack(&config.classifier(*classifier)) {
                     Ok(out) => {
                         o!(self, "[{label}]");
                         op!(self, "{out}");
@@ -471,34 +627,11 @@ impl<W: Write> Runner<W> {
             }
         }
         o!(self);
+        Ok(())
     }
 
-    /// The attack parameters shared by every classifier panel:
-    /// defaults, with `--profile-frac` applied when given.
-    fn attack_config(&self) -> AttackConfig {
-        match self.options.profile_frac {
-            Some(frac) => AttackConfig::default().profile_fraction(frac),
-            None => AttackConfig::default(),
-        }
-    }
-
-    /// Unlike the panicking artefact methods above, extraction returns
-    /// its errors: an out-of-range `--profile-frac` is a user mistake
-    /// (rejected by [`AttackConfig`]-style builder validation inside
-    /// `run_extract`), not a broken experiment.
     fn extract(&mut self) -> Result<(), Error> {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(
-            self,
-            "Extension H: architecture extraction from per-layer traces"
-        );
-        o!(
-            self,
-            "=============================================================="
-        );
+        self.banner("Extension H: architecture extraction from per-layer traces");
         o!(self,
             "(the paper's reverse-engineering threat taken to its conclusion:\n per-layer HPC windows reconstruct the victim's architecture;\n see DESIGN.md §15)\n"
         );
@@ -565,27 +698,14 @@ impl<W: Write> Runner<W> {
             "arm,depth_recovered,depth_truth,kind_precision,kind_recall,dim_accuracy,activation_accuracy,overall",
             &rows,
         );
-        if let Some(path) = &self.options.out {
-            std::fs::write(path, outcome.to_json())
-                .map_err(|e| Error::io(path.display().to_string(), e))?;
-            eprintln!("[extract] wrote {}", path.display());
-        }
-        Ok(())
+        self.write_out("extract", &outcome)
     }
 
-    fn ablation(&mut self) {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(self, "Extension B: countermeasure ablation (MNIST)");
-        o!(
-            self,
-            "=============================================================="
-        );
+    fn ablation(&mut self) -> Result<(), Error> {
+        self.banner("Extension B: countermeasure ablation (MNIST)");
         let base = self.options.config(DatasetKind::Mnist);
         let dummy_events = self.options.dummy_events;
-        let arms: Vec<(String, Option<Countermeasure>)> = vec![
+        let arms = [
             ("leaky baseline".to_owned(), None),
             (
                 "constant-time kernels".to_owned(),
@@ -599,7 +719,15 @@ impl<W: Write> Runner<W> {
                 "combined".to_owned(),
                 Some(Countermeasure::Combined { dummy_events }),
             ),
-        ];
+        ]
+        .into_iter()
+        .map(|(label, countermeasure)| {
+            let mut cfg = base.clone();
+            cfg.countermeasure = countermeasure;
+            (label, cfg)
+        })
+        .collect();
+        let outcomes = self.run_arms("ablation", &base, arms)?;
         o!(
             self,
             "{:<40} {:>12} {:>12} {:>10}",
@@ -608,51 +736,22 @@ impl<W: Write> Runner<W> {
             "br pairs*",
             "attack"
         );
-        for (label, cm) in arms {
-            let mut cfg = base.clone();
-            cfg.countermeasure = cm;
-            let outcome = self
-                .run_experiment(&format!("ablation/{label}"), cfg)
-                .unwrap_or_else(|e| panic!("ablation arm '{label}' failed: {e}"));
-            let pairs = |event| {
-                outcome
-                    .report
-                    .event(event)
-                    .map(|e| e.pairwise.leak_count())
-                    .unwrap_or(0)
-            };
-            let attack = outcome
-                .mount_attack(&AttackConfig::default())
-                .map(|a| format!("{:.0}%", a.accuracy * 100.0))
-                .unwrap_or_else(|_| "n/a".into());
+        for (label, outcome) in &outcomes {
             o!(
                 self,
                 "{:<40} {:>10}/6 {:>10}/6 {:>10}",
                 label,
-                pairs(HpcEvent::CacheMisses),
-                pairs(HpcEvent::Branches),
-                attack
+                leaks(outcome, HpcEvent::CacheMisses),
+                leaks(outcome, HpcEvent::Branches),
+                attack_cell(outcome)
             );
         }
-        o!(
-            self,
-            "\n(* category pairs distinguishable at 95% confidence)\n"
-        );
+        o!(self, "{PAIRS_FOOTNOTE}");
+        Ok(())
     }
 
-    fn events(&mut self) {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(
-            self,
-            "Extension D: leakage per HPC event, cold vs warm measurement"
-        );
-        o!(
-            self,
-            "=============================================================="
-        );
+    fn events(&mut self) -> Result<(), Error> {
+        self.banner("Extension D: leakage per HPC event, cold vs warm measurement");
         o!(self,
             "(the paper's §5.2: \"we observed that some of the events can\n produce different distributions for different categories\")\n"
         );
@@ -663,45 +762,37 @@ impl<W: Write> Runner<W> {
             "cold-start",
             "warm-attach"
         );
-        let mut rows: Vec<(String, usize, usize)> = Vec::new();
-        for warmup in [WarmupPolicy::ColdStart, WarmupPolicy::Warm] {
-            let mut cfg = self.options.config(DatasetKind::Mnist);
-            cfg.collection.events = HpcEvent::FIG2B.to_vec();
-            cfg.pmu.warmup = warmup;
-            let outcome = self
-                .run_experiment(&format!("events/{warmup:?}"), cfg)
-                .unwrap_or_else(|e| panic!("events experiment ({warmup:?}) failed: {e}"));
-            for ev in &outcome.report.per_event {
-                let count = ev.pairwise.leak_count();
-                match warmup {
-                    WarmupPolicy::ColdStart => {
-                        rows.push((ev.event.perf_name().to_owned(), count, 0));
-                    }
-                    WarmupPolicy::Warm => {
-                        if let Some(row) = rows.iter_mut().find(|r| r.0 == ev.event.perf_name()) {
-                            row.2 = count;
-                        }
-                    }
-                }
-            }
-        }
-        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let base = self.options.config(DatasetKind::Mnist);
+        let arms = [WarmupPolicy::ColdStart, WarmupPolicy::Warm]
+            .into_iter()
+            .map(|warmup| {
+                let mut cfg = base.clone();
+                cfg.collection.events = HpcEvent::FIG2B.to_vec();
+                cfg.pmu.warmup = warmup;
+                (format!("{warmup:?}"), cfg)
+            })
+            .collect();
+        let outcomes = self.run_arms("events", &base, arms)?;
+        let (cold, warm) = (&outcomes[0].1, &outcomes[1].1);
+        let mut rows: Vec<(&str, usize, usize)> = cold
+            .report
+            .per_event
+            .iter()
+            .map(|ev| {
+                let name = ev.event.perf_name();
+                (name, ev.pairwise.leak_count(), leaks(warm, ev.event))
+            })
+            .collect();
+        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         for (name, cold, warm) in rows {
             o!(self, "{:<24} {:>14}/6 {:>14}/6", name, cold, warm);
         }
         o!(self, "\n(pairs distinguishable at 95%; warm-attach = perf stat -p on a\n long-running service, caches staying warm between classifications)\n");
+        Ok(())
     }
 
-    fn archs(&mut self) {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(self, "Extension F: victim architecture comparison (MNIST)");
-        o!(
-            self,
-            "=============================================================="
-        );
+    fn archs(&mut self) -> Result<(), Error> {
+        self.banner("Extension F: victim architecture comparison (MNIST)");
         o!(self,
             "(the paper's future work: \"explore the vulnerabilities in other\n deep learning models\")\n"
         );
@@ -714,60 +805,36 @@ impl<W: Write> Runner<W> {
             "br pairs*",
             "attack"
         );
-        for (name, arch) in [("CNN", Architecture::Cnn), ("MLP", Architecture::Mlp)] {
-            let mut cfg = self.options.config(DatasetKind::Mnist);
-            cfg.architecture = arch;
-            let outcome = self
-                .run_experiment(&format!("archs/{name}"), cfg)
-                .unwrap_or_else(|e| panic!("architecture arm '{name}' failed: {e}"));
-            let pairs = |event| {
-                outcome
-                    .report
-                    .event(event)
-                    .map(|e| e.pairwise.leak_count())
-                    .unwrap_or(0)
-            };
-            let attack = outcome
-                .mount_attack(&AttackConfig::default())
-                .map(|a| format!("{:.0}%", a.accuracy * 100.0))
-                .unwrap_or_else(|_| "n/a".into());
+        let base = self.options.config(DatasetKind::Mnist);
+        let arms = [("CNN", Architecture::Cnn), ("MLP", Architecture::Mlp)]
+            .into_iter()
+            .map(|(name, arch)| (name.to_owned(), base.clone().architecture(arch)))
+            .collect();
+        for (name, outcome) in &self.run_arms("archs", &base, arms)? {
             o!(
                 self,
                 "{:<12} {:>9.1}% {:>10}/6 {:>10}/6 {:>10}",
                 name,
                 outcome.test_accuracy * 100.0,
-                pairs(HpcEvent::CacheMisses),
-                pairs(HpcEvent::Branches),
-                attack
+                leaks(outcome, HpcEvent::CacheMisses),
+                leaks(outcome, HpcEvent::Branches),
+                attack_cell(outcome)
             );
         }
-        o!(
-            self,
-            "\n(* category pairs distinguishable at 95% confidence)\n"
-        );
+        o!(self, "{PAIRS_FOOTNOTE}");
+        Ok(())
     }
 
-    fn uarch(&mut self) {
+    fn uarch(&mut self) -> Result<(), Error> {
         use scnn_uarch::{CacheConfig, PredictorKind, PrefetcherKind};
 
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(
-            self,
-            "Extension E: microarchitectural ablation (MNIST, cache-misses)"
-        );
-        o!(
-            self,
-            "=============================================================="
-        );
+        self.banner("Extension E: microarchitectural ablation (MNIST, cache-misses)");
         o!(
             self,
             "does the leak depend on the platform's microarchitecture?\n"
         );
         let base = self.options.config(DatasetKind::Mnist);
-        let mut arms: Vec<(String, scnn_core::pipeline::ExperimentConfig)> = Vec::new();
+        let mut arms: Vec<(String, ExperimentConfig)> = Vec::new();
 
         let mut cfg = base.clone();
         cfg.pmu.core = scnn_uarch::CoreConfig::xeon_e5_2690();
@@ -805,118 +872,70 @@ impl<W: Write> Runner<W> {
             "cm pairs*",
             "br pairs*"
         );
-        for (name, cfg) in arms {
-            let outcome = self
-                .run_experiment(&format!("uarch/{name}"), cfg)
-                .unwrap_or_else(|e| panic!("uarch arm '{name}' failed: {e}"));
-            let pairs = |event| {
-                outcome
-                    .report
-                    .event(event)
-                    .map(|e| e.pairwise.leak_count())
-                    .unwrap_or(0)
-            };
+        for (name, outcome) in &self.run_arms("uarch", &base, arms)? {
             o!(
                 self,
                 "{:<34} {:>10}/6 {:>10}/6",
                 name,
-                pairs(HpcEvent::CacheMisses),
-                pairs(HpcEvent::Branches)
+                leaks(outcome, HpcEvent::CacheMisses),
+                leaks(outcome, HpcEvent::Branches)
             );
         }
         o!(self, "\n(* category pairs distinguishable at 95% confidence; the leak\n   is robust to platform details — it lives in the software)\n");
+        Ok(())
     }
 
-    fn noise(&mut self) {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(
-            self,
-            "Extension C: leakage vs noise level and sample count (MNIST)"
-        );
-        o!(
-            self,
-            "=============================================================="
-        );
+    fn noise(&mut self) -> Result<(), Error> {
+        self.banner("Extension C: leakage vs noise level and sample count (MNIST)");
         let base = self.options.config(DatasetKind::Mnist);
-        let pairs_of = |outcome: &ExperimentOutcome, event| {
-            outcome
-                .report
-                .event(event)
-                .map(|e| e.pairwise.leak_count())
-                .unwrap_or(0)
-        };
-
-        o!(
-            self,
+        const LEVELS: [f64; 5] = [0.0, 0.5, 1.0, 2.0, 4.0];
+        let mut arms: Vec<(String, ExperimentConfig)> = Vec::new();
+        for level in LEVELS {
+            let mut cfg = base.clone();
+            cfg.pmu.noise = cfg.pmu.noise.scaled(level);
+            arms.push((format!("{level:.1}x"), cfg));
+        }
+        for samples in [10, 25, 50, 100] {
+            arms.push((samples.to_string(), base.clone().samples(samples)));
+        }
+        let outcomes = self.run_arms("noise", &base, arms)?;
+        let (levels, counts) = outcomes.split_at(LEVELS.len());
+        let noise_intro = format!(
             "\nnoise sweep (samples/category = {}):",
             base.collection.samples_per_category
         );
-        o!(
-            self,
-            "{:<14} {:>14} {:>14}",
-            "noise level",
-            "cm pairs*",
-            "br pairs*"
-        );
-        for level in [0.0, 0.5, 1.0, 2.0, 4.0] {
-            let mut cfg = base.clone();
-            cfg.pmu.noise = cfg.pmu.noise.scaled(level);
-            let outcome = self
-                .run_experiment(&format!("noise/noise-{level:.1}x"), cfg)
-                .unwrap_or_else(|e| panic!("noise sweep level {level} failed: {e}"));
+        for (intro, heading, rows) in [
+            (noise_intro.as_str(), "noise level", levels),
+            (
+                "\nsample-count sweep (default noise):",
+                "samples/cat",
+                counts,
+            ),
+        ] {
+            o!(self, "{intro}");
             o!(
                 self,
-                "{:<14} {:>12}/6 {:>12}/6",
-                format!("{level:.1}x"),
-                pairs_of(&outcome, HpcEvent::CacheMisses),
-                pairs_of(&outcome, HpcEvent::Branches)
+                "{:<14} {:>14} {:>14}",
+                heading,
+                "cm pairs*",
+                "br pairs*"
             );
+            for (label, outcome) in rows {
+                o!(
+                    self,
+                    "{:<14} {:>12}/6 {:>12}/6",
+                    label,
+                    leaks(outcome, HpcEvent::CacheMisses),
+                    leaks(outcome, HpcEvent::Branches)
+                );
+            }
         }
-
-        o!(self, "\nsample-count sweep (default noise):");
-        o!(
-            self,
-            "{:<14} {:>14} {:>14}",
-            "samples/cat",
-            "cm pairs*",
-            "br pairs*"
-        );
-        for samples in [10, 25, 50, 100] {
-            let mut cfg = base.clone();
-            cfg.collection.samples_per_category = samples;
-            let outcome = self
-                .run_experiment(&format!("noise/samples-{samples}"), cfg)
-                .unwrap_or_else(|e| panic!("sample sweep n={samples} failed: {e}"));
-            o!(
-                self,
-                "{:<14} {:>12}/6 {:>12}/6",
-                samples,
-                pairs_of(&outcome, HpcEvent::CacheMisses),
-                pairs_of(&outcome, HpcEvent::Branches)
-            );
-        }
-        o!(
-            self,
-            "\n(* category pairs distinguishable at 95% confidence)\n"
-        );
+        o!(self, "{PAIRS_FOOTNOTE}");
+        Ok(())
     }
 
-    fn sweep(&mut self) {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(
-            self,
-            "Extension G: t-test evaluation across the microarchitecture zoo"
-        );
-        o!(
-            self,
-            "=============================================================="
-        );
+    fn sweep(&mut self) -> Result<(), Error> {
+        self.banner("Extension G: t-test evaluation across the microarchitecture zoo");
         o!(
             self,
             "(MNIST; one row per simulated platform, same model and seeds)\n"
@@ -932,19 +951,9 @@ impl<W: Write> Runner<W> {
             self.options.threads,
             self.artifact_cache.as_ref(),
         )
-        .unwrap_or_else(|e| panic!("uarch sweep failed: {e}"));
+        .map_err(|e| Error::msg(format!("uarch sweep failed: {e}")))?;
         for row in &outcome.rows {
-            let u = row.cache;
-            if self.artifact_cache.is_some() {
-                self.traffic.add_usage(&u);
-            }
-            eprintln!(
-                "[cache] sweep/{}: model {}, {}/{} categories from cache",
-                row.preset,
-                if u.model_hit { "hit" } else { "miss" },
-                u.categories_hit,
-                u.categories_hit + u.categories_collected,
-            );
+            self.log_cache(&format!("sweep/{}", row.preset), &row.cache);
         }
         op!(self, "{}", outcome.render_table());
         o!(self,
@@ -967,27 +976,11 @@ impl<W: Write> Runner<W> {
             "preset,alarm,distinguishable_pairs,total_pairs,max_abs_t",
             &rows,
         );
-        if let Some(path) = &self.options.out {
-            match std::fs::write(path, outcome.to_json()) {
-                Ok(()) => eprintln!("[sweep] wrote {}", path.display()),
-                Err(e) => panic!("cannot write --out {}: {e}", path.display()),
-            }
-        }
+        self.write_out("sweep", &outcome)
     }
 
     fn frontier(&mut self) -> Result<(), Error> {
-        o!(
-            self,
-            "=============================================================="
-        );
-        o!(
-            self,
-            "Extension I: countermeasure leakage-vs-overhead frontier"
-        );
-        o!(
-            self,
-            "=============================================================="
-        );
+        self.banner("Extension I: countermeasure leakage-vs-overhead frontier");
         o!(self,
             "(MNIST; every countermeasure arm against both adversaries — the\n pairwise-t-test evaluator and architecture extraction — priced in\n simulated cycles relative to the unprotected baseline; see DESIGN.md §16)\n"
         );
@@ -1006,22 +999,10 @@ impl<W: Write> Runner<W> {
         )
         .map_err(|e| Error::msg(format!("frontier campaign failed: {e}")))?;
         for row in &outcome.rows {
-            let u = row.cache;
-            if self.artifact_cache.is_some() {
-                self.traffic.add_usage(&u);
+            self.log_cache(&format!("frontier/{}", row.arm), &row.cache);
+            if row.trace_cache_hit {
+                eprintln!("[cache] frontier/{}: trace corpus from cache", row.arm);
             }
-            eprintln!(
-                "[cache] frontier/{}: model {}, {}/{} categories from cache{}",
-                row.arm,
-                if u.model_hit { "hit" } else { "miss" },
-                u.categories_hit,
-                u.categories_hit + u.categories_collected,
-                if row.trace_cache_hit {
-                    ", trace corpus from cache"
-                } else {
-                    ""
-                },
-            );
         }
         o!(
             self,
@@ -1066,62 +1047,29 @@ impl<W: Write> Runner<W> {
             "arm,alarm,distinguishable_pairs,total_pairs,max_abs_t,extraction_overall,leakage,overhead,pareto",
             &rows,
         );
-        if let Some(path) = &self.options.out {
-            std::fs::write(path, outcome.to_json())
-                .map_err(|e| Error::io(path.display().to_string(), e))?;
-            eprintln!("[frontier] wrote {}", path.display());
-        }
-        Ok(())
+        self.write_out("frontier", &outcome)
     }
 
-    /// Dispatches one artefact command. This is the single entry point
-    /// shared by the direct CLI and by every `repro serve` job, which is
-    /// what makes a job's captured output byte-identical to the
-    /// equivalent direct run. `serve` itself is deliberately *not*
-    /// dispatchable here, so a job cannot start a nested service.
+    /// Dispatches one artefact command (or `all` of them, in table
+    /// order). This is the single entry point shared by the direct CLI
+    /// and by every `repro serve` job, which is what makes a job's
+    /// captured output byte-identical to the equivalent direct run.
+    /// `serve` itself is deliberately *not* dispatchable here, so a job
+    /// cannot start a nested service.
     fn run_command(&mut self, command: &str) -> Result<(), Error> {
-        match command {
-            "fig1" => self.fig1(),
-            "fig2b" => self.fig2b(),
-            "fig3" => self.distributions(DatasetKind::Mnist),
-            "fig4" => self.distributions(DatasetKind::Cifar10),
-            "table1" => self.table(DatasetKind::Mnist),
-            "table2" => self.table(DatasetKind::Cifar10),
-            "attack" => self.attack(),
-            "extract" => self.extract()?,
-            "ablation" => self.ablation(),
-            "noise" => self.noise(),
-            "events" => self.events(),
-            "uarch" => self.uarch(),
-            "archs" => self.archs(),
-            "sweep" => self.sweep(),
-            "frontier" => self.frontier()?,
-            "all" => {
-                self.fig1();
-                self.fig2b();
-                self.distributions(DatasetKind::Mnist);
-                self.distributions(DatasetKind::Cifar10);
-                self.table(DatasetKind::Mnist);
-                self.table(DatasetKind::Cifar10);
-                self.attack();
-                self.extract()?;
-                self.ablation();
-                self.noise();
-                self.events();
-                self.uarch();
-                self.archs();
-                self.sweep();
-                self.frontier()?;
-            }
-            other => return Err(Error::msg(format!("unknown command {other:?}"))),
+        if command == "all" {
+            return Self::COMMANDS.iter().try_for_each(|(_, run)| run(self));
         }
-        Ok(())
+        let (_, run) = Self::COMMANDS
+            .iter()
+            .find(|(name, _)| *name == command)
+            .ok_or_else(|| Error::msg(format!("unknown command {command:?}")))?;
+        run(self)
     }
 }
 
-/// The attack panel heading for one explicitly chosen classifier —
-/// matches the default panel's headings so `--classifier lda` prints
-/// the same `[LDA (pooled covariance)]` block a full run would.
+/// The attack panel heading for one classifier, the same whether the
+/// panel shows all three or `--classifier` picked it.
 fn attack_panel_label(classifier: &AttackClassifier) -> String {
     match classifier {
         AttackClassifier::GaussianTemplate => "gaussian template".into(),
@@ -1190,60 +1138,22 @@ fn run_job(
     cache: Option<&ArtifactCache>,
     stdout_dir: Option<&Path>,
 ) -> Result<JobOutput, String> {
-    let mut options = base.clone();
     // Side files are per-process concerns; jobs only produce stdout.
-    options.csv = None;
-    options.telemetry = None;
-    options.out = None;
-    if let Some(samples) = spec.usize_param("samples")? {
-        options.samples = samples;
-    }
-    if spec.param("quick").is_some() {
-        options.quick = spec.bool_param("quick")?;
-    }
-    if let Some(threads) = spec.usize_param("threads")? {
-        if threads == 0 {
-            return Err("parameter \"threads\" must be at least 1".into());
-        }
-        options.threads = Threads::Count(threads);
-    }
-    if let Some(uarch) = spec.str_param("uarch")? {
-        options.uarch = Some(scnn_core::zoo::load_uarch(uarch).map_err(|e| format!("uarch: {e}"))?);
-    }
-    if let Some(name) = spec.str_param("classifier")? {
-        options.classifier = Some(
-            AttackClassifier::parse_flag(name)
-                .ok_or_else(|| format!("parameter \"classifier\": unknown classifier {name:?}"))?,
-        );
-    }
-    if let Some(frac) = spec.f64_param("profile_frac")? {
-        options.profile_frac = Some(frac);
-    }
-    if let Some(n) = spec.usize_param("dummy_events")? {
-        if n == 0 {
-            return Err("parameter \"dummy_events\" must be positive".into());
-        }
-        options.dummy_events = n as u64;
-    }
-    if let Some(n) = spec.usize_param("decoys")? {
-        if n == 0 {
-            return Err("parameter \"decoys\" must be positive".into());
-        }
-        options.decoys = n as u64;
-    }
-    if let Some(t) = spec.f64_param("target_t")? {
-        if !t.is_finite() || t <= 0.0 {
-            return Err("parameter \"target_t\" must be finite and positive".into());
-        }
-        options.target_t = t;
-    }
-    let mut runner = Runner {
-        options,
-        cache: HashMap::new(),
-        artifact_cache: cache.cloned(),
-        out: Vec::new(),
-        traffic: CacheTraffic::default(),
+    let mut options = Options {
+        csv: None,
+        telemetry: None,
+        out: None,
+        ..base.clone()
     };
+    for flag in Options::FLAGS {
+        let key = flag[2..].replace('-', "_");
+        if let Some(text) = spec.text_param(&key)? {
+            options
+                .set(flag, &text)
+                .map_err(|e| format!("parameter {key:?}: {e}"))?;
+        }
+    }
+    let mut runner = Runner::new(options, cache.cloned(), Vec::new());
     runner
         .run_command(&spec.command)
         .map_err(|e| e.to_string())?;
@@ -1424,60 +1334,18 @@ fn run() -> Result<(), Error> {
         print!("{}", flags.help());
         return Ok(());
     }
-    let options = Options {
-        samples: match parsed.value("--samples") {
-            Some(v) => v
-                .parse()
-                .map_err(|_| Error::msg(format!("--samples needs an integer, got {v:?}")))?,
-            None => 100,
-        },
-        quick: parsed.is_set("--quick"),
-        csv: parsed.value("--csv").map(std::path::PathBuf::from),
-        threads: match parsed.value("--threads") {
-            Some(v) => v.parse().map_err(|_| {
-                Error::msg(format!("--threads needs a count or \"auto\", got {v:?}"))
-            })?,
-            None => Threads::Auto,
-        },
-        telemetry: parsed.value("--telemetry").map(std::path::PathBuf::from),
-        uarch: match parsed.value("--uarch") {
-            Some(spec) => Some(
-                scnn_core::zoo::load_uarch(spec)
-                    .map_err(|e| Error::msg(format!("--uarch: {e}")))?,
-            ),
-            None => None,
-        },
-        out: parsed.value("--out").map(std::path::PathBuf::from),
-        classifier: match parsed.value("--classifier") {
-            Some(name) => Some(AttackClassifier::parse_flag(name).ok_or_else(|| {
-                Error::msg(format!(
-                    "--classifier: unknown classifier {name:?} (expected gaussian-template, lda or knn[:K])"
-                ))
-            })?),
-            None => None,
-        },
-        profile_frac: match parsed.value("--profile-frac") {
-            Some(v) => Some(v.parse().map_err(|_| {
-                Error::msg(format!("--profile-frac needs a fraction in (0,1), got {v:?}"))
-            })?),
-            None => None,
-        },
-        dummy_events: match parsed.value("--dummy-events") {
-            Some(v) => scnn_bench::parse_positive_u64("--dummy-events", v)
-                .map_err(|e| Error::msg(e.to_string()))?,
-            None => 20_000,
-        },
-        decoys: match parsed.value("--decoys") {
-            Some(v) => scnn_bench::parse_positive_u64("--decoys", v)
-                .map_err(|e| Error::msg(e.to_string()))?,
-            None => 3,
-        },
-        target_t: match parsed.value("--target-t") {
-            Some(v) => scnn_bench::parse_positive_f64("--target-t", v)
-                .map_err(|e| Error::msg(e.to_string()))?,
-            None => 1.5,
-        },
+    let mut options = Options {
+        csv: parsed.value("--csv").map(PathBuf::from),
+        telemetry: parsed.value("--telemetry").map(PathBuf::from),
+        out: parsed.value("--out").map(PathBuf::from),
+        ..Options::default()
     };
+    for flag in Options::FLAGS {
+        // A set switch reads as the text "true", like a job's `true`.
+        if let Some(text) = parsed.value(flag).or(parsed.is_set(flag).then_some("true")) {
+            options.set(flag, text).map_err(Error::msg)?;
+        }
+    }
     let artifact_cache = match parsed.value("--cache-dir") {
         Some(dir) => Some(
             ArtifactCache::open(dir).map_err(|e| Error::msg(format!("--cache-dir {dir}: {e}")))?,
@@ -1508,14 +1376,7 @@ fn run() -> Result<(), Error> {
         let serve_options = ServeOptions::from_flags(&parsed)?;
         serve_mode(&serve_options, &options, artifact_cache)?;
     } else {
-        let mut runner = Runner {
-            options,
-            cache: HashMap::new(),
-            artifact_cache,
-            out: std::io::stdout(),
-            traffic: CacheTraffic::default(),
-        };
-        runner
+        Runner::new(options, artifact_cache, std::io::stdout())
             .run_command(&command)
             .map_err(|e| Error::msg(format!("{e}\n{}", flags.help())))?;
     }
@@ -1543,6 +1404,60 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("repro: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_lists_the_command_table_in_order() {
+        let names: Vec<&str> = Runner::<Vec<u8>>::COMMANDS
+            .iter()
+            .map(|(name, _)| *name)
+            .collect();
+        assert_eq!(names, scnn_bench::REPRO_COMMANDS);
+        let help = repro_flags().help();
+        let usage = help.lines().next().unwrap();
+        assert_eq!(
+            usage,
+            format!("usage: repro <{}|serve|all> [options]", names.join("|"))
+        );
+    }
+
+    #[test]
+    fn flags_and_job_keys_share_one_decoder() {
+        let mut options = Options::default();
+        for (flag, text) in [
+            ("--samples", "8"),
+            ("--quick", "true"),
+            ("--threads", "auto"),
+            ("--profile-frac", "0.6"),
+            ("--dummy-events", "500"),
+            ("--decoys", "2"),
+            ("--target-t", "1.8"),
+        ] {
+            options.set(flag, text).unwrap();
+        }
+        assert_eq!(options.samples, 8);
+        assert!(options.quick);
+        assert_eq!(options.threads, Threads::Auto);
+        assert_eq!(options.profile_frac, Some(0.6));
+        assert_eq!((options.dummy_events, options.decoys), (500, 2));
+        assert_eq!(options.target_t, 1.8);
+        for (flag, bad) in [
+            ("--samples", "1"),
+            ("--samples", "0"),
+            ("--samples", "-3"),
+            ("--threads", "0"),
+            ("--quick", "yes"),
+            ("--dummy-events", "0"),
+            ("--target-t", "nan"),
+            ("--classifier", "svm"),
+        ] {
+            assert!(options.set(flag, bad).is_err(), "{flag} {bad}");
         }
     }
 }

@@ -39,7 +39,7 @@ pub struct FlagSpec {
 #[derive(Debug, Clone)]
 pub struct FlagSet {
     program: &'static str,
-    usage: &'static str,
+    usage: String,
     specs: Vec<FlagSpec>,
 }
 
@@ -97,10 +97,10 @@ impl std::error::Error for FlagError {}
 impl FlagSet {
     /// Declares a flag set for `program` with a one-line `usage`
     /// synopsis (shown under "usage:" in help).
-    pub fn new(program: &'static str, usage: &'static str) -> Self {
+    pub fn new(program: &'static str, usage: impl Into<String>) -> Self {
         FlagSet {
             program,
-            usage,
+            usage: usage.into(),
             specs: Vec::new(),
         }
     }

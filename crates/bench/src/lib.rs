@@ -21,15 +21,26 @@ pub mod harness;
 use flags::{FlagError, FlagSet};
 use scnn_core::pipeline::{DatasetKind, ExperimentConfig};
 
+/// The `repro` binary's artefact commands, in `repro all` order — the
+/// names of its command table, listed by the usage line.
+pub const REPRO_COMMANDS: [&str; 15] = [
+    "fig1", "fig2b", "fig3", "fig4", "table1", "table2", "attack", "extract", "ablation", "noise",
+    "events", "uarch", "archs", "sweep", "frontier",
+];
+
 /// The `repro` binary's flag vocabulary — declared here (not in the
 /// binary) so unit tests can exercise every flag without spawning a
 /// process.
 pub fn repro_flags() -> FlagSet {
     FlagSet::new(
         "repro",
-        "<fig1|fig2b|fig3|fig4|table1|table2|attack|extract|ablation|noise|events|uarch|archs|sweep|frontier|serve|all> [options]",
+        format!("<{}|serve|all> [options]", REPRO_COMMANDS.join("|")),
     )
-    .value("--samples", "N", "measurements per category (default 100)")
+    .value(
+        "--samples",
+        "N",
+        "measurements per category, at least 2 (default 100)",
+    )
     .switch("--quick", "tiny models and few samples, for smoke tests")
     .value(
         "--classifier",
@@ -39,7 +50,7 @@ pub fn repro_flags() -> FlagSet {
     .value(
         "--profile-frac",
         "F",
-        "for `attack`/`extract`: fraction of measurements spent profiling, in (0,1)",
+        "for `attack`/`extract`/`frontier`: fraction of measurements spent profiling, in (0,1) (defaults 0.5/0.75/0.6)",
     )
     .value(
         "--threads",
@@ -65,7 +76,7 @@ pub fn repro_flags() -> FlagSet {
     .value(
         "--out",
         "PATH",
-        "for `sweep`/`frontier`: write the result table as JSON; for `serve`: write the service report as JSON",
+        "for `sweep`/`extract`/`frontier`: write the result as JSON; for `serve`: write the service report as JSON",
     )
     .value(
         "--dummy-events",

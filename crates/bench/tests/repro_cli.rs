@@ -1,0 +1,80 @@
+//! Integration: the `repro` binary rejects bad options when it decodes
+//! them — before any training — with exit code 1 and a message, never a
+//! panic, on the command line and in `serve` jobs alike.
+
+use std::process::{Command, Output};
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("repro starts")
+}
+
+fn scratch(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("scnn-repro-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn too_few_samples_exit_1_without_panicking() {
+    for args in [
+        ["extract", "--quick", "--samples", "0"],
+        ["table1", "--quick", "--samples", "1"],
+        ["frontier", "--quick", "--samples", "0"],
+    ] {
+        let out = repro(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("--samples needs a count of at least 2"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+    }
+}
+
+#[test]
+fn zero_threads_is_rejected() {
+    let out = repro(&["table1", "--quick", "--threads", "0"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--threads"));
+}
+
+#[test]
+fn jobs_decode_options_like_flags() {
+    let dir = scratch("jobs");
+    let jobs = dir.join("jobs.ndjson");
+    std::fs::write(
+        &jobs,
+        concat!(
+            r#"{"id":"few","command":"table1","quick":true,"samples":1}"#,
+            "\n",
+            r#"{"id":"zero","command":"table1","quick":true,"samples":8,"threads":0}"#,
+            "\n",
+            r#"{"id":"bye","command":"shutdown"}"#,
+            "\n",
+        ),
+    )
+    .unwrap();
+    let out = repro(&["serve", "--jobs", jobs.to_str().unwrap(), "--workers", "1"]);
+    assert_eq!(out.status.code(), Some(0), "the service survives bad jobs");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let line = |id: &str| {
+        stdout
+            .lines()
+            .find(|l| l.contains(&format!("\"id\":\"{id}\"")))
+            .unwrap_or_else(|| panic!("no response for {id}:\n{stdout}"))
+            .to_owned()
+    };
+    let few = line("few");
+    assert!(few.contains(r#""status":"error""#), "{few}");
+    assert!(few.contains("at least 2"), "{few}");
+    let zero = line("zero");
+    assert!(zero.contains(r#""status":"error""#), "{zero}");
+    assert!(zero.contains("threads"), "{zero}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -200,6 +200,8 @@ pub enum AttackError {
     },
     /// `Knn { k: 0 }` — a zero-size neighbourhood cannot vote.
     ZeroNeighbourhood,
+    /// A trace corpus with no traces cannot be split for profiling.
+    EmptyCorpus,
     /// [`Adversary::attack`] was called before a successful
     /// [`Adversary::profile`].
     NotProfiled,
@@ -230,6 +232,7 @@ impl fmt::Display for AttackError {
             AttackError::ZeroNeighbourhood => {
                 write!(f, "k-NN needs a neighbourhood of at least 1 (k = 0 given)")
             }
+            AttackError::EmptyCorpus => write!(f, "an empty trace corpus cannot be profiled"),
             AttackError::NotProfiled => {
                 write!(f, "adversary must profile a corpus before attacking traces")
             }

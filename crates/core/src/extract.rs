@@ -43,6 +43,7 @@
 
 use crate::artifact;
 use crate::attack::{Adversary, AttackError};
+use crate::campaign::{map_arms, profile_split, Campaign};
 use crate::collect::{category_seed, TracedClassifier};
 use crate::countermeasure::{Countermeasure, ProtectedModel};
 use crate::error::Error;
@@ -52,9 +53,8 @@ use scnn_cache::ArtifactCache;
 use scnn_data::Dataset;
 use scnn_hpc::SimulatedPmu;
 use scnn_nn::spec::LayerSpec;
-use scnn_nn::train::{accuracy, train};
 use scnn_nn::{Network, ReluStyle};
-use scnn_par::{Pool, Threads};
+use scnn_par::Threads;
 use scnn_tensor::Shape;
 use scnn_uarch::CounterSnapshot;
 
@@ -791,33 +791,6 @@ impl ToJson for ExtractOutcome {
     }
 }
 
-/// Trains (or restores from `cache`) the victim model of `cfg`, sharing
-/// the pipeline's model artifact: same key, same seeds, same bytes.
-pub(crate) fn obtain_model(
-    cfg: &ExperimentConfig,
-    cache: Option<&ArtifactCache>,
-) -> Result<Network, Error> {
-    if let Some(c) = cache {
-        if let Some((net, _, _)) = c
-            .load(artifact::MODEL_KIND, artifact::model_key(cfg))
-            .and_then(|p| artifact::decode_model(&p))
-        {
-            return Ok(net);
-        }
-    }
-    let _span = scnn_obs::Span::enter("extract.train");
-    let train_set = cfg.generate_dataset(cfg.train_per_class, cfg.seed)?;
-    let test_set = cfg.generate_dataset(cfg.test_per_class, cfg.seed ^ 0xFACE)?;
-    let mut net = cfg.build_model();
-    let report = train(&mut net, &train_set.to_samples(), &cfg.train)?;
-    let test_accuracy = accuracy(&mut net, &test_set.to_samples())?;
-    if let Some(c) = cache {
-        let payload = artifact::encode_model(&net, &report, test_accuracy);
-        let _ = c.store(artifact::MODEL_KIND, artifact::model_key(cfg), &payload);
-    }
-    Ok(net)
-}
-
 /// Measures `samples` traced inferences, one [`InferenceTrace`] each,
 /// cycling the dataset's images. The pre-layer staging window (input
 /// copy-in, before the first boundary) is stripped.
@@ -857,6 +830,19 @@ fn collect_traces(
     Ok(TraceCorpus { traces })
 }
 
+/// `net` as one arm's traced victim: wrapped in `cm` (its randomness
+/// seeded from `seed`) when there is one, bare otherwise.
+pub(crate) fn traced_victim(
+    net: &Network,
+    cm: Option<Countermeasure>,
+    seed: u64,
+) -> Box<dyn TracedClassifier> {
+    match cm {
+        None => Box::new(net.clone()),
+        Some(cm) => Box::new(ProtectedModel::new(net.clone(), cm, seed)),
+    }
+}
+
 /// Loads one arm's trace corpus from `cache` or collects and stores it.
 /// Returns the corpus and whether it was a cache hit.
 ///
@@ -886,14 +872,8 @@ pub(crate) fn obtain_traces(
     }
     let tag = artifact::cm_seed_tag(&cfg) as usize;
     let mut pmu = SimulatedPmu::new(base.pmu, category_seed(base.seed ^ 0xE47A, tag))?;
-    let corpus = match cm {
-        None => collect_traces(&mut net.clone(), test_set, &mut pmu, samples)?,
-        Some(cm) => {
-            let mut protected =
-                ProtectedModel::new(net.clone(), cm, category_seed(base.seed ^ 0xE47B, tag));
-            collect_traces(&mut protected, test_set, &mut pmu, samples)?
-        }
-    };
+    let mut victim = traced_victim(net, cm, category_seed(base.seed ^ 0xE47B, tag));
+    let corpus = collect_traces(victim.as_mut(), test_set, &mut pmu, samples)?;
     if let Some(c) = cache {
         let _ = c.store(
             artifact::TRACE_KIND,
@@ -941,17 +921,16 @@ pub(crate) fn profile_and_score(
 /// against the true layer stack. The unprotected arm additionally
 /// reports recovery as a function of corpus size.
 ///
-/// Arms run as ordered coarse-grain jobs on a [`Pool`] with `threads`
-/// workers; every arm's environment is seeded purely from `(seed,
-/// countermeasure)`, so the outcome is **bit-identical at every thread
-/// count**. With a `cache`, the model artifact is shared with the
-/// pipeline and each arm's trace corpus is checkpointed under its own
-/// key.
+/// Arms run through [`map_arms`] on `threads` workers, on one
+/// [`Campaign`]'s shared model; every arm's environment is seeded purely
+/// from `(seed, countermeasure)`, so the outcome is **bit-identical at
+/// every thread count**. With a `cache`, each arm's trace corpus is
+/// checkpointed under its own key.
 ///
 /// # Errors
 ///
-/// Returns [`Error`] when `profile_fraction` lies outside `(0, 1)`,
-/// or when training, tracing or profiling fails.
+/// Returns [`Error`] when `profile_split` rejects the split (checked
+/// before any training), or when training, tracing or profiling fails.
 pub fn run_extract(
     base: &ExperimentConfig,
     profile_fraction: f64,
@@ -959,32 +938,19 @@ pub fn run_extract(
     threads: Threads,
     cache: Option<&ArtifactCache>,
 ) -> Result<ExtractOutcome, Error> {
-    if !profile_fraction.is_finite() || profile_fraction <= 0.0 || profile_fraction >= 1.0 {
-        return Err(AttackError::InvalidProfileFraction {
-            fraction: profile_fraction,
-        }
-        .into());
-    }
+    let profile_n = profile_split(base.collection.samples_per_category, profile_fraction)?;
     let _span = scnn_obs::Span::enter("extract.run");
-    let net = obtain_model(base, cache)?;
+    let campaign = Campaign::new(&base.clone().threads(threads), cache)?;
+    let net = &campaign.model().network;
     let test_set = base.generate_dataset(base.test_per_class, base.seed ^ 0xFACE)?;
     let (first_image, _) = test_set
         .get(0)
         .ok_or_else(|| Error::msg("extraction needs a non-empty test set"))?;
-    let truth = ground_truth(&net, first_image.shape())?;
+    let truth = ground_truth(net, first_image.shape())?;
 
-    let samples = base.collection.samples_per_category;
-    let profile_n = ((samples as f64 * profile_fraction).round() as usize).clamp(1, samples);
-
-    let jobs: Vec<(usize, &'static str, Option<Countermeasure>)> = extraction_arms(dummy_events)
-        .iter()
-        .enumerate()
-        .map(|(i, (name, cm))| (i, *name, *cm))
-        .collect();
-    let pool = Pool::new(threads);
-    let results = pool.par_map(jobs, |(index, name, cm)| {
-        let _span = scnn_obs::Span::enter_indexed("extract.arm", index as u64);
-        let (corpus, hit) = obtain_traces(base, &net, &test_set, cm, cache)?;
+    let arms = extraction_arms(dummy_events).to_vec();
+    let results = map_arms(threads, "extract.arm", arms, |index, (name, cm)| {
+        let (corpus, hit) = obtain_traces(base, net, &test_set, cm, cache)?;
         let (hypothesis, arm_score, agreement) = profile_and_score(&corpus, profile_n, &truth)?;
         let row = ExtractRow {
             arm: name.to_owned(),
@@ -997,35 +963,24 @@ pub fn run_extract(
         // The unprotected arm doubles as the sample-count study: the
         // curve reuses prefixes of the corpus already collected, so it
         // costs no extra measurements.
-        let curve = if index == 0 {
+        let mut curve = Vec::new();
+        if index == 0 {
             let mut sizes = vec![1, profile_n.div_ceil(2), profile_n];
             sizes.sort_unstable();
             sizes.dedup();
-            let mut points = Vec::with_capacity(sizes.len());
             for n in sizes {
                 let (_, s, _) = profile_and_score(&corpus.prefix(n), n, &truth)?;
-                points.push(SamplePoint {
+                curve.push(SamplePoint {
                     samples: n,
                     overall: s.overall,
                     kind_precision: s.kind_precision,
                 });
             }
-            Some(points)
-        } else {
-            None
-        };
-        Ok::<(ExtractRow, Option<Vec<SamplePoint>>), Error>((row, curve))
-    });
-
-    let mut rows = Vec::with_capacity(results.len());
-    let mut curve = Vec::new();
-    for result in results {
-        let (row, points) = result?;
-        if let Some(points) = points {
-            curve = points;
         }
-        rows.push(row);
-    }
+        Ok::<_, Error>((row, curve))
+    })?;
+    let (rows, curves): (Vec<ExtractRow>, Vec<Vec<SamplePoint>>) = results.into_iter().unzip();
+    let curve = curves.into_iter().next().unwrap_or_default();
     Ok(ExtractOutcome { truth, rows, curve })
 }
 

@@ -27,25 +27,26 @@
 //! [`calibrate_noise`]), so the reported overhead is the *price of the
 //! threshold*, not of a guess.
 //!
-//! Determinism mirrors the sweep: arms are ordered coarse-grain
-//! [`Pool`] jobs with single-threaded interiors, and every random
-//! stream is seeded from the countermeasure's canonical JSON
-//! ([`artifact::cm_seed_tag`]), so output is byte-identical at every
-//! thread count and cold-vs-warm cache state.
+//! Determinism mirrors the sweep: arms run on one [`Campaign`]'s model
+//! with single-threaded interiors, and every random stream is seeded from
+//! the countermeasure's canonical JSON ([`artifact::cm_seed_tag`]), so
+//! output is byte-identical at every thread count and cold-vs-warm
+//! cache state.
 
 use crate::artifact;
+use crate::campaign::{map_arms, profile_split, Campaign};
 use crate::collect::category_seed;
 use crate::countermeasure::Countermeasure;
 use crate::error::Error;
 use crate::evaluator::LeakageReport;
 use crate::extract;
 use crate::json::{ObjectWriter, ToJson};
-use crate::pipeline::{CacheUsage, Experiment, ExperimentConfig};
+use crate::pipeline::{CacheUsage, ExperimentConfig};
 use scnn_cache::ArtifactCache;
 use scnn_data::Dataset;
 use scnn_hpc::{CounterGroup, HpcEvent, Pmu, SimulatedPmu};
 use scnn_nn::Network;
-use scnn_par::{Pool, Threads};
+use scnn_par::Threads;
 
 /// Tunable knobs of the frontier campaign — the CLI's `--dummy-events`,
 /// `--decoys` and `--target-t` flags land here.
@@ -221,20 +222,7 @@ impl FrontierOutcome {
 
 impl ToJson for FrontierOutcome {
     fn write_json(&self, out: &mut String) {
-        struct Names(Vec<String>);
-        impl ToJson for Names {
-            fn write_json(&self, out: &mut String) {
-                out.push('[');
-                for (i, name) in self.0.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    name.write_json(out);
-                }
-                out.push(']');
-            }
-        }
-        let pareto = Names(self.pareto_arms().iter().map(|s| (*s).to_owned()).collect());
+        let pareto: Vec<String> = self.pareto_arms().into_iter().map(String::from).collect();
         let mut obj = ObjectWriter::new(out);
         obj.field("rows", &self.rows)
             .field("pareto", &pareto)
@@ -274,32 +262,28 @@ const CALIBRATE_CAP: u64 = 512_000;
 /// Finds the dummy-event volume at which noise injection pushes the
 /// evaluator's max |t| below `target_t`, by doubling from
 /// [`CALIBRATE_START`]: each probe volume runs the full (cache-resumed)
-/// evaluation under `CalibratedNoise`, so a warm rerun replays the
-/// whole search from checkpoints. Returns the converged volume, or the
-/// cap when even [`CALIBRATE_CAP`] still leaks.
+/// evaluation of `base` under `CalibratedNoise` on the campaign's
+/// shared model, so a warm rerun replays the whole search from
+/// checkpoints. Returns the converged volume, or the cap when even
+/// [`CALIBRATE_CAP`] still leaks.
 ///
 /// # Errors
 ///
 /// Propagates the first failing calibration experiment.
 pub fn calibrate_noise(
+    campaign: &Campaign<'_>,
     base: &ExperimentConfig,
     target_t: f64,
-    threads: Threads,
-    cache: Option<&ArtifactCache>,
 ) -> Result<u64, Error> {
     let _span = scnn_obs::Span::enter("frontier.calibrate");
     let mut volume = CALIBRATE_START;
     loop {
-        let mut cfg = base.clone().threads(threads);
+        let mut cfg = base.clone();
         cfg.countermeasure = Some(Countermeasure::CalibratedNoise {
             target_t,
             dummy_events: volume,
         });
-        let experiment = Experiment::new(cfg);
-        let outcome = match cache {
-            Some(cache) => experiment.run_cached(cache)?,
-            None => experiment.run()?,
-        };
+        let outcome = campaign.run(cfg)?;
         let (_, _, _, max_abs_t) = leak_stats(&outcome.report);
         scnn_obs::counter_add("frontier.calibration-runs", 1);
         if max_abs_t <= target_t || volume >= CALIBRATE_CAP {
@@ -326,14 +310,7 @@ fn mean_cycles(
     let tag = artifact::cm_seed_tag(&cfg) as usize;
     let mut pmu = SimulatedPmu::new(base.pmu, category_seed(base.seed ^ 0xF507, tag))?;
     let group = CounterGroup::new(vec![HpcEvent::Cycles], 1)?;
-    let mut classifier: Box<dyn crate::collect::TracedClassifier> = match cm {
-        None => Box::new(net.clone()),
-        Some(cm) => Box::new(crate::countermeasure::ProtectedModel::new(
-            net.clone(),
-            cm,
-            category_seed(base.seed ^ 0xF508, tag),
-        )),
-    };
+    let mut classifier = extract::traced_victim(net, cm, category_seed(base.seed ^ 0xF508, tag));
     let mut total = 0u64;
     for rep in 0..OVERHEAD_REPS {
         let (image, _) = test_set
@@ -382,56 +359,42 @@ fn mark_pareto(rows: &mut [FrontierRow]) {
 /// every arm against both adversaries and the cycle meter, and marks
 /// the Pareto-dominant set.
 ///
-/// Arms run as ordered coarse-grain jobs on a [`Pool`] with `threads`
-/// workers (inner experiments forced to one thread); with a `cache`,
-/// the model artifact is shared across arms (and with every other
-/// subcommand), each arm's observations resume per category, and each
-/// arm's extraction corpus is checkpointed under its content-addressed
-/// trace key.
+/// Arms run through [`map_arms`] on `threads` workers (inner
+/// experiments forced to one thread), all on one [`Campaign`]'s shared
+/// model; with a `cache`, each arm's observations resume per category
+/// and each arm's extraction corpus is checkpointed under its
+/// content-addressed trace key.
 ///
 /// # Errors
 ///
-/// Returns [`Error`] when `profile_fraction` lies outside `(0, 1)` or
-/// any arm's training, measurement or profiling fails.
+/// Returns [`Error`] when `profile_split` rejects the split (checked
+/// before any training) or any arm's training, measurement or
+/// profiling fails.
 pub fn run_frontier(
     base: &ExperimentConfig,
     opts: &FrontierOptions,
     threads: Threads,
     cache: Option<&ArtifactCache>,
 ) -> Result<FrontierOutcome, Error> {
-    if !opts.profile_fraction.is_finite()
-        || opts.profile_fraction <= 0.0
-        || opts.profile_fraction >= 1.0
-    {
-        return Err(crate::attack::AttackError::InvalidProfileFraction {
-            fraction: opts.profile_fraction,
-        }
-        .into());
-    }
+    let profile_n = profile_split(base.collection.samples_per_category, opts.profile_fraction)?;
     let _span = scnn_obs::Span::enter("frontier.run");
-    let mut base = base.clone();
+    let mut base = base.clone().threads(threads);
     // Both adversaries watch the full Fig 2b event set, like the sweep.
     base.collection.events = scnn_hpc::HpcEvent::FIG2B.to_vec();
     // 48 cells per arm: correct the alarm for multiple testing (see
     // `leak_stats`) so a quiet arm is not condemned by per-cell noise.
     base.evaluator.holm_alpha = Some(0.05);
 
-    // Everything downstream shares one victim: train it (or restore it)
-    // once, before any arm runs, so concurrent jobs never race to train.
-    let net = {
-        let _warm = scnn_obs::Span::enter("frontier.warm-model");
-        extract::obtain_model(&base, cache)?
-    };
+    // Everything downstream shares one victim.
+    let campaign = Campaign::new(&base, cache)?;
+    let net = &campaign.model().network;
     let test_set = base.generate_dataset(base.test_per_class, base.seed ^ 0xFACE)?;
     let (first_image, _) = test_set
         .get(0)
         .ok_or_else(|| Error::msg("frontier needs a non-empty test set"))?;
-    let truth = extract::ground_truth(&net, first_image.shape())?;
+    let truth = extract::ground_truth(net, first_image.shape())?;
 
-    let calibrated = calibrate_noise(&base, opts.target_t, threads, cache)?;
-
-    let samples = base.collection.samples_per_category;
-    let profile_n = ((samples as f64 * opts.profile_fraction).round() as usize).clamp(1, samples);
+    let calibrated = calibrate_noise(&campaign, &base, opts.target_t)?;
 
     let mut arms = fixed_arms(opts);
     arms.push((
@@ -442,30 +405,19 @@ pub fn run_frontier(
         }),
     ));
 
-    let jobs: Vec<(usize, &'static str, Option<Countermeasure>)> = arms
-        .iter()
-        .enumerate()
-        .map(|(i, (name, cm))| (i, *name, *cm))
-        .collect();
-    let pool = Pool::new(threads);
-    let results = pool.par_map(jobs, |(index, name, cm)| {
-        let _span = scnn_obs::Span::enter_indexed("frontier.arm", index as u64);
+    let mut rows = map_arms(threads, "frontier.arm", arms, |_, (name, cm)| {
         // Evaluator adversary: the full pairwise-t-test experiment.
         let mut cfg = base.clone().threads(Threads::Count(1));
         cfg.countermeasure = cm;
-        let experiment = Experiment::new(cfg);
-        let outcome = match cache {
-            Some(cache) => experiment.run_cached(cache)?,
-            None => experiment.run()?,
-        };
+        let outcome = campaign.run(cfg)?;
         let (alarm, distinguishable, total, max_abs_t) = leak_stats(&outcome.report);
 
         // Extraction adversary: profile a trace corpus, score recovery.
-        let (corpus, trace_hit) = extract::obtain_traces(&base, &net, &test_set, cm, cache)?;
+        let (corpus, trace_hit) = extract::obtain_traces(&base, net, &test_set, cm, cache)?;
         let (_, score, _) = extract::profile_and_score(&corpus, profile_n, &truth)?;
 
         // Overhead axis: mean cycles per traced inference.
-        let cycles = mean_cycles(&base, &net, &test_set, cm)?;
+        let cycles = mean_cycles(&base, net, &test_set, cm)?;
 
         let cell_ratio = if total == 0 {
             0.0
@@ -488,12 +440,7 @@ pub fn run_frontier(
             cache: outcome.cache,
             trace_cache_hit: trace_hit,
         })
-    });
-
-    let mut rows = Vec::with_capacity(results.len());
-    for row in results {
-        rows.push(row?);
-    }
+    })?;
     let baseline_cycles = rows[0].mean_cycles;
     for row in &mut rows {
         row.overhead = if baseline_cycles > 0.0 {

@@ -28,6 +28,9 @@
 //! - [`countermeasure`] — constant-footprint kernels and noise
 //!   injection, the "indistinguishable CPU footprints" the conclusion
 //!   calls for, with an ablation pipeline to quantify them;
+//! - [`campaign`] — the engine every multi-arm study runs on: one
+//!   shared victim model, arms in order, the earliest error in arm
+//!   order;
 //! - [`pipeline`] — the end-to-end experiment driver (`dataset → train →
 //!   collect → evaluate`) used by the `repro` binary to regenerate every
 //!   table and figure.
@@ -49,6 +52,7 @@
 
 pub mod artifact;
 pub mod attack;
+pub mod campaign;
 pub mod collect;
 pub mod countermeasure;
 pub mod error;

@@ -4,6 +4,7 @@
 
 use crate::artifact;
 use crate::attack::{mount_attack, AttackConfig, AttackError, AttackOutcome};
+use crate::campaign::{self, TrainedModel};
 use crate::collect::{
     category_seed, collect_selected, CategoryObservations, CollectError, CollectionConfig,
 };
@@ -15,7 +16,7 @@ use scnn_data::mnist_synth::{self, MnistSynthConfig};
 use scnn_data::{Dataset, DatasetError};
 use scnn_hpc::{SimPmuConfig, SimulatedPmu};
 use scnn_nn::models;
-use scnn_nn::train::{accuracy, train, TrainConfig, TrainReport};
+use scnn_nn::train::{TrainConfig, TrainReport};
 use scnn_nn::Network;
 use scnn_par::Threads;
 use std::error::Error;
@@ -418,7 +419,7 @@ impl Experiment {
     ///
     /// Returns [`ExperimentError`] from whichever stage fails.
     pub fn run(&self) -> Result<ExperimentOutcome, ExperimentError> {
-        self.run_inner(None)
+        self.run_inner(None, None)
     }
 
     /// Runs the protocol with a persistent [`ArtifactCache`]: the trained
@@ -440,12 +441,17 @@ impl Experiment {
     /// failures are not errors: an unreadable artifact is a miss and an
     /// unwritable store is skipped.
     pub fn run_cached(&self, cache: &ArtifactCache) -> Result<ExperimentOutcome, ExperimentError> {
-        self.run_inner(Some(cache))
+        self.run_inner(Some(cache), None)
     }
 
-    fn run_inner(
+    /// The protocol behind [`run`](Self::run) and
+    /// [`run_cached`](Self::run_cached). A `shared` model (a
+    /// [`Campaign`](crate::campaign::Campaign)'s, same model key) stands
+    /// in for the cached or freshly trained one.
+    pub(crate) fn run_inner(
         &self,
         cache: Option<&ArtifactCache>,
+        shared: Option<&TrainedModel>,
     ) -> Result<ExperimentOutcome, ExperimentError> {
         // Telemetry spans mark the protocol's phases. They only read the
         // wall clock — nothing they record feeds back into seeds or
@@ -459,11 +465,8 @@ impl Experiment {
         // artifacts are keyed by config alone (the model they depend on
         // is itself a pure function of config), so they are usable even
         // when the model artifact is absent.
-        let cached_model = cache.and_then(|c| {
-            c.load(artifact::MODEL_KIND, artifact::model_key(cfg))
-                .and_then(|p| artifact::decode_model(&p))
-        });
-        usage.model_hit = cached_model.is_some();
+        let restored = shared.cloned().or_else(|| campaign::load_model(cfg, cache));
+        usage.model_hit = cache.is_some() && restored.is_some();
         let mut slots: Vec<Option<CategoryObservations>> = match cache {
             Some(c) => (0..cfg.categories.len())
                 .map(|i| {
@@ -485,116 +488,103 @@ impl Experiment {
             usage.categories_collected = missing.len();
         }
 
-        if usage.model_hit && missing.is_empty() {
-            // Fully warm: every expensive phase is served from disk, so
-            // the datasets need not even be synthesized.
-            let (network, train_report, test_accuracy) =
-                cached_model.expect("model_hit implies a decoded model");
-            let observations: Vec<CategoryObservations> = slots.into_iter().flatten().collect();
-            let evaluate_span = scnn_obs::Span::enter("pipeline.evaluate");
-            let report = Evaluator::new(cfg.evaluator).evaluate(&observations)?;
-            drop(evaluate_span);
-            return Ok(ExperimentOutcome {
-                report,
-                observations,
-                train_report,
-                test_accuracy,
-                network,
-                cache: usage,
-            });
-        }
-
-        let dataset_span = scnn_obs::Span::enter("pipeline.dataset");
-        let train_set = cfg.generate_dataset(cfg.train_per_class, cfg.seed)?;
-        let test_set = cfg.generate_dataset(cfg.test_per_class, cfg.seed ^ 0xFACE)?;
-        drop(dataset_span);
-
-        let (net, train_report, test_accuracy) = match cached_model {
-            Some(restored) => restored,
-            None => {
-                let train_span = scnn_obs::Span::enter("pipeline.train");
-                let mut net = cfg.build_model();
-                let train_report = train(&mut net, &train_set.to_samples(), &cfg.train)?;
-                let test_accuracy = accuracy(&mut net, &test_set.to_samples())?;
-                drop(train_span);
-                if let Some(c) = cache {
-                    let payload = artifact::encode_model(&net, &train_report, test_accuracy);
-                    if c.store(artifact::MODEL_KIND, artifact::model_key(cfg), &payload)
-                        .is_ok()
-                    {
-                        usage.writes += 1;
+        // Fully warm: every expensive phase is served from memory or
+        // disk, so the datasets need not even be synthesized.
+        let model = match restored {
+            Some(model) if missing.is_empty() => model,
+            restored => {
+                let dataset_span = scnn_obs::Span::enter("pipeline.dataset");
+                let test_set = cfg.generate_dataset(cfg.test_per_class, cfg.seed ^ 0xFACE)?;
+                drop(dataset_span);
+                let model = match restored {
+                    Some(model) => model,
+                    None => {
+                        let (model, stored) = campaign::train_model(cfg, &test_set, cache)?;
+                        usage.writes += usize::from(stored);
+                        model
+                    }
+                };
+                if !missing.is_empty() {
+                    let (fresh, stored) =
+                        collect_missing(cfg, &test_set, &model.network, &missing, cache)?;
+                    usage.writes += stored;
+                    for obs in fresh {
+                        let slot = obs.category;
+                        slots[slot] = Some(obs);
                     }
                 }
-                (net, train_report, test_accuracy)
+                model
             }
         };
-
-        if !missing.is_empty() {
-            let collect_span = scnn_obs::Span::enter("pipeline.collect");
-            let monitored = test_set.select_classes(&cfg.categories);
-
-            // One campaign per category, each on its own cloned model and
-            // its own PMU seeded from the category index — a pure
-            // function of (seed, category), so readings are bit-identical
-            // at every thread count (see `collect_campaign`), and a
-            // subset campaign reproduces the full campaign's slice.
-            let pmu_base = cfg.seed ^ 0x9019;
-            let cm_base = cfg.seed ^ 0xD011;
-            let make_pmu = |c: usize| SimulatedPmu::new(cfg.pmu, category_seed(pmu_base, c));
-            // Checkpoint each category from the worker thread that
-            // finished it, so an interrupted campaign resumes here.
-            let stored = AtomicUsize::new(0);
-            let on_collected = |obs: &CategoryObservations| {
-                if let Some(c) = cache {
-                    let key = artifact::category_key(cfg, obs.category);
-                    let payload = artifact::encode_category(obs);
-                    if c.store(artifact::CATEGORY_KIND, key, &payload).is_ok() {
-                        stored.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            };
-            let fresh = match cfg.countermeasure {
-                None => collect_selected(
-                    |_| net.clone(),
-                    &monitored,
-                    make_pmu,
-                    &cfg.collection,
-                    &missing,
-                    on_collected,
-                )?,
-                Some(cm) => collect_selected(
-                    |c| ProtectedModel::new(net.clone(), cm, category_seed(cm_base, c)),
-                    &monitored,
-                    make_pmu,
-                    &cfg.collection,
-                    &missing,
-                    on_collected,
-                )?,
-            };
-            for obs in fresh {
-                let slot = obs.category;
-                slots[slot] = Some(obs);
-            }
-            usage.writes += stored.load(Ordering::Relaxed);
-            drop(collect_span);
-        }
         let observations: Vec<CategoryObservations> = slots.into_iter().flatten().collect();
-        // Each campaign measured a private clone; the caller gets the
-        // trained network itself, unrewritten.
-        let network = net;
 
         let evaluate_span = scnn_obs::Span::enter("pipeline.evaluate");
         let report = Evaluator::new(cfg.evaluator).evaluate(&observations)?;
         drop(evaluate_span);
+        // Each campaign measured a private clone; the caller gets the
+        // trained network itself, unrewritten.
         Ok(ExperimentOutcome {
             report,
             observations,
-            train_report,
-            test_accuracy,
-            network,
+            train_report: model.train_report,
+            test_accuracy: model.test_accuracy,
+            network: model.network,
             cache: usage,
         })
     }
+}
+
+/// Measures the `missing` monitored categories of `cfg` on `net`,
+/// checkpointing each one into `cache` from the worker thread that
+/// finished it, so an interrupted campaign resumes there. Returns the
+/// fresh observations and the number of checkpoints stored.
+fn collect_missing(
+    cfg: &ExperimentConfig,
+    test_set: &Dataset,
+    net: &Network,
+    missing: &[usize],
+    cache: Option<&ArtifactCache>,
+) -> Result<(Vec<CategoryObservations>, usize), ExperimentError> {
+    let _collect_span = scnn_obs::Span::enter("pipeline.collect");
+    let monitored = test_set.select_classes(&cfg.categories);
+
+    // One campaign per category, each on its own cloned model and its
+    // own PMU seeded from the category index — a pure function of
+    // (seed, category), so readings are bit-identical at every thread
+    // count (see `collect_campaign`), and a subset campaign reproduces
+    // the full campaign's slice.
+    let pmu_base = cfg.seed ^ 0x9019;
+    let cm_base = cfg.seed ^ 0xD011;
+    let make_pmu = |c: usize| SimulatedPmu::new(cfg.pmu, category_seed(pmu_base, c));
+    let stored = AtomicUsize::new(0);
+    let on_collected = |obs: &CategoryObservations| {
+        if let Some(c) = cache {
+            let key = artifact::category_key(cfg, obs.category);
+            let payload = artifact::encode_category(obs);
+            if c.store(artifact::CATEGORY_KIND, key, &payload).is_ok() {
+                stored.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    };
+    let fresh = match cfg.countermeasure {
+        None => collect_selected(
+            |_| net.clone(),
+            &monitored,
+            make_pmu,
+            &cfg.collection,
+            missing,
+            on_collected,
+        )?,
+        Some(cm) => collect_selected(
+            |c| ProtectedModel::new(net.clone(), cm, category_seed(cm_base, c)),
+            &monitored,
+            make_pmu,
+            &cfg.collection,
+            missing,
+            on_collected,
+        )?,
+    };
+    Ok((fresh, stored.into_inner()))
 }
 
 #[cfg(test)]

@@ -154,35 +154,24 @@ impl JobSpec {
         }
     }
 
-    /// A string parameter.
+    /// A scalar parameter as the text of the equivalent command-line
+    /// flag value: strings verbatim, numbers in shortest form (`8`,
+    /// `0.6`), booleans as `true`/`false`. The executor decodes and
+    /// range-checks that text exactly like the flag's.
     ///
     /// # Errors
     ///
-    /// Returns a message when present but not a string.
-    pub fn str_param(&self, key: &str) -> Result<Option<&str>, String> {
+    /// Returns a message when the parameter is `null`, an array or an
+    /// object.
+    pub fn text_param(&self, key: &str) -> Result<Option<String>, String> {
         match self.param(key) {
             None => Ok(None),
-            Some(v) => v
-                .as_str()
-                .map(Some)
-                .ok_or_else(|| format!("parameter {key:?} must be a string")),
-        }
-    }
-
-    /// A floating-point parameter (e.g. `profile_frac` on `extract`
-    /// jobs). Range checks are the executor's business — this only
-    /// enforces that the member is a number.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the parameter exists but is not a number.
-    pub fn f64_param(&self, key: &str) -> Result<Option<f64>, String> {
-        match self.param(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_f64()
-                .map(Some)
-                .ok_or_else(|| format!("parameter {key:?} must be a number")),
+            Some(json::Value::String(s)) => Ok(Some(s.clone())),
+            Some(json::Value::Number(n)) => Ok(Some(n.to_string())),
+            Some(json::Value::Bool(b)) => Ok(Some(b.to_string())),
+            Some(_) => Err(format!(
+                "parameter {key:?} must be a string, number or boolean"
+            )),
         }
     }
 }
@@ -688,13 +677,17 @@ mod tests {
             r#"{"id":"x","command":"extract","profile_frac":0.6,"classifier":"knn:3"}"#,
         )
         .unwrap();
-        assert_eq!(spec.f64_param("profile_frac").unwrap(), Some(0.6));
-        assert_eq!(spec.str_param("classifier").unwrap(), Some("knn:3"));
-        assert_eq!(spec.f64_param("absent").unwrap(), None);
-        assert!(
-            spec.f64_param("classifier").is_err(),
-            "strings are not numbers"
-        );
+        let text = |key| spec.text_param(key).unwrap();
+        assert_eq!(text("profile_frac").as_deref(), Some("0.6"));
+        assert_eq!(text("classifier").as_deref(), Some("knn:3"));
+        assert_eq!(text("absent"), None);
+        let spec = JobSpec::parse_line(
+            r#"{"id":"y","command":"table1","samples":8,"quick":false,"uarch":null}"#,
+        )
+        .unwrap();
+        assert_eq!(spec.text_param("samples").unwrap().as_deref(), Some("8"));
+        assert_eq!(spec.text_param("quick").unwrap().as_deref(), Some("false"));
+        assert!(spec.text_param("uarch").is_err(), "null is not a scalar");
 
         assert!(JobSpec::parse_line("not json").is_err());
         assert!(

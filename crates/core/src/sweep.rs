@@ -10,23 +10,20 @@
 //!
 //! Two design points keep the sweep honest and cheap:
 //!
-//! - **Coarse-grain parallelism, deterministic output.** Each preset is
-//!   one `scnn-par` job (its inner experiment runs single-threaded), and
-//!   [`par_map`]'s ordered collection means rows come back in zoo order
-//!   regardless of worker count — sweep output is byte-identical at any
-//!   `--threads`.
-//! - **Shared model artifact.** Training does not depend on the
-//!   simulated platform, and [`crate::artifact::model_key`] excludes the
-//!   PMU config, so with a cache attached the model trains once and
-//!   every preset reuses it; per-preset observation artifacts are keyed
-//!   by the full uarch config (see [`crate::zoo`]), so re-running a
-//!   sweep resumes per preset.
+//! - **One campaign.** Each preset is one arm of a [`Campaign`]: rows
+//!   come back in zoo order regardless of worker count, so sweep output
+//!   is byte-identical at any `--threads`.
+//! - **Shared model.** Training does not depend on the simulated
+//!   platform, and [`crate::artifact::model_key`] excludes the PMU
+//!   config, so the model trains once and every preset reuses it;
+//!   per-preset observation artifacts are keyed by the full uarch config
+//!   (see [`crate::zoo`]), so re-running a sweep resumes per preset.
 
-use crate::artifact;
+use crate::campaign::{map_arms, Campaign};
 use crate::json::{ObjectWriter, ToJson};
-use crate::pipeline::{CacheUsage, Experiment, ExperimentConfig, ExperimentError};
+use crate::pipeline::{CacheUsage, ExperimentConfig, ExperimentError};
 use scnn_cache::ArtifactCache;
-use scnn_par::{Pool, Threads};
+use scnn_par::Threads;
 use scnn_uarch::UarchConfig;
 
 /// One row of the sweep's leak table: the evaluator's verdict on one
@@ -213,12 +210,9 @@ impl std::error::Error for SweepError {
 /// exactly what a cross-platform sweep is for.
 ///
 /// Each preset replaces `base.pmu.core` (every other parameter — seeds,
-/// samples, evaluator — is held fixed) and runs as one coarse-grain job
-/// on a [`Pool`] with `threads` workers; the inner experiment is forced
-/// to a single thread so parallelism lives at exactly one level. With a
-/// `cache`, each job goes through [`Experiment::run_cached`]; the
-/// cache's atomic writes make concurrent jobs safe, and the shared
-/// model artifact means only the first sweep (or first row) trains.
+/// samples, evaluator — is held fixed) and runs as one single-threaded
+/// arm through [`map_arms`] on `threads` workers, all on one
+/// [`Campaign`]'s shared model.
 ///
 /// # Errors
 ///
@@ -230,44 +224,22 @@ pub fn run_sweep(
     cache: Option<&ArtifactCache>,
 ) -> Result<SweepOutcome, SweepError> {
     let _span = scnn_obs::Span::enter("sweep.run");
-    let mut base = base.clone();
+    let mut base = base.clone().threads(threads);
     base.collection.events = scnn_hpc::HpcEvent::FIG2B.to_vec();
-    // With a cold cache every job would race to train the one shared
-    // model (identical bytes, but wasted work per worker). Warm the
-    // model artifact once, up front, under its own span.
-    if let Some(cache) = cache {
-        let inner = base.clone().threads(Threads::Count(1));
-        if !cache.contains("model", artifact::model_key(&inner)) {
-            let _warm = scnn_obs::Span::enter("sweep.warm-model");
-            Experiment::new(inner)
-                .run_cached(cache)
-                .map_err(|source| SweepError {
-                    preset: "(model warm-up)".to_owned(),
-                    source,
-                })?;
-        }
-    }
-    let jobs: Vec<(usize, UarchConfig)> = zoo.iter().cloned().enumerate().collect();
-    let pool = Pool::new(threads);
-    let rows = pool.par_map(jobs, |(index, preset)| {
-        let _span = scnn_obs::Span::enter_indexed("sweep.preset", index as u64);
+    let campaign = Campaign::new(&base, cache).map_err(|source| SweepError {
+        preset: "(model warm-up)".to_owned(),
+        source,
+    })?;
+    let rows = map_arms(threads, "sweep.preset", zoo.to_vec(), |_, preset| {
         let mut cfg = base.clone().threads(Threads::Count(1));
         cfg.pmu.core = preset.core;
-        let experiment = Experiment::new(cfg);
-        let outcome = match cache {
-            Some(cache) => experiment.run_cached(cache),
-            None => experiment.run(),
-        };
-        outcome
+        campaign
+            .run(cfg)
             .map(|o| SweepRow::from_outcome(&preset.name, &o))
             .map_err(|source| SweepError {
-                preset: preset.name.clone(),
+                preset: preset.name,
                 source,
             })
-    });
-    let mut table = Vec::with_capacity(rows.len());
-    for row in rows {
-        table.push(row?);
-    }
-    Ok(SweepOutcome { rows: table })
+    })?;
+    Ok(SweepOutcome { rows })
 }

@@ -11,7 +11,7 @@
 //! 3. **Deterministic fan-out** — the outcome (struct, JSON, rendered
 //!    table) is byte-identical on one worker and four.
 //! 4. **Resume from cache** — a warm campaign against the same cache
-//!    directory enters no `extract.train`/`extract.collect` span and
+//!    directory enters no `pipeline.train`/`extract.collect` span and
 //!    reproduces the cold outcome, modulo the cache-hit markers.
 //!
 //! The recorder is process-global, so the test that installs one holds
@@ -136,7 +136,7 @@ fn warm_extraction_resumes_from_cache_without_retracing() {
     );
     let names: Vec<&str> = snapshot.spans.iter().map(|s| s.name).collect();
     assert!(
-        !names.contains(&"extract.train"),
+        !names.contains(&"pipeline.train"),
         "warm campaign must not retrain, got spans {names:?}"
     );
     assert!(

@@ -116,9 +116,8 @@ fn warm_sweep_resumes_from_cache_and_shares_the_model() {
     ];
 
     let cold = run_sweep(&cfg, &presets, Threads::Count(2), Some(&cache)).unwrap();
-    // The base config's platform is the Xeon, so the warm-up run trains
-    // the model and collects the xeon-like row's observations; only the
-    // embedded row measures anything afterwards.
+    // The campaign trains the one model before any preset runs, so every
+    // row reads it as a hit.
     assert!(
         cold.rows.iter().all(|r| r.cache.model_hit),
         "every preset restores the one shared model artifact"
