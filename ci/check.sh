@@ -30,6 +30,9 @@ cargo test -q --offline --workspace
 step "batch-equivalence suite (batched GEMM path bitwise-equals scalar path)"
 cargo test -q --offline -p scnn-nn --test batch
 
+step "training-trajectory pin (trained model bytes equal the recorded digests)"
+cargo test -q --offline -p scnn-nn --test train_pin
+
 step "perfbench self-tests (readings digest and exact traced counts repeat, traced or not)"
 # perfbench is a package of its own, outside the workspace above.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml

@@ -151,6 +151,18 @@ impl Default for Options {
     }
 }
 
+/// A worker count of at least 1, or `auto`. Zero is rejected rather than
+/// read as auto, so a typo never silently means "all cores".
+fn parse_threads(flag: &str, text: &str) -> Result<Threads, String> {
+    match text.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(Threads::Count(n)),
+        _ if text.eq_ignore_ascii_case("auto") => Ok(Threads::Auto),
+        _ => Err(format!(
+            "{flag} needs a count of at least 1 or \"auto\", got {text:?}"
+        )),
+    }
+}
+
 impl Options {
     /// The options every artefact command reads, by flag. A `serve` job
     /// sets the same options by key — the flag without its dashes, `-`
@@ -187,17 +199,7 @@ impl Options {
                     .parse()
                     .map_err(|_| format!("--quick is true or false, got {text:?}"))?;
             }
-            "--threads" => {
-                self.threads = match text.parse::<usize>() {
-                    Ok(n) if n > 0 => Threads::Count(n),
-                    _ if text.eq_ignore_ascii_case("auto") => Threads::Auto,
-                    _ => {
-                        return Err(format!(
-                            "--threads needs a count of at least 1 or \"auto\", got {text:?}"
-                        ))
-                    }
-                }
-            }
+            "--threads" => self.threads = parse_threads("--threads", text)?,
             "--uarch" => {
                 self.uarch =
                     Some(scnn_core::zoo::load_uarch(text).map_err(|e| format!("--uarch: {e}"))?);
@@ -207,11 +209,14 @@ impl Options {
                     format!("--classifier: unknown classifier {text:?} (expected gaussian-template, lda or knn[:K])")
                 })?);
             }
-            "--profile-frac" => {
-                self.profile_frac = Some(text.parse().map_err(|_| {
-                    format!("--profile-frac needs a fraction in (0,1), got {text:?}")
-                })?);
-            }
+            "--profile-frac" => match text.parse::<f64>() {
+                Ok(f) if f > 0.0 && f < 1.0 => self.profile_frac = Some(f),
+                _ => {
+                    return Err(format!(
+                        "--profile-frac needs a fraction in (0,1), got {text:?}"
+                    ))
+                }
+            },
             "--dummy-events" => {
                 self.dummy_events = scnn_bench::parse_positive_u64("--dummy-events", text)
                     .map_err(|e| e.to_string())?;
@@ -1109,9 +1114,7 @@ impl ServeOptions {
     fn from_flags(parsed: &scnn_bench::flags::Parsed) -> Result<ServeOptions, Error> {
         Ok(ServeOptions {
             workers: match parsed.value("--workers") {
-                Some(v) => v.parse().map_err(|_| {
-                    Error::msg(format!("--workers needs a count or \"auto\", got {v:?}"))
-                })?,
+                Some(v) => parse_threads("--workers", v).map_err(Error::msg)?,
                 None => Threads::Auto,
             },
             jobs: parsed.value("--jobs").map(PathBuf::from),
@@ -1452,6 +1455,12 @@ mod tests {
             ("--samples", "0"),
             ("--samples", "-3"),
             ("--threads", "0"),
+            ("--profile-frac", "0"),
+            ("--profile-frac", "1"),
+            ("--profile-frac", "1.5"),
+            ("--profile-frac", "-0.2"),
+            ("--profile-frac", "nan"),
+            ("--profile-frac", "inf"),
             ("--quick", "yes"),
             ("--dummy-events", "0"),
             ("--target-t", "nan"),

@@ -45,6 +45,43 @@ fn zero_threads_is_rejected() {
 }
 
 #[test]
+fn out_of_range_profile_fraction_is_rejected_before_training() {
+    for frac in ["1.5", "0", "1", "-0.25", "NaN", "inf"] {
+        let out = repro(&[
+            "attack",
+            "--quick",
+            "--samples",
+            "8",
+            "--profile-frac",
+            frac,
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{frac}: {stderr}");
+        assert!(
+            stderr.contains("--profile-frac needs a fraction in (0,1)"),
+            "{frac}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{frac}: nothing ran");
+    }
+}
+
+#[test]
+fn zero_workers_is_rejected() {
+    let dir = scratch("workers");
+    let jobs = dir.join("jobs.ndjson");
+    std::fs::write(&jobs, "{\"id\":\"bye\",\"command\":\"shutdown\"}\n").unwrap();
+    let out = repro(&["serve", "--jobs", jobs.to_str().unwrap(), "--workers", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("--workers needs a count of at least 1"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no job was answered");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn jobs_decode_options_like_flags() {
     let dir = scratch("jobs");
     let jobs = dir.join("jobs.ndjson");
@@ -54,6 +91,8 @@ fn jobs_decode_options_like_flags() {
             r#"{"id":"few","command":"table1","quick":true,"samples":1}"#,
             "\n",
             r#"{"id":"zero","command":"table1","quick":true,"samples":8,"threads":0}"#,
+            "\n",
+            r#"{"id":"frac","command":"attack","quick":true,"samples":8,"profile_frac":1.5}"#,
             "\n",
             r#"{"id":"bye","command":"shutdown"}"#,
             "\n",
@@ -76,5 +115,8 @@ fn jobs_decode_options_like_flags() {
     let zero = line("zero");
     assert!(zero.contains(r#""status":"error""#), "{zero}");
     assert!(zero.contains("threads"), "{zero}");
+    let frac = line("frac");
+    assert!(frac.contains(r#""status":"error""#), "{frac}");
+    assert!(frac.contains("profile-frac"), "{frac}");
     let _ = std::fs::remove_dir_all(&dir);
 }

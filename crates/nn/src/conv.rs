@@ -32,9 +32,10 @@ use scnn_tensor::{Init, Shape, ShapeError, Tensor};
 #[derive(Debug, Default)]
 struct ConvScratch {
     gemm: GemmScratch,
-    /// im2col lowering of the current input (one sample or a batch).
+    /// im2col lowering of one sample: inference lowers and multiplies a
+    /// batch one sample at a time, so this never outgrows one sample.
     cols: Vec<f32>,
-    /// Staging for GEMM outputs that need reshuffling or scattering.
+    /// Staging for `Wᵀ·dY` before `col2im` scatters it.
     stage: Vec<f32>,
 }
 
@@ -42,6 +43,15 @@ impl Clone for ConvScratch {
     fn clone(&self) -> Self {
         ConvScratch::default()
     }
+}
+
+/// What a [`Mode::Train`] forward leaves for backward: the input's shape
+/// and its im2col lowering, sample `s` at `s · rows · P`. Backward reads
+/// the lowering instead of re-running im2col on the input.
+#[derive(Debug, Clone)]
+struct TrainCache {
+    input_shape: Shape,
+    cols: Vec<f32>,
 }
 
 /// How the convolution kernel treats zero input activations.
@@ -72,7 +82,7 @@ pub struct Conv2d {
     shuffle: Option<u64>,
     filter_region: Option<Region>,
     bias_region: Option<Region>,
-    cached_input: Option<Tensor>,
+    train_cache: Option<TrainCache>,
     scratch: ConvScratch,
 }
 
@@ -104,7 +114,7 @@ impl Conv2d {
             shuffle: None,
             filter_region: None,
             bias_region: None,
-            cached_input: None,
+            train_cache: None,
             scratch: ConvScratch::default(),
         }
     }
@@ -136,7 +146,7 @@ impl Conv2d {
             shuffle: None,
             filter_region: None,
             bias_region: None,
-            cached_input: None,
+            train_cache: None,
             scratch: ConvScratch::default(),
         }
     }
@@ -262,30 +272,6 @@ impl Conv2d {
         Ok(Tensor::from_vec(out, [self.out_channels, oh, ow])?)
     }
 
-    /// Lowered forward: im2col into reusable scratch, then one
-    /// `[F, K] × [K, P]` GEMM seeded with the bias. Bit-compatible with
-    /// `scatter`: a fixed output's contributions arrive in `(c, ky, kx)`
-    /// order — exactly the im2col row order the GEMM reduces in — and the
-    /// GEMM's extra `w·0` padding/zero-pixel terms cannot move a finite
-    /// accumulator (see DESIGN.md §12).
-    fn lowered_forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let (_, _, oh, ow) = self.geometry(input.shape())?;
-        let (rows, cols) = ops::im2col_into(input, self.win, &mut self.scratch.cols)?;
-        let mut out = vec![0.0f32; self.out_channels * cols];
-        gemm::gemm(
-            self.filters.value.as_slice(),
-            &self.scratch.cols,
-            self.out_channels,
-            rows,
-            cols,
-            GemmInit::BiasPerRow(self.bias.value.as_slice()),
-            None,
-            &mut out,
-            &mut self.scratch.gemm,
-        )?;
-        Ok(Tensor::from_vec(out, [self.out_channels, oh, ow])?)
-    }
-
     /// Validates a `[N, C, H, W]` batch shape and returns
     /// `(n, h, w, oh, ow)`.
     fn batch_geometry(&self, input: &Shape) -> Result<(usize, usize, usize, usize, usize)> {
@@ -301,53 +287,130 @@ impl Conv2d {
         Ok((input.dim(0), h, w, oh, ow))
     }
 
-    /// Backward body shared by the single-sample and batched paths, so
-    /// the two are bit-identical by construction: samples are processed
-    /// in batch order, and each sample accumulates `dW += dY·colsᵀ` and
-    /// scatters `dX = col2im(Wᵀ·dY)` through transpose-free GEMM variants
-    /// (the old standalone `transpose` round-trips are gone).
-    fn backward_lowered(&mut self, input: &Tensor, grad_output: &Tensor) -> Result<Tensor> {
-        let batched = input.shape().rank() == 4;
-        let (n, h, w, oh, ow) = if batched {
-            self.batch_geometry(input.shape())?
+    /// `(n, h, w, oh, ow)` of a single-sample (`[C, H, W]`, `n = 1`) or
+    /// batch (`[N, C, H, W]`) input.
+    fn any_geometry(&self, input: &Shape) -> Result<(usize, usize, usize, usize, usize)> {
+        if input.rank() == 4 {
+            self.batch_geometry(input)
         } else {
-            let (h, w, oh, ow) = self.geometry(input.shape())?;
-            (1, h, w, oh, ow)
-        };
-        let f = self.out_channels;
-        if batched {
-            grad_output
-                .shape()
-                .expect_same(&Shape::from(vec![n, f, oh, ow]))?;
-        } else {
-            grad_output
-                .shape()
-                .expect_same(&Shape::from(vec![f, oh, ow]))?;
+            let (h, w, oh, ow) = self.geometry(input)?;
+            Ok((1, h, w, oh, ow))
         }
-        let p = oh * ow;
-        let sample_len = self.in_channels * h * w;
-        let go = grad_output.as_slice();
+    }
+
+    /// Output shape matching the input's form: `[F, oh, ow]` for a single
+    /// sample, `[N, F, oh, ow]` for a batch.
+    fn any_output_shape(&self, input: &Shape) -> Result<Shape> {
+        let (n, _, _, oh, ow) = self.any_geometry(input)?;
+        let lead = if input.rank() == 4 {
+            vec![n]
+        } else {
+            Vec::new()
+        };
+        Ok(Shape::from(
+            [lead, vec![self.out_channels, oh, ow]].concat(),
+        ))
+    }
+
+    /// Lowered forward over a single sample or a batch: each sample is
+    /// lowered on its own (im2col) and convolved by one `[F, K] × [K, P]`
+    /// GEMM seeded with the bias, straight into its `[F, P]` block of the
+    /// output. Bit-compatible with `scatter`: a fixed output's
+    /// contributions arrive in `(c, ky, kx)` order — exactly the im2col
+    /// row order the GEMM reduces in — and the GEMM's extra `w·0`
+    /// padding/zero-pixel terms cannot move a finite accumulator (see
+    /// DESIGN.md §12). One sample per GEMM is also what keeps a batch row
+    /// bit-identical to a lone `forward` of that sample.
+    ///
+    /// [`Mode::Train`] keeps every sample's lowering in the train cache
+    /// for backward; inference reuses one sample's worth of scratch.
+    fn lowered_forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+        let (n, h, w, oh, ow) = self.any_geometry(input.shape())?;
+        let (c, f, p) = (self.in_channels, self.out_channels, oh * ow);
+        let rows = c * self.win.kh * self.win.kw;
+        let (sample_len, lowered_len) = (c * h * w, rows * p);
+        let kept = if mode == Mode::Train { n } else { 1 };
+        let mut cols = match mode {
+            Mode::Train => self.train_cache.take().map(|t| t.cols).unwrap_or_default(),
+            Mode::Infer => std::mem::take(&mut self.scratch.cols),
+        };
+        cols.clear();
+        cols.resize(kept * lowered_len, 0.0);
+        let mut out = vec![0.0f32; n * f * p];
         let src = input.as_slice();
-        let mut dx = vec![0.0f32; n * sample_len];
         for s in 0..n {
-            let (rows, _) = ops::im2col_slice_into(
+            let lowered = &mut cols[(s % kept) * lowered_len..][..lowered_len];
+            ops::im2col_slice_into(
                 &src[s * sample_len..(s + 1) * sample_len],
-                self.in_channels,
+                c,
                 h,
                 w,
                 self.win,
-                &mut self.scratch.cols,
+                lowered,
             )?;
+            gemm::gemm(
+                self.filters.value.as_slice(),
+                lowered,
+                f,
+                rows,
+                p,
+                GemmInit::BiasPerRow(self.bias.value.as_slice()),
+                None,
+                &mut out[s * f * p..(s + 1) * f * p],
+                &mut self.scratch.gemm,
+            )?;
+        }
+        match mode {
+            Mode::Train => {
+                self.train_cache = Some(TrainCache {
+                    input_shape: input.shape().clone(),
+                    cols,
+                });
+            }
+            Mode::Infer => self.scratch.cols = cols,
+        }
+        Ok(Tensor::from_vec(
+            out,
+            self.any_output_shape(input.shape())?,
+        )?)
+    }
+
+    /// `(n, h, w, p)` of the input cached by the last Train forward, after
+    /// checking that `grad_output` is the matching `[F, oh, ow]` /
+    /// `[N, F, oh, ow]`.
+    fn train_geometry(&self, grad_output: &Tensor) -> Result<(usize, usize, usize, usize)> {
+        let cache = self
+            .train_cache
+            .as_ref()
+            .ok_or(NnError::NoForwardCache { layer: "conv2d" })?;
+        let (n, h, w, oh, ow) = self.any_geometry(&cache.input_shape)?;
+        grad_output
+            .shape()
+            .expect_same(&self.any_output_shape(&cache.input_shape)?)?;
+        Ok((n, h, w, oh * ow))
+    }
+
+    /// Parameter half of backward, shared by every backward entry point:
+    /// samples in batch order, each accumulating `dW += dY·colsᵀ` against
+    /// the lowering cached by the Train forward, then `db += Σ_p dY`.
+    fn param_grads(&mut self, grad_output: &Tensor) -> Result<()> {
+        let (n, _, _, p) = self.train_geometry(grad_output)?;
+        let f = self.out_channels;
+        let rows = self.in_channels * self.win.kh * self.win.kw;
+        let cols = &self.train_cache.as_ref().expect("checked above").cols;
+        let go = grad_output.as_slice();
+        for s in 0..n {
             let go_s = &go[s * f * p..(s + 1) * f * p];
             // dW += dY·colsᵀ without materialising the transpose.
             gemm::gemm_abt(
                 go_s,
-                &self.scratch.cols,
+                &cols[s * rows * p..(s + 1) * rows * p],
                 f,
                 p,
                 rows,
                 true,
                 self.filters.grad.as_mut_slice(),
+                &mut self.scratch.gemm,
             )?;
             // db[f] = Σ_p dY[f][p] (skipped entirely for bias-free layers).
             if self.use_bias {
@@ -356,12 +419,27 @@ impl Conv2d {
                     *gbf += go_s[fi * p..(fi + 1) * p].iter().sum::<f32>();
                 }
             }
-            // dX_s = col2im(Wᵀ·dY_s), again transpose-free.
+        }
+        Ok(())
+    }
+
+    /// Input half of backward: `dX_s = col2im(Wᵀ·dY_s)` per sample,
+    /// transpose-free. Reads only the weights and `dY`, so running it
+    /// after [`Conv2d::param_grads`] yields the same bits as interleaving
+    /// the two per sample.
+    fn input_grad(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        let (n, h, w, p) = self.train_geometry(grad_output)?;
+        let (c, f) = (self.in_channels, self.out_channels);
+        let rows = c * self.win.kh * self.win.kw;
+        let sample_len = c * h * w;
+        let go = grad_output.as_slice();
+        let mut dx = vec![0.0f32; n * sample_len];
+        for s in 0..n {
             self.scratch.stage.clear();
             self.scratch.stage.resize(rows * p, 0.0);
             gemm::gemm_atb(
                 self.filters.value.as_slice(),
-                go_s,
+                &go[s * f * p..(s + 1) * f * p],
                 f,
                 rows,
                 p,
@@ -370,33 +448,20 @@ impl Conv2d {
             )?;
             ops::col2im_into(
                 &self.scratch.stage,
-                self.in_channels,
+                c,
                 h,
                 w,
                 self.win,
                 &mut dx[s * sample_len..(s + 1) * sample_len],
             )?;
         }
-        if batched {
-            Ok(Tensor::from_vec(dx, [n, self.in_channels, h, w])?)
-        } else {
-            Ok(Tensor::from_vec(dx, [self.in_channels, h, w])?)
-        }
-    }
-
-    /// Takes the forward cache, runs `body` against it, and puts it back
-    /// (repeated backward passes stay legal, as before).
-    fn with_cached_input<F>(&mut self, body: F) -> Result<Tensor>
-    where
-        F: FnOnce(&mut Self, &Tensor) -> Result<Tensor>,
-    {
-        let input = self
-            .cached_input
-            .take()
-            .ok_or(NnError::NoForwardCache { layer: "conv2d" })?;
-        let result = body(self, &input);
-        self.cached_input = Some(input);
-        result
+        let shape = self
+            .train_cache
+            .as_ref()
+            .expect("checked above")
+            .input_shape
+            .clone();
+        Ok(Tensor::from_vec(dx, shape)?)
     }
 }
 
@@ -415,12 +480,10 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        if mode == Mode::Train {
-            self.cached_input = Some(input.clone());
-        }
+        input.shape().expect_rank(3)?;
         // The numeric hot path runs lowered (im2col + GEMM); `scatter`
         // remains the *leakage model* driven by `forward_traced`.
-        self.lowered_forward(input)
+        self.lowered_forward(input, mode)
     }
 
     fn forward_traced(
@@ -510,47 +573,25 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        self.with_cached_input(|layer, input| layer.backward_lowered(input, grad_output))
+        self.param_grads(grad_output)?;
+        self.input_grad(grad_output)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.param_grads(grad_output)
     }
 
     fn forward_batch(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let (n, _, _, oh, ow) = self.batch_geometry(input.shape())?;
-        if mode == Mode::Train {
-            self.cached_input = Some(input.clone());
-        }
-        let (rows, cols) = ops::im2col_batch_into(input, self.win, &mut self.scratch.cols)?;
-        let f = self.out_channels;
-        self.scratch.stage.clear();
-        self.scratch.stage.resize(f * n * cols, 0.0);
-        // One [F, K]×[K, N·P] GEMM over the whole batch. Sample column
-        // blocks are disjoint, so each output element reduces in exactly
-        // the order of its solo lowering.
-        gemm::gemm(
-            self.filters.value.as_slice(),
-            &self.scratch.cols,
-            f,
-            rows,
-            n * cols,
-            GemmInit::BiasPerRow(self.bias.value.as_slice()),
-            None,
-            &mut self.scratch.stage,
-            &mut self.scratch.gemm,
-        )?;
-        // Unshuffle [F, N·P] → [N, F, P].
-        let mut out = vec![0.0f32; n * f * cols];
-        for s in 0..n {
-            for fi in 0..f {
-                let dst = &mut out[(s * f + fi) * cols..(s * f + fi + 1) * cols];
-                let src =
-                    &self.scratch.stage[fi * n * cols + s * cols..fi * n * cols + (s + 1) * cols];
-                dst.copy_from_slice(src);
-            }
-        }
-        Ok(Tensor::from_vec(out, [n, f, oh, ow])?)
+        input.shape().expect_rank(4)?;
+        self.lowered_forward(input, mode)
     }
 
     fn backward_batch(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        self.with_cached_input(|layer, input| layer.backward_lowered(input, grad_output))
+        self.backward(grad_output)
+    }
+
+    fn backward_batch_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.param_grads(grad_output)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -753,6 +794,85 @@ mod tests {
             .unwrap();
         conv.backward(&Tensor::full([4, 4, 4], 1.0)).unwrap();
         assert_eq!(conv.bias.grad.sum(), 0.0);
+    }
+
+    fn grad_bits(conv: &mut Conv2d) -> Vec<u32> {
+        conv.params_mut()
+            .iter()
+            .flat_map(|p| p.grad.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    fn batch(n: usize) -> Tensor {
+        let data: Vec<f32> = (0..n as u64)
+            .flat_map(|s| input(s + 4).into_vec())
+            .collect();
+        Tensor::from_vec(data, [n, 2, 6, 6]).unwrap()
+    }
+
+    #[test]
+    fn parameter_only_backward_matches_full_backward_bitwise() {
+        let gy = Tensor::from_vec(
+            (0..3 * 4 * 4).map(|i| (i as f32 * 0.37).sin()).collect(),
+            [3, 4, 4],
+        )
+        .unwrap();
+        let mut full = Conv2d::new(2, 3, 3, ConvStyle::ZeroSkip, 5);
+        let mut params = full.clone();
+        for seed in 0..2 {
+            full.forward(&input(seed), Mode::Train).unwrap();
+            full.backward(&gy).unwrap();
+            params.forward(&input(seed), Mode::Train).unwrap();
+            params.backward_params(&gy).unwrap();
+        }
+        assert_eq!(grad_bits(&mut params), grad_bits(&mut full));
+
+        let gys: Vec<f32> = (0..3).flat_map(|_| gy.as_slice().to_vec()).collect();
+        let gys = Tensor::from_vec(gys, [3, 3, 4, 4]).unwrap();
+        let mut full = Conv2d::new(2, 3, 3, ConvStyle::Dense, 6).without_bias();
+        let mut params = full.clone();
+        full.forward_batch(&batch(3), Mode::Train).unwrap();
+        full.backward_batch(&gys).unwrap();
+        params.forward_batch(&batch(3), Mode::Train).unwrap();
+        params.backward_batch_params(&gys).unwrap();
+        assert_eq!(grad_bits(&mut params), grad_bits(&mut full));
+    }
+
+    #[test]
+    fn train_cache_outlives_inference_forwards() {
+        // Backward reads the lowering the Train forward cached, so an
+        // inference pass in between (which lowers into scratch) must not
+        // change the gradients.
+        let gy = Tensor::full([3, 4, 4], 0.5);
+        let mut plain = Conv2d::new(2, 3, 3, ConvStyle::ZeroSkip, 5);
+        let mut interleaved = plain.clone();
+        plain.forward(&input(1), Mode::Train).unwrap();
+        let dx_plain = plain.backward(&gy).unwrap();
+        interleaved.forward(&input(1), Mode::Train).unwrap();
+        interleaved.forward_batch(&batch(4), Mode::Infer).unwrap();
+        interleaved.forward(&input(2), Mode::Infer).unwrap();
+        let dx = interleaved.backward(&gy).unwrap();
+        assert_eq!(dx, dx_plain);
+        assert_eq!(grad_bits(&mut interleaved), grad_bits(&mut plain));
+    }
+
+    #[test]
+    fn inference_scratch_holds_one_sample_lowering() {
+        // The evaluation batch of `train::accuracy` (32 images) is lowered
+        // and multiplied one sample at a time: scratch never grows past
+        // one sample's `[C·k·k, P]` lowering.
+        let mut conv = Conv2d::new(2, 3, 3, ConvStyle::ZeroSkip, 5);
+        let one_sample = 2 * 3 * 3 * 4 * 4;
+        let out = conv.forward_batch(&batch(32), Mode::Infer).unwrap();
+        assert_eq!(out.dims(), &[32, 3, 4, 4]);
+        assert!(conv.scratch.cols.capacity() <= one_sample);
+        assert_eq!(conv.scratch.stage.capacity(), 0);
+        assert!(conv.train_cache.is_none());
+        // Rows still equal lone forwards of each sample.
+        for s in [0usize, 17, 31] {
+            let lone = conv.forward(&input(s as u64 + 4), Mode::Infer).unwrap();
+            assert_eq!(&out.as_slice()[s * 48..(s + 1) * 48], lone.as_slice());
+        }
     }
 
     #[test]

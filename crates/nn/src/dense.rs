@@ -125,6 +125,55 @@ impl Dense {
         Ok(())
     }
 
+    /// Parameter half of the per-sample backward:
+    /// `dW[i][j] += x[i]·g[j]`, `db[j] += g[j]`.
+    fn param_grads(&mut self, grad_output: &Tensor) -> Result<()> {
+        let input = self
+            .cached_input
+            .as_ref()
+            .ok_or(NnError::NoForwardCache { layer: "dense" })?;
+        grad_output.shape().expect_rank(1)?;
+        let g = grad_output.as_slice();
+        let x = input.as_slice();
+        let gw = self.weight.grad.as_mut_slice();
+        for i in 0..self.in_dim {
+            for j in 0..self.out_dim {
+                gw[i * self.out_dim + j] += x[i] * g[j];
+            }
+        }
+        let gb = self.bias.grad.as_mut_slice();
+        for j in 0..self.out_dim {
+            gb[j] += g[j];
+        }
+        Ok(())
+    }
+
+    /// Parameter half of the batched backward.
+    fn batch_param_grads(&mut self, grad_output: &Tensor) -> Result<()> {
+        let input = self
+            .cached_input
+            .as_ref()
+            .ok_or(NnError::NoForwardCache { layer: "dense" })?;
+        input.shape().expect_rank(2)?;
+        grad_output.shape().expect_rank(2)?;
+        if grad_output.dims() != [input.dims()[0], self.out_dim] {
+            return Err(NnError::Shape(ShapeError::Mismatch {
+                left: grad_output.dims().to_vec(),
+                right: vec![input.dims()[0], self.out_dim],
+            }));
+        }
+        // dW += Xᵀ·G streams samples in increasing order — the same
+        // accumulation sequence as per-sample `dW += x ⊗ g`.
+        ops::matmul_atb_acc(input, grad_output, &mut self.weight.grad)?;
+        let gb = self.bias.grad.as_mut_slice();
+        for grow in grad_output.as_slice().chunks_exact(self.out_dim) {
+            for (gbj, &gj) in gb.iter_mut().zip(grow) {
+                *gbj += gj;
+            }
+        }
+        Ok(())
+    }
+
     fn compute(&self, x: &[f32]) -> Vec<f32> {
         let w = self.weight.value.as_slice();
         let mut y = self.bias.value.as_slice().to_vec();
@@ -243,32 +292,20 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::NoForwardCache { layer: "dense" })?;
-        grad_output.shape().expect_rank(1)?;
+        self.param_grads(grad_output)?;
         let g = grad_output.as_slice();
-        let x = input.as_slice();
         let w = self.weight.value.as_slice();
-
-        // dW[i][j] += x[i]·g[j];  db[j] += g[j];  dx[i] = Σ_j g[j]·W[i][j]
-        let gw = self.weight.grad.as_mut_slice();
-        for i in 0..self.in_dim {
-            for j in 0..self.out_dim {
-                gw[i * self.out_dim + j] += x[i] * g[j];
-            }
-        }
-        let gb = self.bias.grad.as_mut_slice();
-        for j in 0..self.out_dim {
-            gb[j] += g[j];
-        }
+        // dx[i] = Σ_j g[j]·W[i][j]
         let mut gx = vec![0.0f32; self.in_dim];
         for (i, gxi) in gx.iter_mut().enumerate() {
             let col = &w[i * self.out_dim..(i + 1) * self.out_dim];
             *gxi = col.iter().zip(g).map(|(&wij, &gj)| wij * gj).sum();
         }
         Ok(Tensor::from_vec(gx, [self.in_dim])?)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.param_grads(grad_output)
     }
 
     fn forward_batch(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
@@ -298,30 +335,14 @@ impl Layer for Dense {
     }
 
     fn backward_batch(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::NoForwardCache { layer: "dense" })?;
-        input.shape().expect_rank(2)?;
-        grad_output.shape().expect_rank(2)?;
-        if grad_output.dims() != [input.dims()[0], self.out_dim] {
-            return Err(NnError::Shape(ShapeError::Mismatch {
-                left: grad_output.dims().to_vec(),
-                right: vec![input.dims()[0], self.out_dim],
-            }));
-        }
-        // dW += Xᵀ·G streams samples in increasing order — the same
-        // accumulation sequence as per-sample `dW += x ⊗ g`.
-        ops::matmul_atb_acc(input, grad_output, &mut self.weight.grad)?;
-        let gb = self.bias.grad.as_mut_slice();
-        for grow in grad_output.as_slice().chunks_exact(self.out_dim) {
-            for (gbj, &gj) in gb.iter_mut().zip(grow) {
-                *gbj += gj;
-            }
-        }
+        self.batch_param_grads(grad_output)?;
         // dX = G·Wᵀ: each dx[i] is the same j-ascending dot product the
         // per-sample backward computes.
         ops::matmul_abt(grad_output, &self.weight.value).map_err(NnError::from)
+    }
+
+    fn backward_batch_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.batch_param_grads(grad_output)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -379,6 +400,39 @@ mod tests {
         for (a, b) in y.as_slice().iter().zip(expect.as_slice()) {
             assert!((a - b).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn parameter_only_backward_matches_full_backward_bitwise() {
+        let bits = |d: &mut Dense| -> Vec<u32> {
+            d.params_mut()
+                .iter()
+                .flat_map(|p| p.grad.as_slice().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        let x = Tensor::from_slice(&[0.5, -1.0, 0.0, 2.0]);
+        let g = Tensor::from_slice(&[0.25, -0.0, -3.0]);
+        let (mut full, mut params) = (layer(DenseStyle::ZeroSkip), layer(DenseStyle::ZeroSkip));
+        for _ in 0..2 {
+            full.forward(&x, Mode::Train).unwrap();
+            full.backward(&g).unwrap();
+            params.forward(&x, Mode::Train).unwrap();
+            params.backward_params(&g).unwrap();
+        }
+        assert_eq!(bits(&mut params), bits(&mut full));
+
+        let xb = Tensor::from_vec(vec![0.5, -1.0, 0.0, 2.0, 0.0, 0.0, 1.5, -0.5], [2, 4]).unwrap();
+        let gb = Tensor::from_vec(vec![0.25, -0.0, -3.0, 1.0, 0.0, -0.5], [2, 3]).unwrap();
+        let (mut full, mut params) = (layer(DenseStyle::Dense), layer(DenseStyle::Dense));
+        full.forward_batch(&xb, Mode::Train).unwrap();
+        full.backward_batch(&gb).unwrap();
+        params.forward_batch(&xb, Mode::Train).unwrap();
+        params.backward_batch_params(&gb).unwrap();
+        assert_eq!(bits(&mut params), bits(&mut full));
+        assert!(matches!(
+            layer(DenseStyle::Dense).backward_params(&g),
+            Err(NnError::NoForwardCache { .. })
+        ));
     }
 
     #[test]

@@ -99,7 +99,8 @@ pub enum Mode {
 ///   every weight/activation access and data-dependent branch to an
 ///   [`ExecContext`]. This is the path the side-channel evaluator
 ///   measures;
-/// - [`Layer::backward`] — gradients for training.
+/// - [`Layer::backward`] — gradients for training (and
+///   [`Layer::backward_params`] when the input gradient is not needed).
 pub trait Layer: Send + Sync {
     /// Short human-readable layer name (`"conv2d"`, `"relu"`, …).
     fn name(&self) -> &'static str;
@@ -155,8 +156,9 @@ pub trait Layer: Send + Sync {
     /// dimensions are one sample's shape. **Contract:** row `s` of the
     /// output must be bit-identical to `forward` on sample `s` alone —
     /// batching is an execution-schedule change, never a numeric one
-    /// (dense and conv layers run one GEMM over the whole batch, but with
-    /// the same per-output reduction order; see DESIGN.md §12). With
+    /// (dense layers run one GEMM over the whole batch, conv layers one
+    /// GEMM per sample, each with the same per-output reduction order;
+    /// see DESIGN.md §12). With
     /// [`Mode::Train`] the layer caches the batch for
     /// [`Layer::backward_batch`].
     ///
@@ -177,6 +179,29 @@ pub trait Layer: Send + Sync {
     /// Returns [`NnError::NoForwardCache`] when no `forward_batch(Train)`
     /// preceded this call, and shape errors on misaligned gradients.
     fn backward_batch(&mut self, grad_output: &Tensor) -> Result<Tensor>;
+
+    /// Parameter-only backward: accumulates exactly the parameter
+    /// gradients of [`Layer::backward`] but need not compute the input
+    /// gradient. Training calls it on the first layer with parameters,
+    /// whose input gradient nothing consumes. The provided version runs
+    /// `backward` and drops the result; conv and dense skip their `dX`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Layer::backward`].
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backward(grad_output).map(drop)
+    }
+
+    /// Batched [`Layer::backward_params`]: the parameter gradients of
+    /// [`Layer::backward_batch`], no input gradient required.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Layer::backward_batch`].
+    fn backward_batch_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backward_batch(grad_output).map(drop)
+    }
 
     /// Mutable access to the layer's parameters (empty for stateless
     /// layers).

@@ -158,8 +158,9 @@ impl Network {
     ///
     /// Row `s` of the output is bit-identical to `forward` on sample `s`
     /// alone: every layer's `forward_batch` preserves the per-sample
-    /// reduction order, and the heavy layers (dense, conv) lower the whole
-    /// batch through one GEMM instead of `N` small ones.
+    /// reduction order. Dense layers run the whole batch through one GEMM;
+    /// conv layers lower and multiply one sample at a time, so their
+    /// scratch never outgrows one sample.
     ///
     /// # Errors
     ///
@@ -307,6 +308,59 @@ impl Network {
             g = layer.backward_batch(&g)?;
         }
         Ok(g)
+    }
+
+    /// Training backward: accumulates every parameter gradient exactly as
+    /// [`Network::backward`] does, without computing input gradients that
+    /// nothing consumes. Layers before the first layer with parameters
+    /// are not run at all (they have no gradients to accumulate), and
+    /// that layer runs [`Layer::backward_params`]. Must follow a
+    /// `forward(…, Mode::Train)` call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::NoForwardCache`] when driven out of order.
+    pub fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backward_params_with(
+            grad_output,
+            |l, g| l.backward(g),
+            |l, g| l.backward_params(g),
+        )
+    }
+
+    /// Batched [`Network::backward_params`]: the parameter gradients of
+    /// [`Network::backward_batch`] without the unused input gradients.
+    /// Must follow a `forward_batch(…, Mode::Train)` call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::NoForwardCache`] when driven out of order.
+    pub fn backward_batch_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        let _span = scnn_obs::Span::enter("nn.backward_batch");
+        self.backward_params_with(
+            grad_output,
+            |l, g| l.backward_batch(g),
+            |l, g| l.backward_batch_params(g),
+        )
+    }
+
+    fn backward_params_with(
+        &mut self,
+        grad_output: &Tensor,
+        full: impl Fn(&mut dyn Layer, &Tensor) -> Result<Tensor>,
+        params_only: impl Fn(&mut dyn Layer, &Tensor) -> Result<()>,
+    ) -> Result<()> {
+        if self.layers.is_empty() {
+            return Err(NnError::EmptyNetwork);
+        }
+        let Some(first) = self.layers.iter().position(|l| l.param_count() > 0) else {
+            return Ok(());
+        };
+        let mut g = grad_output.clone();
+        for layer in self.layers[first + 1..].iter_mut().rev() {
+            g = full(layer.as_mut(), &g)?;
+        }
+        params_only(self.layers[first].as_mut(), &g)
     }
 
     /// Zeroes every parameter gradient.
@@ -573,6 +627,52 @@ mod tests {
         });
         assert_eq!(net.infer(&x).unwrap(), before);
         assert_ne!(copy.infer(&x).unwrap(), before);
+    }
+
+    #[test]
+    fn parameter_only_backward_accumulates_the_same_gradients() {
+        let grad_bits = |net: &mut Network| -> Vec<u32> {
+            net.grad_vector()
+                .iter()
+                .flat_map(|g| g.as_slice().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        // Conv first (its dX is skipped) and flatten first (layers before
+        // the first dense are skipped outright).
+        let mlp = || {
+            let mut net = Network::new();
+            net.push(Flatten::new());
+            net.push(Dense::new(64, 5, DenseStyle::ZeroSkip, 6));
+            net.push(Relu::new(ReluStyle::Branchy));
+            net.push(Dense::new(5, 4, DenseStyle::ZeroSkip, 7));
+            net.finalize();
+            net
+        };
+        for make in [tiny_net as fn() -> Network, mlp] {
+            let (mut full, mut params) = (make(), make());
+            for seed in 0..3 {
+                let x = image(seed);
+                let y = full.forward(&x, Mode::Train).unwrap();
+                let g = y.map(|v| v - 0.25);
+                full.backward(&g).unwrap();
+                params.forward(&x, Mode::Train).unwrap();
+                params.backward_params(&g).unwrap();
+            }
+            assert_eq!(grad_bits(&mut params), grad_bits(&mut full));
+
+            let (mut full, mut params) = (make(), make());
+            let xb = crate::batch::stack(&[&image(0), &image(1), &image(2)]).unwrap();
+            let y = full.forward_batch(&xb, Mode::Train).unwrap();
+            let g = y.map(|v| v - 0.25);
+            full.backward_batch(&g).unwrap();
+            params.forward_batch(&xb, Mode::Train).unwrap();
+            params.backward_batch_params(&g).unwrap();
+            assert_eq!(grad_bits(&mut params), grad_bits(&mut full));
+        }
+        assert!(matches!(
+            Network::new().backward_params(&Tensor::zeros([1])),
+            Err(NnError::EmptyNetwork)
+        ));
     }
 
     #[test]

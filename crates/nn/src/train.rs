@@ -118,9 +118,10 @@ pub fn train(net: &mut Network, samples: &[Sample], config: &TrainConfig) -> Res
         order.shuffle(&mut rng);
         let mut total = 0.0f64;
         if config.batch_size <= 1 {
-            // Per-example SGD, exactly as in the paper's setup. This path
-            // is kept verbatim so `batch_size: 1` reproduces the original
-            // training trajectory bit for bit.
+            // Per-example SGD, exactly as in the paper's setup, so
+            // `batch_size: 1` reproduces the original training trajectory
+            // bit for bit. The backward is parameter-only: the input
+            // gradient of the first parameterised layer is never used.
             for &i in &order {
                 let (image, label) = &samples[i];
                 let logits = net.forward(image, Mode::Train)?;
@@ -130,7 +131,7 @@ pub fn train(net: &mut Network, samples: &[Sample], config: &TrainConfig) -> Res
                 }
                 total += loss as f64;
                 net.zero_grads();
-                net.backward(&grad)?;
+                net.backward_params(&grad)?;
                 opt.step(net);
             }
             scnn_obs::counter_add("train.steps", order.len() as u64);
@@ -215,7 +216,7 @@ fn chunk_gradients(
         }
         let grad = Tensor::from_vec(grad_rows, [chunk.len(), classes])?;
         replica.zero_grads();
-        replica.backward_batch(&grad)?;
+        replica.backward_batch_params(&grad)?;
         Ok((losses, replica.grad_vector()))
     });
     per_chunk.into_iter().collect()

@@ -33,6 +33,13 @@ const BLOCK_N: usize = 256;
 /// kept in registers across an entire `k` block (two 8-lane vectors on
 /// AVX2 targets).
 const TILE_N: usize = 16;
+/// Lane-strip width of [`gemm_abt`]: this many `C` rows (one packed
+/// panel row segment, two 4-lane vectors on SSE2) advance together.
+const ABT_LANES: usize = 8;
+/// `B` rows folded per pass of [`gemm_abt`] over a lane strip, so
+/// `ABT_LANES × ABT_ROWS` independent accumulators are in flight (the
+/// kernel's four named accumulators destructure exactly this many).
+const ABT_ROWS: usize = 4;
 
 /// Caller-owned scratch for panel packing, so steady-state GEMM calls
 /// allocate nothing. Cloning yields an *empty* scratch: buffers are lazy
@@ -198,15 +205,29 @@ fn accumulate(
 
 /// `C (+)= A·Bᵀ` without materialising the transpose: `A` is `[m, k]`,
 /// `B` is `[n, k]`, `C` is `[m, n]`. Each output is a single left-fold
-/// dot product of two contiguous rows (`p` increasing), the same
-/// reduction order as `gemm` against an explicitly transposed `B`.
+/// dot product (`p` increasing) that starts from the neutral element of
+/// `Iterator::<f32>::sum` — exactly `arow·brow` summed with `.sum()`, and
+/// the same reduction order as `gemm` against an explicitly transposed
+/// `B`.
 ///
 /// With `accumulate = false` the output is overwritten; with `true` the
-/// dot product is added to the existing value (gradient accumulation).
+/// finished dot product is added to the existing value (gradient
+/// accumulation).
+///
+/// The schedule keeps `ABT_LANES × ABT_ROWS` (8 × 4) outputs in flight:
+/// `Aᵀ` is packed into a `[k, m]` panel, stored as strips of `ABT_LANES`
+/// columns (`m` padded up to whole strips), so for each `p` one
+/// contiguous lane vector of `A` values meets `ABT_ROWS` broadcast `B`
+/// values. Lanes and rows are independent accumulators, so
+/// vectorising across them changes the memory schedule only; every
+/// output's fold is still one running sum over `p` in increasing order
+/// (see DESIGN.md §12).
 ///
 /// # Errors
 ///
 /// Returns [`ShapeError::Mismatch`] on slice/dimension disagreement.
+// BLAS-style surface: dims and operands stay positional like sgemm's.
+#[allow(clippy::too_many_arguments)]
 pub fn gemm_abt(
     a: &[f32],
     b: &[f32],
@@ -215,17 +236,66 @@ pub fn gemm_abt(
     n: usize,
     accumulate: bool,
     c: &mut [f32],
+    scratch: &mut GemmScratch,
 ) -> Result<()> {
     check_len(a.len(), m, k)?;
     check_len(b.len(), n, k)?;
     check_len(c.len(), m, n)?;
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let brow = &b[j * k..(j + 1) * k];
-            let dot: f32 = arow.iter().zip(brow).map(|(&x, &y)| x * y).sum();
-            let out = &mut c[i * n + j];
+    // `.sum()`'s starting value (−0.0 on current toolchains): folding
+    // from it keeps a dot product of all-(−0.0) terms, or of no terms,
+    // bit-equal to `arow·brow` summed with `.sum()`.
+    let neutral: f32 = std::iter::empty::<f32>().sum();
+    // Strip-major packing: strip `s` holds `A` rows `s·L .. s·L + L` as
+    // `k` consecutive lane vectors (`panel[(s·k + p)·L + l] = A[s·L + l][p]`),
+    // rows past `m` zero-padded.
+    let strips = m.div_ceil(ABT_LANES);
+    let panel = &mut scratch.panel;
+    panel.clear();
+    panel.resize(strips * k * ABT_LANES, 0.0);
+    for (i, arow) in a.chunks_exact(k.max(1)).take(m).enumerate() {
+        let (s, l) = (i / ABT_LANES, i % ABT_LANES);
+        for (p, &av) in arow.iter().enumerate() {
+            panel[(s * k + p) * ABT_LANES + l] = av;
+        }
+    }
+    let store = |c: &mut [f32], i0: usize, j: usize, acc: &[f32; ABT_LANES]| {
+        for (l, &dot) in acc.iter().enumerate().take(m - i0) {
+            let out = &mut c[(i0 + l) * n + j];
             *out = if accumulate { *out + dot } else { dot };
+        }
+    };
+    for s in 0..strips {
+        let i0 = s * ABT_LANES;
+        let strip = &panel[s * k * ABT_LANES..(s + 1) * k * ABT_LANES];
+        let lanes = || strip.chunks_exact(ABT_LANES).take(k);
+        let mut j = 0;
+        while j + ABT_ROWS <= n {
+            let row = |r: usize| &b[(j + r) * k..(j + r + 1) * k];
+            let [mut c0, mut c1, mut c2, mut c3] = [[neutral; ABT_LANES]; ABT_ROWS];
+            for ((((av, &b0), &b1), &b2), &b3) in
+                lanes().zip(row(0)).zip(row(1)).zip(row(2)).zip(row(3))
+            {
+                for l in 0..ABT_LANES {
+                    c0[l] += av[l] * b0;
+                    c1[l] += av[l] * b1;
+                    c2[l] += av[l] * b2;
+                    c3[l] += av[l] * b3;
+                }
+            }
+            for (r, accr) in [c0, c1, c2, c3].iter().enumerate() {
+                store(c, i0, j + r, accr);
+            }
+            j += ABT_ROWS;
+        }
+        // Ragged `B` tail: one row per pass, same fold.
+        for j in j..n {
+            let mut acc = [neutral; ABT_LANES];
+            for (av, &bv) in lanes().zip(&b[j * k..(j + 1) * k]) {
+                for (accv, &x) in acc.iter_mut().zip(av) {
+                    *accv += x * bv;
+                }
+            }
+            store(c, i0, j, &acc);
         }
     }
     scnn_obs::counter_add("gemm.calls", 1);
@@ -479,12 +549,111 @@ mod tests {
         transpose_into(&b, n, k, &mut bt).unwrap();
         let want = naive(&a, &bt, m, k, n);
         let mut got = vec![0.0f32; m * n];
-        gemm_abt(&a, &b, m, k, n, false, &mut got).unwrap();
+        gemm_abt(&a, &b, m, k, n, false, &mut got, &mut GemmScratch::new()).unwrap();
         assert_eq!(got, want);
         // Accumulating form adds on top.
-        gemm_abt(&a, &b, m, k, n, true, &mut got).unwrap();
+        gemm_abt(&a, &b, m, k, n, true, &mut got, &mut GemmScratch::new()).unwrap();
         let doubled: Vec<f32> = want.iter().map(|&v| v + v).collect();
         assert_eq!(got, doubled);
+    }
+
+    /// The pre-tiling `gemm_abt`: one row-dot-row `.sum()` per output,
+    /// then overwrite or add. The lane-tiled kernel must equal it bit for
+    /// bit, signed zeros included.
+    fn abt_row_dot_row(
+        a: &[f32],
+        b: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        accumulate: bool,
+        c: &mut [f32],
+    ) {
+        for i in 0..m {
+            let arow = &a[i * k..(i + 1) * k];
+            for j in 0..n {
+                let brow = &b[j * k..(j + 1) * k];
+                let dot: f32 = arow.iter().zip(brow).map(|(&x, &y)| x * y).sum();
+                let out = &mut c[i * n + j];
+                *out = if accumulate { *out + dot } else { dot };
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs both kernels from the same starting `C` and compares bits.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_abt_bitwise(
+        a: &[f32],
+        b: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        accumulate: bool,
+        c0: &[f32],
+        scratch: &mut GemmScratch,
+    ) {
+        let mut want = c0.to_vec();
+        abt_row_dot_row(a, b, m, k, n, accumulate, &mut want);
+        let mut got = c0.to_vec();
+        gemm_abt(a, b, m, k, n, accumulate, &mut got, scratch).unwrap();
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "m={m} k={k} n={n} accumulate={accumulate}"
+        );
+    }
+
+    #[test]
+    fn abt_lane_kernel_bitwise_equals_row_dot_row_fold() {
+        // `m` off the lane width, `n` off the row tile, `k` empty, one
+        // term, and long enough (577) for rounding to differ under any
+        // reassociation. One scratch across every call: stale panel
+        // contents from a larger shape must not leak into a smaller one.
+        let mut scratch = GemmScratch::new();
+        for &m in &[1, 3, 7, 8, 9, 16, 17] {
+            for &n in &[1, 2, 3, 4, 5, 7, 25] {
+                for &k in &[0, 1, 577] {
+                    let a = fill(m * k, 41 + m as u64);
+                    let b = fill(n * k, 43 + n as u64);
+                    let c0 = fill(m * n, 47);
+                    for accumulate in [false, true] {
+                        assert_abt_bitwise(&a, &b, m, k, n, accumulate, &c0, &mut scratch);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn abt_lane_kernel_keeps_signed_zeros() {
+        let mut scratch = GemmScratch::new();
+        let (m, k, n) = (9, 5, 6);
+        // All-(−0.0) products: −0·x and 0·(−x) terms only, so every fold
+        // stays at the sum's neutral element.
+        let a: Vec<f32> = (0..m * k)
+            .map(|i| if i % 2 == 0 { -0.0 } else { 0.0 })
+            .collect();
+        let b: Vec<f32> = (0..n * k)
+            .map(|i| if i % 3 == 0 { 0.0 } else { -(i as f32) })
+            .collect();
+        // ±0.0 already in C, alternating, plus an empty-depth case.
+        let c0: Vec<f32> = (0..m * n)
+            .map(|i| if i % 2 == 0 { 0.0 } else { -0.0 })
+            .collect();
+        for accumulate in [false, true] {
+            assert_abt_bitwise(&a, &b, m, k, n, accumulate, &c0, &mut scratch);
+            assert_abt_bitwise(&[], &[], m, 0, n, accumulate, &c0, &mut scratch);
+        }
+        // The neutral element really is exercised: with no terms the
+        // overwrite form writes `.sum()` of nothing.
+        let mut c = c0.clone();
+        gemm_abt(&[], &[], m, 0, n, false, &mut c, &mut scratch).unwrap();
+        let empty: f32 = std::iter::empty::<f32>().sum();
+        assert!(c.iter().all(|v| v.to_bits() == empty.to_bits()));
     }
 
     #[test]
@@ -564,7 +733,7 @@ mod tests {
             &mut s
         )
         .is_err());
-        assert!(gemm_abt(&[0.0; 4], &[0.0; 3], 2, 2, 2, false, &mut c).is_err());
+        assert!(gemm_abt(&[0.0; 4], &[0.0; 3], 2, 2, 2, false, &mut c, &mut s).is_err());
         assert!(gemm_atb(&[0.0; 4], &[0.0; 3], 2, 2, 2, false, &mut c).is_err());
         assert!(transpose_into(&[0.0; 4], 2, 3, &mut c).is_err());
     }

@@ -138,6 +138,7 @@ pub fn matmul_abt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         n,
         false,
         out.as_mut_slice(),
+        &mut GemmScratch::new(),
     )?;
     Ok(out)
 }
@@ -173,6 +174,7 @@ pub fn matmul_abt_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
         n,
         true,
         out.as_mut_slice(),
+        &mut GemmScratch::new(),
     )
 }
 
@@ -392,25 +394,15 @@ fn im2col_geometry(c: usize, h: usize, w: usize, win: Window2d) -> Result<(usize
     Ok((c * win.kh * win.kw, oh * ow))
 }
 
-/// Scatters one `[C, H, W]` sample into im2col form. The destination row
-/// `r` lives at `dst[r * col_stride + col_off ..]`, which lets a batched
-/// lowering place sample `s` at column offset `s * cols` of a shared
-/// `[rows, N*cols]` matrix. `dst` must already be zeroed: padding
-/// positions are represented by the zeros left untouched.
-#[allow(clippy::too_many_arguments)] // private kernel; args mirror the geometry
-fn im2col_fill(
-    src: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    win: Window2d,
-    dst: &mut [f32],
-    col_off: usize,
-    col_stride: usize,
-) {
+/// Scatters one `[C, H, W]` sample into a `[rows, cols]` im2col matrix.
+/// Only in-bounds positions are written: padding positions keep whatever
+/// `dst` held, so a buffer zeroed once can be refilled sample after
+/// sample (the written set depends on the geometry alone).
+fn im2col_fill(src: &[f32], c: usize, h: usize, w: usize, win: Window2d, dst: &mut [f32]) {
     let (oh, ow) = win
         .output_size(h, w)
         .expect("caller validated window geometry");
+    let cols = oh * ow;
     for ch in 0..c {
         for ky in 0..win.kh {
             for kx in 0..win.kw {
@@ -425,7 +417,7 @@ fn im2col_fill(
                         if ix < 0 || ix as usize >= w {
                             continue;
                         }
-                        dst[row * col_stride + col_off + oy * ow + ox] =
+                        dst[row * cols + oy * ow + ox] =
                             src[(ch * h + iy as usize) * w + ix as usize];
                     }
                 }
@@ -459,23 +451,31 @@ pub fn im2col(input: &Tensor, win: Window2d) -> Result<Tensor> {
 pub fn im2col_into(input: &Tensor, win: Window2d, out: &mut Vec<f32>) -> Result<(usize, usize)> {
     input.shape().expect_rank(3)?;
     let (c, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2]);
+    let (rows, cols) = im2col_geometry(c, h, w, win)?;
+    out.clear();
+    out.resize(rows * cols, 0.0);
     im2col_slice_into(input.as_slice(), c, h, w, win, out)
 }
 
-/// Slice-level [`im2col_into`] for callers whose sample lives inside a
-/// larger buffer (one sample of a batch tensor): lowers a `[C, H, W]`
-/// slice into `out` and returns `(rows, cols)`.
+/// Slice-level im2col for callers whose sample lives inside a larger
+/// buffer (one sample of a batch tensor): lowers a `[C, H, W]` slice into
+/// `out`, which must hold exactly `rows * cols` values, and returns
+/// `(rows, cols)`.
+///
+/// Only in-bounds positions are written; padding positions keep their
+/// current value. The set written depends on the geometry alone, so a
+/// buffer zeroed once can be refilled sample after sample.
 ///
 /// # Errors
 ///
-/// Returns shape errors when `src` disagrees with the geometry.
+/// Returns shape errors when `src` or `out` disagrees with the geometry.
 pub fn im2col_slice_into(
     src: &[f32],
     c: usize,
     h: usize,
     w: usize,
     win: Window2d,
-    out: &mut Vec<f32>,
+    out: &mut [f32],
 ) -> Result<(usize, usize)> {
     if src.len() != c * h * w {
         return Err(ShapeError::Mismatch {
@@ -484,52 +484,13 @@ pub fn im2col_slice_into(
         });
     }
     let (rows, cols) = im2col_geometry(c, h, w, win)?;
-    out.clear();
-    out.resize(rows * cols, 0.0);
-    im2col_fill(src, c, h, w, win, out, 0, cols);
-    Ok((rows, cols))
-}
-
-/// Batched im2col: lowers a `[N, C, H, W]` batch into one shared
-/// `[rows, N*cols]` matrix where sample `s` occupies the contiguous column
-/// block `s*cols .. (s+1)*cols`. A single `[F, rows] × [rows, N*cols]`
-/// GEMM then convolves the whole batch; because each sample's columns are
-/// disjoint, per-output reduction order is identical to lowering samples
-/// one at a time. Returns `(rows, cols)` — the *per-sample* column count.
-///
-/// # Errors
-///
-/// Returns [`ShapeError::RankMismatch`] for non-4-D input and window-fit
-/// errors from [`Window2d::output_size`].
-pub fn im2col_batch_into(
-    batch: &Tensor,
-    win: Window2d,
-    out: &mut Vec<f32>,
-) -> Result<(usize, usize)> {
-    batch.shape().expect_rank(4)?;
-    let (n, c, h, w) = (
-        batch.dims()[0],
-        batch.dims()[1],
-        batch.dims()[2],
-        batch.dims()[3],
-    );
-    let (rows, cols) = im2col_geometry(c, h, w, win)?;
-    out.clear();
-    out.resize(rows * n * cols, 0.0);
-    let src = batch.as_slice();
-    let sample_len = c * h * w;
-    for s in 0..n {
-        im2col_fill(
-            &src[s * sample_len..(s + 1) * sample_len],
-            c,
-            h,
-            w,
-            win,
-            out,
-            s * cols,
-            n * cols,
-        );
+    if out.len() != rows * cols {
+        return Err(ShapeError::Mismatch {
+            left: vec![out.len()],
+            right: vec![rows, cols],
+        });
     }
+    im2col_fill(src, c, h, w, win, out);
     Ok((rows, cols))
 }
 
@@ -840,8 +801,10 @@ mod tests {
     }
 
     #[test]
-    fn im2col_batch_matches_per_sample_lowering() {
-        let win = Window2d::simple(3);
+    fn im2col_slice_refill_matches_fresh_lowering() {
+        // A padded window leaves positions unwritten: refilling one
+        // buffer sample after sample must still equal a fresh lowering.
+        let win = Window2d::same(3);
         let s0 = Tensor::from_vec(
             (0..2 * 5 * 5).map(|i| i as f32 * 0.25 - 3.0).collect(),
             [2, 5, 5],
@@ -854,27 +817,14 @@ mod tests {
             [2, 5, 5],
         )
         .unwrap();
-        let mut batch_data = s0.as_slice().to_vec();
-        batch_data.extend_from_slice(s1.as_slice());
-        let batch = Tensor::from_vec(batch_data, [2, 2, 5, 5]).unwrap();
-
-        let mut lowered = Vec::new();
-        let (rows, cols) = im2col_batch_into(&batch, win, &mut lowered).unwrap();
         let c0 = im2col(&s0, win).unwrap();
-        let c1 = im2col(&s1, win).unwrap();
-        assert_eq!((rows, cols), (c0.dims()[0], c0.dims()[1]));
-        for r in 0..rows {
-            assert_eq!(
-                &lowered[r * 2 * cols..r * 2 * cols + cols],
-                &c0.as_slice()[r * cols..(r + 1) * cols],
-                "sample 0 row {r}"
-            );
-            assert_eq!(
-                &lowered[r * 2 * cols + cols..(r + 1) * 2 * cols],
-                &c1.as_slice()[r * cols..(r + 1) * cols],
-                "sample 1 row {r}"
-            );
+        let mut buf = vec![0.0f32; c0.len()];
+        for s in [&s0, &s1, &s0] {
+            let (rows, cols) = im2col_slice_into(s.as_slice(), 2, 5, 5, win, &mut buf).unwrap();
+            assert_eq!((rows, cols), (c0.dims()[0], c0.dims()[1]));
+            assert_eq!(buf, im2col(s, win).unwrap().as_slice());
         }
+        assert!(im2col_slice_into(s0.as_slice(), 2, 5, 5, win, &mut buf[1..]).is_err());
     }
 
     #[test]
