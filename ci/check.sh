@@ -33,6 +33,9 @@ cargo test -q --offline -p scnn-nn --test batch
 step "training-trajectory pin (trained model bytes equal the recorded digests)"
 cargo test -q --offline -p scnn-nn --test train_pin
 
+step "simulated-count pin (per-layer counter windows of traced inferences equal the recorded digests)"
+cargo test -q --offline -p scnn-core --test count_pin
+
 step "perfbench self-tests (readings digest and exact traced counts repeat, traced or not)"
 # perfbench is a package of its own, outside the workspace above.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml

@@ -13,7 +13,7 @@ use crate::collect::TracedClassifier;
 use scnn_nn::{Network, NnError};
 use scnn_rng::{ChaCha8Rng, Rng, SeedableRng};
 use scnn_tensor::Tensor;
-use scnn_uarch::Probe;
+use scnn_uarch::{MacRun, Probe};
 
 /// A deployable countermeasure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,6 +117,13 @@ struct ShapeCounts {
 }
 
 impl ShapeCounts {
+    /// Counts the events of a multiply-accumulate run.
+    fn add_mac_run(&mut self, run: &MacRun) {
+        self.loads += 2 * run.count;
+        self.stores += run.count;
+        self.alu += run.alu * run.count;
+    }
+
     fn max(self, other: ShapeCounts) -> ShapeCounts {
         ShapeCounts {
             loads: self.loads.max(other.loads),
@@ -159,6 +166,10 @@ impl Probe for WindowCounter {
 
     fn alu(&mut self, n: u64) {
         self.current.alu += n;
+    }
+
+    fn mac_run(&mut self, run: MacRun) {
+        self.current.add_mac_run(&run);
     }
 
     fn layer_boundary(&mut self, _index: usize) {
@@ -262,6 +273,11 @@ impl Probe for PaddingProbe<'_> {
     fn alu(&mut self, n: u64) {
         self.current.alu += n;
         self.inner.alu(n);
+    }
+
+    fn mac_run(&mut self, run: MacRun) {
+        self.current.add_mac_run(&run);
+        self.inner.mac_run(run);
     }
 
     fn layer_boundary(&mut self, index: usize) {

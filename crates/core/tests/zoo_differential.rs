@@ -2,18 +2,22 @@
 //! and by the nested-`Vec` reference model of `scnn-uarch`'s differential
 //! tests, must produce identical counter snapshots: after every event of
 //! a seeded inference-shaped stream (with cold starts, counter resets and
-//! pollution interleaved), and at every layer boundary of the recorded
-//! event stream of a real traced inference.
+//! pollution interleaved), at every layer boundary of the recorded event
+//! stream of a real traced inference, and in every per-layer window the
+//! simulated PMU measures while the traced kernels hand the production
+//! core their runs whole.
 
 #[path = "../../uarch/tests/reference/mod.rs"]
 mod reference;
 
 use reference::{apply, assert_cores_agree, core_ops, CoreOp, RefCore};
 use scnn_core::zoo::zoo;
+use scnn_core::{Countermeasure, ProtectedModel, TracedClassifier};
+use scnn_hpc::{SimPmuConfig, SimulatedPmu};
 use scnn_nn::{models, Network};
 use scnn_rng::{ChaCha8Rng, Rng, SeedableRng};
 use scnn_tensor::Tensor;
-use scnn_uarch::Probe;
+use scnn_uarch::{CounterSnapshot, MacRun, NoiseConfig, Probe};
 
 #[test]
 fn every_zoo_preset_matches_the_reference_core() {
@@ -27,7 +31,7 @@ fn every_zoo_preset_matches_the_reference_core() {
 }
 
 /// Records a traced inference as replayable ops, noting where each layer
-/// starts.
+/// starts. Runs take the trait's default: one op per event.
 #[derive(Default)]
 struct Recorder {
     ops: Vec<CoreOp>,
@@ -101,6 +105,121 @@ fn every_zoo_preset_matches_the_reference_core_on_a_traced_inference() {
                     preset.name
                 );
                 start = end;
+            }
+        }
+    }
+}
+
+/// Forwards every event to `inner`, runs whole, and records it in
+/// `recorder`, one op per event.
+struct Tee<'p> {
+    inner: &'p mut dyn Probe,
+    recorder: &'p mut Recorder,
+}
+
+impl Probe for Tee<'_> {
+    fn load(&mut self, addr: u64, pc: u64) {
+        self.inner.load(addr, pc);
+        self.recorder.load(addr, pc);
+    }
+
+    fn store(&mut self, addr: u64, pc: u64) {
+        self.inner.store(addr, pc);
+        self.recorder.store(addr, pc);
+    }
+
+    fn load_run(&mut self, base: u64, stride: i64, count: u64, pc: u64) {
+        self.inner.load_run(base, stride, count, pc);
+        self.recorder.load_run(base, stride, count, pc);
+    }
+
+    fn store_run(&mut self, base: u64, stride: i64, count: u64, pc: u64) {
+        self.inner.store_run(base, stride, count, pc);
+        self.recorder.store_run(base, stride, count, pc);
+    }
+
+    fn mac_run(&mut self, run: MacRun) {
+        self.inner.mac_run(run);
+        self.recorder.mac_run(run);
+    }
+
+    fn branch(&mut self, pc: u64, taken: bool) {
+        self.inner.branch(pc, taken);
+        self.recorder.branch(pc, taken);
+    }
+
+    fn alu(&mut self, n: u64) {
+        self.inner.alu(n);
+        self.recorder.alu(n);
+    }
+
+    fn layer_boundary(&mut self, index: usize) {
+        self.inner.layer_boundary(index);
+        self.recorder.layer_boundary(index);
+    }
+}
+
+#[test]
+fn traced_runs_through_the_pmu_match_the_reference_core_on_every_preset() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x200_d300);
+    let victims: [(&str, Network, [usize; 3]); 3] = [
+        ("mnist_cnn", models::mnist_cnn(7), [1, 28, 28]),
+        ("cifar_cnn", models::cifar_cnn(7), [3, 32, 32]),
+        ("mnist_mlp", models::mnist_mlp(1, 28, 7), [1, 28, 28]),
+    ];
+    for (model, net, dims) in victims {
+        let image = image(&mut rng, dims);
+        for variant in ["baseline", "constant-time", "oblivious"] {
+            for preset in zoo() {
+                let case = format!("{model}, {variant}, {}", preset.name);
+                let config = SimPmuConfig {
+                    core: preset.core,
+                    noise: NoiseConfig::quiet(),
+                    ..SimPmuConfig::default()
+                };
+                let mut pmu = SimulatedPmu::new(config, 5).unwrap();
+                let mut victim: Box<dyn TracedClassifier> = match variant {
+                    "baseline" => Box::new(net.clone()),
+                    "constant-time" => Box::new(ProtectedModel::new(
+                        net.clone(),
+                        Countermeasure::ConstantTime,
+                        1,
+                    )),
+                    _ => Box::new(ProtectedModel::new(
+                        net.clone(),
+                        Countermeasure::ObliviousShape,
+                        1,
+                    )),
+                };
+                let mut recorder = Recorder::default();
+                let windows = pmu.measure_layers(&mut |probe| {
+                    let mut tee = Tee {
+                        inner: probe,
+                        recorder: &mut recorder,
+                    };
+                    victim.classify_traced(&image, &mut tee).unwrap();
+                });
+                assert_eq!(windows.len(), recorder.boundaries.len() + 1, "{case}");
+
+                // The reference replays the recorded events on a cold core
+                // and cuts the same windows: quiet noise only recomputes
+                // reference and bus cycles from each window's cycles.
+                let mut reference = RefCore::new(preset.core);
+                let mut prev = CounterSnapshot::default();
+                let mut start = 0;
+                let ends = recorder.boundaries.iter().copied();
+                for (window, end) in windows.iter().zip(ends.chain([recorder.ops.len()])) {
+                    for &op in &recorder.ops[start..end] {
+                        reference::apply_to(&mut reference, op);
+                    }
+                    let mark = reference.snapshot();
+                    let mut want = mark.delta(&prev);
+                    want.ref_cycles = preset.core.cycles.ref_cycles(want.cycles);
+                    want.bus_cycles = preset.core.cycles.bus_cycles(want.cycles);
+                    assert_eq!(*window, want, "{case}: window ending at op {end}");
+                    prev = mark;
+                    start = end;
+                }
             }
         }
     }

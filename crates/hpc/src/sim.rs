@@ -3,7 +3,7 @@
 
 use crate::group::CounterGroup;
 use crate::pmu::{Measurement, Pmu, PmuError};
-use scnn_uarch::{CoreConfig, CoreSim, CounterSnapshot, NoiseConfig, NoiseModel, Probe};
+use scnn_uarch::{CoreConfig, CoreSim, CounterSnapshot, MacRun, NoiseConfig, NoiseModel, Probe};
 
 /// How the measured process's cache state is treated between measurement
 /// windows.
@@ -204,6 +204,10 @@ impl Probe for LayerCapture<'_> {
 
     fn store_run(&mut self, base: u64, stride: i64, count: u64, pc: u64) {
         self.core.store_run(base, stride, count, pc);
+    }
+
+    fn mac_run(&mut self, run: MacRun) {
+        self.core.mac_run(run);
     }
 
     fn branch(&mut self, pc: u64, taken: bool) {

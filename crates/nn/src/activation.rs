@@ -163,6 +163,10 @@ impl Layer for Relu {
         };
     }
 
+    fn end_training(&mut self) {
+        self.cached_input = None;
+    }
+
     fn spec(&self) -> crate::spec::LayerSpec {
         crate::spec::LayerSpec::Relu {
             style: self.style,

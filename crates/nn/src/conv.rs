@@ -18,7 +18,7 @@
 //! paper.
 
 use crate::addr::{Region, SegmentAllocator};
-use crate::exec::{ExecContext, Site};
+use crate::exec::{ExecContext, Site, Strided};
 use crate::layer::{Layer, Mode, NnError, Param, Result};
 use scnn_rng::{ChaCha8Rng, SeedableRng, SliceRandom};
 use scnn_tensor::gemm::{self, GemmInit, GemmScratch};
@@ -194,23 +194,28 @@ impl Conv2d {
         Ok((h, w, oh, ow))
     }
 
-    /// Input-stationary scatter convolution shared by reference and traced
-    /// paths; `emit` observes `(input_index, is_zero_skipped)` per pixel
-    /// and `(filter_elem_index, output_index)` per MAC via `emit_mac`.
-    fn scatter<FP, FM>(
+    /// Input-stationary scatter convolution behind `forward_traced` (the
+    /// numeric paths run lowered, see `lowered_forward`). `emit_pixel`
+    /// observes `(input_index, is_zero_skipped)` per input pixel;
+    /// `emit_tap` observes `(weight_index, output_index)` of filter 0
+    /// once per live pixel × kernel tap, before that tap's
+    /// multiply-accumulates over every filter `f`, which touch weight
+    /// `weight_index + f·C·kh·kw` and output `output_index + f·oh·ow`.
+    fn scatter<FP, FT>(
         &self,
         input: &Tensor,
         mut emit_pixel: FP,
-        mut emit_mac: FM,
+        mut emit_tap: FT,
     ) -> Result<Tensor>
     where
         FP: FnMut(usize, bool),
-        FM: FnMut(usize, usize),
+        FT: FnMut(usize, usize),
     {
         let (h, w, oh, ow) = self.geometry(input.shape())?;
         let (kh, kw) = (self.win.kh, self.win.kw);
         let src = input.as_slice();
         let wts = self.filters.value.as_slice();
+        let rows = self.in_channels * kh * kw;
         let mut out = vec![0.0f32; self.out_channels * oh * ow];
 
         // Bias initialisation.
@@ -258,11 +263,11 @@ impl Conv2d {
                             if ox >= ow {
                                 continue;
                             }
+                            let wi = (c * kh + ky) * kw + kx;
+                            let oi = oy * ow + ox;
+                            emit_tap(wi, oi);
                             for f in 0..self.out_channels {
-                                let wi = ((f * self.in_channels + c) * kh + ky) * kw + kx;
-                                let oi = (f * oh + oy) * ow + ox;
-                                emit_mac(wi, oi);
-                                out[oi] += wts[wi] * x;
+                                out[f * oh * ow + oi] += wts[f * rows + wi] * x;
                             }
                         }
                     }
@@ -552,19 +557,23 @@ impl Layer for Conv2d {
                 },
                 |wi, oi| {
                     let mut c = ctx_cell.borrow_mut();
-                    // The first-filter visit of each (pixel, ky, kx)
-                    // triple appends one value + one index entry to the
-                    // compacted lowering scratch (wi < rows exactly when
-                    // f == 0).
-                    if wi < lowering_rows {
-                        c.store(Site::SCRATCH, scratch_region, scratch_cursor);
-                        c.store(Site::SCRATCH, scratch_idx_region, scratch_cursor);
-                        scratch_cursor += 1;
-                    }
-                    c.load(Site::WEIGHT, filter_region, wi);
-                    c.load(Site::ACC, out_region, oi);
-                    c.alu(2); // mul + add
-                    c.store(Site::ACC, out_region, oi);
+                    // Each (pixel, ky, kx) triple appends one value + one
+                    // index entry to the compacted lowering scratch, then
+                    // multiply-accumulates into every filter's output.
+                    c.store(Site::SCRATCH, scratch_region, scratch_cursor);
+                    c.store(Site::SCRATCH, scratch_idx_region, scratch_cursor);
+                    scratch_cursor += 1;
+                    let weights = Strided {
+                        region: filter_region,
+                        start: wi,
+                        step: lowering_rows,
+                    };
+                    let acc = Strided {
+                        region: out_region,
+                        start: oi,
+                        step: pixels,
+                    };
+                    c.mac_run(weights, acc, self.out_channels);
                 },
             )?
         };
@@ -592,6 +601,10 @@ impl Layer for Conv2d {
 
     fn backward_batch_params(&mut self, grad_output: &Tensor) -> Result<()> {
         self.param_grads(grad_output)
+    }
+
+    fn end_training(&mut self) {
+        self.train_cache = None;
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

@@ -13,7 +13,7 @@
 //! leakage mechanism reproduced from the paper.
 
 use crate::addr::{Region, SegmentAllocator};
-use crate::exec::{ExecContext, Site};
+use crate::exec::{ExecContext, Site, Strided};
 use crate::layer::{Layer, Mode, NnError, Param, Result};
 use scnn_rng::{ChaCha8Rng, SeedableRng, SliceRandom};
 use scnn_tensor::ops::{self, GemmInit, GemmScratch};
@@ -271,13 +271,18 @@ impl Layer for Dense {
                     // column is walked.
                 }
             }
-            for j in 0..self.out_dim {
-                // Contiguous column of the input-major weight matrix.
-                ctx.load(Site::WEIGHT, weight_region, i * self.out_dim + j);
-                ctx.load(Site::ACC, out_region, j);
-                ctx.alu(2); // mul + add
-                ctx.store(Site::ACC, out_region, j);
-            }
+            // Contiguous column of the input-major weight matrix.
+            let weights = Strided {
+                region: weight_region,
+                start: i * self.out_dim,
+                step: 1,
+            };
+            let acc = Strided {
+                region: out_region,
+                start: 0,
+                step: 1,
+            };
+            ctx.mac_run(weights, acc, self.out_dim);
             // The column walk is a vectorised AXPY.
             ctx.vector_loop(Site::LOOP, self.out_dim, 8);
         }
@@ -343,6 +348,10 @@ impl Layer for Dense {
 
     fn backward_batch_params(&mut self, grad_output: &Tensor) -> Result<()> {
         self.batch_param_grads(grad_output)
+    }
+
+    fn end_training(&mut self) {
+        self.cached_input = None;
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

@@ -9,7 +9,7 @@
 //! [`NullProbe`](scnn_uarch::NullProbe) costs (almost) nothing.
 
 use crate::addr::{Region, SegmentAllocator, CODE_BASE};
-use scnn_uarch::Probe;
+use scnn_uarch::{MacRun, Probe};
 
 /// Identifies a static code site (loop body, branch) inside a layer's
 /// kernel; combined with the layer index it yields a stable synthetic PC.
@@ -33,6 +33,18 @@ impl Site {
     pub const ACT: Site = Site(6);
     /// A store into a lowering scratch buffer (sparse im2col).
     pub const SCRATCH: Site = Site(7);
+}
+
+/// Elements `start`, `start + step`, … of a region: one operand stream of
+/// a multiply-accumulate run (see [`ExecContext::mac_run`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Strided {
+    /// The region the elements lie in.
+    pub region: Region,
+    /// Index of the first element.
+    pub start: usize,
+    /// Elements between consecutive iterations.
+    pub step: usize,
 }
 
 /// The mutable state threaded through a traced forward pass.
@@ -102,6 +114,34 @@ impl<'p> ExecContext<'p> {
         self.events += 1;
         let pc = self.pc(site);
         self.probe.store(region.addr(i), pc);
+    }
+
+    /// `count` multiply-accumulate iterations as one
+    /// [`Probe::mac_run`]: iteration `i` loads element `i` of `weights`
+    /// (site [`Site::WEIGHT`]), loads element `i` of `acc` (site
+    /// [`Site::ACC`]), retires a multiply and an add, and stores the
+    /// accumulator back — the events, and the event count, of that many
+    /// `load`, `load`, `alu(2)`, `store` calls.
+    #[inline]
+    pub fn mac_run(&mut self, weights: Strided, acc: Strided, count: usize) {
+        let Some(last) = count.checked_sub(1) else {
+            return;
+        };
+        // `Region::addr` bounds-checks the last iteration (debug builds).
+        let _ = weights.region.addr(weights.start + last * weights.step);
+        let _ = acc.region.addr(acc.start + last * acc.step);
+        self.events += 4 * count as u64;
+        let bytes = |s: Strided| s.step as i64 * crate::addr::ELEM_BYTES as i64;
+        self.probe.mac_run(MacRun {
+            weight: weights.region.addr(weights.start),
+            weight_stride: bytes(weights),
+            weight_pc: self.pc(Site::WEIGHT),
+            acc: acc.region.addr(acc.start),
+            acc_stride: bytes(acc),
+            acc_pc: self.pc(Site::ACC),
+            alu: 2,
+            count: count as u64,
+        });
     }
 
     /// A conditional branch at `site` with outcome `taken`.

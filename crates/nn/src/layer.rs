@@ -203,6 +203,13 @@ pub trait Layer: Send + Sync {
         self.backward_batch(grad_output).map(drop)
     }
 
+    /// Drops what [`Mode::Train`] forwards keep for backward (inputs,
+    /// lowerings, argmax indices), so a trained layer carries, and its
+    /// clones copy, no training state. [`train`](crate::train::train)
+    /// calls it on every layer before it returns; a backward after it
+    /// needs a new Train forward. Layers that keep nothing ignore it.
+    fn end_training(&mut self) {}
+
     /// Mutable access to the layer's parameters (empty for stateless
     /// layers).
     fn params_mut(&mut self) -> Vec<&mut Param> {

@@ -363,6 +363,13 @@ impl Network {
         params_only(self.layers[first].as_mut(), &g)
     }
 
+    /// Drops every layer's training state (see [`Layer::end_training`]).
+    pub fn end_training(&mut self) {
+        for layer in &mut self.layers {
+            layer.end_training();
+        }
+    }
+
     /// Zeroes every parameter gradient.
     pub fn zero_grads(&mut self) {
         for layer in &mut self.layers {

@@ -237,6 +237,10 @@ impl Layer for MaxPool2d {
 
     fn assign_addresses(&mut self, _alloc: &mut SegmentAllocator) {}
 
+    fn end_training(&mut self) {
+        self.cached = None;
+    }
+
     fn spec(&self) -> crate::spec::LayerSpec {
         crate::spec::LayerSpec::MaxPool2d { k: self.win.kh }
     }

@@ -72,6 +72,10 @@ impl Layer for Flatten {
 
     fn assign_addresses(&mut self, _alloc: &mut SegmentAllocator) {}
 
+    fn end_training(&mut self) {
+        self.cached_shape = None;
+    }
+
     fn spec(&self) -> crate::spec::LayerSpec {
         crate::spec::LayerSpec::Flatten
     }
@@ -194,6 +198,10 @@ impl Layer for Softmax {
     }
 
     fn assign_addresses(&mut self, _alloc: &mut SegmentAllocator) {}
+
+    fn end_training(&mut self) {
+        self.cached_output = None;
+    }
 
     fn spec(&self) -> crate::spec::LayerSpec {
         crate::spec::LayerSpec::Softmax

@@ -78,7 +78,9 @@ pub struct TrainReport {
     pub final_train_accuracy: f64,
 }
 
-/// Trains `net` with per-example SGD and cross-entropy loss.
+/// Trains `net` with per-example SGD and cross-entropy loss. However it
+/// returns, the layers keep no training state afterwards (see
+/// [`Network::end_training`]).
 ///
 /// # Errors
 ///
@@ -100,6 +102,17 @@ pub struct TrainReport {
 /// # }
 /// ```
 pub fn train(net: &mut Network, samples: &[Sample], config: &TrainConfig) -> Result<TrainReport> {
+    let report = train_epochs(net, samples, config);
+    net.end_training();
+    report
+}
+
+/// The epochs of [`train`], which leave the layers' training state behind.
+fn train_epochs(
+    net: &mut Network,
+    samples: &[Sample],
+    config: &TrainConfig,
+) -> Result<TrainReport> {
     let mut opt =
         Sgd::new(config.schedule.base_lr, config.momentum).with_weight_decay(config.weight_decay);
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
@@ -298,6 +311,36 @@ mod tests {
             ));
         }
         out
+    }
+
+    #[test]
+    fn train_leaves_no_training_state_behind() {
+        // Every layer kind: conv, ReLU, max-pool, flatten, dense.
+        let samples: Vec<Sample> = (0..4)
+            .map(|i| (Tensor::full([1, 28, 28], 0.1 * i as f32), i % 10))
+            .collect();
+        for batch_size in [1, 4] {
+            let mut net = crate::models::mnist_cnn(3);
+            let config = TrainConfig {
+                epochs: 1,
+                batch_size,
+                threads: Threads::Count(1),
+                ..TrainConfig::default()
+            };
+            train(&mut net, &samples, &config).unwrap();
+            let grad = Tensor::zeros([10]);
+            assert!(matches!(
+                net.backward(&grad),
+                Err(NnError::NoForwardCache { .. })
+            ));
+            for layer in net.layers_mut() {
+                assert!(
+                    matches!(layer.backward(&grad), Err(NnError::NoForwardCache { .. })),
+                    "{} kept its Train forward's state",
+                    layer.name()
+                );
+            }
+        }
     }
 
     fn toy_net() -> Network {

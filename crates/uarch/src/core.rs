@@ -5,8 +5,8 @@ use crate::branch::BranchPredictor;
 use crate::cache::CacheConfigError;
 use crate::config::CoreConfig;
 use crate::cycles::RetiredCounts;
-use crate::hierarchy::MemoryHierarchy;
-use crate::probe::Probe;
+use crate::hierarchy::{MemoryHierarchy, ServedBy};
+use crate::probe::{MacRun, Probe};
 use crate::tlb::Tlb;
 
 /// A raw snapshot of every architectural/microarchitectural count the
@@ -263,6 +263,34 @@ impl Probe for CoreSim {
         self.run(base, stride, count, pc, true);
     }
 
+    /// Each iteration's weight load and accumulator load go through the
+    /// TLB and the hierarchy like single loads; the accumulator store is
+    /// applied in closed form (a TLB memo hit on the page the load just
+    /// translated, then [`MemoryHierarchy::store_after_load`]). After the
+    /// first iteration, accumulator loads skip the prefetcher when it
+    /// provably proposes nothing for them and the store after each
+    /// rewrites what it would change ([`MemoryHierarchy::acc_loads_idle`]).
+    fn mac_run(&mut self, run: MacRun) {
+        self.loads += 2 * run.count;
+        self.stores += run.count;
+        self.alu_ops += run.alu * run.count;
+        let idle = self.hierarchy.acc_loads_idle();
+        let mut observe_acc = true;
+        run.for_each(|weight, acc| {
+            self.tlb.translate(weight);
+            self.hierarchy.access(weight, false, run.weight_pc);
+            self.tlb.translate(acc);
+            let served = self.hierarchy.demand(acc, false);
+            if observe_acc {
+                self.hierarchy
+                    .prefetch(run.acc_pc, acc, served != ServedBy::L1);
+                observe_acc = !idle;
+            }
+            self.tlb.repeat_memo_hits(1);
+            self.hierarchy.store_after_load(acc, run.acc_pc);
+        });
+    }
+
     fn branch(&mut self, pc: u64, taken: bool) {
         self.predictor.observe(pc, taken);
     }
@@ -275,7 +303,6 @@ impl Probe for CoreSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchy::ServedBy;
 
     fn core() -> CoreSim {
         CoreSim::new(CoreConfig::tiny()).unwrap()

@@ -171,6 +171,15 @@ impl MemoryHierarchy {
     /// for the prefetcher. Returns the level that served the access.
     #[inline]
     pub fn access(&mut self, addr: u64, write: bool, pc: u64) -> ServedBy {
+        let served = self.demand(addr, write);
+        self.prefetch(pc, addr, served != ServedBy::L1);
+        served
+    }
+
+    /// The demand half of [`access`](Self::access): the lookup down the
+    /// levels, the writeback of a dirty L1 victim and the latency.
+    #[inline]
+    pub(crate) fn demand(&mut self, addr: u64, write: bool) -> ServedBy {
         let l1 = self.l1d.access(addr, write);
         let mut served = ServedBy::L1;
         if !l1.hit {
@@ -194,12 +203,18 @@ impl MemoryHierarchy {
             }
         }
         self.stats_demand_cycles += self.latency.for_level(served);
+        served
+    }
 
-        // Prefetcher observes the demand stream and fills L2/L3. A
-        // prefetch that misses the LLC still fetches the line from DRAM,
-        // so it counts toward `cache-misses` exactly as on real PMUs —
-        // prefetching hides *latency*, not *traffic*.
-        let (targets, n) = self.prefetcher.observe(pc, addr, !l1.hit);
+    /// The prefetch half of [`access`](Self::access): the prefetcher
+    /// observes the demand access to `addr` from `pc` (`miss` when L1
+    /// missed) and fills L2/L3. A prefetch that misses the LLC still
+    /// fetches the line from DRAM, so it counts toward `cache-misses`
+    /// exactly as on real PMUs — prefetching hides *latency*, not
+    /// *traffic*.
+    #[inline]
+    pub(crate) fn prefetch(&mut self, pc: u64, addr: u64, miss: bool) {
+        let (targets, n) = self.prefetcher.observe(pc, addr, miss);
         for &t in &targets[..n] {
             self.stats_prefetches += 1;
             self.stats_llc_references += 1;
@@ -209,7 +224,29 @@ impl MemoryHierarchy {
             }
             self.l2.access(t, false);
         }
-        served
+    }
+
+    /// A store to `addr` from `pc` right after a load of `addr` from
+    /// `pc`, in closed form: the load left `addr`'s line remembered in
+    /// L1, so the store is a memo hit there (dirtying the line under
+    /// write-back; a write-through hit is not forwarded, as in
+    /// [`access`](Self::access)), costs the L1 latency and proposes no
+    /// prefetch (see [`Prefetcher::observe_repeat`]). The effect equals
+    /// `access(addr, true, pc)`.
+    #[inline]
+    pub(crate) fn store_after_load(&mut self, addr: u64, pc: u64) {
+        debug_assert_eq!(self.l1d.memo_run(addr, 0, 1), 1, "load left the line");
+        self.l1d.repeat_memo_hits(1, true);
+        self.stats_demand_cycles += self.latency.l1;
+        self.prefetcher.observe_repeat(pc, addr);
+    }
+
+    /// Whether the accumulator loads of a multiply-accumulate run may
+    /// skip the prefetcher after its first iteration (see
+    /// [`Prefetcher::acc_loads_idle`]).
+    #[inline]
+    pub(crate) fn acc_loads_idle(&self) -> bool {
+        self.prefetcher.acc_loads_idle()
     }
 
     /// Applies, in closed form, the longest steady prefix (at most `n`

@@ -103,6 +103,39 @@ impl Prefetcher {
             p.advance(pc, last_addr);
         }
     }
+
+    /// The [`observe`](Self::observe) of an L1 hit on `addr` from `pc`
+    /// right after a load of `addr` from `pc`, as a store after its load
+    /// makes it. It proposes nothing: next-line proposes on misses only,
+    /// and the stride entry, which the load left holding `pc`, sees
+    /// stride 0. It leaves that entry holding `pc` at `addr` with stride
+    /// 0 and confidence 0, which it writes whole, so it stays exact when
+    /// the load's own observe was skipped (see
+    /// [`acc_loads_idle`](Self::acc_loads_idle)).
+    #[inline]
+    pub(crate) fn observe_repeat(&mut self, pc: u64, addr: u64) {
+        if let Prefetcher::Stride(p) = self {
+            p.observe_repeat(pc, addr);
+        }
+    }
+
+    /// Whether the accumulator loads of a multiply-accumulate run may skip
+    /// [`observe`](Self::observe) after the run's first iteration, each
+    /// being followed by a store to its address from its site that is
+    /// applied with [`observe_repeat`](Self::observe_repeat). True except
+    /// for the next-line prefetcher, which proposes on every miss. With
+    /// no prefetcher there is nothing to observe. For the stride
+    /// prefetcher, the entry of the accumulator site was last written
+    /// either by the previous iteration's store (stride 0, confidence 0)
+    /// or by this iteration's weight load, which installs a fresh entry
+    /// if it evicts that store's, or else (same site) leaves confidence 0
+    /// because a stride-0 entry never gains confidence. So the load
+    /// reaches confidence at most 1 and proposes nothing, and the store
+    /// right after it rewrites the whole entry.
+    #[inline]
+    pub(crate) fn acc_loads_idle(&self) -> bool {
+        !matches!(self, Prefetcher::NextLine(_))
+    }
 }
 
 /// Trivial next-line prefetcher.
@@ -224,6 +257,18 @@ impl StridePrefetcher {
             && e.last_addr.wrapping_add_signed(stride) == addr
             && e.confidence >= 2;
         follows.then_some(self.degree)
+    }
+
+    /// See [`Prefetcher::observe_repeat`].
+    #[inline]
+    fn observe_repeat(&mut self, pc: u64, addr: u64) {
+        self.table[(pc & self.mask) as usize] = StrideEntry {
+            pc,
+            last_addr: addr,
+            stride: 0,
+            confidence: 0,
+            valid: true,
+        };
     }
 
     /// See [`Prefetcher::advance`]: each steady access moves the entry's

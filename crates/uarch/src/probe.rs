@@ -13,9 +13,9 @@
 /// (cache fills, predictor updates, …). The single-event methods have
 /// empty defaults so lightweight probes only override what they observe;
 /// the run methods ([`load_run`](Self::load_run),
-/// [`store_run`](Self::store_run)) default to one single-event call per
-/// element, so a probe that overrides only `load` and `store` still sees
-/// every access of a run.
+/// [`store_run`](Self::store_run), [`mac_run`](Self::mac_run)) default
+/// to one single-event call per element, so a probe that overrides only
+/// the single events still sees every event of a run.
 pub trait Probe {
     /// A data load at virtual address `addr`, issued by the load
     /// instruction at program counter `pc` (the PC lets PC-indexed
@@ -52,6 +52,19 @@ pub trait Probe {
         }
     }
 
+    /// The `count` iterations of a multiply-accumulate run (see
+    /// [`MacRun`]): the same events as the single calls
+    /// [`MacRun::for_each`] lists, which is what the default makes.
+    /// Probes that can account for a run faster override it.
+    fn mac_run(&mut self, run: MacRun) {
+        run.for_each(|weight, acc| {
+            self.load(weight, run.weight_pc);
+            self.load(acc, run.acc_pc);
+            self.alu(run.alu);
+            self.store(acc, run.acc_pc);
+        });
+    }
+
     /// A conditional branch at program location `pc` whose outcome was
     /// `taken`.
     fn branch(&mut self, pc: u64, taken: bool) {
@@ -70,6 +83,46 @@ pub trait Probe {
     /// their observations can ignore it (the default does).
     fn layer_boundary(&mut self, index: usize) {
         let _ = index;
+    }
+}
+
+/// A multiply-accumulate run: `count` iterations of an inner product's
+/// loop, each loading a weight from `weight_pc`, loading an accumulator
+/// from `acc_pc`, retiring `alu` ALU instructions (the multiply and the
+/// add) and storing the accumulator back from `acc_pc`. Iteration `i`
+/// touches `weight + i·weight_stride` and `acc + i·acc_stride`, with
+/// wrapping address arithmetic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MacRun {
+    /// Weight address of the first iteration.
+    pub weight: u64,
+    /// Bytes between the weights of consecutive iterations.
+    pub weight_stride: i64,
+    /// Load site of the weights.
+    pub weight_pc: u64,
+    /// Accumulator address of the first iteration.
+    pub acc: u64,
+    /// Bytes between the accumulators of consecutive iterations.
+    pub acc_stride: i64,
+    /// Load and store site of the accumulators.
+    pub acc_pc: u64,
+    /// ALU instructions retired per iteration.
+    pub alu: u64,
+    /// Number of iterations.
+    pub count: u64,
+}
+
+impl MacRun {
+    /// Calls `f(weight, acc)` with the addresses of each iteration, in
+    /// order.
+    #[inline]
+    pub fn for_each(&self, mut f: impl FnMut(u64, u64)) {
+        let (mut weight, mut acc) = (self.weight, self.acc);
+        for _ in 0..self.count {
+            f(weight, acc);
+            weight = weight.wrapping_add_signed(self.weight_stride);
+            acc = acc.wrapping_add_signed(self.acc_stride);
+        }
     }
 }
 
@@ -135,6 +188,12 @@ impl Probe for CountingProbe {
         self.stores += count;
     }
 
+    fn mac_run(&mut self, run: MacRun) {
+        self.loads += 2 * run.count;
+        self.stores += run.count;
+        self.alu_ops += run.alu * run.count;
+    }
+
     fn branch(&mut self, _pc: u64, taken: bool) {
         self.branches += 1;
         if taken {
@@ -190,6 +249,10 @@ mod tests {
         fn store(&mut self, addr: u64, pc: u64) {
             self.0.store(addr, pc);
         }
+
+        fn alu(&mut self, n: u64) {
+            self.0.alu(n);
+        }
     }
 
     #[test]
@@ -209,6 +272,28 @@ mod tests {
     }
 
     #[test]
+    fn counting_probe_mac_runs_match_the_per_element_default() {
+        let mut fast = CountingProbe::new();
+        let mut slow = PerElement(CountingProbe::new());
+        for count in [0, 1, 6, 500] {
+            let run = MacRun {
+                weight: 0x1000,
+                weight_stride: 100,
+                weight_pc: 0x40,
+                acc: u64::MAX - 4,
+                acc_stride: -4,
+                acc_pc: 0x80,
+                alu: 2,
+                count,
+            };
+            fast.mac_run(run);
+            slow.mac_run(run);
+            assert_eq!(fast, slow.0, "{count}-iteration run");
+        }
+        assert_eq!((fast.loads, fast.stores, fast.alu_ops), (1014, 507, 1014));
+    }
+
+    #[test]
     fn default_runs_walk_with_wrapping_addresses() {
         #[derive(Default)]
         struct Addrs(Vec<(u64, bool)>);
@@ -218,6 +303,9 @@ mod tests {
             }
             fn store(&mut self, addr: u64, _pc: u64) {
                 self.0.push((addr, true));
+            }
+            fn alu(&mut self, n: u64) {
+                self.0.push((n, false));
             }
         }
         let mut p = Addrs::default();
@@ -230,6 +318,30 @@ mod tests {
                 (u64::MAX - 1, false),
                 (0, false),
                 (2, true),
+                (0, true)
+            ]
+        );
+        let mut p = Addrs::default();
+        p.mac_run(MacRun {
+            weight: 8,
+            weight_stride: -8,
+            weight_pc: 0x40,
+            acc: u64::MAX,
+            acc_stride: 1,
+            acc_pc: 0x80,
+            alu: 2,
+            count: 2,
+        });
+        assert_eq!(
+            p.0,
+            [
+                (8, false),
+                (u64::MAX, false),
+                (2, false),
+                (u64::MAX, true),
+                (0, false),
+                (0, false),
+                (2, false),
                 (0, true)
             ]
         );

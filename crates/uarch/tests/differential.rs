@@ -5,9 +5,9 @@
 //! `pollute` and `reset_stats` interleaved, and every observable result
 //! — access outcomes, statistics, occupancy, residency probes, prefetch
 //! targets, TLB verdicts and whole-core counter snapshots — must match
-//! exactly. A failing case prints its configuration and step. Runs of
-//! accesses (`Probe::load_run`/`store_run`) are also checked against
-//! the same accesses made one by one on a second production core, whose
+//! exactly. A failing case prints its configuration and step. Runs
+//! (`Probe::load_run`/`store_run`/`mac_run`) are also checked against
+//! the same events made one by one on a second production core, whose
 //! whole state must match.
 
 mod reference;
@@ -20,7 +20,7 @@ use scnn_rng::{ChaCha8Rng, Rng, SeedableRng};
 use scnn_uarch::cache::{Cache, CacheConfig, ReplacementPolicy, WritePolicy};
 use scnn_uarch::hierarchy::{HierarchyConfig, MemoryHierarchy};
 use scnn_uarch::prefetch::Prefetcher;
-use scnn_uarch::{CoreConfig, CoreSim, PrefetcherKind, Probe, Tlb, TlbConfig};
+use scnn_uarch::{CoreConfig, CoreSim, MacRun, PrefetcherKind, Probe, Tlb, TlbConfig};
 
 /// (size, ways, line): direct-mapped, small, odd way counts for the PLRU
 /// tree, and the 64-way limit.
@@ -508,11 +508,16 @@ impl Probe for PerElement<'_> {
     fn store(&mut self, addr: u64, pc: u64) {
         self.0.store(addr, pc);
     }
+
+    fn alu(&mut self, n: u64) {
+        self.0.alu(n);
+    }
 }
 
-#[test]
-fn runs_match_per_element_accesses_for_every_cache_shape() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xd1ff_0008);
+/// One core per cache shape, replacement policy, L1 write policy and
+/// prefetcher kind, the TLB shape cycling through small, direct-mapped,
+/// fully associative, large and sub-line-page TLBs.
+fn every_cache_shape() -> Vec<CoreConfig> {
     let tlbs = [
         (64, 4, 4096),
         (8, 2, 4096),
@@ -523,7 +528,7 @@ fn runs_match_per_element_accesses_for_every_cache_shape() {
         // Pages smaller than a line.
         (8, 2, 32),
     ];
-    let mut case_index = 0;
+    let mut configs = Vec::new();
     for (size, ways, line) in GEOMETRIES {
         for policy in ReplacementPolicy::ALL {
             for write_policy in WritePolicy::ALL {
@@ -533,9 +538,8 @@ fn runs_match_per_element_accesses_for_every_cache_shape() {
                             .with_policy(policy)
                             .with_write_policy(write_policy)
                     };
-                    let (entries, associativity, page_bytes) = tlbs[case_index % tlbs.len()];
-                    case_index += 1;
-                    let config = CoreConfig {
+                    let (entries, associativity, page_bytes) = tlbs[configs.len() % tlbs.len()];
+                    configs.push(CoreConfig {
                         hierarchy: HierarchyConfig {
                             l1d: level(size),
                             l2: level(4 * size),
@@ -549,55 +553,176 @@ fn runs_match_per_element_accesses_for_every_cache_shape() {
                             page_bytes,
                         },
                         ..CoreConfig::tiny()
-                    };
-                    let case = format!("{config:?}");
-                    let mut fast = CoreSim::new(config).unwrap();
-                    let mut slow = CoreSim::new(config).unwrap();
-                    let mut reference = RefCore::new(config);
-                    for (step, op) in run_steps(&mut rng, 24).into_iter().enumerate() {
-                        match op {
-                            RunStep::Run {
-                                base,
-                                stride,
-                                count,
-                                pc,
-                                write,
-                            } => {
-                                if write {
-                                    fast.store_run(base, stride, count, pc);
-                                    PerElement(&mut slow).store_run(base, stride, count, pc);
-                                } else {
-                                    fast.load_run(base, stride, count, pc);
-                                    PerElement(&mut slow).load_run(base, stride, count, pc);
-                                }
-                                let mut addr = base;
-                                for _ in 0..count {
-                                    if write {
-                                        reference.store(addr, pc);
-                                    } else {
-                                        reference.load(addr, pc);
-                                    }
-                                    addr = addr.wrapping_add_signed(stride);
-                                }
-                            }
-                            RunStep::Op(op) => {
-                                apply_to(&mut fast, op);
-                                apply_to(&mut slow, op);
-                                apply_to(&mut reference, op);
-                            }
-                        }
-                        assert_eq!(
-                            fast.snapshot(),
-                            reference.snapshot(),
-                            "{case} step {step}: {op:?}"
-                        );
-                        assert!(
-                            fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb(),
-                            "{case} step {step}: {op:?} left another state than per-element accesses"
-                        );
-                    }
+                    });
                 }
             }
+        }
+    }
+    configs
+}
+
+#[test]
+fn runs_match_per_element_accesses_for_every_cache_shape() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xd1ff_0008);
+    for config in every_cache_shape() {
+        let case = format!("{config:?}");
+        let mut fast = CoreSim::new(config).unwrap();
+        let mut slow = CoreSim::new(config).unwrap();
+        let mut reference = RefCore::new(config);
+        for (step, op) in run_steps(&mut rng, 24).into_iter().enumerate() {
+            match op {
+                RunStep::Run {
+                    base,
+                    stride,
+                    count,
+                    pc,
+                    write,
+                } => {
+                    if write {
+                        fast.store_run(base, stride, count, pc);
+                        PerElement(&mut slow).store_run(base, stride, count, pc);
+                    } else {
+                        fast.load_run(base, stride, count, pc);
+                        PerElement(&mut slow).load_run(base, stride, count, pc);
+                    }
+                    let mut addr = base;
+                    for _ in 0..count {
+                        if write {
+                            reference.store(addr, pc);
+                        } else {
+                            reference.load(addr, pc);
+                        }
+                        addr = addr.wrapping_add_signed(stride);
+                    }
+                }
+                RunStep::Op(op) => {
+                    apply_to(&mut fast, op);
+                    apply_to(&mut slow, op);
+                    apply_to(&mut reference, op);
+                }
+            }
+            assert_eq!(
+                fast.snapshot(),
+                reference.snapshot(),
+                "{case} step {step}: {op:?}"
+            );
+            assert!(
+                fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb(),
+                "{case} step {step}: {op:?} left another state than per-element accesses"
+            );
+        }
+    }
+}
+
+/// (weight site, accumulator site) pairs of multiply-accumulate runs:
+/// distinct stride-table entries (as the traced kernels' sites are),
+/// two sites aliasing one entry, one site for both, and sites that
+/// alias the entry of the single accesses in between.
+const MAC_PCS: [(u64, u64); 5] = [
+    (0x40_0100, 0x40_0140),
+    (0x40, 0x140),
+    (0x80, 0x80),
+    (0x140, 0x40),
+    (0x4000, 0x40_0140),
+];
+const MAC_WEIGHT_STRIDES: [i64; 7] = [4, 100, 0, -4, 64, 4096, i64::MIN];
+const MAC_ACC_STRIDES: [i64; 8] = [4, 2304, 0, -4, -2304, 64, 4100, i64::MAX];
+/// 0 and 1 iterations, a conv layer's filter counts, and runs longer
+/// than any per-iteration table the simulator might keep.
+const MAC_COUNTS: [u64; 7] = [0, 1, 2, 6, 16, 100, 300];
+
+/// Where a multiply-accumulate operand starts: low memory, or within
+/// 4 KiB of `u64::MAX`, so the run wraps to address 0.
+fn mac_base(rng: &mut ChaCha8Rng) -> u64 {
+    if rng.gen_range(0u32..6) == 0 {
+        u64::MAX - rng.gen_range(0u64..1 << 12)
+    } else {
+        rng.gen_range(0u64..1 << 20)
+    }
+}
+
+/// One step of a multiply-accumulate workload.
+#[derive(Debug, Clone, Copy)]
+enum MacStep {
+    Run(MacRun),
+    Op(CoreOp),
+}
+
+/// Multiply-accumulate runs as a convolution emits them: groups of runs
+/// one kernel tap apart (weights 4 bytes on, accumulators 4 bytes back,
+/// so each run revisits the lines of the one before), with fresh
+/// strides, sites and counts per group, and cold starts, pollution,
+/// counter resets and single events at the same sites in between.
+fn mac_steps(rng: &mut ChaCha8Rng, len: usize) -> Vec<MacStep> {
+    let mut steps = Vec::new();
+    while steps.len() < len {
+        let (weight_pc, acc_pc) = MAC_PCS[rng.gen_range(0..MAC_PCS.len())];
+        let mut run = MacRun {
+            weight: mac_base(rng),
+            weight_stride: MAC_WEIGHT_STRIDES[rng.gen_range(0..MAC_WEIGHT_STRIDES.len())],
+            weight_pc,
+            acc: mac_base(rng),
+            acc_stride: MAC_ACC_STRIDES[rng.gen_range(0..MAC_ACC_STRIDES.len())],
+            acc_pc,
+            alu: rng.gen_range(0u64..3),
+            count: MAC_COUNTS[rng.gen_range(0..MAC_COUNTS.len())],
+        };
+        for _ in 0..rng.gen_range(1..=5) {
+            steps.push(MacStep::Run(run));
+            run.weight = run.weight.wrapping_add(4);
+            run.acc = run.acc.wrapping_sub(4);
+        }
+        let op = match rng.gen_range(0u32..12) {
+            0 => CoreOp::ColdStart,
+            1 => CoreOp::Pollute(1.0, rng.gen()),
+            2 => CoreOp::Pollute(rng.gen_range(0.0..1.0), rng.gen()),
+            3 => CoreOp::ResetCounters,
+            4 => CoreOp::Load(run.acc, acc_pc),
+            5 => CoreOp::Store(run.weight, weight_pc),
+            6 => CoreOp::Load(rng.gen_range(0u64..1 << 20), 0x40),
+            7 => CoreOp::Alu(rng.gen_range(1u64..64)),
+            _ => continue,
+        };
+        steps.push(MacStep::Op(op));
+    }
+    steps
+}
+
+#[test]
+fn mac_runs_match_per_element_events_for_every_cache_shape() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xd1ff_0009);
+    for config in every_cache_shape() {
+        let case = format!("{config:?}");
+        let mut fast = CoreSim::new(config).unwrap();
+        let mut slow = CoreSim::new(config).unwrap();
+        let mut reference = RefCore::new(config);
+        for (step, op) in mac_steps(&mut rng, 60).into_iter().enumerate() {
+            match op {
+                MacStep::Run(run) => {
+                    fast.mac_run(run);
+                    PerElement(&mut slow).mac_run(run);
+                    reference.mac_run(run);
+                }
+                MacStep::Op(op) => {
+                    apply_to(&mut fast, op);
+                    apply_to(&mut slow, op);
+                    apply_to(&mut reference, op);
+                }
+            }
+            assert_eq!(
+                fast.snapshot(),
+                slow.snapshot(),
+                "{case} step {step}: {op:?}"
+            );
+            assert_eq!(
+                fast.snapshot(),
+                reference.snapshot(),
+                "{case} step {step}: {op:?}"
+            );
+            assert!(
+                fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb(),
+                "{case} step {step}: {op:?} left another state than per-element events"
+            );
         }
     }
 }
