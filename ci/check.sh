@@ -170,6 +170,17 @@ trained="$(grep -o '"name":"pipeline.train"' "$frontier_tel" | wc -l)"
   || { echo "FAIL: uncached frontier recorded $trained training spans, want 1"; exit 1; }
 rm -f "$frontier_tel"
 
+step "repro all trains each victim once (uncached run records exactly three training spans)"
+# MNIST CNN, CIFAR-10 CNN and the archs arm's MNIST MLP: every artefact
+# and campaign on one of those model keys reuses the runner's model.
+all_tel="$(mktemp)"
+cargo run --release --offline -q -p scnn-bench --bin repro -- \
+      all --quick --samples 8 --threads 1 --telemetry "$all_tel" > /dev/null
+trained="$(grep -o '"name":"pipeline.train"' "$all_tel" | wc -l)"
+[ "$trained" -eq 3 ] \
+  || { echo "FAIL: uncached repro all recorded $trained training spans, want 3"; exit 1; }
+rm -f "$all_tel"
+
 step "evaluation service smoke (concurrent jobs, shared cache, byte-identical to direct runs)"
 serve_dir="$(mktemp -d)"
 cat > "$serve_dir/jobs.ndjson" <<'EOF'

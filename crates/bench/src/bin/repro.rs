@@ -71,9 +71,10 @@
 //! semantics.
 
 use scnn_bench::repro_flags;
-use scnn_cache::ArtifactCache;
+use scnn_cache::{ArtifactCache, CacheKey};
+use scnn_core::artifact;
 use scnn_core::attack::{AttackClassifier, AttackConfig};
-use scnn_core::campaign::{map_arms, Campaign};
+use scnn_core::campaign::{map_arms, obtain_model, Campaign, TrainedModel};
 use scnn_core::countermeasure::Countermeasure;
 use scnn_core::json::ToJson;
 use scnn_core::pipeline::{
@@ -254,8 +255,9 @@ impl Options {
 /// One artefact command: prints its artefact to the runner's sink.
 type Command<W> = fn(&mut Runner<W>) -> Result<(), Error>;
 
-/// Runs (and caches) the main experiment per dataset so `repro all` does
-/// not retrain and remeasure for every artefact.
+/// Runs (and caches) the main experiment per dataset, and keeps every
+/// victim model it obtains, so `repro all` does not retrain and
+/// remeasure for every artefact.
 ///
 /// Generic over the output sink: the CLI hands it real stdout, `repro
 /// serve` hands each job a private buffer. Everything an artefact
@@ -264,6 +266,10 @@ type Command<W> = fn(&mut Runner<W>) -> Result<(), Error>;
 struct Runner<W: Write> {
     options: Options,
     cache: HashMap<&'static str, ExperimentOutcome>,
+    /// Every victim model obtained so far, by model key, each trained (or
+    /// restored) once for the runner's life and handed to every
+    /// experiment and campaign on that key.
+    models: HashMap<CacheKey, TrainedModel>,
     /// The on-disk artifact cache behind `--cache-dir`, if set. Distinct
     /// from `cache` above: that one deduplicates within a single `repro`
     /// process, this one persists across processes (and is shared by
@@ -321,6 +327,7 @@ impl<W: Write> Runner<W> {
         Runner {
             options,
             cache: HashMap::new(),
+            models: HashMap::new(),
             artifact_cache,
             out,
             traffic: CacheTraffic::default(),
@@ -380,12 +387,18 @@ impl<W: Write> Runner<W> {
                 "[repro] running {dataset} experiment (train + {} measurements/category)…",
                 self.options.samples
             );
-            let experiment = Experiment::new(self.options.config(dataset));
-            let outcome = match &self.artifact_cache {
-                Some(cache) => experiment.run_cached(cache),
-                None => experiment.run(),
-            }
-            .map_err(|e| Error::msg(format!("{dataset} experiment failed: {e}")))?;
+            let cfg = self.options.config(dataset);
+            let model_key = artifact::model_key(&cfg);
+            let outcome = Experiment::new(cfg)
+                .run_with(self.artifact_cache.as_ref(), self.models.get(&model_key))
+                .map_err(|e| Error::msg(format!("{dataset} experiment failed: {e}")))?;
+            self.models
+                .entry(model_key)
+                .or_insert_with(|| TrainedModel {
+                    network: outcome.network.clone(),
+                    train_report: outcome.train_report.clone(),
+                    test_accuracy: outcome.test_accuracy,
+                });
             self.log_cache(key, &outcome.cache);
             eprintln!(
                 "[repro] {dataset} done in {:.1?} (CNN test accuracy {:.1}%)",
@@ -397,6 +410,20 @@ impl<W: Write> Runner<W> {
         Ok(key)
     }
 
+    /// Obtains `cfg`'s victim model once for the runner's life: kept in
+    /// memory, else restored from the artifact cache or trained and
+    /// stored. Returns its key in `self.models` and whether training was
+    /// skipped.
+    fn model(&mut self, cfg: &ExperimentConfig) -> Result<(CacheKey, bool), Error> {
+        let key = artifact::model_key(cfg);
+        if self.models.contains_key(&key) {
+            return Ok((key, true));
+        }
+        let (model, hit) = obtain_model(cfg, self.artifact_cache.as_ref())?;
+        self.models.insert(key, model);
+        Ok((key, hit))
+    }
+
     /// Runs `arms` as one campaign on `base`'s model — in arm order, on
     /// the `--threads` workers, each arm single-threaded inside — and
     /// returns every `(label, outcome)` in arm order.
@@ -406,8 +433,9 @@ impl<W: Write> Runner<W> {
         base: &ExperimentConfig,
         arms: Vec<(String, ExperimentConfig)>,
     ) -> Result<Vec<(String, ExperimentOutcome)>, Error> {
-        let campaign = Campaign::new(base, self.artifact_cache.as_ref())?;
-        let model_hit = campaign.model_hit;
+        let (key, model_hit) = self.model(base)?;
+        let shared = Some(&self.models[&key]);
+        let campaign = Campaign::new(base, self.artifact_cache.as_ref(), shared)?;
         let outcomes = map_arms(
             self.options.threads,
             "repro.arm",
@@ -642,12 +670,14 @@ impl<W: Write> Runner<W> {
         );
         let cfg = self.options.config(DatasetKind::Mnist);
         let frac = self.options.profile_frac.unwrap_or(0.75);
+        let (key, _) = self.model(&cfg)?;
         let outcome = scnn_core::extract::run_extract(
             &cfg,
             frac,
             self.options.dummy_events,
             self.options.threads,
             self.artifact_cache.as_ref(),
+            Some(&self.models[&key]),
         )
         .map_err(|e| Error::msg(format!("extraction campaign failed: {e}")))?;
         for row in &outcome.rows {
@@ -950,11 +980,13 @@ impl<W: Write> Runner<W> {
         for preset in &zoo {
             eprintln!("[sweep] preset {}: {}", preset.name, preset.description);
         }
+        let (key, _) = self.model(&base)?;
         let outcome = scnn_core::sweep::run_sweep(
             &base,
             &zoo,
             self.options.threads,
             self.artifact_cache.as_ref(),
+            Some(&self.models[&key]),
         )
         .map_err(|e| Error::msg(format!("uarch sweep failed: {e}")))?;
         for row in &outcome.rows {
@@ -996,11 +1028,13 @@ impl<W: Write> Runner<W> {
             target_t: self.options.target_t,
             profile_fraction: self.options.profile_frac.unwrap_or(0.6),
         };
+        let (key, _) = self.model(&base)?;
         let outcome = scnn_core::run_frontier(
             &base,
             &opts,
             self.options.threads,
             self.artifact_cache.as_ref(),
+            Some(&self.models[&key]),
         )
         .map_err(|e| Error::msg(format!("frontier campaign failed: {e}")))?;
         for row in &outcome.rows {

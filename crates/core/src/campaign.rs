@@ -9,11 +9,12 @@
 //! written once:
 //!
 //! - **Model once.** [`Campaign::new`] obtains the victim model through
-//!   the one model path, `obtain_model` (restore from the artifact
-//!   cache, else train and store), before any arm runs. Every arm whose
-//!   [`artifact::model_key`] matches reuses it in memory, with or
-//!   without a cache; an arm with a different model (another
-//!   architecture) trains its own, through the same path.
+//!   the one model path, [`obtain_model`] (restore from the artifact
+//!   cache, else train and store), before any arm runs, unless the
+//!   caller already holds it. Every arm whose [`artifact::model_key`]
+//!   matches reuses it in memory, with or without a cache; an arm with
+//!   a different model (another architecture) trains its own, through
+//!   the same path.
 //! - **Ordered arms.** [`map_arms`] runs arms as coarse-grain jobs on a
 //!   [`Pool`] and returns results in arm order, or the error of the
 //!   earliest failing arm — never "whichever failed first on the clock".
@@ -29,6 +30,7 @@ use scnn_data::Dataset;
 use scnn_nn::train::{accuracy, train, TrainReport};
 use scnn_nn::Network;
 use scnn_par::{Pool, Threads};
+use std::borrow::Cow;
 
 /// A trained victim: the network, its training report and its held-out
 /// accuracy — exactly what the model artifact stores.
@@ -86,16 +88,18 @@ pub(crate) fn train_model(
 }
 
 /// The one model path: restores the model of `cfg` from `cache`, or
-/// trains and stores it. Returns the model and whether it was a cache
-/// hit. Same key, same seeds, same bytes as the pipeline's own run.
+/// trains and stores it (on `cfg`'s threads), under a `campaign.model`
+/// span. Returns the model and whether it was a cache hit. Same key,
+/// same seeds, same bytes as the pipeline's own run.
 ///
 /// # Errors
 ///
 /// Dataset generation or training failures.
-pub(crate) fn obtain_model(
+pub fn obtain_model(
     cfg: &ExperimentConfig,
     cache: Option<&ArtifactCache>,
 ) -> Result<(TrainedModel, bool), ExperimentError> {
+    let _span = scnn_obs::Span::enter("campaign.model");
     if let Some(model) = load_model(cfg, cache) {
         return Ok((model, true));
     }
@@ -109,17 +113,15 @@ pub(crate) fn obtain_model(
 /// every arm with the same model key, and the optional artifact cache.
 #[derive(Debug)]
 pub struct Campaign<'a> {
-    model: TrainedModel,
+    model: Cow<'a, TrainedModel>,
     key: CacheKey,
-    /// The model was restored from the cache rather than trained.
-    pub model_hit: bool,
     cache: Option<&'a ArtifactCache>,
 }
 
 impl<'a> Campaign<'a> {
-    /// Obtains `base`'s victim model once (training on `base`'s
-    /// threads), under a `campaign.model` span, so concurrent arms never
-    /// race to train it.
+    /// A campaign on `shared`, the caller's model of `base`'s model key,
+    /// or else on `base`'s model obtained once through [`obtain_model`],
+    /// so concurrent arms never race to train it.
     ///
     /// # Errors
     ///
@@ -127,13 +129,15 @@ impl<'a> Campaign<'a> {
     pub fn new(
         base: &ExperimentConfig,
         cache: Option<&'a ArtifactCache>,
+        shared: Option<&'a TrainedModel>,
     ) -> Result<Campaign<'a>, ExperimentError> {
-        let _span = scnn_obs::Span::enter("campaign.model");
-        let (model, model_hit) = obtain_model(base, cache)?;
+        let model = match shared {
+            Some(model) => Cow::Borrowed(model),
+            None => Cow::Owned(obtain_model(base, cache)?.0),
+        };
         Ok(Campaign {
             model,
             key: artifact::model_key(base),
-            model_hit,
             cache,
         })
     }
@@ -151,8 +155,8 @@ impl<'a> Campaign<'a> {
     ///
     /// Whatever the experiment returns.
     pub fn run(&self, cfg: ExperimentConfig) -> Result<ExperimentOutcome, ExperimentError> {
-        let shared = (artifact::model_key(&cfg) == self.key).then_some(&self.model);
-        Experiment::new(cfg).run_inner(self.cache, shared)
+        let shared = (artifact::model_key(&cfg) == self.key).then_some(&*self.model);
+        Experiment::new(cfg).run_with(self.cache, shared)
     }
 }
 

@@ -43,7 +43,7 @@
 
 use crate::artifact;
 use crate::attack::{Adversary, AttackError};
-use crate::campaign::{map_arms, profile_split, Campaign};
+use crate::campaign::{map_arms, profile_split, Campaign, TrainedModel};
 use crate::collect::{category_seed, TracedClassifier};
 use crate::countermeasure::{Countermeasure, ProtectedModel};
 use crate::error::Error;
@@ -922,9 +922,10 @@ pub(crate) fn profile_and_score(
 /// reports recovery as a function of corpus size.
 ///
 /// Arms run through [`map_arms`] on `threads` workers, on one
-/// [`Campaign`]'s shared model; every arm's environment is seeded purely
-/// from `(seed, countermeasure)`, so the outcome is **bit-identical at
-/// every thread count**. With a `cache`, each arm's trace corpus is
+/// [`Campaign`]'s shared model (`shared` when the caller holds `base`'s
+/// model); every arm's environment is seeded purely from
+/// `(seed, countermeasure)`, so the outcome is **bit-identical at every
+/// thread count**. With a `cache`, each arm's trace corpus is
 /// checkpointed under its own key.
 ///
 /// # Errors
@@ -937,10 +938,11 @@ pub fn run_extract(
     dummy_events: u64,
     threads: Threads,
     cache: Option<&ArtifactCache>,
+    shared: Option<&TrainedModel>,
 ) -> Result<ExtractOutcome, Error> {
     let profile_n = profile_split(base.collection.samples_per_category, profile_fraction)?;
     let _span = scnn_obs::Span::enter("extract.run");
-    let campaign = Campaign::new(&base.clone().threads(threads), cache)?;
+    let campaign = Campaign::new(&base.clone().threads(threads), cache, shared)?;
     let net = &campaign.model().network;
     let test_set = base.generate_dataset(base.test_per_class, base.seed ^ 0xFACE)?;
     let (first_image, _) = test_set
@@ -1218,7 +1220,7 @@ mod tests {
     fn run_extract_rejects_bad_profile_fractions() {
         let cfg = ExperimentConfig::quick(DatasetKind::Mnist);
         for bad in [0.0, 1.0, -0.5, f64::NAN] {
-            let err = run_extract(&cfg, bad, 20_000, Threads::Count(1), None);
+            let err = run_extract(&cfg, bad, 20_000, Threads::Count(1), None, None);
             assert!(
                 matches!(
                     err,

@@ -34,7 +34,7 @@
 //! cache state.
 
 use crate::artifact;
-use crate::campaign::{map_arms, profile_split, Campaign};
+use crate::campaign::{map_arms, profile_split, Campaign, TrainedModel};
 use crate::collect::category_seed;
 use crate::countermeasure::Countermeasure;
 use crate::error::Error;
@@ -361,9 +361,10 @@ fn mark_pareto(rows: &mut [FrontierRow]) {
 ///
 /// Arms run through [`map_arms`] on `threads` workers (inner
 /// experiments forced to one thread), all on one [`Campaign`]'s shared
-/// model; with a `cache`, each arm's observations resume per category
-/// and each arm's extraction corpus is checkpointed under its
-/// content-addressed trace key.
+/// model (`shared` when the caller holds `base`'s model); with a
+/// `cache`, each arm's observations resume per category and each arm's
+/// extraction corpus is checkpointed under its content-addressed trace
+/// key.
 ///
 /// # Errors
 ///
@@ -375,6 +376,7 @@ pub fn run_frontier(
     opts: &FrontierOptions,
     threads: Threads,
     cache: Option<&ArtifactCache>,
+    shared: Option<&TrainedModel>,
 ) -> Result<FrontierOutcome, Error> {
     let profile_n = profile_split(base.collection.samples_per_category, opts.profile_fraction)?;
     let _span = scnn_obs::Span::enter("frontier.run");
@@ -386,7 +388,7 @@ pub fn run_frontier(
     base.evaluator.holm_alpha = Some(0.05);
 
     // Everything downstream shares one victim.
-    let campaign = Campaign::new(&base, cache)?;
+    let campaign = Campaign::new(&base, cache, shared)?;
     let net = &campaign.model().network;
     let test_set = base.generate_dataset(base.test_per_class, base.seed ^ 0xFACE)?;
     let (first_image, _) = test_set

@@ -419,7 +419,7 @@ impl Experiment {
     ///
     /// Returns [`ExperimentError`] from whichever stage fails.
     pub fn run(&self) -> Result<ExperimentOutcome, ExperimentError> {
-        self.run_inner(None, None)
+        self.run_with(None, None)
     }
 
     /// Runs the protocol with a persistent [`ArtifactCache`]: the trained
@@ -441,14 +441,20 @@ impl Experiment {
     /// failures are not errors: an unreadable artifact is a miss and an
     /// unwritable store is skipped.
     pub fn run_cached(&self, cache: &ArtifactCache) -> Result<ExperimentOutcome, ExperimentError> {
-        self.run_inner(Some(cache), None)
+        self.run_with(Some(cache), None)
     }
 
-    /// The protocol behind [`run`](Self::run) and
-    /// [`run_cached`](Self::run_cached). A `shared` model (a
-    /// [`Campaign`](crate::campaign::Campaign)'s, same model key) stands
-    /// in for the cached or freshly trained one.
-    pub(crate) fn run_inner(
+    /// The protocol behind [`run`](Self::run) (no `cache`) and
+    /// [`run_cached`](Self::run_cached). A `shared` model of this
+    /// configuration's model key (a
+    /// [`Campaign`](crate::campaign::Campaign)'s, or one the caller
+    /// keeps) stands in for the cached or freshly trained one, and counts
+    /// as a model hit when there is a cache.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run).
+    pub fn run_with(
         &self,
         cache: Option<&ArtifactCache>,
         shared: Option<&TrainedModel>,

@@ -19,7 +19,7 @@
 //!   per-preset observation artifacts are keyed by the full uarch config
 //!   (see [`crate::zoo`]), so re-running a sweep resumes per preset.
 
-use crate::campaign::{map_arms, Campaign};
+use crate::campaign::{map_arms, Campaign, TrainedModel};
 use crate::json::{ObjectWriter, ToJson};
 use crate::pipeline::{CacheUsage, ExperimentConfig, ExperimentError};
 use scnn_cache::ArtifactCache;
@@ -212,7 +212,8 @@ impl std::error::Error for SweepError {
 /// Each preset replaces `base.pmu.core` (every other parameter — seeds,
 /// samples, evaluator — is held fixed) and runs as one single-threaded
 /// arm through [`map_arms`] on `threads` workers, all on one
-/// [`Campaign`]'s shared model.
+/// [`Campaign`]'s shared model: `shared` when the caller holds `base`'s
+/// model, else one obtained once.
 ///
 /// # Errors
 ///
@@ -222,11 +223,12 @@ pub fn run_sweep(
     zoo: &[UarchConfig],
     threads: Threads,
     cache: Option<&ArtifactCache>,
+    shared: Option<&TrainedModel>,
 ) -> Result<SweepOutcome, SweepError> {
     let _span = scnn_obs::Span::enter("sweep.run");
     let mut base = base.clone().threads(threads);
     base.collection.events = scnn_hpc::HpcEvent::FIG2B.to_vec();
-    let campaign = Campaign::new(&base, cache).map_err(|source| SweepError {
+    let campaign = Campaign::new(&base, cache, shared).map_err(|source| SweepError {
         preset: "(model warm-up)".to_owned(),
         source,
     })?;

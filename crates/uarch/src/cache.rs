@@ -317,8 +317,12 @@ pub struct Cache {
     dirty: Vec<u64>,
     /// PLRU tree bits, one word per set; written only under tree-PLRU.
     plru: Vec<u64>,
+    /// Misses, evictions and writebacks only; [`stats`](Self::stats)
+    /// derives the accesses and hits.
     stats: CacheStats,
     clock: u64,
+    /// `clock` at the last [`reset_stats`](Self::reset_stats).
+    reset_clock: u64,
     ways: usize,
     /// The low `ways` bits set.
     way_mask: u64,
@@ -377,6 +381,7 @@ impl Cache {
             plru: vec![0; sets],
             stats: CacheStats::default(),
             clock: 0,
+            reset_clock: 0,
             ways,
             way_mask: u64::MAX >> (64 - ways),
             line_shift: config.line_bytes.trailing_zeros(),
@@ -396,9 +401,15 @@ impl Cache {
         &self.config
     }
 
-    /// Running statistics.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
+    /// Running statistics. Each access advances the clock by one, so the
+    /// accesses are its advance since the last reset; the rest hit.
+    pub fn stats(&self) -> CacheStats {
+        let accesses = self.clock - self.reset_clock;
+        CacheStats {
+            accesses,
+            hits: accesses - self.stats.misses,
+            ..self.stats
+        }
     }
 
     /// Accesses `addr`; `write` marks the line dirty under write-back.
@@ -411,7 +422,6 @@ impl Cache {
     #[inline(always)]
     pub fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
         self.clock += 1;
-        self.stats.accesses += 1;
         let line_addr = addr >> self.line_shift;
         let set = (line_addr & self.set_mask) as usize;
         let base = set * self.ways;
@@ -434,7 +444,6 @@ impl Cache {
         if write && !self.write_through {
             self.dirty[set] |= 1 << (idx - base);
         }
-        self.stats.hits += 1;
         AccessOutcome {
             hit: true,
             writeback: (write && self.write_through).then_some(line_addr << self.line_shift),
@@ -454,8 +463,8 @@ impl Cache {
     }
 
     /// Applies `k` hits on the remembered line, as `k` calls of
-    /// [`access`](Self::access) on it would: the clock and counts advance
-    /// by `k`, the stamp takes the final clock where hits refresh it, and
+    /// [`access`](Self::access) on it would: the clock advances by `k`,
+    /// the stamp takes the final clock where hits refresh it, and
     /// a write-back store sets the dirty bit. Tree-PLRU bits stay as
     /// they are, as on any memo hit. Call only within a
     /// [`memo_run`](Self::memo_run).
@@ -463,8 +472,6 @@ impl Cache {
     pub(crate) fn repeat_memo_hits(&mut self, k: u64, write: bool) {
         debug_assert_ne!(self.last_idx, NO_MEMO, "no remembered line");
         self.clock += k;
-        self.stats.accesses += k;
-        self.stats.hits += k;
         if self.refresh_on_hit {
             self.stamps[self.last_idx] = self.clock;
         }
@@ -591,6 +598,7 @@ impl Cache {
     /// Resets statistics without touching cache contents.
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
+        self.reset_clock = self.clock;
     }
 
     fn choose_victim(&mut self, set: usize) -> usize {
@@ -816,7 +824,7 @@ mod tests {
         for i in 0..1000u64 {
             c.access((i * 37) % 4096, i % 3 == 0);
         }
-        let s = *c.stats();
+        let s = c.stats();
         assert_eq!(s.hits + s.misses, s.accesses);
     }
 
@@ -872,7 +880,7 @@ mod tests {
             c.access(i * 64, false);
         }
         assert_eq!(c.occupancy(), 8);
-        let s = *c.stats();
+        let s = c.stats();
         assert_eq!(s.misses, 16);
     }
 
@@ -898,7 +906,7 @@ mod tests {
             for i in 0..64u64 {
                 c.access((i * 7919) % 8192, false);
             }
-            *c.stats()
+            c.stats()
         };
         assert_eq!(mk(), mk());
     }

@@ -269,16 +269,36 @@ impl Probe for CoreSim {
     /// translated, then [`MemoryHierarchy::store_after_load`]). After the
     /// first iteration, accumulator loads skip the prefetcher when it
     /// provably proposes nothing for them and the store after each
-    /// rewrites what it would change ([`MemoryHierarchy::acc_loads_idle`]).
+    /// rewrites what it would change (`Prefetcher::acc_loads_idle`).
+    ///
+    /// When the two sites have stride entries of their own, the stores'
+    /// rewrites of the accumulator entry, which nothing reads during the
+    /// run, are made once after it; and once the weight stream is steady
+    /// its targets are filled without observing, and its entry is
+    /// brought up to date once after the run (`Prefetcher::advance`).
     fn mac_run(&mut self, run: MacRun) {
         self.loads += 2 * run.count;
         self.stores += run.count;
         self.alu_ops += run.alu * run.count;
-        let idle = self.hierarchy.acc_loads_idle();
+        let prefetcher = self.hierarchy.prefetcher_mut();
+        let idle = prefetcher.acc_loads_idle();
+        let separate = prefetcher.separate_entries(run.weight_pc, run.acc_pc);
+        let store_pc = (!separate).then_some(run.acc_pc);
         let mut observe_acc = true;
+        let mut weight_steady = false;
         run.for_each(|weight, acc| {
             self.tlb.translate(weight);
-            self.hierarchy.access(weight, false, run.weight_pc);
+            if separate && !weight_steady {
+                let prefetcher = self.hierarchy.prefetcher_mut();
+                weight_steady = prefetcher
+                    .steady(run.weight_pc, weight, run.weight_stride)
+                    .is_some();
+            }
+            if weight_steady {
+                self.hierarchy.steady_load(weight, run.weight_stride);
+            } else {
+                self.hierarchy.access(weight, false, run.weight_pc);
+            }
             self.tlb.translate(acc);
             let served = self.hierarchy.demand(acc, false);
             if observe_acc {
@@ -287,8 +307,18 @@ impl Probe for CoreSim {
                 observe_acc = !idle;
             }
             self.tlb.repeat_memo_hits(1);
-            self.hierarchy.store_after_load(acc, run.acc_pc);
+            self.hierarchy.store_after_load(acc, store_pc);
         });
+        if separate && run.count > 0 {
+            let last = |base: u64, stride: i64| {
+                base.wrapping_add_signed(stride.wrapping_mul((run.count - 1) as i64))
+            };
+            let prefetcher = self.hierarchy.prefetcher_mut();
+            if weight_steady {
+                prefetcher.advance(run.weight_pc, last(run.weight, run.weight_stride));
+            }
+            prefetcher.observe_repeat(run.acc_pc, last(run.acc, run.acc_stride));
+        }
     }
 
     fn branch(&mut self, pc: u64, taken: bool) {
@@ -399,6 +429,65 @@ mod tests {
         // accessor functional.
         assert_eq!(c.hierarchy().stats().llc_misses, 1);
         let _ = ServedBy::L1;
+    }
+
+    #[test]
+    fn mac_run_counts_each_event_once() {
+        use crate::prefetch::PrefetcherKind;
+
+        let mut config = CoreConfig::tiny();
+        config.hierarchy.prefetcher = PrefetcherKind::Stride;
+        let mut c = CoreSim::new(config).unwrap();
+        // Weights 4 bytes apart on line 0, one accumulator, the two sites
+        // in separate stride entries.
+        c.mac_run(MacRun {
+            weight: 0,
+            weight_stride: 4,
+            weight_pc: 0x40_0100,
+            acc: 0x10000,
+            acc_stride: 0,
+            acc_pc: 0x40_0140,
+            alu: 2,
+            count: 8,
+        });
+        let s = c.snapshot();
+        assert_eq!((s.loads, s.stores, s.instructions), (16, 8, 40));
+        // Two cold misses; every other access hits L1.
+        assert_eq!((s.l1d_accesses, s.l1d_misses), (24, 2));
+        // The weight stream is confident from its fourth load on: five
+        // loads prefetch two targets each, all on the resident line 0.
+        assert_eq!(s.prefetches, 10);
+        assert_eq!((s.l2_accesses, s.l2_misses), (12, 2));
+        assert_eq!((s.llc_references, s.llc_misses), (12, 2));
+        assert_eq!(s.dtlb_misses, 2);
+        assert_eq!(c.tlb().stats().accesses, 24);
+        assert_eq!(c.hierarchy().stats().demand_cycles, 22 * 4 + 2 * 200);
+    }
+
+    #[test]
+    fn counter_windows_survive_pollution_and_cold_starts() {
+        let mut c = core();
+        for i in 0..32u64 {
+            c.load(i * 64, 0x40);
+        }
+        c.reset_counters();
+        let zero = c.snapshot();
+        assert_eq!(
+            (zero.l1d_accesses, zero.dtlb_misses, zero.cycles),
+            (0, 0, 0)
+        );
+        c.pollute(1.0, 7);
+        assert_eq!(c.snapshot(), zero);
+        c.cold_start();
+        assert_eq!(c.snapshot(), zero);
+        c.load(0, 0x40);
+        c.load(8, 0x40);
+        let s = c.snapshot();
+        assert_eq!((s.l1d_accesses, s.l1d_misses), (2, 1));
+        assert_eq!((s.l2_accesses, s.llc_references, s.llc_misses), (1, 1, 1));
+        assert_eq!((s.dtlb_misses, s.prefetches), (1, 0));
+        assert_eq!(c.tlb().stats().accesses, 2);
+        assert_eq!(c.hierarchy().stats().demand_cycles, 200 + 4);
     }
 
     #[test]

@@ -129,20 +129,16 @@ pub struct MemoryHierarchy {
     l3: Cache,
     latency: LatencyModel,
     prefetcher: Prefetcher,
-    stats_llc_references: u64,
-    stats_llc_misses: u64,
-    stats_prefetches: u64,
-    stats_demand_cycles: u64,
+    /// Demand accesses that reached the LLC; the others are prefetches.
+    demand_llc: u64,
+    /// Latency of the demand accesses that missed L1.
+    miss_cycles: u64,
 }
 
 impl std::fmt::Debug for MemoryHierarchy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoryHierarchy")
-            .field("l1d", self.l1d.stats())
-            .field("l2", self.l2.stats())
-            .field("l3", self.l3.stats())
-            .field("llc_references", &self.stats_llc_references)
-            .field("llc_misses", &self.stats_llc_misses)
+            .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
@@ -160,10 +156,8 @@ impl MemoryHierarchy {
             l3: Cache::new(config.l3)?,
             latency: config.latency,
             prefetcher: Prefetcher::new(config.prefetcher, config.l2.line_bytes),
-            stats_llc_references: 0,
-            stats_llc_misses: 0,
-            stats_prefetches: 0,
-            stats_demand_cycles: 0,
+            demand_llc: 0,
+            miss_cycles: 0,
         })
     }
 
@@ -187,22 +181,17 @@ impl MemoryHierarchy {
             if l2.hit {
                 served = ServedBy::L2;
             } else {
-                self.stats_llc_references += 1;
+                self.demand_llc += 1;
                 let l3 = self.l3.access(addr, false);
-                if l3.hit {
-                    served = ServedBy::L3;
-                } else {
-                    self.stats_llc_misses += 1;
-                    served = ServedBy::Dram;
-                }
+                served = if l3.hit { ServedBy::L3 } else { ServedBy::Dram };
             }
             // Writebacks of dirty L1 victims land in L2 (write-back,
             // write-allocate); model as an L2 store.
             if let Some(wb) = l1.writeback {
                 self.l2.access(wb, true);
             }
+            self.miss_cycles += self.latency.for_level(served);
         }
-        self.stats_demand_cycles += self.latency.for_level(served);
         served
     }
 
@@ -215,13 +204,14 @@ impl MemoryHierarchy {
     #[inline]
     pub(crate) fn prefetch(&mut self, pc: u64, addr: u64, miss: bool) {
         let (targets, n) = self.prefetcher.observe(pc, addr, miss);
-        for &t in &targets[..n] {
-            self.stats_prefetches += 1;
-            self.stats_llc_references += 1;
-            let l3 = self.l3.access(t, false);
-            if !l3.hit {
-                self.stats_llc_misses += 1;
-            }
+        self.fill(&targets[..n]);
+    }
+
+    /// Prefetches `targets` into L3 and L2.
+    #[inline]
+    fn fill(&mut self, targets: &[u64]) {
+        for &t in targets {
+            self.l3.access(t, false);
             self.l2.access(t, false);
         }
     }
@@ -232,21 +222,34 @@ impl MemoryHierarchy {
     /// write-back; a write-through hit is not forwarded, as in
     /// [`access`](Self::access)), costs the L1 latency and proposes no
     /// prefetch (see [`Prefetcher::observe_repeat`]). The effect equals
-    /// `access(addr, true, pc)`.
+    /// `access(addr, true, pc)`; with `pc` `None` the prefetcher's
+    /// `observe_repeat` is left to the caller.
     #[inline]
-    pub(crate) fn store_after_load(&mut self, addr: u64, pc: u64) {
+    pub(crate) fn store_after_load(&mut self, addr: u64, pc: Option<u64>) {
         debug_assert_eq!(self.l1d.memo_run(addr, 0, 1), 1, "load left the line");
         self.l1d.repeat_memo_hits(1, true);
-        self.stats_demand_cycles += self.latency.l1;
-        self.prefetcher.observe_repeat(pc, addr);
+        if let Some(pc) = pc {
+            self.prefetcher.observe_repeat(pc, addr);
+        }
     }
 
-    /// Whether the accumulator loads of a multiply-accumulate run may
-    /// skip the prefetcher after its first iteration (see
-    /// [`Prefetcher::acc_loads_idle`]).
+    /// A load of `addr` whose site's stride entry is steady on it (see
+    /// [`Prefetcher::steady`]): the demand half of
+    /// [`access`](Self::access), then the targets the observe would
+    /// propose, filled directly. The entry is left to one
+    /// [`Prefetcher::advance`] after the run's last such load.
     #[inline]
-    pub(crate) fn acc_loads_idle(&self) -> bool {
-        self.prefetcher.acc_loads_idle()
+    pub(crate) fn steady_load(&mut self, addr: u64, stride: i64) {
+        self.demand(addr, false);
+        let (targets, n) = self.prefetcher.steady_targets(addr, stride);
+        self.fill(&targets[..n]);
+    }
+
+    /// The prefetcher, for the multiply-accumulate runs of
+    /// [`CoreSim`](crate::CoreSim).
+    #[inline]
+    pub(crate) fn prefetcher_mut(&mut self) -> &mut Prefetcher {
+        &mut self.prefetcher
     }
 
     /// Applies, in closed form, the longest steady prefix (at most `n`
@@ -297,26 +300,25 @@ impl MemoryHierarchy {
             }
             self.l3.repeat_memo_hits(per_access * k, false);
             self.l2.repeat_memo_hits(per_access * k, false);
-            self.stats_prefetches += per_access * k;
-            self.stats_llc_references += per_access * k;
         }
         self.l1d.repeat_memo_hits(k, write);
-        self.stats_demand_cycles += k * self.latency.l1;
         let last_addr = addr.wrapping_add_signed(stride.wrapping_mul(k as i64 - 1));
         self.prefetcher.advance(pc, last_addr);
         k
     }
 
-    /// Statistics snapshot.
+    /// Statistics snapshot. Only demand L2 misses and prefetches reach
+    /// the LLC, and only demand accesses reach L1 (DESIGN.md §13).
     pub fn stats(&self) -> HierarchyStats {
+        let (l1d, l3) = (self.l1d.stats(), self.l3.stats());
         HierarchyStats {
-            l1d: *self.l1d.stats(),
-            l2: *self.l2.stats(),
-            l3: *self.l3.stats(),
-            llc_references: self.stats_llc_references,
-            llc_misses: self.stats_llc_misses,
-            prefetches: self.stats_prefetches,
-            demand_cycles: self.stats_demand_cycles,
+            l1d,
+            l2: self.l2.stats(),
+            l3,
+            llc_references: l3.accesses,
+            llc_misses: l3.misses,
+            prefetches: l3.accesses - self.demand_llc,
+            demand_cycles: l1d.hits * self.latency.l1 + self.miss_cycles,
         }
     }
 
@@ -341,10 +343,8 @@ impl MemoryHierarchy {
         self.l1d.reset_stats();
         self.l2.reset_stats();
         self.l3.reset_stats();
-        self.stats_llc_references = 0;
-        self.stats_llc_misses = 0;
-        self.stats_prefetches = 0;
-        self.stats_demand_cycles = 0;
+        self.demand_llc = 0;
+        self.miss_cycles = 0;
     }
 
     /// Immutable access to the L1 data cache (for tests and inspection).
@@ -531,6 +531,129 @@ mod tests {
         fast.access(base + 16, false, 0x40);
         assert!(fast == stepped);
         assert_eq!(fast.stats().prefetches, 0);
+    }
+
+    /// Accesses, hits and misses of one level.
+    fn ahm(s: CacheStats) -> [u64; 3] {
+        [s.accesses, s.hits, s.misses]
+    }
+
+    #[test]
+    fn derived_counts_follow_write_through_stores() {
+        let d = HierarchyConfig::default();
+        let mut m = MemoryHierarchy::new(HierarchyConfig {
+            l1d: d.l1d.with_write_policy(WritePolicy::WriteThroughNoAllocate),
+            prefetcher: PrefetcherKind::None,
+            ..d
+        })
+        .unwrap();
+        assert_eq!(m.access(0, false, 0), ServedBy::Dram);
+        // A hit updates L1 in place; it is not forwarded.
+        assert_eq!(m.access(0, true, 0), ServedBy::L1);
+        // A miss bypasses L1: read down to DRAM, then written into L2.
+        assert_eq!(m.access(0x10000, true, 0), ServedBy::Dram);
+        let s = m.stats();
+        assert_eq!(ahm(s.l1d), [3, 1, 2]);
+        assert_eq!(ahm(s.l2), [3, 1, 2]);
+        assert_eq!(ahm(s.l3), [2, 0, 2]);
+        assert_eq!((s.llc_references, s.llc_misses, s.prefetches), (2, 2, 0));
+        assert_eq!(s.demand_cycles, 200 + 4 + 200);
+        // Not allocated: it misses L1 again and hits L2.
+        assert_eq!(m.access(0x10000, true, 0), ServedBy::L2);
+        let s = m.stats();
+        assert_eq!(ahm(s.l1d), [4, 1, 3]);
+        assert_eq!(ahm(s.l2), [5, 3, 2]);
+        assert_eq!(ahm(s.l3), [2, 0, 2]);
+        assert_eq!(s.demand_cycles, 404 + 12);
+    }
+
+    #[test]
+    fn derived_counts_follow_a_dirty_victim_into_l2() {
+        let mut m = hierarchy(PrefetcherKind::None);
+        m.access(0, true, 0);
+        // Eight more lines of L1 set 0 (64 sets × 64 bytes apart): the
+        // last one evicts the dirty line 0 into L2, where it hits.
+        for i in 1..=8u64 {
+            assert_eq!(m.access(i * 4096, false, 0), ServedBy::Dram);
+        }
+        let s = m.stats();
+        assert_eq!(ahm(s.l1d), [9, 0, 9]);
+        assert_eq!((s.l1d.evictions, s.l1d.writebacks), (1, 1));
+        assert_eq!(ahm(s.l2), [10, 1, 9]);
+        assert_eq!(ahm(s.l3), [9, 0, 9]);
+        assert_eq!((s.llc_references, s.llc_misses, s.prefetches), (9, 9, 0));
+        assert_eq!(s.demand_cycles, 9 * 200);
+    }
+
+    #[test]
+    fn derived_counts_split_llc_traffic_into_demand_and_prefetch() {
+        // One L1 line and one two-line L2 set, so lines fall out of both
+        // while the LLC keeps them.
+        let mut m = MemoryHierarchy::new(HierarchyConfig {
+            l1d: CacheConfig::new(64, 1, 64),
+            l2: CacheConfig::new(128, 2, 64),
+            ..HierarchyConfig::default()
+        })
+        .unwrap();
+        let expect = |m: &MemoryHierarchy, l1d, l2, l3, refs, misses, prefetches, cycles| {
+            let s = m.stats();
+            assert_eq!([ahm(s.l1d), ahm(s.l2), ahm(s.l3)], [l1d, l2, l3]);
+            assert_eq!(
+                [
+                    s.llc_references,
+                    s.llc_misses,
+                    s.prefetches,
+                    s.demand_cycles
+                ],
+                [refs, misses, prefetches, cycles]
+            );
+        };
+        // The fourth load of the stream prefetches lines 256 and 320.
+        for i in 0..4 {
+            assert_eq!(m.access(i * 64, false, 0x40), ServedBy::Dram);
+        }
+        expect(&m, [4, 0, 4], [6, 0, 6], [6, 0, 6], 6, 6, 2, 800);
+        // Line 0 left L2 but not the LLC.
+        assert_eq!(m.access(0, false, 0x80), ServedBy::L3);
+        expect(&m, [5, 0, 5], [7, 0, 7], [7, 1, 6], 7, 6, 2, 836);
+        // Line 256 was prefetched, then evicted from L2 by line 0; this
+        // load prefetches 320 (an LLC hit) and 384 (a miss).
+        assert_eq!(m.access(256, false, 0x40), ServedBy::L3);
+        expect(&m, [6, 0, 6], [10, 0, 10], [10, 3, 7], 10, 7, 4, 872);
+        assert_eq!(m.access(0x40000, false, 0x80), ServedBy::Dram);
+        assert_eq!(m.access(0x40008, false, 0x80), ServedBy::L1);
+        expect(&m, [8, 1, 7], [11, 0, 11], [11, 3, 8], 11, 8, 4, 1076);
+    }
+
+    #[test]
+    fn derived_counts_follow_a_steady_run() {
+        let [mut m, _] = trained(WritePolicy::WriteBackAllocate, 0);
+        // A DRAM miss and three L1 hits; the fourth load prefetched two
+        // targets on line 0.
+        let s = m.stats();
+        assert_eq!(
+            [ahm(s.l1d), ahm(s.l2), ahm(s.l3)],
+            [[4, 3, 1], [3, 2, 1], [3, 2, 1]]
+        );
+        assert_eq!(
+            (s.llc_references, s.prefetches, s.demand_cycles),
+            (3, 2, 212)
+        );
+        assert_eq!(m.steady_run(16, 4, 100, false, 0x40), 10);
+        let s = m.stats();
+        assert_eq!(
+            [ahm(s.l1d), ahm(s.l2), ahm(s.l3)],
+            [[14, 13, 1], [23, 22, 1], [23, 22, 1]]
+        );
+        assert_eq!(
+            [
+                s.llc_references,
+                s.llc_misses,
+                s.prefetches,
+                s.demand_cycles
+            ],
+            [23, 1, 22, 212 + 10 * 4]
+        );
     }
 
     #[test]

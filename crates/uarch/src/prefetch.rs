@@ -136,6 +136,28 @@ impl Prefetcher {
     pub(crate) fn acc_loads_idle(&self) -> bool {
         !matches!(self, Prefetcher::NextLine(_))
     }
+
+    /// Whether load sites `a` and `b` have stride entries of their own:
+    /// the prefetcher is the stride prefetcher and their table indices
+    /// differ. Then observing one site neither reads nor writes the
+    /// other's entry.
+    #[inline]
+    pub(crate) fn separate_entries(&self, a: u64, b: u64) -> bool {
+        matches!(self, Prefetcher::Stride(p) if (a ^ b) & p.mask != 0)
+    }
+
+    /// The targets of a steady access to `addr` of a run with `stride`
+    /// (see [`steady`](Self::steady)), computed as
+    /// [`observe`](Self::observe) computes them but leaving the entry as
+    /// it is: a run of steady accesses is brought up to date by one
+    /// [`advance`](Self::advance) after its last.
+    #[inline]
+    pub(crate) fn steady_targets(&self, addr: u64, stride: i64) -> ([u64; 2], usize) {
+        match self {
+            Prefetcher::Stride(p) => p.targets(addr, stride),
+            Prefetcher::None | Prefetcher::NextLine(_) => ([0; 2], 0),
+        }
+    }
 }
 
 /// Trivial next-line prefetcher.
@@ -213,7 +235,6 @@ impl StridePrefetcher {
     /// dropped.
     #[inline]
     pub fn observe(&mut self, pc: u64, addr: u64) -> ([u64; 2], usize) {
-        let mut targets = ([0; 2], 0);
         let idx = (pc & self.mask) as usize;
         let e = &mut self.table[idx];
         if !e.valid || e.pc != pc {
@@ -224,7 +245,7 @@ impl StridePrefetcher {
                 confidence: 0,
                 valid: true,
             };
-            return targets;
+            return ([0; 2], 0);
         }
         let stride = addr.wrapping_sub(e.last_addr) as i64;
         if stride == e.stride && stride != 0 {
@@ -234,13 +255,22 @@ impl StridePrefetcher {
             e.confidence = 0;
         }
         e.last_addr = addr;
-        if e.confidence >= 2 {
-            for d in 1..=self.degree {
-                let target = addr as i128 + e.stride as i128 * d as i128;
-                if (0..=i64::MAX as i128).contains(&target) {
-                    targets.0[targets.1] = target as u64;
-                    targets.1 += 1;
-                }
+        if e.confidence < 2 {
+            return ([0; 2], 0);
+        }
+        self.targets(addr, stride)
+    }
+
+    /// The up to `degree` addresses one `stride` apart after `addr`, those
+    /// outside `0..=i64::MAX` dropped.
+    #[inline]
+    fn targets(&self, addr: u64, stride: i64) -> ([u64; 2], usize) {
+        let mut targets = ([0; 2], 0);
+        for d in 1..=self.degree {
+            let target = addr as i128 + stride as i128 * d as i128;
+            if (0..=i64::MAX as i128).contains(&target) {
+                targets.0[targets.1] = target as u64;
+                targets.1 += 1;
             }
         }
         targets

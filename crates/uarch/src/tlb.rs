@@ -74,8 +74,10 @@ pub struct Tlb {
     /// marks an invalid entry and LRU victim selection picks invalid
     /// entries first.
     stamps: Vec<u64>,
-    stats: TlbStats,
+    misses: u64,
     clock: u64,
+    /// `clock` at the last [`reset_stats`](Self::reset_stats).
+    reset_clock: u64,
     page_shift: u32,
     set_mask: u64,
     /// Page number of the latest translation. Valid only while `last_idx`
@@ -116,8 +118,9 @@ impl Tlb {
             config,
             vpns: vec![0; config.entries],
             stamps: vec![0; config.entries],
-            stats: TlbStats::default(),
+            misses: 0,
             clock: 0,
+            reset_clock: 0,
             page_shift: config.page_bytes.trailing_zeros(),
             set_mask: (sets - 1) as u64,
             last_vpn: u64::MAX,
@@ -131,11 +134,9 @@ impl Tlb {
     #[inline(always)]
     pub fn translate(&mut self, addr: u64) -> bool {
         self.clock += 1;
-        self.stats.accesses += 1;
         let vpn = addr >> self.page_shift;
         if vpn == self.last_vpn && self.last_idx != NO_MEMO {
             self.stamps[self.last_idx] = self.clock;
-            self.stats.hits += 1;
             return true;
         }
         let ways = self.config.associativity;
@@ -145,13 +146,12 @@ impl Tlb {
 
         if let Some(way) = (0..ways).find(|&w| stamps[w] != 0 && vpns[w] == vpn) {
             stamps[way] = self.clock;
-            self.stats.hits += 1;
             self.last_vpn = vpn;
             self.last_idx = base + way;
             return true;
         }
 
-        self.stats.misses += 1;
+        self.misses += 1;
         let victim = (0..ways)
             .min_by_key(|&w| stamps[w])
             .expect("associativity > 0");
@@ -180,8 +180,6 @@ impl Tlb {
     pub(crate) fn repeat_memo_hits(&mut self, k: u64) {
         debug_assert_ne!(self.last_idx, NO_MEMO, "no remembered page");
         self.clock += k;
-        self.stats.accesses += k;
-        self.stats.hits += k;
         self.stamps[self.last_idx] = self.clock;
     }
 
@@ -192,14 +190,21 @@ impl Tlb {
         self.stamps.fill(0);
     }
 
-    /// Statistics so far.
-    pub fn stats(&self) -> &TlbStats {
-        &self.stats
+    /// Statistics so far: each translation advances the clock by one,
+    /// so they are its advance since the last reset; the rest hit.
+    pub fn stats(&self) -> TlbStats {
+        let accesses = self.clock - self.reset_clock;
+        TlbStats {
+            accesses,
+            hits: accesses - self.misses,
+            misses: self.misses,
+        }
     }
 
     /// Resets statistics, keeping translations.
     pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
+        self.misses = 0;
+        self.reset_clock = self.clock;
     }
 
     /// The configured geometry.
@@ -253,7 +258,7 @@ mod tests {
         for i in 0..500u64 {
             tlb.translate(i * 512);
         }
-        let s = *tlb.stats();
+        let s = tlb.stats();
         assert_eq!(s.hits + s.misses, s.accesses);
         assert!(s.miss_ratio() > 0.0);
     }

@@ -89,7 +89,7 @@ fn cache_matches_reference_for_every_policy_and_write_policy() {
                             );
                         }
                     }
-                    assert_eq!(flat.stats(), reference.stats(), "{case} step {step}");
+                    assert_eq!(flat.stats(), *reference.stats(), "{case} step {step}");
                     assert_eq!(
                         flat.occupancy(),
                         reference.occupancy(),
@@ -132,7 +132,7 @@ fn tlb_matches_reference() {
                     );
                 }
             }
-            assert_eq!(flat.stats(), reference.stats(), "{config:?} step {step}");
+            assert_eq!(flat.stats(), *reference.stats(), "{config:?} step {step}");
         }
     }
 }
@@ -343,7 +343,7 @@ fn cache_memo_matches_reference_on_repeat_heavy_streams() {
                             reference.reset_stats();
                         }
                     }
-                    assert_eq!(flat.stats(), reference.stats(), "{config:?} step {step}");
+                    assert_eq!(flat.stats(), *reference.stats(), "{config:?} step {step}");
                     assert_eq!(
                         flat.occupancy(),
                         reference.occupancy(),
@@ -389,7 +389,7 @@ fn tlb_memo_matches_reference_on_repeat_heavy_streams() {
                     reference.reset_stats();
                 }
             }
-            assert_eq!(flat.stats(), reference.stats(), "{config:?} step {step}");
+            assert_eq!(flat.stats(), *reference.stats(), "{config:?} step {step}");
         }
     }
 }

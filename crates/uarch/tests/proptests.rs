@@ -37,7 +37,7 @@ fn cache_bookkeeping_identities() {
         for &(addr, write) in &ops {
             cache.access(addr, write);
         }
-        let s = *cache.stats();
+        let s = cache.stats();
         assert_eq!(s.hits + s.misses, s.accesses, "case {case}");
         assert_eq!(s.accesses, ops.len() as u64, "case {case}");
         assert!(s.writebacks <= s.evictions, "case {case}");
@@ -133,7 +133,7 @@ fn tlb_identities() {
         for &a in &addrs {
             tlb.translate(a);
         }
-        let s = *tlb.stats();
+        let s = tlb.stats();
         assert_eq!(s.hits + s.misses, s.accesses, "case {case}");
         assert_eq!(s.accesses, addrs.len() as u64, "case {case}");
         // The first translation of a fresh TLB can never hit.

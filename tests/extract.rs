@@ -46,8 +46,8 @@ fn scratch(tag: &str) -> (std::path::PathBuf, ArtifactCache) {
 #[test]
 fn extraction_pins_the_architecture_and_degrades_under_countermeasures() {
     let cfg = config();
-    let one = run_extract(&cfg, 0.75, 20_000, Threads::Count(1), None).unwrap();
-    let four = run_extract(&cfg, 0.75, 20_000, Threads::Count(4), None).unwrap();
+    let one = run_extract(&cfg, 0.75, 20_000, Threads::Count(1), None, None).unwrap();
+    let four = run_extract(&cfg, 0.75, 20_000, Threads::Count(4), None, None).unwrap();
     assert_eq!(one, four, "worker count must not affect the outcome");
     assert_eq!(
         one.to_json(),
@@ -108,7 +108,7 @@ fn warm_extraction_resumes_from_cache_without_retracing() {
     let (dir, cache) = scratch("warm");
     let cfg = config();
 
-    let cold = run_extract(&cfg, 0.75, 20_000, Threads::Count(2), Some(&cache)).unwrap();
+    let cold = run_extract(&cfg, 0.75, 20_000, Threads::Count(2), Some(&cache), None).unwrap();
     assert!(
         cold.rows.iter().all(|r| !r.trace_cache_hit),
         "cold run measures every arm"
@@ -116,7 +116,7 @@ fn warm_extraction_resumes_from_cache_without_retracing() {
 
     let recorder = Arc::new(Recorder::new());
     scnn::obs::install(recorder.clone());
-    let warm = run_extract(&cfg, 0.75, 20_000, Threads::Count(2), Some(&cache)).unwrap();
+    let warm = run_extract(&cfg, 0.75, 20_000, Threads::Count(2), Some(&cache), None).unwrap();
     scnn::obs::uninstall();
     let snapshot = recorder.snapshot();
 

@@ -50,8 +50,8 @@ fn scratch(tag: &str) -> (std::path::PathBuf, ArtifactCache) {
 fn frontier_reports_every_arm_and_is_thread_invariant() {
     let cfg = config();
     let opts = options();
-    let one = run_frontier(&cfg, &opts, Threads::Count(1), None).unwrap();
-    let four = run_frontier(&cfg, &opts, Threads::Count(4), None).unwrap();
+    let one = run_frontier(&cfg, &opts, Threads::Count(1), None, None).unwrap();
+    let four = run_frontier(&cfg, &opts, Threads::Count(4), None, None).unwrap();
     assert_eq!(one, four, "worker count must not affect the outcome");
     assert_eq!(
         one.to_json(),
@@ -118,12 +118,12 @@ fn warm_frontier_resumes_from_cache() {
     let cfg = config();
     let opts = options();
 
-    let cold = run_frontier(&cfg, &opts, Threads::Count(2), Some(&cache)).unwrap();
+    let cold = run_frontier(&cfg, &opts, Threads::Count(2), Some(&cache), None).unwrap();
     assert!(
         cold.rows.iter().all(|r| !r.trace_cache_hit),
         "cold run traces every arm"
     );
-    let warm = run_frontier(&cfg, &opts, Threads::Count(2), Some(&cache)).unwrap();
+    let warm = run_frontier(&cfg, &opts, Threads::Count(2), Some(&cache), None).unwrap();
     assert!(
         warm.rows.iter().all(|r| r.trace_cache_hit),
         "warm run restores every arm's trace corpus"

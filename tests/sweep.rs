@@ -85,8 +85,8 @@ fn presets_are_distinct_platforms() {
 fn sweep_is_byte_identical_across_worker_counts() {
     let cfg = config();
     let presets = zoo::zoo();
-    let one = run_sweep(&cfg, &presets, Threads::Count(1), None).unwrap();
-    let four = run_sweep(&cfg, &presets, Threads::Count(4), None).unwrap();
+    let one = run_sweep(&cfg, &presets, Threads::Count(1), None, None).unwrap();
+    let four = run_sweep(&cfg, &presets, Threads::Count(4), None, None).unwrap();
     assert_eq!(one, four, "worker count must not affect results");
     assert_eq!(
         one.to_json(),
@@ -115,7 +115,7 @@ fn warm_sweep_resumes_from_cache_and_shares_the_model() {
         zoo::preset("embedded-like").unwrap(),
     ];
 
-    let cold = run_sweep(&cfg, &presets, Threads::Count(2), Some(&cache)).unwrap();
+    let cold = run_sweep(&cfg, &presets, Threads::Count(2), Some(&cache), None).unwrap();
     // The campaign trains the one model before any preset runs, so every
     // row reads it as a hit.
     assert!(
@@ -125,7 +125,7 @@ fn warm_sweep_resumes_from_cache_and_shares_the_model() {
 
     let recorder = Arc::new(Recorder::new());
     scnn::obs::install(recorder.clone());
-    let warm = run_sweep(&cfg, &presets, Threads::Count(2), Some(&cache)).unwrap();
+    let warm = run_sweep(&cfg, &presets, Threads::Count(2), Some(&cache), None).unwrap();
     scnn::obs::uninstall();
     let snapshot = recorder.snapshot();
 
