@@ -157,6 +157,7 @@ fn lint(root: &Value) -> Result<String, String> {
     }
     number(root, "calibrated_dummy_events")?;
     number(root, "target_t")?;
+    flag(root, "converged")?;
     Ok(format!(
         "{} arms, {} on the frontier, {} alarm-quiet",
         arms.len(),

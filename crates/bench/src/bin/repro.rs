@@ -1043,12 +1043,27 @@ impl<W: Write> Runner<W> {
                 eprintln!("[cache] frontier/{}: trace corpus from cache", row.arm);
             }
         }
-        o!(
-            self,
-            "calibrated-noise converged at {} dummy events (max |t| target {})\n",
-            outcome.calibrated_dummy_events,
-            outcome.target_t
-        );
+        if outcome.converged {
+            o!(
+                self,
+                "calibrated-noise converged at {} dummy events (max |t| target {})\n",
+                outcome.calibrated_dummy_events,
+                outcome.target_t
+            );
+        } else {
+            let reached = outcome
+                .rows
+                .iter()
+                .find(|r| r.arm == "calibrated-noise")
+                .map_or(f64::NAN, |r| r.max_abs_t);
+            o!(
+                self,
+                "calibrated-noise did not converge: max |t| {:.2} at the {}-dummy-event cap (max |t| target {})\n",
+                reached,
+                outcome.calibrated_dummy_events,
+                outcome.target_t
+            );
+        }
         op!(self, "{}", outcome.render_table());
         let pareto = outcome.pareto_arms();
         o!(

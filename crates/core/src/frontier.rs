@@ -41,7 +41,7 @@ use crate::error::Error;
 use crate::evaluator::LeakageReport;
 use crate::extract;
 use crate::json::{ObjectWriter, ToJson};
-use crate::pipeline::{CacheUsage, ExperimentConfig};
+use crate::pipeline::{CacheUsage, ExperimentConfig, ExperimentOutcome};
 use scnn_cache::ArtifactCache;
 use scnn_data::Dataset;
 use scnn_hpc::{CounterGroup, HpcEvent, Pmu, SimulatedPmu};
@@ -158,10 +158,13 @@ impl ToJson for FrontierRow {
 pub struct FrontierOutcome {
     /// One row per arm, baseline first, in fixed arm order.
     pub rows: Vec<FrontierRow>,
-    /// The dummy-event volume the calibrated-noise arm converged to.
+    /// The dummy-event volume of the calibrated-noise arm: where
+    /// calibration converged, or the cap when it did not.
     pub calibrated_dummy_events: u64,
     /// The |t| target calibration drove toward.
     pub target_t: f64,
+    /// Whether calibration reached `target_t` before the volume cap.
+    pub converged: bool,
 }
 
 impl FrontierOutcome {
@@ -227,7 +230,8 @@ impl ToJson for FrontierOutcome {
         obj.field("rows", &self.rows)
             .field("pareto", &pareto)
             .field("calibrated_dummy_events", &self.calibrated_dummy_events)
-            .field("target_t", &self.target_t);
+            .field("target_t", &self.target_t)
+            .field("converged", &self.converged);
         obj.finish();
     }
 }
@@ -259,12 +263,24 @@ fn fixed_arms(opts: &FrontierOptions) -> Vec<(&'static str, Option<Countermeasur
 const CALIBRATE_START: u64 = 2_000;
 const CALIBRATE_CAP: u64 = 512_000;
 
+/// Where [`calibrate_noise`] stopped.
+pub struct Calibration {
+    /// The last probe's volume: the first whose max |t| is at most the
+    /// target, or [`CALIBRATE_CAP`].
+    pub dummy_events: u64,
+    /// The last probe's max |t| reached `target_t`.
+    pub converged: bool,
+    /// The last probe's experiment. It is the calibrated-noise arm's
+    /// evaluator run, so the arm reuses it instead of running it again.
+    pub outcome: ExperimentOutcome,
+}
+
 /// Finds the dummy-event volume at which noise injection pushes the
 /// evaluator's max |t| below `target_t`, by doubling from
 /// [`CALIBRATE_START`]: each probe volume runs the full (cache-resumed)
 /// evaluation of `base` under `CalibratedNoise` on the campaign's
 /// shared model, so a warm rerun replays the whole search from
-/// checkpoints. Returns the converged volume, or the cap when even
+/// checkpoints. Stops at the converged volume, or at the cap when even
 /// [`CALIBRATE_CAP`] still leaks.
 ///
 /// # Errors
@@ -274,7 +290,7 @@ pub fn calibrate_noise(
     campaign: &Campaign<'_>,
     base: &ExperimentConfig,
     target_t: f64,
-) -> Result<u64, Error> {
+) -> Result<Calibration, Error> {
     let _span = scnn_obs::Span::enter("frontier.calibrate");
     let mut volume = CALIBRATE_START;
     loop {
@@ -286,8 +302,13 @@ pub fn calibrate_noise(
         let outcome = campaign.run(cfg)?;
         let (_, _, _, max_abs_t) = leak_stats(&outcome.report);
         scnn_obs::counter_add("frontier.calibration-runs", 1);
-        if max_abs_t <= target_t || volume >= CALIBRATE_CAP {
-            return Ok(volume);
+        let converged = max_abs_t <= target_t;
+        if converged || volume >= CALIBRATE_CAP {
+            return Ok(Calibration {
+                dummy_events: volume,
+                converged,
+                outcome,
+            });
         }
         volume *= 2;
     }
@@ -396,22 +417,35 @@ pub fn run_frontier(
         .ok_or_else(|| Error::msg("frontier needs a non-empty test set"))?;
     let truth = extract::ground_truth(net, first_image.shape())?;
 
-    let calibrated = calibrate_noise(&campaign, &base, opts.target_t)?;
+    let calibration = calibrate_noise(&campaign, &base, opts.target_t)?;
+    let (calibrated, converged) = (calibration.dummy_events, calibration.converged);
 
-    let mut arms = fixed_arms(opts);
+    // Each arm carries the evaluator outcome it already has, if any: the
+    // last calibration probe ran exactly the calibrated-noise arm's
+    // experiment (results do not depend on the thread count).
+    let mut arms: Vec<_> = fixed_arms(opts)
+        .into_iter()
+        .map(|(name, cm)| (name, cm, None))
+        .collect();
     arms.push((
         "calibrated-noise",
         Some(Countermeasure::CalibratedNoise {
             target_t: opts.target_t,
             dummy_events: calibrated,
         }),
+        Some(calibration.outcome),
     ));
 
-    let mut rows = map_arms(threads, "frontier.arm", arms, |_, (name, cm)| {
+    let mut rows = map_arms(threads, "frontier.arm", arms, |_, (name, cm, ran)| {
         // Evaluator adversary: the full pairwise-t-test experiment.
-        let mut cfg = base.clone().threads(Threads::Count(1));
-        cfg.countermeasure = cm;
-        let outcome = campaign.run(cfg)?;
+        let outcome = match ran {
+            Some(outcome) => outcome,
+            None => {
+                let mut cfg = base.clone().threads(Threads::Count(1));
+                cfg.countermeasure = cm;
+                campaign.run(cfg)?
+            }
+        };
         let (alarm, distinguishable, total, max_abs_t) = leak_stats(&outcome.report);
 
         // Extraction adversary: profile a trace corpus, score recovery.
@@ -456,6 +490,7 @@ pub fn run_frontier(
         rows,
         calibrated_dummy_events: calibrated,
         target_t: opts.target_t,
+        converged,
     })
 }
 
@@ -522,6 +557,7 @@ mod tests {
             rows,
             calibrated_dummy_events: 4_000,
             target_t: 1.5,
+            converged: false,
         };
         let table = outcome.render_table();
         assert!(table.contains("overhead"));
@@ -530,6 +566,7 @@ mod tests {
         let json = outcome.to_json();
         assert!(json.contains("\"pareto\":[\"constant-time\"]"), "{json}");
         assert!(json.contains("\"calibrated_dummy_events\":4000"));
+        assert!(json.contains("\"converged\":false"), "{json}");
     }
 
     #[test]

@@ -339,7 +339,7 @@ impl Conv2d {
             Mode::Train => self.train_cache.take().map(|t| t.cols).unwrap_or_default(),
             Mode::Infer => std::mem::take(&mut self.scratch.cols),
         };
-        cols.clear();
+        // im2col writes every position, so the buffer is not cleared first.
         cols.resize(kept * lowered_len, 0.0);
         let mut out = vec![0.0f32; n * f * p];
         let src = input.as_slice();
@@ -439,9 +439,9 @@ impl Conv2d {
         let sample_len = c * h * w;
         let go = grad_output.as_slice();
         let mut dx = vec![0.0f32; n * sample_len];
+        // `gemm_atb` overwrites the whole staging buffer.
+        self.scratch.stage.resize(rows * p, 0.0);
         for s in 0..n {
-            self.scratch.stage.clear();
-            self.scratch.stage.resize(rows * p, 0.0);
             gemm::gemm_atb(
                 self.filters.value.as_slice(),
                 &go[s * f * p..(s + 1) * f * p],

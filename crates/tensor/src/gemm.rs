@@ -30,9 +30,13 @@ const BLOCK_K: usize = 128;
 /// streams it.
 const BLOCK_N: usize = 256;
 /// Register-tile width: one `C` row segment of this many accumulators is
-/// kept in registers across an entire `k` block (two 8-lane vectors on
-/// AVX2 targets).
+/// kept in registers across an entire `k` block (four 4-lane SSE2
+/// vectors).
 const TILE_N: usize = 16;
+/// Register-tile height: this many `C` rows share every `B` panel row
+/// load, so a tile holds `TILE_M × TILE_N` accumulators (8 of the 16 SSE2
+/// registers).
+const TILE_M: usize = 2;
 /// Lane-strip width of [`gemm_abt`]: this many `C` rows (one packed
 /// panel row segment, two 4-lane vectors on SSE2) advance together.
 const ABT_LANES: usize = 8;
@@ -40,6 +44,9 @@ const ABT_LANES: usize = 8;
 /// `ABT_LANES × ABT_ROWS` independent accumulators are in flight (the
 /// kernel's four named accumulators destructure exactly this many).
 const ABT_ROWS: usize = 4;
+/// `r` rows folded per pass of [`gemm_atb`] over each `C` row (the
+/// kernel destructures exactly this many `A` and `B` rows).
+const ATB_ROWS: usize = 4;
 
 /// Caller-owned scratch for panel packing, so steady-state GEMM calls
 /// allocate nothing. Cloning yields an *empty* scratch: buffers are lazy
@@ -160,42 +167,95 @@ fn accumulate(
             let kw = BLOCK_K.min(k - kb);
             if pack {
                 scratch.panel.clear();
-                scratch.panel.resize(kw * jw, 0.0);
                 for p in 0..kw {
                     let src = &b[(kb + p) * n + jb..(kb + p) * n + jb + jw];
-                    scratch.panel[p * jw..(p + 1) * jw].copy_from_slice(src);
+                    scratch.panel.extend_from_slice(src);
                 }
             }
-            let panel: &[f32] = if pack { &scratch.panel } else { b };
-            // When unpacked there is exactly one block, so the panel row
-            // stride is `n` with `kb == jb == 0`; packed rows are `jw`.
-            let stride = if pack { jw } else { n };
-            for i in 0..m {
-                let arow = &a[i * k + kb..i * k + kb + kw];
-                let crow = &mut c[i * n + jb..i * n + jb + jw];
-                let mut j = 0;
-                while j + TILE_N <= jw {
-                    // The register tile: seeded from C, accumulated over
-                    // the whole k block, stored back — one rounding per
-                    // multiply-add, in k order, same as streaming.
-                    let mut acc = [0.0f32; TILE_N];
-                    acc.copy_from_slice(&crow[j..j + TILE_N]);
-                    for (p, &av) in arow.iter().enumerate() {
-                        let brow = &panel[p * stride + j..p * stride + j + TILE_N];
-                        for (accv, &bv) in acc.iter_mut().zip(brow) {
-                            *accv += av * bv;
-                        }
+            let block = Block {
+                panel: if pack { &scratch.panel } else { b },
+                // When unpacked there is exactly one block, so the panel
+                // row stride is `n` with `kb == jb == 0`; packed rows are
+                // `jw`.
+                stride: if pack { jw } else { n },
+                k,
+                kb,
+                kw,
+                n,
+                jb,
+                jw,
+            };
+            let mut i = 0;
+            while i + TILE_M <= m {
+                block.rows::<TILE_M>(a, i, c);
+                i += TILE_M;
+            }
+            for i in i..m {
+                block.rows::<1>(a, i, c);
+            }
+        }
+    }
+}
+
+/// One `(k, j)` block of [`accumulate`]: the `B` panel rows `kb..kb + kw`
+/// over columns `jb..jb + jw`, as packed or read in place.
+struct Block<'p> {
+    panel: &'p [f32],
+    stride: usize,
+    k: usize,
+    kb: usize,
+    kw: usize,
+    n: usize,
+    jb: usize,
+    jw: usize,
+}
+
+impl Block<'_> {
+    /// Accumulates the block into `C` rows `i0..i0 + R`. Each register
+    /// tile is `R × TILE_N` outputs: seeded from `C`, accumulated over the
+    /// whole `k` block with every panel row loaded once for all `R` rows,
+    /// and stored back — one rounding per multiply-add, in `k` order, the
+    /// same as streaming one row at a time.
+    fn rows<const R: usize>(&self, a: &[f32], i0: usize, c: &mut [f32]) {
+        let Block {
+            panel,
+            stride,
+            k,
+            kb,
+            kw,
+            n,
+            jb,
+            jw,
+        } = *self;
+        let arows: [&[f32]; R] = std::array::from_fn(|r| &a[(i0 + r) * k + kb..][..kw]);
+        let mut j = 0;
+        while j + TILE_N <= jw {
+            let mut acc = [[0.0f32; TILE_N]; R];
+            for (r, accr) in acc.iter_mut().enumerate() {
+                accr.copy_from_slice(&c[(i0 + r) * n + jb + j..][..TILE_N]);
+            }
+            for p in 0..kw {
+                let brow = &panel[p * stride + j..][..TILE_N];
+                for (accr, arow) in acc.iter_mut().zip(&arows) {
+                    let av = arow[p];
+                    for (accv, &bv) in accr.iter_mut().zip(brow) {
+                        *accv += av * bv;
                     }
-                    crow[j..j + TILE_N].copy_from_slice(&acc);
-                    j += TILE_N;
                 }
-                if j < jw {
-                    // Ragged column tail: same k-increasing streaming.
-                    for (p, &av) in arow.iter().enumerate() {
-                        let brow = &panel[p * stride + j..p * stride + jw];
-                        for (cv, &bv) in crow[j..jw].iter_mut().zip(brow) {
-                            *cv += av * bv;
-                        }
+            }
+            for (r, accr) in acc.iter().enumerate() {
+                c[(i0 + r) * n + jb + j..][..TILE_N].copy_from_slice(accr);
+            }
+            j += TILE_N;
+        }
+        if j < jw {
+            // Ragged column tail: same k-increasing streaming, row by row.
+            for (r, arow) in arows.iter().enumerate() {
+                let crow = &mut c[(i0 + r) * n + jb + j..(i0 + r) * n + jb + jw];
+                for (p, &av) in arow.iter().enumerate() {
+                    let brow = &panel[p * stride + j..p * stride + jw];
+                    for (cv, &bv) in crow.iter_mut().zip(brow) {
+                        *cv += av * bv;
                     }
                 }
             }
@@ -305,8 +365,13 @@ pub fn gemm_abt(
 
 /// `C (+)= Aᵀ·B` without materialising the transpose: `A` is `[r, m]`,
 /// `B` is `[r, n]`, `C` is `[m, n]`. The reduction streams `r` in
-/// increasing order (outer loop), so accumulating a batch reproduces the
-/// per-sample `C += aᵣ ⊗ bᵣ` outer-product sequence bit for bit.
+/// increasing order, so accumulating a batch reproduces the per-sample
+/// `C += aᵣ ⊗ bᵣ` outer-product sequence bit for bit.
+///
+/// Each pass over a `C` row folds `ATB_ROWS` consecutive `r` rows into it
+/// (`v += a₀·b₀; v += a₁·b₁; …` in `r` order), so `C` is loaded and stored
+/// once per group instead of once per row; the chain per output is
+/// unchanged.
 ///
 /// # Errors
 ///
@@ -326,11 +391,30 @@ pub fn gemm_atb(
     if !accumulate {
         c.fill(0.0);
     }
-    for row in 0..r {
+    let mut row = 0;
+    while row + ATB_ROWS <= r {
+        let [a0, a1, a2, a3]: [&[f32]; ATB_ROWS] =
+            std::array::from_fn(|q| &a[(row + q) * m..(row + q + 1) * m]);
+        let [b0, b1, b2, b3]: [&[f32]; ATB_ROWS] =
+            std::array::from_fn(|q| &b[(row + q) * n..(row + q + 1) * n]);
+        for (i, crow) in c.chunks_exact_mut(n.max(1)).enumerate() {
+            let (x0, x1, x2, x3) = (a0[i], a1[i], a2[i], a3[i]);
+            for ((((cv, &y0), &y1), &y2), &y3) in crow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
+                let mut v = *cv;
+                v += x0 * y0;
+                v += x1 * y1;
+                v += x2 * y2;
+                v += x3 * y3;
+                *cv = v;
+            }
+        }
+        row += ATB_ROWS;
+    }
+    // Ragged `r` tail: one rank-1 update per row, same chain.
+    for row in row..r {
         let arow = &a[row * m..(row + 1) * m];
         let brow = &b[row * n..(row + 1) * n];
-        for (i, &av) in arow.iter().enumerate() {
-            let crow = &mut c[i * n..(i + 1) * n];
+        for (crow, &av) in c.chunks_exact_mut(n.max(1)).zip(arow) {
             for (cv, &bv) in crow.iter_mut().zip(brow) {
                 *cv += av * bv;
             }
@@ -679,6 +763,86 @@ mod tests {
             }
         }
         assert_eq!(got, seq);
+    }
+
+    /// [`fill`] with signed zeros mixed in: every fifth value `-0.0`, and
+    /// every `zero_row`-th row of `cols` (rows `zero_row − 1`,
+    /// `2·zero_row − 1`, …) all `±0.0`, so folds that should stay at a
+    /// signed zero are exercised too.
+    fn fill_signed(rows: usize, cols: usize, seed: u64, zero_row: usize) -> Vec<f32> {
+        let mut v = fill(rows * cols, seed);
+        for (i, x) in v.iter_mut().enumerate() {
+            if (i / cols.max(1) + 1).is_multiple_of(zero_row) {
+                *x = if i % 2 == 0 { -0.0 } else { 0.0 };
+            } else if i % 5 == 0 {
+                *x = -0.0;
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn row_group_tiles_equal_streaming_bitwise() {
+        // `m` off the row group, `n` off the register tile, `k` and `n`
+        // past one block (so the panel is packed), over a `C` holding
+        // ±0.0. One scratch across every shape.
+        let mut scratch = GemmScratch::new();
+        for &m in &[1, 2, 3, 5, 17] {
+            for &k in &[1, 7, BLOCK_K + 5] {
+                for &n in &[1, 15, TILE_N + 3, 3 * TILE_N, BLOCK_N + 21] {
+                    let a = fill_signed(m, k, 53 + m as u64, 4);
+                    let b = fill_signed(k, n, 59 + n as u64, 3);
+                    let c0 = fill_signed(m, n, 61, 2);
+                    let mut want = c0.clone();
+                    for i in 0..m {
+                        for p in 0..k {
+                            for j in 0..n {
+                                want[i * n + j] += a[i * k + p] * b[p * n + j];
+                            }
+                        }
+                    }
+                    let mut got = c0;
+                    accumulate(&a, &b, m, k, n, &mut got, &mut scratch);
+                    assert_eq!(bits(&got), bits(&want), "m={m} k={k} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn atb_row_groups_equal_outer_product_sequence_bitwise() {
+        // `r` below, at and past the 4-row group with a ragged tail, `m`
+        // ragged, `n` off the tile and past a block, ±0.0 in `C`.
+        for &r in &[0, 1, 3, ATB_ROWS, ATB_ROWS + 1, 2 * ATB_ROWS + 3] {
+            for &m in &[1, 3, 5, 17] {
+                for &n in &[1, 15, TILE_N + 3, BLOCK_N + 21] {
+                    let a = fill_signed(r, m, 67 + m as u64, 3);
+                    let b = fill_signed(r, n, 71 + n as u64, 4);
+                    let c0 = fill_signed(m, n, 73, 2);
+                    for accumulate in [false, true] {
+                        let mut want = if accumulate {
+                            c0.clone()
+                        } else {
+                            vec![0.0; m * n]
+                        };
+                        for row in 0..r {
+                            for i in 0..m {
+                                for j in 0..n {
+                                    want[i * n + j] += a[row * m + i] * b[row * n + j];
+                                }
+                            }
+                        }
+                        let mut got = c0.clone();
+                        gemm_atb(&a, &b, r, m, n, accumulate, &mut got).unwrap();
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "r={r} m={m} n={n} accumulate={accumulate}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -394,31 +394,65 @@ fn im2col_geometry(c: usize, h: usize, w: usize, win: Window2d) -> Result<(usize
     Ok((c * win.kh * win.kw, oh * ow))
 }
 
+/// Input row of output row `oy` at kernel row `ky`, or `None` when it
+/// falls in the vertical padding.
+fn input_row(oy: usize, ky: usize, win: Window2d, h: usize) -> Option<usize> {
+    (oy * win.sh + ky).checked_sub(win.ph).filter(|&iy| iy < h)
+}
+
+/// The output columns `lo..hi` whose input column `ox·sw + kx − pw` lies
+/// inside `0..w`, and the input column of `lo` (`0` for an empty span).
+/// Every other output column reads padding.
+fn input_span(kx: usize, win: Window2d, w: usize, ow: usize) -> (usize, usize, usize) {
+    // ox·sw + kx ≥ pw  ⇔  ox ≥ ⌈(pw − kx) / sw⌉
+    let lo = win.pw.saturating_sub(kx).div_ceil(win.sw).min(ow);
+    // ox·sw + kx − pw < w  ⇔  ox < ⌈(w + pw − kx) / sw⌉
+    let hi = (w + win.pw)
+        .saturating_sub(kx)
+        .div_ceil(win.sw)
+        .min(ow)
+        .max(lo);
+    let x0 = if lo < hi {
+        lo * win.sw + kx - win.pw
+    } else {
+        0
+    };
+    (lo, hi, x0)
+}
+
 /// Scatters one `[C, H, W]` sample into a `[rows, cols]` im2col matrix.
-/// Only in-bounds positions are written: padding positions keep whatever
-/// `dst` held, so a buffer zeroed once can be refilled sample after
-/// sample (the written set depends on the geometry alone).
+/// Every position is written, padding with zeros, so `dst` needs no
+/// clearing between samples. Each `(c, ky, kx, oy)` row segment is one
+/// contiguous copy of its in-bounds source run (a strided gather when
+/// `sw > 1`) between two zero runs.
 fn im2col_fill(src: &[f32], c: usize, h: usize, w: usize, win: Window2d, dst: &mut [f32]) {
     let (oh, ow) = win
         .output_size(h, w)
         .expect("caller validated window geometry");
-    let cols = oh * ow;
+    let mut lowered = dst.chunks_exact_mut(oh * ow);
     for ch in 0..c {
+        let plane = &src[ch * h * w..(ch + 1) * h * w];
         for ky in 0..win.kh {
             for kx in 0..win.kw {
-                let row = (ch * win.kh + ky) * win.kw + kx;
-                for oy in 0..oh {
-                    let iy = (oy * win.sh + ky) as isize - win.ph as isize;
-                    if iy < 0 || iy as usize >= h {
+                let (lo, hi, x0) = input_span(kx, win, w, ow);
+                let row = lowered.next().expect("caller validated dst length");
+                for (oy, seg) in row.chunks_exact_mut(ow).enumerate() {
+                    let Some(iy) = input_row(oy, ky, win, h) else {
+                        seg.fill(0.0);
                         continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * win.sw + kx) as isize - win.pw as isize;
-                        if ix < 0 || ix as usize >= w {
-                            continue;
+                    };
+                    let srow = &plane[iy * w..(iy + 1) * w];
+                    seg[..lo].fill(0.0);
+                    seg[hi..].fill(0.0);
+                    if win.sw == 1 {
+                        seg[lo..hi].copy_from_slice(&srow[x0..x0 + hi - lo]);
+                    } else {
+                        for (d, &v) in seg[lo..hi]
+                            .iter_mut()
+                            .zip(srow[x0..].iter().step_by(win.sw))
+                        {
+                            *d = v;
                         }
-                        dst[row * cols + oy * ow + ox] =
-                            src[(ch * h + iy as usize) * w + ix as usize];
                     }
                 }
             }
@@ -441,9 +475,10 @@ pub fn im2col(input: &Tensor, win: Window2d) -> Result<Tensor> {
     Tensor::from_vec(out, [rows, cols])
 }
 
-/// Allocation-free [`im2col`]: lowers into a caller-owned buffer (cleared,
-/// then resized to `rows * cols`) and returns `(rows, cols)`. Steady-state
-/// callers reuse the buffer's capacity across calls.
+/// Allocation-free [`im2col`]: lowers into a caller-owned buffer (resized
+/// to `rows * cols`, every position overwritten) and returns
+/// `(rows, cols)`. Steady-state callers reuse the buffer's capacity across
+/// calls.
 ///
 /// # Errors
 ///
@@ -452,7 +487,6 @@ pub fn im2col_into(input: &Tensor, win: Window2d, out: &mut Vec<f32>) -> Result<
     input.shape().expect_rank(3)?;
     let (c, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2]);
     let (rows, cols) = im2col_geometry(c, h, w, win)?;
-    out.clear();
     out.resize(rows * cols, 0.0);
     im2col_slice_into(input.as_slice(), c, h, w, win, out)
 }
@@ -462,9 +496,9 @@ pub fn im2col_into(input: &Tensor, win: Window2d, out: &mut Vec<f32>) -> Result<
 /// `out`, which must hold exactly `rows * cols` values, and returns
 /// `(rows, cols)`.
 ///
-/// Only in-bounds positions are written; padding positions keep their
-/// current value. The set written depends on the geometry alone, so a
-/// buffer zeroed once can be refilled sample after sample.
+/// Every position is written, padding positions with zeros, so `out`
+/// may hold anything beforehand: one buffer is refilled sample after
+/// sample without clearing.
 ///
 /// # Errors
 ///
@@ -546,23 +580,32 @@ pub fn col2im_into(
             right: vec![c, h, w],
         });
     }
-    let (oh, ow) = win.output_size(h, w)?;
+    let ow = win.output_size(h, w)?.1;
+    // The (c, ky, kx, oy, ox) order of the per-element scatter, one
+    // in-bounds row segment at a time: distinct `ox` of a segment reach
+    // distinct input columns, so every input element receives its terms
+    // in the same order.
+    let mut lowered = src.chunks_exact(cols);
     for ch in 0..c {
+        let plane = &mut out[ch * h * w..(ch + 1) * h * w];
         for ky in 0..win.kh {
             for kx in 0..win.kw {
-                let row = (ch * win.kh + ky) * win.kw + kx;
-                for oy in 0..oh {
-                    let iy = (oy * win.sh + ky) as isize - win.ph as isize;
-                    if iy < 0 || iy as usize >= h {
+                let (lo, hi, x0) = input_span(kx, win, w, ow);
+                let row = lowered.next().expect("checked src length");
+                for (oy, seg) in row.chunks_exact(ow).enumerate() {
+                    let Some(iy) = input_row(oy, ky, win, h) else {
                         continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * win.sw + kx) as isize - win.pw as isize;
-                        if ix < 0 || ix as usize >= w {
-                            continue;
+                    };
+                    let orow = &mut plane[iy * w..(iy + 1) * w];
+                    let seg = &seg[lo..hi];
+                    if win.sw == 1 {
+                        for (o, &v) in orow[x0..x0 + seg.len()].iter_mut().zip(seg) {
+                            *o += v;
                         }
-                        out[(ch * h + iy as usize) * w + ix as usize] +=
-                            src[row * cols + oy * ow + ox];
+                    } else {
+                        for (o, &v) in orow[x0..].iter_mut().step_by(win.sw).zip(seg) {
+                            *o += v;
+                        }
                     }
                 }
             }
@@ -802,8 +845,9 @@ mod tests {
 
     #[test]
     fn im2col_slice_refill_matches_fresh_lowering() {
-        // A padded window leaves positions unwritten: refilling one
-        // buffer sample after sample must still equal a fresh lowering.
+        // A padded window has padding positions to rewrite: refilling
+        // one buffer sample after sample must still equal a fresh
+        // lowering.
         let win = Window2d::same(3);
         let s0 = Tensor::from_vec(
             (0..2 * 5 * 5).map(|i| i as f32 * 0.25 - 3.0).collect(),

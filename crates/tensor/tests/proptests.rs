@@ -230,6 +230,128 @@ fn im2col_col2im_adjoint() {
     }
 }
 
+/// Test oracle for `im2col_slice_into`: the per-element loop, reading
+/// every output position from the input or, in the padding, writing zero.
+fn im2col_oracle(src: &[f32], c: usize, h: usize, w: usize, win: ops::Window2d) -> Vec<f32> {
+    let (oh, ow) = win.output_size(h, w).unwrap();
+    let mut dst = vec![0.0f32; c * win.kh * win.kw * oh * ow];
+    for ch in 0..c {
+        for ky in 0..win.kh {
+            for kx in 0..win.kw {
+                let row = (ch * win.kh + ky) * win.kw + kx;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let iy = (oy * win.sh + ky) as isize - win.ph as isize;
+                        let ix = (ox * win.sw + kx) as isize - win.pw as isize;
+                        if (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix) {
+                            dst[row * oh * ow + oy * ow + ox] =
+                                src[(ch * h + iy as usize) * w + ix as usize];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    dst
+}
+
+/// Test oracle for `col2im_into`: the per-element scatter, adding each
+/// in-bounds column entry to its input position in `(c, ky, kx, oy, ox)`
+/// order.
+fn col2im_oracle(src: &[f32], c: usize, h: usize, w: usize, win: ops::Window2d, out: &mut [f32]) {
+    let (oh, ow) = win.output_size(h, w).unwrap();
+    for ch in 0..c {
+        for ky in 0..win.kh {
+            for kx in 0..win.kw {
+                let row = (ch * win.kh + ky) * win.kw + kx;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let iy = (oy * win.sh + ky) as isize - win.ph as isize;
+                        let ix = (ox * win.sw + kx) as isize - win.pw as isize;
+                        if (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix) {
+                            out[(ch * h + iy as usize) * w + ix as usize] +=
+                                src[row * oh * ow + oy * ow + ox];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Values with both signed zeros and a spread of magnitudes, so a
+/// reordered sum or a dropped `-0.0` shows in the bits.
+fn kernel_values(rng: &mut ChaCha8Rng, len: usize) -> Vec<f32> {
+    (0..len)
+        .map(|_| match rng.gen_range(0u32..8) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => rng.gen_range(-1e4f32..1e4),
+            _ => rng.gen_range(-10.0f32..10.0),
+        })
+        .collect()
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn im2col_and_col2im_equal_the_per_element_loops_bitwise() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x7e500b);
+    let mut fitted = 0;
+    for case in 0..4 * CASES {
+        let c = rng.gen_range(1usize..4);
+        let (h, w) = (rng.gen_range(1usize..10), rng.gen_range(1usize..10));
+        let win = ops::Window2d {
+            kh: rng.gen_range(1usize..6),
+            kw: rng.gen_range(1usize..6),
+            sh: rng.gen_range(1usize..4),
+            sw: rng.gen_range(1usize..4),
+            ph: rng.gen_range(0usize..3),
+            pw: rng.gen_range(0usize..3),
+        };
+        let x = kernel_values(&mut rng, c * h * w);
+        let Ok((oh, ow)) = win.output_size(h, w) else {
+            let mut buf = vec![0.0f32; 1];
+            assert!(
+                ops::im2col_slice_into(&x, c, h, w, win, &mut buf).is_err(),
+                "case {case}"
+            );
+            continue;
+        };
+        fitted += 1;
+        let len = c * win.kh * win.kw * oh * ow;
+        let ctx = format!("case {case}: c={c} h={h} w={w} {win:?}");
+
+        // A dirty buffer (NaN and stale values) is fully overwritten,
+        // twice in a row with two different samples.
+        let mut buf: Vec<f32> = (0..len)
+            .map(|i| if i % 3 == 0 { f32::NAN } else { i as f32 })
+            .collect();
+        let x2 = kernel_values(&mut rng, c * h * w);
+        for sample in [&x, &x2] {
+            let shape = ops::im2col_slice_into(sample, c, h, w, win, &mut buf).unwrap();
+            assert_eq!(shape, (c * win.kh * win.kw, oh * ow), "{ctx}");
+            assert_eq!(
+                bits(&buf),
+                bits(&im2col_oracle(sample, c, h, w, win)),
+                "{ctx}"
+            );
+        }
+
+        // col2im accumulates onto whatever `out` holds, in oracle order.
+        let cols = kernel_values(&mut rng, len);
+        let seed = kernel_values(&mut rng, c * h * w);
+        let mut want = seed.clone();
+        col2im_oracle(&cols, c, h, w, win, &mut want);
+        let mut got = seed;
+        ops::col2im_into(&cols, c, h, w, win, &mut got).unwrap();
+        assert_eq!(bits(&got), bits(&want), "{ctx}");
+    }
+    assert!(fitted >= CASES, "only {fitted} fitting windows drawn");
+}
+
 #[test]
 fn sparsity_bounds() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x7e5010);

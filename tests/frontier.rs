@@ -14,12 +14,25 @@
 //!    table) is byte-identical on one worker and four.
 //! 5. **Resume from cache** — a warm campaign against the same cache
 //!    directory reproduces the cold outcome, modulo cache-hit markers.
+//! 6. **Calibrate once** — the calibrated-noise arm reuses the last
+//!    calibration probe's experiment instead of collecting again.
+//!
+//! The telemetry recorder is process-global, so every test holds
+//! [`RUN_LOCK`]: no campaign may run inside another test's recording.
 
 use scnn::cache::ArtifactCache;
 use scnn::core::frontier::{run_frontier, FrontierOptions, FrontierOutcome};
 use scnn::core::pipeline::{CacheUsage, DatasetKind, ExperimentConfig};
 use scnn::core::ToJson;
+use scnn::obs::Recorder;
 use scnn::par::Threads;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+static RUN_LOCK: Mutex<()> = Mutex::new(());
+
+fn run_lock() -> MutexGuard<'static, ()> {
+    RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn config() -> ExperimentConfig {
     let mut cfg = ExperimentConfig::quick(DatasetKind::Mnist)
@@ -48,6 +61,7 @@ fn scratch(tag: &str) -> (std::path::PathBuf, ArtifactCache) {
 
 #[test]
 fn frontier_reports_every_arm_and_is_thread_invariant() {
+    let _guard = run_lock();
     let cfg = config();
     let opts = options();
     let one = run_frontier(&cfg, &opts, Threads::Count(1), None, None).unwrap();
@@ -114,6 +128,7 @@ fn frontier_reports_every_arm_and_is_thread_invariant() {
 
 #[test]
 fn warm_frontier_resumes_from_cache() {
+    let _guard = run_lock();
     let (dir, cache) = scratch("warm");
     let cfg = config();
     let opts = options();
@@ -144,6 +159,30 @@ fn warm_frontier_resumes_from_cache() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn calibrated_arm_reuses_the_last_probe() {
+    let _guard = run_lock();
+    let recorder = Arc::new(Recorder::new());
+    scnn::obs::install(recorder.clone());
+    let outcome = run_frontier(&config(), &options(), Threads::Count(1), None, None);
+    scnn::obs::uninstall();
+    let outcome = outcome.unwrap();
+    let snapshot = recorder.snapshot();
+    let probes = snapshot.counter("frontier.calibration-runs").unwrap_or(0);
+    let collections = snapshot.spans_named("pipeline.collect").count() as u64;
+    assert!(probes >= 1, "calibration ran no probe");
+    assert_eq!(
+        collections,
+        probes + 6,
+        "one collection per calibration probe and per fixed arm; the calibrated-noise arm adds none"
+    );
+    assert_eq!(outcome.rows.last().unwrap().arm, "calibrated-noise");
+    assert!(
+        outcome.converged == (outcome.rows.last().unwrap().max_abs_t <= outcome.target_t),
+        "converged must say whether the last probe reached the target"
+    );
 }
 
 /// The verdict parts of an outcome, with cache markers zeroed — cold
