@@ -14,6 +14,8 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
 step() { printf '\n== %s ==\n' "$*"; }
+repro() { cargo run --release --offline -q -p scnn-bench --bin repro -- "$@"; }
+lint() { cargo run --release --offline -q -p scnn-bench --bin lint -- "$@"; }
 
 step "cargo fmt --check"
 cargo fmt --all -- --check
@@ -47,10 +49,8 @@ step "perfbench self-tests (readings digest and exact traced counts repeat, trac
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 step "repro smoke run (tiny scale, threads 1 vs 4 must be byte-identical)"
-out="$(cargo run --release --offline -q -p scnn-bench --bin repro -- \
-      table1 --quick --samples 8 --threads 1)"
-out4="$(cargo run --release --offline -q -p scnn-bench --bin repro -- \
-      table1 --quick --samples 8 --threads 4)"
+out="$(repro table1 --quick --samples 8 --threads 1)"
+out4="$(repro table1 --quick --samples 8 --threads 4)"
 printf '%s\n' "$out"
 printf '%s' "$out" | grep -q "ALARM" || { echo "FAIL: no alarm raised"; exit 1; }
 printf '%s' "$out" | grep -q "cache-misses" || { echo "FAIL: cache-misses absent"; exit 1; }
@@ -59,12 +59,10 @@ diff <(printf '%s' "$out") <(printf '%s' "$out4") \
 
 step "telemetry smoke run (observation-only: stdout must not change)"
 telemetry_json="$(mktemp)"
-out_tel="$(cargo run --release --offline -q -p scnn-bench --bin repro -- \
-      table1 --quick --samples 8 --threads 4 --telemetry "$telemetry_json")"
+out_tel="$(repro table1 --quick --samples 8 --threads 4 --telemetry "$telemetry_json")"
 diff <(printf '%s' "$out4") <(printf '%s' "$out_tel") \
   || { echo "FAIL: report differs with --telemetry on"; exit 1; }
-cargo run --release --offline -q -p scnn-bench --bin telemetry_lint -- "$telemetry_json" \
-  || { echo "FAIL: telemetry JSON did not lint"; exit 1; }
+lint telemetry "$telemetry_json" || { echo "FAIL: telemetry JSON did not lint"; exit 1; }
 grep -q '"name":"pipeline.train"' "$telemetry_json" \
   || { echo "FAIL: telemetry missing the train phase span"; exit 1; }
 grep -q '"name":"collect.samples"' "$telemetry_json" \
@@ -75,10 +73,8 @@ step "artifact cache (warm rerun skips training, stdout byte-identical)"
 cache_dir="$(mktemp -d)"
 cold_err="$(mktemp)"
 warm_err="$(mktemp)"
-out_cold="$(cargo run --release --offline -q -p scnn-bench --bin repro -- \
-      table1 --quick --samples 8 --threads 4 --cache-dir "$cache_dir" 2>"$cold_err")"
-out_warm="$(cargo run --release --offline -q -p scnn-bench --bin repro -- \
-      table1 --quick --samples 8 --threads 4 --cache-dir "$cache_dir" 2>"$warm_err")"
+out_cold="$(repro table1 --quick --samples 8 --threads 4 --cache-dir "$cache_dir" 2>"$cold_err")"
+out_warm="$(repro table1 --quick --samples 8 --threads 4 --cache-dir "$cache_dir" 2>"$warm_err")"
 grep -q "model miss — trained and stored" "$cold_err" \
   || { echo "FAIL: cold run did not report a model miss"; cat "$cold_err"; exit 1; }
 grep -q "model hit — training skipped" "$warm_err" \
@@ -90,19 +86,17 @@ diff <(printf '%s' "$out4") <(printf '%s' "$out_cold") \
 rm -rf "$cache_dir" "$cold_err" "$warm_err"
 
 step "uarch preset zoo lints (strict parse + canonical round-trip)"
-cargo run --release --offline -q -p scnn-bench --bin uarch_lint \
-  || { echo "FAIL: embedded presets did not lint"; exit 1; }
-cargo run --release --offline -q -p scnn-bench --bin uarch_lint -- crates/core/presets/*.json \
-  || { echo "FAIL: preset files did not lint"; exit 1; }
+lint uarch || { echo "FAIL: embedded presets did not lint"; exit 1; }
+lint uarch crates/core/presets/*.json || { echo "FAIL: preset files did not lint"; exit 1; }
 
 step "hostile uarch fixtures (typed, field-named rejection: no panic, no abort)"
-# uarch_lint exits 1 on a rejected config; a panic would exit 101 and an
+# lint exits 1 on a rejected config; a panic would exit 101 and an
 # allocation abort 134.
 hostile_lint() {  # <fixture> <fragment the error must contain>
   local err status=0
-  err="$(cargo run --release --offline -q -p scnn-bench --bin uarch_lint -- "$1" 2>&1)" || status=$?
+  err="$(lint uarch "$1" 2>&1)" || status=$?
   [ "$status" -eq 1 ] \
-    || { echo "FAIL: uarch_lint exited $status on $1, want 1"; printf '%s\n' "$err"; exit 1; }
+    || { echo "FAIL: lint uarch exited $status on $1, want 1"; printf '%s\n' "$err"; exit 1; }
   printf '%s' "$err" | grep -qF "$2" \
     || { echo "FAIL: error for $1 does not contain $2"; printf '%s\n' "$err"; exit 1; }
   printf '%s\n' "$err"
@@ -114,14 +108,13 @@ step "campaign smokes: sweep, extract, frontier (every arm, cold/warm byte-ident
 # One smoke per multi-arm campaign: a cold run and a warm run against one
 # cache, every arm named on stdout and in the --out JSON, identical
 # stdout, no train/collect span but every per-arm span in the warm run's
-# telemetry, and the --out JSON through its lint binary (if any). The
+# telemetry, and the --out JSON through `lint <kind>` (if any). The
 # run's files stay in $campaign_dir for the campaign's own checks.
-campaign_smoke() {  # <command> <per-arm span> <JSON arm key> <lint binary or ""> <arm>...
-  local cmd="$1" span="$2" key="$3" lint="$4" arm
+campaign_smoke() {  # <command> <per-arm span> <JSON arm key> <lint kind or ""> <arm>...
+  local cmd="$1" span="$2" key="$3" kind="$4" arm
   shift 4
   campaign_dir="$(mktemp -d)"
-  local run=(cargo run --release --offline -q -p scnn-bench --bin repro --
-             "$cmd" --quick --samples 8 --threads 4
+  local run=(repro "$cmd" --quick --samples 8 --threads 4
              --cache-dir "$campaign_dir/cache" --out "$campaign_dir/out.json")
   "${run[@]}" > "$campaign_dir/cold.out"
   "${run[@]}" --telemetry "$campaign_dir/telemetry.json" > "$campaign_dir/warm.out"
@@ -142,9 +135,8 @@ campaign_smoke() {  # <command> <per-arm span> <JSON arm key> <lint binary or ""
   fi
   grep -q "\"name\":\"$span\"" "$campaign_dir/telemetry.json" \
     || { echo "FAIL: $cmd telemetry missing per-arm $span spans"; exit 1; }
-  if [ -n "$lint" ]; then
-    cargo run --release --offline -q -p scnn-bench --bin "$lint" -- "$campaign_dir/out.json" \
-      || { echo "FAIL: $cmd JSON did not lint"; exit 1; }
+  if [ -n "$kind" ]; then
+    lint "$kind" "$campaign_dir/out.json" || { echo "FAIL: $cmd JSON did not lint"; exit 1; }
   fi
 }
 
@@ -156,12 +148,12 @@ distinct="$(grep -o '"distinguishable_pairs":[0-9]*' "$campaign_dir/out.json" | 
   || { echo "FAIL: all presets report identical distinguishable-pair counts"; cat "$campaign_dir/out.json"; exit 1; }
 rm -rf "$campaign_dir"
 
-campaign_smoke extract extract.arm arm extract_lint unprotected constant-time noise-injection combined
+campaign_smoke extract extract.arm arm extract unprotected constant-time noise-injection combined
 grep -q "victim (ground truth)" "$campaign_dir/cold.out" \
   || { echo "FAIL: extraction output missing the ground-truth line"; exit 1; }
 rm -rf "$campaign_dir"
 
-campaign_smoke frontier frontier.arm arm frontier_lint baseline constant-time shuffle \
+campaign_smoke frontier frontier.arm arm frontier baseline constant-time shuffle \
   noise-injection decoy-inference oblivious-shape calibrated-noise
 grep -q "pareto frontier: [a-z]" "$campaign_dir/cold.out" \
   || { echo "FAIL: frontier printed an empty Pareto set"; exit 1; }
@@ -169,8 +161,7 @@ rm -rf "$campaign_dir"
 
 step "campaign trains once (uncached frontier records exactly one training span)"
 frontier_tel="$(mktemp)"
-cargo run --release --offline -q -p scnn-bench --bin repro -- \
-      frontier --quick --samples 8 --threads 1 --telemetry "$frontier_tel" > /dev/null
+repro frontier --quick --samples 8 --threads 1 --telemetry "$frontier_tel" > /dev/null
 trained="$(grep -o '"name":"pipeline.train"' "$frontier_tel" | wc -l)"
 [ "$trained" -eq 1 ] \
   || { echo "FAIL: uncached frontier recorded $trained training spans, want 1"; exit 1; }
@@ -180,8 +171,7 @@ step "repro all trains each victim once (uncached run records exactly three trai
 # MNIST CNN, CIFAR-10 CNN and the archs arm's MNIST MLP: every artefact
 # and campaign on one of those model keys reuses the runner's model.
 all_tel="$(mktemp)"
-cargo run --release --offline -q -p scnn-bench --bin repro -- \
-      all --quick --samples 8 --threads 1 --telemetry "$all_tel" > /dev/null
+repro all --quick --samples 8 --threads 1 --telemetry "$all_tel" > /dev/null
 trained="$(grep -o '"name":"pipeline.train"' "$all_tel" | wc -l)"
 [ "$trained" -eq 3 ] \
   || { echo "FAIL: uncached repro all recorded $trained training spans, want 3"; exit 1; }
@@ -195,16 +185,13 @@ cat > "$serve_dir/jobs.ndjson" <<'EOF'
 {"id":"c","command":"table2","quick":true,"samples":8,"threads":1}
 {"id":"bye","command":"shutdown"}
 EOF
-cargo run --release --offline -q -p scnn-bench --bin repro -- \
-      serve --jobs "$serve_dir/jobs.ndjson" --workers 3 \
+repro serve --jobs "$serve_dir/jobs.ndjson" --workers 3 \
       --cache-dir "$serve_dir/cache" --job-stdout-dir "$serve_dir/out" \
       --out "$serve_dir/report.json" \
       > "$serve_dir/responses.ndjson" 2> "$serve_dir/serve.err" \
   || { echo "FAIL: repro serve exited non-zero"; cat "$serve_dir/serve.err"; exit 1; }
-cargo run --release --offline -q -p scnn-bench --bin repro -- \
-      table1 --quick --samples 8 --threads 1 > "$serve_dir/direct_table1.out"
-cargo run --release --offline -q -p scnn-bench --bin repro -- \
-      table2 --quick --samples 8 --threads 1 > "$serve_dir/direct_table2.out"
+repro table1 --quick --samples 8 --threads 1 > "$serve_dir/direct_table1.out"
+repro table2 --quick --samples 8 --threads 1 > "$serve_dir/direct_table2.out"
 # Per-job stdout must be byte-identical to the equivalent direct CLI run,
 # and the two jobs sharing one cache key must agree with each other.
 diff "$serve_dir/direct_table1.out" "$serve_dir/out/a.out" \

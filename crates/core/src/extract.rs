@@ -47,7 +47,7 @@ use crate::campaign::{map_arms, profile_split, Campaign, TrainedModel};
 use crate::collect::{category_seed, TracedClassifier};
 use crate::countermeasure::{Countermeasure, ProtectedModel};
 use crate::error::Error;
-use crate::json::{ObjectWriter, ToJson};
+use crate::json::{number, ratio, section, text, ObjectWriter, ToJson, Value};
 use crate::pipeline::ExperimentConfig;
 use scnn_cache::ArtifactCache;
 use scnn_data::Dataset;
@@ -791,6 +791,58 @@ impl ToJson for ExtractOutcome {
     }
 }
 
+/// Checks an extraction document ([`ExtractOutcome`]'s JSON, as `repro
+/// extract --out` writes it): a non-empty `truth` layer stack; at least
+/// one row, each with an arm name, every score ratio and the held-out
+/// agreement in [0, 1]; and a `curve` whose corpus sizes strictly
+/// increase, with its ratios in [0, 1]. Returns a summary, or the
+/// first rule the document breaks.
+pub fn check_json(root: &Value) -> Result<String, String> {
+    let truth = section(root, "truth")?;
+    if truth.is_empty() {
+        return Err("empty \"truth\" layer stack".into());
+    }
+    let rows = section(root, "rows")?;
+    if rows.is_empty() {
+        return Err("empty \"rows\" section".into());
+    }
+    for row in rows {
+        let arm = text(row, "arm").map_err(|e| format!("row {e}"))?;
+        let score = row
+            .get("score")
+            .ok_or_else(|| format!("row {arm:?} missing \"score\""))?;
+        for key in [
+            "kind_precision",
+            "kind_recall",
+            "dim_accuracy",
+            "activation_accuracy",
+            "overall",
+        ] {
+            ratio(score, key).map_err(|e| format!("row {arm:?} score: {e}"))?;
+        }
+        ratio(row, "holdout_agreement").map_err(|e| format!("row {arm:?}: {e}"))?;
+    }
+    let curve = section(root, "curve")?;
+    let mut last = 0.0;
+    for point in curve {
+        let samples = number(point, "samples").map_err(|e| format!("curve point {e}"))?;
+        if samples <= last {
+            return Err(format!(
+                "curve samples not strictly increasing at {samples}"
+            ));
+        }
+        last = samples;
+        ratio(point, "overall")?;
+        ratio(point, "kind_precision")?;
+    }
+    Ok(format!(
+        "{} truth layers, {} arms, {} curve points",
+        truth.len(),
+        rows.len(),
+        curve.len()
+    ))
+}
+
 /// Measures `samples` traced inferences, one [`InferenceTrace`] each,
 /// cycling the dataset's images. The pre-layer staging window (input
 /// copy-in, before the first boundary) is stripped.
@@ -1035,6 +1087,33 @@ mod tests {
             branches: if branchy { 2.0 * nf + 1.0 } else { nf + 1.0 },
             alu: if branchy { nf } else { 2.0 * nf },
         }
+    }
+
+    #[test]
+    fn check_json_names_each_broken_rule() {
+        let valid = r#"{"truth":[{"kind":"dense","dim":10}],
+            "rows":[{"arm":"unprotected","score":{"kind_precision":1.0,"kind_recall":1.0,
+                "dim_accuracy":0.5,"activation_accuracy":1.0,"overall":0.9},"holdout_agreement":1.0}],
+            "curve":[{"samples":1,"overall":0.5,"kind_precision":0.5},
+                     {"samples":4,"overall":0.9,"kind_precision":1.0}]}"#;
+        crate::json::assert_each_rule(
+            check_json,
+            valid,
+            &[
+                ("truth", None, "non-array \"truth\""),
+                ("truth/0", None, "empty \"truth\""),
+                ("rows/0", None, "empty \"rows\""),
+                ("rows/0/arm", Some("1"), "row missing string \"arm\""),
+                ("rows/0/score", None, "\"unprotected\" missing \"score\""),
+                ("rows/0/score/kind_recall", None, "\"kind_recall\""),
+                ("rows/0/score/overall", Some("1.5"), "1.5 is outside"),
+                ("rows/0/holdout_agreement", Some("-0.1"), "outside [0, 1]"),
+                ("curve", Some("null"), "non-array \"curve\""),
+                ("curve/1/samples", Some("1"), "not strictly increasing at 1"),
+                ("curve/0/samples", None, "curve point missing numeric"),
+                ("curve/1/kind_precision", Some("2"), "outside [0, 1]"),
+            ],
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@ use crate::countermeasure::Countermeasure;
 use crate::error::Error;
 use crate::evaluator::LeakageReport;
 use crate::extract;
-use crate::json::{ObjectWriter, ToJson};
+use crate::json::{flag, number, ratio, section, text, ObjectWriter, ToJson, Value};
 use crate::pipeline::{CacheUsage, ExperimentConfig, ExperimentOutcome};
 use scnn_cache::ArtifactCache;
 use scnn_data::Dataset;
@@ -234,6 +234,108 @@ impl ToJson for FrontierOutcome {
             .field("converged", &self.converged);
         obj.finish();
     }
+}
+
+/// One row's checked facts.
+struct CheckedArm<'a> {
+    name: &'a str,
+    alarm: bool,
+    leakage: f64,
+    overhead: f64,
+    pareto: bool,
+}
+
+fn checked_arm(row: &Value) -> Result<CheckedArm<'_>, String> {
+    let name = text(row, "arm").map_err(|e| format!("row {e}"))?;
+    let inner = |e: String| format!("row {name:?}: {e}");
+    ratio(row, "extraction_overall").map_err(inner)?;
+    for key in ["mean_cycles", "overhead"] {
+        let n = number(row, key).map_err(inner)?;
+        if n <= 0.0 {
+            return Err(inner(format!("{key:?} = {n} is not positive")));
+        }
+    }
+    Ok(CheckedArm {
+        name,
+        alarm: flag(row, "alarm").map_err(inner)?,
+        leakage: ratio(row, "leakage").map_err(inner)?,
+        overhead: number(row, "overhead")?,
+        pareto: flag(row, "pareto").map_err(inner)?,
+    })
+}
+
+/// Checks a frontier document ([`FrontierOutcome`]'s JSON, as `repro
+/// frontier --out` writes it): at least six arms, each with a name, an
+/// alarm, leakage and extraction ratios in [0, 1] and positive cycles
+/// and overhead; a `baseline` row with overhead exactly 1 that raises
+/// the alarm; at least two protected arms that stay quiet; a non-empty
+/// Pareto set, without the baseline, whose members all leak less than
+/// the baseline and never dominate one another, listed by a `pareto`
+/// name list of the same length; and the calibration fields. Returns a
+/// summary, or the first rule the document breaks.
+pub fn check_json(root: &Value) -> Result<String, String> {
+    let rows = section(root, "rows")?;
+    if rows.len() < 6 {
+        return Err(format!("only {} arms, a full frontier has 6+", rows.len()));
+    }
+    let arms: Vec<CheckedArm> = rows.iter().map(checked_arm).collect::<Result<_, _>>()?;
+    let baseline = arms.iter().find(|a| a.name == "baseline");
+    let baseline = baseline.ok_or("no \"baseline\" row")?;
+    if baseline.overhead != 1.0 {
+        return Err(format!("baseline overhead is {}, not 1", baseline.overhead));
+    }
+    if !baseline.alarm {
+        return Err("the baseline must raise the leakage alarm".into());
+    }
+    let quiet = arms.iter().filter(|a| a.name != "baseline" && !a.alarm);
+    let quiet = quiet.count();
+    if quiet < 2 {
+        return Err(format!(
+            "only {quiet} protected arms suppress the alarm, not 2+"
+        ));
+    }
+    let pareto: Vec<&CheckedArm> = arms.iter().filter(|a| a.pareto).collect();
+    if pareto.is_empty() {
+        return Err("empty Pareto set".into());
+    }
+    for a in &pareto {
+        if a.name == "baseline" {
+            return Err("the baseline can never be on the frontier".into());
+        }
+        if a.leakage >= baseline.leakage {
+            return Err(format!(
+                "Pareto arm {:?} leaks {} >= baseline {}",
+                a.name, a.leakage, baseline.leakage
+            ));
+        }
+        let dominated_by = pareto.iter().find(|b| {
+            b.name != a.name
+                && b.leakage <= a.leakage
+                && b.overhead <= a.overhead
+                && (b.leakage < a.leakage || b.overhead < a.overhead)
+        });
+        if let Some(b) = dominated_by {
+            return Err(format!(
+                "Pareto arm {:?} is dominated by {:?}",
+                a.name, b.name
+            ));
+        }
+    }
+    let names = section(root, "pareto")?.len();
+    if names != pareto.len() {
+        return Err(format!(
+            "\"pareto\" lists {names} arms but {} rows are marked",
+            pareto.len()
+        ));
+    }
+    number(root, "calibrated_dummy_events")?;
+    number(root, "target_t")?;
+    flag(root, "converged")?;
+    Ok(format!(
+        "{} arms, {} on the frontier, {quiet} alarm-quiet",
+        arms.len(),
+        pareto.len()
+    ))
 }
 
 /// The fixed arm list, baseline first. The calibrated-noise arm is
@@ -567,6 +669,59 @@ mod tests {
         assert!(json.contains("\"pareto\":[\"constant-time\"]"), "{json}");
         assert!(json.contains("\"calibrated_dummy_events\":4000"));
         assert!(json.contains("\"converged\":false"), "{json}");
+    }
+
+    #[test]
+    fn check_json_names_each_broken_rule() {
+        // Every rule holds: the baseline and two protected arms alarm,
+        // two stay quiet, and `noise-injection` alone is on the frontier
+        // (it dominates `decoy-inference`).
+        let mut rows = vec![
+            row("baseline", 0.9, 1.0),
+            row("constant-time", 0.2, 1.8),
+            row("shuffle", 0.9, 1.1),
+            row("noise-injection", 0.5, 1.3),
+            row("decoy-inference", 0.6, 1.5),
+            row("oblivious-shape", 0.1, 2.5),
+        ];
+        for i in [0, 2, 3, 4] {
+            rows[i].alarm = true;
+        }
+        rows[3].pareto = true;
+        let valid = FrontierOutcome {
+            rows,
+            calibrated_dummy_events: 4_000,
+            target_t: 1.5,
+            converged: true,
+        }
+        .to_json();
+        crate::json::assert_each_rule(
+            check_json,
+            &valid,
+            &[
+                ("rows", None, "non-array \"rows\""),
+                ("rows/5", None, "only 5 arms"),
+                ("rows/3/arm", None, "row missing string"),
+                ("rows/3/alarm", None, "missing boolean \"alarm\""),
+                ("rows/3/leakage", Some("1.5"), "1.5 is outside [0, 1]"),
+                ("rows/3/extraction_overall", Some("-0.5"), "outside"),
+                ("rows/3/mean_cycles", Some("0"), "= 0 is not positive"),
+                ("rows/3/overhead", Some("-1"), "= -1 is not positive"),
+                ("rows/3/pareto", None, "missing boolean \"pareto\""),
+                ("rows/0/arm", Some("\"none\""), "no \"baseline\" row"),
+                ("rows/0/overhead", Some("1.5"), "overhead is 1.5"),
+                ("rows/0/alarm", Some("false"), "baseline must raise"),
+                ("rows/1/alarm", Some("true"), "only 1 protected arms"),
+                ("rows/3/pareto", Some("false"), "empty Pareto set"),
+                ("rows/0/pareto", Some("true"), "can never be on"),
+                ("rows/2/pareto", Some("true"), "leaks 0.9 >= baseline"),
+                ("rows/4/pareto", Some("true"), "is dominated by"),
+                ("pareto", Some("[]"), "lists 0 arms but 1 rows"),
+                ("calibrated_dummy_events", None, "missing numeric"),
+                ("target_t", Some("null"), "missing numeric"),
+                ("converged", None, "missing boolean \"converged\""),
+            ],
+        );
     }
 
     #[test]

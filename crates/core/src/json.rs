@@ -8,7 +8,9 @@
 //! observability layer's [`TelemetrySnapshot`]. The `repro` binary uses
 //! it to emit results that downstream scripts can parse without scraping
 //! the text tables, and [`parse`] reads any JSON document back into a
-//! [`Value`] tree (used by `telemetry_lint` and the golden tests).
+//! [`Value`] tree. [`check_telemetry`] and the checked accessors it
+//! shares with the other outputs' checkers state each document's
+//! invariants once, for `lint <kind>` and the golden tests alike.
 //!
 //! Numbers follow the JSON grammar strictly: non-finite floats (a t-test
 //! on degenerate data can produce them) are emitted as `null` rather than
@@ -760,15 +762,17 @@ impl Parser<'_> {
                     return Err(self.error("unescaped control character in string"));
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (the input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let c = std::str::from_utf8(rest)
-                        .ok()
-                        .and_then(|s| s.chars().next())
-                        .ok_or_else(|| self.error("invalid UTF-8"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole unescaped run at once. It ends at an
+                    // ASCII byte or at the end of input, so it holds whole
+                    // UTF-8 scalars (the input is a &str), and each byte
+                    // is decoded once: a string parses in linear time.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.error("invalid UTF-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -849,6 +853,186 @@ impl Parser<'_> {
     }
 }
 
+// ---------------------------------------------------------------------
+// Checking documents. Each output's invariants are stated once, as a
+// plain function over `Value` next to its writer — [`check_telemetry`]
+// here, `frontier::check_json`, `extract::check_json` — and shared by
+// the `lint` binary and the integration tests. A checker returns a
+// one-line summary, or the first rule the document breaks; the checked
+// accessors below name the key that is missing or mistyped.
+// ---------------------------------------------------------------------
+
+/// Member `key` of `v` as an array.
+pub fn section<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
+    v.get(key)
+        .and_then(Value::as_array)
+        .ok_or_else(|| format!("missing or non-array {key:?} section"))
+}
+
+/// Member `key` of `v` as a number.
+pub fn number(v: &Value, key: &str) -> Result<f64, String> {
+    v.get(key)
+        .and_then(Value::as_f64)
+        .ok_or_else(|| format!("missing numeric {key:?}"))
+}
+
+/// Member `key` of `v` as a number in `[0, 1]`.
+pub fn ratio(v: &Value, key: &str) -> Result<f64, String> {
+    let n = number(v, key)?;
+    if !(0.0..=1.0).contains(&n) {
+        return Err(format!("{key:?} = {n} is outside [0, 1]"));
+    }
+    Ok(n)
+}
+
+/// Member `key` of `v` as a boolean.
+pub fn flag(v: &Value, key: &str) -> Result<bool, String> {
+    v.get(key)
+        .and_then(Value::as_bool)
+        .ok_or_else(|| format!("missing boolean {key:?}"))
+}
+
+/// Member `key` of `v` as a string.
+pub fn text<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
+    v.get(key)
+        .and_then(Value::as_str)
+        .ok_or_else(|| format!("missing string {key:?}"))
+}
+
+/// Checks a telemetry document (a [`TelemetrySnapshot`] as `repro
+/// --telemetry` writes it): version 1; every span has numeric `id`,
+/// `thread`, `depth`, `start_ns` and `duration_ns`, a string `name`,
+/// and a `parent` that is `null` (at depth 0) or the id of a span
+/// exactly one level shallower; counters are non-negative; histogram
+/// buckets are `[upper_bound, count]` pairs whose counts sum to the
+/// histogram's `count`; series points are `[x, y]` pairs. Returns a
+/// summary, or the first rule the document breaks.
+pub fn check_telemetry(root: &Value) -> Result<String, String> {
+    let version = number(root, "version")?;
+    if version != 1.0 {
+        return Err(format!("unknown telemetry version {version}"));
+    }
+
+    let spans = section(root, "spans")?;
+    // Span id -> depth, built once; the first span with an id wins.
+    // `+ 0.0` folds -0 into 0, so keys compare like the numbers.
+    let mut depths = std::collections::HashMap::with_capacity(spans.len());
+    for span in spans {
+        for key in ["id", "thread", "depth", "start_ns", "duration_ns"] {
+            number(span, key)?;
+        }
+        let id = number(span, "id")? + 0.0;
+        depths.entry(id.to_bits()).or_insert(number(span, "depth")?);
+    }
+    for span in spans {
+        let name = text(span, "name").map_err(|e| format!("span {e}"))?;
+        let depth = number(span, "depth")?;
+        match span.get("parent") {
+            None => return Err(format!("span {name:?} missing \"parent\"")),
+            Some(Value::Null) if depth != 0.0 => {
+                return Err(format!("root span {name:?} has nonzero depth {depth}"));
+            }
+            Some(Value::Null) => {}
+            Some(parent) => {
+                let parent_id = parent
+                    .as_f64()
+                    .ok_or_else(|| format!("span {name:?} parent is neither null nor an id"))?;
+                let parent_depth = depths
+                    .get(&(parent_id + 0.0).to_bits())
+                    .ok_or_else(|| format!("span {name:?} parent {parent_id} does not exist"))?;
+                if depth != parent_depth + 1.0 {
+                    return Err(format!(
+                        "span {name:?} depth {depth} is not its parent's depth {parent_depth} + 1"
+                    ));
+                }
+            }
+        }
+    }
+
+    let counters = section(root, "counters")?;
+    for counter in counters {
+        let value = number(counter, "value")?;
+        if value < 0.0 {
+            return Err(format!("counter with negative value {value}"));
+        }
+    }
+
+    let histograms = section(root, "histograms")?;
+    for histogram in histograms {
+        let count = number(histogram, "count")?;
+        let mut bucket_total = 0.0;
+        for bucket in section(histogram, "buckets")? {
+            bucket_total += bucket
+                .as_array()
+                .filter(|pair| pair.len() == 2)
+                .and_then(|pair| pair[1].as_f64())
+                .ok_or("histogram bucket is not an [upper_bound, count] pair")?;
+        }
+        if bucket_total != count {
+            return Err(format!(
+                "histogram bucket counts sum to {bucket_total}, total says {count}"
+            ));
+        }
+    }
+
+    let series = section(root, "series")?;
+    for s in series {
+        if section(s, "points")?
+            .iter()
+            .any(|p| p.as_array().map(<[Value]>::len) != Some(2))
+        {
+            return Err("series point is not an [x, y] pair".into());
+        }
+    }
+
+    Ok(format!(
+        "{} spans, {} counters, {} histograms, {} series",
+        spans.len(),
+        counters.len(),
+        histograms.len(),
+        series.len()
+    ))
+}
+
+/// Test support for the checkers' negative tables: asserts that `valid`
+/// passes `check`, then that each `(path, replacement, rule)` edit
+/// breaks the named rule. `path` is `/`-separated object keys and array
+/// indices; the replacement is JSON text, or `None` to delete.
+#[cfg(test)]
+pub(crate) fn assert_each_rule(
+    check: fn(&Value) -> Result<String, String>,
+    valid: &str,
+    cases: &[(&str, Option<&str>, &str)],
+) {
+    let valid = parse(valid).expect("the valid document parses");
+    check(&valid).expect("the valid document keeps every rule");
+    for &(path, replacement, rule) in cases {
+        let mut doc = valid.clone();
+        let mut steps: Vec<&str> = path.split('/').collect();
+        let last = steps.pop().unwrap();
+        let parent = steps.into_iter().fold(&mut doc, |node, step| match node {
+            Value::Object(members) => &mut members.iter_mut().find(|(k, _)| k == step).unwrap().1,
+            Value::Array(items) => &mut items[step.parse::<usize>().unwrap()],
+            _ => panic!("{path}: {step} is not a container"),
+        });
+        let replacement = replacement.map(|text| parse(text).unwrap());
+        match parent {
+            Value::Object(members) => {
+                members.retain(|(k, _)| k != last);
+                members.extend(replacement.map(|v| (last.to_owned(), v)));
+            }
+            Value::Array(items) => {
+                let i = last.parse::<usize>().unwrap();
+                items.remove(i);
+                items.splice(i..i, replacement);
+            }
+            _ => panic!("{path}: parent is not a container"),
+        }
+        let broken = check(&doc).expect_err(path);
+        assert!(broken.contains(rule), "{path}: {broken:?}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -874,39 +1058,10 @@ mod tests {
         Evaluator::default().evaluate(&obs).unwrap()
     }
 
-    /// A structural check that the output is valid JSON: balanced
-    /// delimiters outside strings, no trailing garbage.
-    fn assert_balanced(json: &str) {
-        let mut depth = 0i32;
-        let mut in_str = false;
-        let mut escape = false;
-        for c in json.chars() {
-            if in_str {
-                if escape {
-                    escape = false;
-                } else if c == '\\' {
-                    escape = true;
-                } else if c == '"' {
-                    in_str = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => in_str = true,
-                '{' | '[' => depth += 1,
-                '}' | ']' => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0, "unbalanced close in {json}");
-        }
-        assert_eq!(depth, 0, "unbalanced JSON: {json}");
-        assert!(!in_str, "unterminated string in {json}");
-    }
-
     #[test]
     fn report_serializes_with_all_sections() {
         let json = report().to_json();
-        assert_balanced(&json);
+        parse(&json).expect("the writer emits valid JSON");
         for key in [
             "\"categories\":2",
             "\"alarm\"",
@@ -939,7 +1094,7 @@ mod tests {
             time_running: 50,
         };
         let json = r.to_json();
-        assert_balanced(&json);
+        parse(&json).expect("the writer emits valid JSON");
         assert!(json.contains("\"event\":\"branches\""));
         assert!(json.contains("\"raw\":500"));
         assert!(
@@ -984,11 +1139,11 @@ mod tests {
         // The cache-key boundary: thread settings are not part of the
         // canonical config (results are bit-identical across counts).
         let train = scnn_nn::train::TrainConfig::default().to_json();
-        assert_balanced(&train);
+        parse(&train).expect("the writer emits valid JSON");
         assert!(!train.contains("thread"), "{train}");
         assert!(train.contains("\"epochs\":5"));
         let collect = crate::collect::CollectionConfig::default().to_json();
-        assert_balanced(&collect);
+        parse(&collect).expect("the writer emits valid JSON");
         assert!(!collect.contains("thread"), "{collect}");
         assert!(collect.contains("\"cache-misses\""));
 
@@ -1053,6 +1208,53 @@ mod tests {
     }
 
     #[test]
+    fn parser_decodes_a_mebibyte_string_in_one_pass() {
+        // Each unit mixes ASCII, 2-, 3- and 4-byte scalars, the writer's
+        // escapes and hand-written `\u` escapes (one a surrogate pair).
+        let unit = "plain ASCII, é ü 漢字 🦀 \"q\" \\ \n\t";
+        let mut encoded = String::new();
+        unit.write_json(&mut encoded);
+        let encoded = format!("{}\\u00e9\\ud83e\\udd80", &encoded[1..encoded.len() - 1]);
+        let decoded = format!("{unit}é🦀");
+        let reps = (1 << 20) / encoded.len() + 1;
+        let doc = format!("\"{}\"", encoded.repeat(reps));
+        assert!(doc.len() > 1 << 20);
+        assert_eq!(parse(&doc).unwrap(), Value::String(decoded.repeat(reps)));
+    }
+
+    #[test]
+    fn telemetry_checker_names_each_broken_rule() {
+        let valid = r#"{"version":1,
+            "spans":[{"id":1,"parent":null,"name":"run","index":null,"thread":0,"depth":0,"start_ns":0,"duration_ns":9},
+                     {"id":2,"parent":1,"name":"step","index":0,"thread":0,"depth":1,"start_ns":1,"duration_ns":3}],
+            "counters":[{"name":"c","value":3}],
+            "histograms":[{"name":"h","count":3,"sum":6.0,"min":1.0,"max":3.0,"buckets":[[1.0,1],[4.0,2]]}],
+            "series":[{"name":"s","points":[[0.0,0.5]]}]}"#;
+        assert_each_rule(
+            check_telemetry,
+            valid,
+            &[
+                ("version", Some("2"), "unknown telemetry version 2"),
+                ("version", None, "missing numeric \"version\""),
+                ("spans", Some("{}"), "non-array \"spans\""),
+                ("spans/1/start_ns", None, "missing numeric \"start_ns\""),
+                ("spans/1/name", Some("7"), "span missing string \"name\""),
+                ("spans/1/parent", None, "span \"step\" missing \"parent\""),
+                ("spans/1/parent", Some("\"run\""), "neither null nor an id"),
+                ("spans/1/parent", Some("5"), "parent 5 does not exist"),
+                ("spans/1/depth", Some("2"), "not its parent's depth 0 + 1"),
+                ("spans/0/depth", Some("1"), "nonzero depth 1"),
+                ("counters/0/value", Some("-1"), "negative value -1"),
+                ("histograms/0/count", Some("4"), "sum to 3, total says 4"),
+                ("histograms/0/buckets", None, "non-array \"buckets\""),
+                ("histograms/0/buckets/1", Some("[4.0]"), "count] pair"),
+                ("series/0/points/0", Some("[0.5]"), "[x, y] pair"),
+                ("series", None, "non-array \"series\""),
+            ],
+        );
+    }
+
+    #[test]
     fn parser_enforces_depth_limit() {
         let deep = "[".repeat(200) + &"]".repeat(200);
         assert!(parse(&deep).unwrap_err().message.contains("nesting"));
@@ -1086,7 +1288,7 @@ mod tests {
         scnn_obs::uninstall();
         let snapshot = recorder.snapshot();
         let v = parse(&snapshot.to_json()).expect("telemetry JSON must parse");
-        assert_eq!(v.get("version").and_then(Value::as_f64), Some(1.0));
+        check_telemetry(&v).expect("the writer's snapshot passes its checker");
         let spans = v.get("spans").unwrap().as_array().unwrap();
         let inner = spans
             .iter()

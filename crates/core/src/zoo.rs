@@ -5,11 +5,11 @@
 //! owns its on-disk shape, read with the strict in-tree JSON parser
 //! ([`crate::json::parse`]). The schema is flat and explicit (DESIGN.md
 //! §13): per-level cache geometry and policies, latencies, prefetcher,
-//! predictor, TLB and cycle model. Parsing is `telemetry_lint`-strict —
-//! an unknown field is an error, a missing required field is reported by
-//! its dotted name, and a bad enum name lists the accepted spellings —
-//! because a silently ignored typo in a platform file would quietly
-//! measure the wrong machine.
+//! predictor, TLB and cycle model. Parsing is strict (`lint uarch`
+//! checks files with [`check_uarch`]) — an unknown field is an error, a
+//! missing required field is reported by its dotted name, and a bad
+//! enum name lists the accepted spellings — because a silently ignored
+//! typo in a platform file would quietly measure the wrong machine.
 //!
 //! The shipped presets live under `crates/core/presets/` and are
 //! compiled in via `include_str!`, so `--uarch <name>` works without any
@@ -199,6 +199,32 @@ pub fn parse_uarch(src: &str) -> Result<UarchConfig, UarchError> {
     };
     cfg.validate().map_err(UarchError::Invalid)?;
     Ok(cfg)
+}
+
+/// Checks a uarch document: it parses strictly and validates
+/// ([`parse_uarch`]), and the canonical writer round-trips it —
+/// `parse(write(parse(x)))` is the identical config, which pins the
+/// writer to the schema and so the artifact-cache key encoding. The
+/// error is the first rule the document breaks.
+pub fn check_uarch(src: &str) -> Result<UarchConfig, String> {
+    let cfg = parse_uarch(src).map_err(|e| e.to_string())?;
+    let back = parse_uarch(&cfg.to_json())
+        .map_err(|e| format!("canonical writer emitted an invalid document: {e}"))?;
+    if back != cfg {
+        return Err("config does not round-trip through the canonical writer".into());
+    }
+    Ok(cfg)
+}
+
+/// [`check_uarch`] for a shipped preset, which must also declare the
+/// name it ships under (so `--uarch <name>` loads what it says).
+/// Returns the preset's description, or the first rule it breaks.
+pub fn check_preset(name: &str, src: &str) -> Result<String, String> {
+    let cfg = check_uarch(src)?;
+    if cfg.name != name {
+        return Err(format!("declares mismatching name {:?}", cfg.name));
+    }
+    Ok(cfg.description)
 }
 
 // --- strict object walking helpers ---------------------------------
@@ -589,13 +615,10 @@ mod tests {
     #[test]
     fn every_shipped_preset_parses_validates_and_round_trips() {
         for (name, src) in PRESETS {
-            let cfg = parse_uarch(src).unwrap_or_else(|e| panic!("preset {name}: {e}"));
-            assert_eq!(cfg.name, name, "file name and embedded name agree");
-            assert!(cfg.validate().is_ok());
-            // Writer output parses back to the identical config.
-            let back = parse_uarch(&cfg.to_json()).unwrap();
-            assert_eq!(back, cfg, "round trip through the writer: {name}");
+            check_preset(name, src).unwrap_or_else(|rule| panic!("preset {name}: {rule}"));
         }
+        let err = check_preset("mobile-like", PRESETS[0].1).unwrap_err();
+        assert!(err.contains("mismatching name \"xeon-like\""), "{err}");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! The recorder is process-global, so every test that installs one
 //! holds [`INSTALL_LOCK`] for its whole body.
 
-use scnn::core::json::{parse, ToJson, Value};
+use scnn::core::json::{check_telemetry, parse, ToJson, Value};
 use scnn::core::pipeline::{DatasetKind, Experiment, ExperimentConfig, ExperimentOutcome};
 use scnn::obs::{Recorder, TelemetrySnapshot};
 use scnn::par::Threads;
@@ -44,6 +44,11 @@ fn telemetry_json_has_the_golden_shape() {
     let _guard = INSTALL_LOCK.lock().unwrap();
     let (_, snapshot) = observed_run(Threads::Count(2));
     let root = parse(&snapshot.to_json()).expect("telemetry JSON parses");
+    // Version, span nesting, counter signs, histogram totals and series
+    // shape: the same rules `lint telemetry` applies.
+    if let Err(rule) = check_telemetry(&root) {
+        panic!("{rule}");
+    }
 
     // Top level: exactly the five documented sections.
     let Value::Object(members) = &root else {
@@ -55,7 +60,6 @@ fn telemetry_json_has_the_golden_shape() {
         ["version", "spans", "counters", "histograms", "series"],
         "stable top-level key set and order"
     );
-    assert_eq!(root.get("version").and_then(Value::as_f64), Some(1.0));
 
     // Every span carries the full documented key set.
     let spans = root.get("spans").unwrap().as_array().unwrap();
