@@ -35,11 +35,14 @@ cargo test -q --offline -p scnn-nn --test batch
 step "training-trajectory pin (trained model bytes equal the recorded digests)"
 cargo test -q --offline -p scnn-nn --test train_pin
 
-step "release-build kernel tests (the optimised, vectorised code that ships: tensor kernels bit for bit, training pin)"
+step "release-build kernel tests (the optimised, vectorised code that ships: tensor kernels bit for bit, training pin, simulator closed forms and count pin)"
 # The debug-build runs above do not autovectorise; the GEMM tiles and
 # im2col row segments must also hold bit for bit as release compiles them.
+# The simulator's way hints and closed-form chunks ship optimised too.
 cargo test -q --release --offline -p scnn-tensor
 cargo test -q --release --offline -p scnn-nn --test train_pin
+cargo test -q --release --offline -p scnn-uarch --test differential
+cargo test -q --release --offline -p scnn-core --test count_pin
 
 step "simulated-count pin (per-layer counter windows of traced inferences equal the recorded digests)"
 cargo test -q --offline -p scnn-core --test count_pin

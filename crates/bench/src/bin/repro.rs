@@ -99,14 +99,15 @@ use std::time::Instant;
 /// sink. Direct CLI runs sink to real stdout; `repro serve` sinks each
 /// job to its own buffer **through this same macro and the same Runner
 /// methods**, which is what makes service output byte-identical to a
-/// direct run by construction. Stdout write failures abort like
-/// `println!` would.
+/// direct run by construction. A failed write (a closed stdout, as in
+/// `repro ... | head`) returns an [`Error::io`] from the enclosing
+/// function, so the run ends with exit 1 instead of a panic.
 macro_rules! o {
-    ($r:expr) => { writeln!($r.out).expect("artefact output write failed") };
-    ($r:expr, $($arg:tt)*) => { writeln!($r.out, $($arg)*).expect("artefact output write failed") };
+    ($r:expr) => { writeln!($r.out).map_err(|e| Error::io("stdout", e))? };
+    ($r:expr, $($arg:tt)*) => { writeln!($r.out, $($arg)*).map_err(|e| Error::io("stdout", e))? };
 }
 macro_rules! op {
-    ($r:expr, $($arg:tt)*) => { write!($r.out, $($arg)*).expect("artefact output write failed") };
+    ($r:expr, $($arg:tt)*) => { write!($r.out, $($arg)*).map_err(|e| Error::io("stdout", e))? };
 }
 
 #[derive(Clone)]
@@ -335,9 +336,10 @@ impl<W: Write> Runner<W> {
     }
 
     /// Prints an artefact's title between two rules.
-    fn banner(&mut self, title: &str) {
+    fn banner(&mut self, title: &str) -> Result<(), Error> {
         const RULE: &str = "==============================================================";
         o!(self, "{RULE}\n{title}\n{RULE}");
+        Ok(())
     }
 
     /// Reports one experiment's artifact-cache traffic: on stderr (stdout
@@ -504,7 +506,7 @@ impl<W: Write> Runner<W> {
     }
 
     fn fig1(&mut self) -> Result<(), Error> {
-        self.banner("Figure 1: average cache-misses during classification");
+        self.banner("Figure 1: average cache-misses during classification")?;
         for dataset in [DatasetKind::Mnist, DatasetKind::Cifar10] {
             let panel = match dataset {
                 DatasetKind::Mnist => "(a) MNIST",
@@ -542,7 +544,7 @@ impl<W: Write> Runner<W> {
     }
 
     fn fig2b(&mut self) -> Result<(), Error> {
-        self.banner("Figure 2(b): HPC events of a single MNIST classification");
+        self.banner("Figure 2(b): HPC events of a single MNIST classification")?;
         let cfg = self.options.config(DatasetKind::Mnist);
         let image = scnn_data::mnist_synth::generate(
             &scnn_data::mnist_synth::MnistSynthConfig {
@@ -574,7 +576,7 @@ impl<W: Write> Runner<W> {
             DatasetKind::Mnist => ("Figure 3", "MNIST"),
             DatasetKind::Cifar10 => ("Figure 4", "CIFAR-10"),
         };
-        self.banner(&format!("{figure}: per-category HPC distributions, {name}"));
+        self.banner(&format!("{figure}: per-category HPC distributions, {name}"))?;
         let key = self.ensure(dataset)?;
         let outcome = &self.cache[key];
         for (panel, event) in [("a", HpcEvent::CacheMisses), ("b", HpcEvent::Branches)] {
@@ -602,7 +604,7 @@ impl<W: Write> Runner<W> {
         };
         self.banner(&format!(
             "{table}: pairwise t-tests, {name} (* = distinguishable at 95%)"
-        ));
+        ))?;
         let key = self.ensure(dataset)?;
         let outcome = &self.cache[key];
         op!(self, "{}", outcome.report.render_table());
@@ -627,7 +629,7 @@ impl<W: Write> Runner<W> {
     }
 
     fn attack(&mut self) -> Result<(), Error> {
-        self.banner("Extension A: input-category recovery from HPC readings");
+        self.banner("Extension A: input-category recovery from HPC readings")?;
         // `--classifier` narrows the panel to one entry; the default
         // three-classifier stdout stays byte-identical when it is absent.
         let classifiers = match self.options.classifier {
@@ -664,7 +666,7 @@ impl<W: Write> Runner<W> {
     }
 
     fn extract(&mut self) -> Result<(), Error> {
-        self.banner("Extension H: architecture extraction from per-layer traces");
+        self.banner("Extension H: architecture extraction from per-layer traces")?;
         o!(self,
             "(the paper's reverse-engineering threat taken to its conclusion:\n per-layer HPC windows reconstruct the victim's architecture;\n see DESIGN.md §15)\n"
         );
@@ -737,7 +739,7 @@ impl<W: Write> Runner<W> {
     }
 
     fn ablation(&mut self) -> Result<(), Error> {
-        self.banner("Extension B: countermeasure ablation (MNIST)");
+        self.banner("Extension B: countermeasure ablation (MNIST)")?;
         let base = self.options.config(DatasetKind::Mnist);
         let dummy_events = self.options.dummy_events;
         let arms = [
@@ -786,7 +788,7 @@ impl<W: Write> Runner<W> {
     }
 
     fn events(&mut self) -> Result<(), Error> {
-        self.banner("Extension D: leakage per HPC event, cold vs warm measurement");
+        self.banner("Extension D: leakage per HPC event, cold vs warm measurement")?;
         o!(self,
             "(the paper's §5.2: \"we observed that some of the events can\n produce different distributions for different categories\")\n"
         );
@@ -827,7 +829,7 @@ impl<W: Write> Runner<W> {
     }
 
     fn archs(&mut self) -> Result<(), Error> {
-        self.banner("Extension F: victim architecture comparison (MNIST)");
+        self.banner("Extension F: victim architecture comparison (MNIST)")?;
         o!(self,
             "(the paper's future work: \"explore the vulnerabilities in other\n deep learning models\")\n"
         );
@@ -863,7 +865,7 @@ impl<W: Write> Runner<W> {
     fn uarch(&mut self) -> Result<(), Error> {
         use scnn_uarch::{CacheConfig, PredictorKind, PrefetcherKind};
 
-        self.banner("Extension E: microarchitectural ablation (MNIST, cache-misses)");
+        self.banner("Extension E: microarchitectural ablation (MNIST, cache-misses)")?;
         o!(
             self,
             "does the leak depend on the platform's microarchitecture?\n"
@@ -921,7 +923,7 @@ impl<W: Write> Runner<W> {
     }
 
     fn noise(&mut self) -> Result<(), Error> {
-        self.banner("Extension C: leakage vs noise level and sample count (MNIST)");
+        self.banner("Extension C: leakage vs noise level and sample count (MNIST)")?;
         let base = self.options.config(DatasetKind::Mnist);
         const LEVELS: [f64; 5] = [0.0, 0.5, 1.0, 2.0, 4.0];
         let mut arms: Vec<(String, ExperimentConfig)> = Vec::new();
@@ -970,7 +972,7 @@ impl<W: Write> Runner<W> {
     }
 
     fn sweep(&mut self) -> Result<(), Error> {
-        self.banner("Extension G: t-test evaluation across the microarchitecture zoo");
+        self.banner("Extension G: t-test evaluation across the microarchitecture zoo")?;
         o!(
             self,
             "(MNIST; one row per simulated platform, same model and seeds)\n"
@@ -1017,7 +1019,7 @@ impl<W: Write> Runner<W> {
     }
 
     fn frontier(&mut self) -> Result<(), Error> {
-        self.banner("Extension I: countermeasure leakage-vs-overhead frontier");
+        self.banner("Extension I: countermeasure leakage-vs-overhead frontier")?;
         o!(self,
             "(MNIST; every countermeasure arm against both adversaries — the\n pairwise-t-test evaluator and architecture extraction — priced in\n simulated cycles relative to the unprotected baseline; see DESIGN.md §16)\n"
         );
@@ -1383,8 +1385,7 @@ fn run() -> Result<(), Error> {
         .parse(std::env::args().skip(1))
         .map_err(|e| Error::msg(format!("{e} (see repro --help)")))?;
     if parsed.is_set("--help") {
-        print!("{}", flags.help());
-        return Ok(());
+        return write!(std::io::stdout(), "{}", flags.help()).map_err(|e| Error::io("stdout", e));
     }
     let mut options = Options {
         csv: parsed.value("--csv").map(PathBuf::from),
@@ -1428,9 +1429,13 @@ fn run() -> Result<(), Error> {
         let serve_options = ServeOptions::from_flags(&parsed)?;
         serve_mode(&serve_options, &options, artifact_cache)?;
     } else {
+        // An I/O failure (a closed stdout, say) is no usage error.
         Runner::new(options, artifact_cache, std::io::stdout())
             .run_command(&command)
-            .map_err(|e| Error::msg(format!("{e}\n{}", flags.help())))?;
+            .map_err(|e| match e {
+                Error::Io { .. } => e,
+                e => Error::msg(format!("{e}\n{}", flags.help())),
+            })?;
     }
 
     if let (Some(path), Some(recorder)) = (telemetry_path, recorder) {

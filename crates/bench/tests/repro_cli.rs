@@ -1,8 +1,9 @@
 //! Integration: the `repro` binary rejects bad options when it decodes
 //! them — before any training — with exit code 1 and a message, never a
-//! panic, on the command line and in `serve` jobs alike.
+//! panic, on the command line and in `serve` jobs alike; a closed stdout
+//! ends a run the same way.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -35,6 +36,25 @@ fn too_few_samples_exit_1_without_panicking() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
     }
+}
+
+#[test]
+fn closed_stdout_exits_1_without_panicking() {
+    // As `repro table1 | head -1` does once `head` has its line; here
+    // the reader is gone before the first write, so the banner fails.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["table1", "--quick", "--samples", "8", "--threads", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro starts");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("repro ends");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("stdout"), "{stderr}");
 }
 
 #[test]

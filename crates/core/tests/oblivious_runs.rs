@@ -1,5 +1,6 @@
 //! Oblivious-shape padding reaches the simulator as access runs. On
-//! every zoo preset, the per-layer windows of a padded inference must be
+//! every zoo preset, the per-layer windows of a padded inference, and
+//! the whole simulator state after padding-shaped arena walks, must be
 //! the same whether the simulator takes the runs whole or one access at
 //! a time.
 
@@ -8,7 +9,7 @@ use scnn_core::{Countermeasure, ProtectedModel, TracedClassifier};
 use scnn_hpc::{SimPmuConfig, SimulatedPmu};
 use scnn_nn::models;
 use scnn_tensor::Tensor;
-use scnn_uarch::{CounterSnapshot, NoiseConfig, Probe};
+use scnn_uarch::{CoreSim, CounterSnapshot, NoiseConfig, Probe};
 
 /// Forwards single events only, so runs take the trait's per-element
 /// default.
@@ -62,5 +63,61 @@ fn padding_runs_match_per_element_padding_on_every_preset() {
         let runs = windows(config, false);
         assert!(runs.len() > 2, "{}: one window per layer", preset.name);
         assert_eq!(runs, windows(config, true), "{}", preset.name);
+    }
+}
+
+/// Elements of the walked arena: 64 KiB of 4-byte elements, twice a
+/// 32 KiB L1, so every pass misses L1 and finds its lines in L2 and L3.
+const ARENA: u64 = 16 * 1024;
+
+/// Load and store site of the arena walks.
+const WALK_PC: u64 = 0xf4_0000;
+
+/// `n` 4-byte loads or stores walking the arena at `base` from element
+/// `*cursor`, one run per segment: a walk that reaches the arena's end
+/// goes on from its start in a new run, as padding does.
+fn walk(probe: &mut dyn Probe, base: u64, cursor: &mut u64, mut n: u64, write: bool) {
+    while n > 0 {
+        let i = *cursor % ARENA;
+        let k = n.min(ARENA - i);
+        if write {
+            probe.store_run(base + i * 4, 4, k, WALK_PC);
+        } else {
+            probe.load_run(base + i * 4, 4, k, WALK_PC);
+        }
+        *cursor += k;
+        n -= k;
+    }
+}
+
+#[test]
+fn arena_walks_match_per_element_accesses_on_every_preset() {
+    // Loads, then stores, each going round the arena more than once
+    // from where the last walk stopped, with a stray load from another
+    // site in between; the last arena starts mid-line.
+    let walks = [
+        (ARENA + 4_000, false),
+        (2 * ARENA + 9, true),
+        (30_000, false),
+        (ARENA - 3, true),
+    ];
+    for preset in zoo() {
+        for base in [0x7f00_0000, 0x7f00_0000 + 36] {
+            let mut fast = CoreSim::new(preset.core).unwrap();
+            let mut slow = CoreSim::new(preset.core).unwrap();
+            let (mut fast_cursor, mut slow_cursor) = (0, 0);
+            for (step, &(n, write)) in walks.iter().enumerate() {
+                walk(&mut fast, base, &mut fast_cursor, n, write);
+                walk(&mut PerElement(&mut slow), base, &mut slow_cursor, n, write);
+                fast.load(0x10_0000 + step as u64 * 64, 0x40_0100);
+                slow.load(0x10_0000 + step as u64 * 64, 0x40_0100);
+                let case = format!("{} base {base:#x} walk {step}", preset.name);
+                assert_eq!(fast.snapshot(), slow.snapshot(), "{case}");
+                assert!(
+                    fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb(),
+                    "{case}: runs left another state than per-element accesses"
+                );
+            }
+        }
     }
 }

@@ -286,7 +286,9 @@ impl CacheStats {
 ///
 /// [`access`](Self::access) is split into an inlined hit path and an
 /// out-of-line miss path, and it remembers where the line of the latest
-/// access lives, so a repeat access to that line skips the tag scan.
+/// access lives, so a repeat access to that line skips the tag scan;
+/// the crate's hinted access skips it when the caller's guess of the
+/// line's way holds.
 ///
 /// Two caches compare equal when every bit of their state does, stamps
 /// and memos included.
@@ -356,10 +358,42 @@ pub(crate) fn run_in_block(addr: u64, stride: i64, n: u64, shift: u32) -> u64 {
     let offset = addr & ((1u64 << shift) - 1);
     let room = match stride.cmp(&0) {
         std::cmp::Ordering::Equal => return n,
-        std::cmp::Ordering::Greater => ((1u64 << shift) - 1 - offset) / stride as u64,
-        std::cmp::Ordering::Less => offset / stride.unsigned_abs(),
+        std::cmp::Ordering::Greater => div(((1u64 << shift) - 1) - offset, stride as u64),
+        std::cmp::Ordering::Less => div(offset, stride.unsigned_abs()),
     };
     n.min(room + 1)
+}
+
+/// `x / d` for `d > 0`, by a shift when `d` is a power of two, as the
+/// strides of element-wise walks are.
+#[inline]
+fn div(x: u64, d: u64) -> u64 {
+    if d.is_power_of_two() {
+        x >> d.trailing_zeros()
+    } else {
+        x / d
+    }
+}
+
+/// The leading accesses of a run that hit without a miss, as
+/// [`Cache::hit_span`] finds them: some on the remembered line, then
+/// some on one more resident line.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HitSpan {
+    /// Accesses on the remembered line.
+    pub(crate) memo: u64,
+    /// Accesses right after them on the line at `next_idx`.
+    pub(crate) next: u64,
+    /// Flat index of that line; meaningful only when `next > 0`.
+    pub(crate) next_idx: usize,
+}
+
+impl HitSpan {
+    /// All the accesses of the span.
+    #[inline]
+    pub(crate) fn len(&self) -> u64 {
+        self.memo + self.next
+    }
 }
 
 impl Cache {
@@ -436,13 +470,61 @@ impl Cache {
             self.last_idx = base + way;
             base + way
         };
+        self.hit(set, idx - base, line_addr, write)
+    }
+
+    /// [`access`](Self::access), trying `hint` first: a flat index
+    /// (`set * ways + way`) where an earlier access found a line. The
+    /// hint counts only when it is a way of `addr`'s set whose line is
+    /// valid and holds `addr`'s tag. A set never holds a tag twice (a
+    /// line is filled only after a lookup missed it), so that way is the
+    /// one the tag scan would return, and the hit is applied exactly as
+    /// `access` applies it: clock, tree-PLRU touch unless it is the
+    /// remembered line, memo, stamp and dirty bit. Otherwise the access
+    /// takes the usual path and `hint` becomes the index it left the
+    /// line at. Any value is a safe hint; a wrong one costs only the
+    /// check.
+    #[inline(always)]
+    pub(crate) fn access_hinted(
+        &mut self,
+        addr: u64,
+        write: bool,
+        hint: &mut usize,
+    ) -> AccessOutcome {
+        let line_addr = addr >> self.line_shift;
+        let set = (line_addr & self.set_mask) as usize;
+        let idx = *hint;
+        let way = idx.wrapping_sub(set * self.ways);
+        if way < self.ways
+            && self.valid[set] >> way & 1 != 0
+            && self.tags[idx] == line_addr >> self.set_bits
+        {
+            self.clock += 1;
+            // The remembered line is resident at `last_idx` and nowhere
+            // else, so the same index means the same line.
+            if idx != self.last_idx {
+                self.touch_plru(set, way);
+                self.last_line = line_addr;
+                self.last_idx = idx;
+            }
+            return self.hit(set, way, line_addr, write);
+        }
+        let outcome = self.access(addr, write);
+        *hint = self.last_idx;
+        outcome
+    }
+
+    /// The rest of a hit on `way` of `set`, whose clock tick, tree-PLRU
+    /// touch and memo the caller has made: the stamp and dirty bit.
+    #[inline(always)]
+    fn hit(&mut self, set: usize, way: usize, line_addr: u64, write: bool) -> AccessOutcome {
         if self.refresh_on_hit {
-            self.stamps[idx] = self.clock;
+            self.stamps[set * self.ways + way] = self.clock;
         }
         // Write-through lines are never dirty: the store is forwarded to
         // the next level immediately.
         if write && !self.write_through {
-            self.dirty[set] |= 1 << (idx - base);
+            self.dirty[set] |= 1 << way;
         }
         AccessOutcome {
             hit: true,
@@ -478,6 +560,50 @@ impl Cache {
         if write && !self.write_through {
             self.dirty[self.last_idx / self.ways] |= 1 << (self.last_idx % self.ways);
         }
+    }
+
+    /// How many leading accesses of the run `addr`, `addr + stride`, …
+    /// (at most `n`) would hit: those on the remembered line (see
+    /// [`memo_run`](Self::memo_run)), then, when that line does not take
+    /// all `n`, those on the line the run enters next if a lookup finds
+    /// it resident. Changes nothing.
+    #[inline]
+    pub(crate) fn hit_span(&self, addr: u64, stride: i64, n: u64) -> HitSpan {
+        let memo = self.memo_run(addr, stride, n);
+        let mut span = HitSpan {
+            memo,
+            next: 0,
+            next_idx: NO_MEMO,
+        };
+        if memo == 0 || memo == n {
+            return span;
+        }
+        let next = addr.wrapping_add_signed(stride.wrapping_mul(memo as i64));
+        let line_addr = next >> self.line_shift;
+        let set = (line_addr & self.set_mask) as usize;
+        if let Some(way) = self.find(set, line_addr >> self.set_bits) {
+            span.next = run_in_block(next, stride, n - memo, self.line_shift);
+            span.next_idx = set * self.ways + way;
+        }
+        span
+    }
+
+    /// Applies `k ≥ 1` read hits on the resident line at flat index
+    /// `idx`, which is not the remembered line, as `k` calls of
+    /// [`access`](Self::access) on it would: the first touches the
+    /// tree-PLRU bits and makes it the remembered line, the rest are
+    /// memo hits; the clock advances by `k` and the stamp takes the
+    /// final clock where hits refresh it. `idx` comes from a
+    /// [`hit_span`](Self::hit_span) of the current state.
+    #[inline]
+    pub(crate) fn repeat_hits_at(&mut self, idx: usize, k: u64) {
+        debug_assert_ne!(idx, self.last_idx, "the remembered line");
+        let set = idx / self.ways;
+        debug_assert!(self.valid[set] >> (idx % self.ways) & 1 != 0, "no line");
+        self.touch_plru(set, idx % self.ways);
+        self.last_line = (self.tags[idx] << self.set_bits) | set as u64;
+        self.last_idx = idx;
+        self.repeat_memo_hits(k, false);
     }
 
     /// The rest of an access that missed: the write-through bypass, or a
@@ -671,6 +797,34 @@ impl Cache {
                 lo = mid;
             }
         }
+    }
+}
+
+/// Views of the replacement state, for the closed-form tests of the
+/// crate.
+#[cfg(test)]
+impl Cache {
+    /// Flat index of `addr`'s line, if resident.
+    pub(crate) fn index_of(&self, addr: u64) -> Option<usize> {
+        let line_addr = addr >> self.line_shift;
+        let set = (line_addr & self.set_mask) as usize;
+        let way = self.find(set, line_addr >> self.set_bits)?;
+        Some(set * self.ways + way)
+    }
+
+    /// The stamp of `addr`'s line, if resident.
+    pub(crate) fn stamp_of(&self, addr: u64) -> Option<u64> {
+        self.index_of(addr).map(|idx| self.stamps[idx])
+    }
+
+    /// The tree-PLRU bits of `addr`'s set.
+    pub(crate) fn plru_of(&self, addr: u64) -> u64 {
+        self.plru[((addr >> self.line_shift) & self.set_mask) as usize]
+    }
+
+    /// Byte address of the remembered line, if any.
+    pub(crate) fn memo_addr(&self) -> Option<u64> {
+        (self.last_idx != NO_MEMO).then_some(self.last_line << self.line_shift)
     }
 }
 
@@ -922,6 +1076,52 @@ mod tests {
             let _ = round;
         }
         assert!(c.stats().miss_ratio() > 0.9);
+    }
+
+    #[test]
+    fn hinted_accesses_leave_the_state_plain_accesses_leave() {
+        use scnn_rng::{ChaCha8Rng, Rng, SeedableRng};
+
+        let mut rng = ChaCha8Rng::seed_from_u64(0x4109);
+        for policy in ReplacementPolicy::ALL {
+            for write_policy in WritePolicy::ALL {
+                let config = CacheConfig::new(2048, 4, 64)
+                    .with_policy(policy)
+                    .with_write_policy(write_policy);
+                let mut plain = Cache::new(config).unwrap();
+                let mut hinted = plain.clone();
+                // Hints per slot of a repeating address pattern, as a run
+                // keeps them, and sometimes a wrong one: an index of
+                // another set, past the end, or none.
+                let mut hints = [NO_MEMO; 8];
+                let mut hint_hits = 0;
+                for step in 0..4000 {
+                    let slot = step % hints.len();
+                    let addr = if rng.gen_range(0u32..4) == 0 {
+                        rng.gen_range(0u64..1 << 14)
+                    } else {
+                        (slot as u64 * 200 + step as u64 / 64 * 4) % 8192
+                    };
+                    let write = rng.gen_range(0u32..3) == 0;
+                    match rng.gen_range(0u32..40) {
+                        0 => hints[slot] = rng.gen_range(0..40),
+                        1 => hints[slot] = NO_MEMO - 1,
+                        2 => {
+                            let seed = rng.gen();
+                            plain.pollute(0.3, seed);
+                            hinted.pollute(0.3, seed);
+                        }
+                        _ => {}
+                    }
+                    let before = hints[slot];
+                    let out = hinted.access_hinted(addr, write, &mut hints[slot]);
+                    assert_eq!(out, plain.access(addr, write), "step {step}");
+                    assert!(hinted == plain, "{config:?} step {step}");
+                    hint_hits += usize::from(hints[slot] == before && out.hit);
+                }
+                assert!(hint_hits > 1000, "{config:?}: {hint_hits} hint hits");
+            }
+        }
     }
 
     #[test]

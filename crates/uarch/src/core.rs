@@ -2,7 +2,7 @@
 //! and cycle model together behind the [`Probe`] interface.
 
 use crate::branch::BranchPredictor;
-use crate::cache::CacheConfigError;
+use crate::cache::{CacheConfigError, NO_MEMO};
 use crate::config::CoreConfig;
 use crate::cycles::RetiredCounts;
 use crate::hierarchy::{MemoryHierarchy, ServedBy};
@@ -106,7 +106,38 @@ pub struct CoreSim {
     loads: u64,
     stores: u64,
     alu_ops: u64,
+    /// Per iteration of the latest multiply-accumulate run, where its
+    /// weight and accumulator were found: guesses for the same
+    /// iteration of the next run, which no count depends on.
+    mac_hints: Vec<SlotHint>,
 }
+
+/// Flat L1 and TLB indices where one iteration of a multiply-accumulate
+/// run found its weight and its accumulator (see
+/// [`Cache::access_hinted`](crate::cache::Cache::access_hinted) and
+/// [`Tlb::translate_hinted`]).
+#[derive(Debug, Clone, Copy)]
+struct SlotHint {
+    weight_l1: usize,
+    weight_tlb: usize,
+    acc_l1: usize,
+    acc_tlb: usize,
+}
+
+impl SlotHint {
+    /// Hints that match no line or entry.
+    const NONE: SlotHint = SlotHint {
+        weight_l1: NO_MEMO,
+        weight_tlb: NO_MEMO,
+        acc_l1: NO_MEMO,
+        acc_tlb: NO_MEMO,
+    };
+}
+
+/// Iterations of a multiply-accumulate run that keep hints of their own;
+/// later ones share the last slot's. Conv runs span the filters and
+/// dense runs an output vector, each well under this.
+const HINT_SLOTS: usize = 256;
 
 impl std::fmt::Debug for CoreSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -131,6 +162,7 @@ impl CoreSim {
             loads: 0,
             stores: 0,
             alu_ops: 0,
+            mac_hints: Vec::new(),
         })
     }
 
@@ -276,6 +308,11 @@ impl Probe for CoreSim {
     /// run, are made once after it; and once the weight stream is steady
     /// its targets are filled without observing, and its entry is
     /// brought up to date once after the run (`Prefetcher::advance`).
+    ///
+    /// The two loads' L1 lookups and translations are hinted with where
+    /// the same iteration of the previous run found its operands: runs
+    /// one kernel tap apart revisit the same lines iteration by
+    /// iteration.
     fn mac_run(&mut self, run: MacRun) {
         self.loads += 2 * run.count;
         self.stores += run.count;
@@ -286,8 +323,15 @@ impl Probe for CoreSim {
         let store_pc = (!separate).then_some(run.acc_pc);
         let mut observe_acc = true;
         let mut weight_steady = false;
+        let slots = run.count.min(HINT_SLOTS as u64) as usize;
+        if self.mac_hints.len() < slots {
+            self.mac_hints.resize(slots, SlotHint::NONE);
+        }
+        let mut slot = 0;
         run.for_each(|weight, acc| {
-            self.tlb.translate(weight);
+            let hint = &mut self.mac_hints[slot];
+            slot = (slot + 1).min(slots - 1);
+            self.tlb.translate_hinted(weight, &mut hint.weight_tlb);
             if separate && !weight_steady {
                 let prefetcher = self.hierarchy.prefetcher_mut();
                 weight_steady = prefetcher
@@ -295,12 +339,15 @@ impl Probe for CoreSim {
                     .is_some();
             }
             if weight_steady {
-                self.hierarchy.steady_load(weight, run.weight_stride);
+                self.hierarchy
+                    .steady_load(weight, run.weight_stride, &mut hint.weight_l1);
             } else {
-                self.hierarchy.access(weight, false, run.weight_pc);
+                let served = self.hierarchy.demand(weight, false, &mut hint.weight_l1);
+                self.hierarchy
+                    .prefetch(run.weight_pc, weight, served != ServedBy::L1);
             }
-            self.tlb.translate(acc);
-            let served = self.hierarchy.demand(acc, false);
+            self.tlb.translate_hinted(acc, &mut hint.acc_tlb);
+            let served = self.hierarchy.demand(acc, false, &mut hint.acc_l1);
             if observe_acc {
                 self.hierarchy
                     .prefetch(run.acc_pc, acc, served != ServedBy::L1);
@@ -462,6 +509,59 @@ mod tests {
         assert_eq!(s.dtlb_misses, 2);
         assert_eq!(c.tlb().stats().accesses, 24);
         assert_eq!(c.hierarchy().stats().demand_cycles, 22 * 4 + 2 * 200);
+    }
+
+    /// The events of `run` one by one, as the trait's default makes them.
+    fn mac_run_per_element(c: &mut CoreSim, run: MacRun) {
+        run.for_each(|weight, acc| {
+            c.load(weight, run.weight_pc);
+            c.load(acc, run.acc_pc);
+            c.alu(run.alu);
+            c.store(acc, run.acc_pc);
+        });
+    }
+
+    #[test]
+    fn mac_run_recovers_from_hints_to_evicted_lines() {
+        let [mut fast, mut slow] = [core(), core()];
+        // 8 L1 sets of 2 ways, 4 TLB sets of 2 ways. Iteration 0 finds
+        // its weight on line 0 (L1 set 0) and its accumulator on line
+        // 513 (set 1); both pages, 0 and 8, sit in TLB set 0.
+        let first = MacRun {
+            weight: 0,
+            weight_stride: 4,
+            weight_pc: 0x40,
+            acc: 0x8050,
+            acc_stride: 64,
+            acc_pc: 0x80,
+            alu: 2,
+            count: 2,
+        };
+        fast.mac_run(first);
+        mac_run_per_element(&mut slow, first);
+        let hint = fast.mac_hints[0];
+        let l1 = |c: &CoreSim, addr| c.hierarchy().l1d().index_of(addr);
+        assert_eq!(Some(hint.weight_l1), l1(&fast, 0));
+        // Page 16 replaces page 0, which then replaces page 8; lines 8
+        // and 16 push line 0 out of way 0, and it comes back in way 1.
+        for addr in [0x100c0, 0x200, 0x400, 0x0] {
+            fast.load(addr, 0x100);
+            slow.load(addr, 0x100);
+        }
+        assert!(l1(&fast, 0).is_some_and(|idx| idx != hint.weight_l1));
+        // One kernel tap on: the same lines, iteration by iteration.
+        let next = MacRun {
+            weight: 4,
+            acc: 0x804c,
+            ..first
+        };
+        fast.mac_run(next);
+        mac_run_per_element(&mut slow, next);
+        assert_eq!(fast.snapshot(), slow.snapshot());
+        assert!(fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb());
+        assert_eq!(Some(fast.mac_hints[0].weight_l1), l1(&fast, 0));
+        assert_ne!(fast.mac_hints[0].weight_tlb, hint.weight_tlb);
+        assert_ne!(fast.mac_hints[0].acc_tlb, hint.acc_tlb);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! them: `cache-references` counts accesses that reach the last-level
 //! cache, `cache-misses` counts LLC misses (DRAM fills).
 
-use crate::cache::{Cache, CacheConfig, CacheConfigError, CacheStats, WritePolicy};
+use crate::cache::{
+    AccessOutcome, Cache, CacheConfig, CacheConfigError, CacheStats, HitSpan, WritePolicy,
+};
 use crate::prefetch::{Prefetcher, PrefetcherKind};
 
 /// Which level ultimately served a demand access.
@@ -165,33 +167,43 @@ impl MemoryHierarchy {
     /// for the prefetcher. Returns the level that served the access.
     #[inline]
     pub fn access(&mut self, addr: u64, write: bool, pc: u64) -> ServedBy {
-        let served = self.demand(addr, write);
+        let l1 = self.l1d.access(addr, write);
+        let served = self.below_l1(addr, l1);
         self.prefetch(pc, addr, served != ServedBy::L1);
         served
     }
 
-    /// The demand half of [`access`](Self::access): the lookup down the
+    /// The demand half of [`access`](Self::access), with the L1 lookup
+    /// hinted (see [`Cache::access_hinted`]): the lookup down the
     /// levels, the writeback of a dirty L1 victim and the latency.
     #[inline]
-    pub(crate) fn demand(&mut self, addr: u64, write: bool) -> ServedBy {
-        let l1 = self.l1d.access(addr, write);
-        let mut served = ServedBy::L1;
-        if !l1.hit {
-            let l2 = self.l2.access(addr, false);
-            if l2.hit {
-                served = ServedBy::L2;
-            } else {
-                self.demand_llc += 1;
-                let l3 = self.l3.access(addr, false);
-                served = if l3.hit { ServedBy::L3 } else { ServedBy::Dram };
-            }
-            // Writebacks of dirty L1 victims land in L2 (write-back,
-            // write-allocate); model as an L2 store.
-            if let Some(wb) = l1.writeback {
-                self.l2.access(wb, true);
-            }
-            self.miss_cycles += self.latency.for_level(served);
+    pub(crate) fn demand(&mut self, addr: u64, write: bool, hint: &mut usize) -> ServedBy {
+        let l1 = self.l1d.access_hinted(addr, write, hint);
+        self.below_l1(addr, l1)
+    }
+
+    /// What follows L1's outcome `l1` for a demand access to `addr`.
+    #[inline]
+    fn below_l1(&mut self, addr: u64, l1: AccessOutcome) -> ServedBy {
+        if l1.hit {
+            return ServedBy::L1;
         }
+        let served = if self.l2.access(addr, false).hit {
+            ServedBy::L2
+        } else {
+            self.demand_llc += 1;
+            if self.l3.access(addr, false).hit {
+                ServedBy::L3
+            } else {
+                ServedBy::Dram
+            }
+        };
+        // Writebacks of dirty L1 victims land in L2 (write-back,
+        // write-allocate); model as an L2 store.
+        if let Some(wb) = l1.writeback {
+            self.l2.access(wb, true);
+        }
+        self.miss_cycles += self.latency.for_level(served);
         served
     }
 
@@ -239,8 +251,8 @@ impl MemoryHierarchy {
     /// propose, filled directly. The entry is left to one
     /// [`Prefetcher::advance`] after the run's last such load.
     #[inline]
-    pub(crate) fn steady_load(&mut self, addr: u64, stride: i64) {
-        self.demand(addr, false);
+    pub(crate) fn steady_load(&mut self, addr: u64, stride: i64, hint: &mut usize) {
+        self.demand(addr, false, hint);
         let (targets, n) = self.prefetcher.steady_targets(addr, stride);
         self.fill(&targets[..n]);
     }
@@ -257,10 +269,11 @@ impl MemoryHierarchy {
     /// `pc`, and returns its length; 0 when the first access is not
     /// steady. An access is steady when it hits L1's remembered line,
     /// the prefetcher is steady on it (see [`Prefetcher::steady`]), and
-    /// every target it proposes lies on the remembered line of both L3
-    /// and L2, below 2^63. Stores into a write-through L1 are never
-    /// steady. The effect equals that many calls of
-    /// [`access`](Self::access).
+    /// every target it proposes lies below 2^63 and, in each of L3 and
+    /// L2, on the remembered line or on the resident line the targets
+    /// enter after it (see [`Cache::hit_span`]). Stores into a
+    /// write-through L1 are never steady. The effect equals that many
+    /// calls of [`access`](Self::access).
     #[inline]
     pub(crate) fn steady_run(
         &mut self,
@@ -287,19 +300,24 @@ impl MemoryHierarchy {
             let Some(first) = addr.checked_add_signed(stride) else {
                 return 0;
             };
-            let want = k + per_access - 1;
-            let targets = self
-                .l3
-                .memo_run(first, stride, want)
-                .min(self.l2.memo_run(first, stride, want));
-            k = k.min((targets + 1).saturating_sub(per_access));
-            // Every target shares `first`'s L3 line, and no line straddles
-            // 2^63, so either all are in the prefetcher's range or none.
-            if k == 0 || first > i64::MAX as u64 {
+            if first > i64::MAX as u64 {
                 return 0;
             }
-            self.l3.repeat_memo_hits(per_access * k, false);
-            self.l2.repeat_memo_hits(per_access * k, false);
+            let want = k + per_access - 1;
+            let l3 = self.l3.hit_span(first, stride, want);
+            let l2 = self.l2.hit_span(first, stride, want);
+            k = k.min((l3.len().min(l2.len()) + 1).saturating_sub(per_access));
+            if k == 0 {
+                return 0;
+            }
+            // The targets run monotonically from `first` to the last, so
+            // they are all in the prefetcher's range when both ends are.
+            let last = first as i128 + stride as i128 * (k + per_access - 2) as i128;
+            if !(0..=i64::MAX as i128).contains(&last) {
+                return 0;
+            }
+            fill_steady(&mut self.l3, l3, k, per_access);
+            fill_steady(&mut self.l2, l2, k, per_access);
         }
         self.l1d.repeat_memo_hits(k, write);
         let last_addr = addr.wrapping_add_signed(stride.wrapping_mul(k as i64 - 1));
@@ -355,6 +373,26 @@ impl MemoryHierarchy {
     /// Immutable access to the LLC.
     pub fn l3(&self) -> &Cache {
         &self.l3
+    }
+}
+
+/// Applies the `d·k` target accesses of a steady chunk of `k` accesses
+/// at degree `d` to one of L3 and L2, whose `span` covers the chunk's
+/// `k + d − 1` targets. Access `j` targets elements `j + 1 ..= j + d` of
+/// the run, in that order; with `d ≤ 2` (the stride prefetcher's cap)
+/// the element indices never fall, so every access to the remembered
+/// line comes before every access to the next one. The `t`-th targets
+/// (`t` from 0) of the first `min(k, memo − t)` accesses lie on the
+/// remembered line.
+#[inline]
+fn fill_steady(cache: &mut Cache, span: HitSpan, k: u64, degree: u64) {
+    debug_assert!(degree <= 2, "targets of degree {degree} are not monotone");
+    let on_memo: u64 = (0..degree)
+        .map(|t| k.min(span.memo.saturating_sub(t)))
+        .sum();
+    cache.repeat_memo_hits(on_memo, false);
+    if on_memo < degree * k {
+        cache.repeat_hits_at(span.next_idx, degree * k - on_memo);
     }
 }
 
@@ -531,6 +569,114 @@ mod tests {
         fast.access(base + 16, false, 0x40);
         assert!(fast == stepped);
         assert_eq!(fast.stats().prefetches, 0);
+    }
+
+    #[test]
+    fn steady_run_spills_into_the_next_resident_line() {
+        use crate::cache::ReplacementPolicy;
+
+        let d = HierarchyConfig::default();
+        let plru = |c: CacheConfig| c.with_policy(ReplacementPolicy::TreePlru);
+        let [mut fast, mut stepped] = [(); 2].map(|_| {
+            let mut m = MemoryHierarchy::new(HierarchyConfig {
+                l2: plru(d.l2),
+                l3: plru(d.l3),
+                ..d
+            })
+            .unwrap();
+            // Line 1, then line 2049, fill ways 0 and 1 of set 1 in L2
+            // (512 sets) and L3 (2048 sets); site 0x80 never prefetches.
+            m.access(64, false, 0x80);
+            m.access(64 + 2048 * 64, false, 0x80);
+            // Four 4-byte loads from 0x40 over line 0 train its stride
+            // entry; the fourth prefetches 16 and 20.
+            for i in 0..4 {
+                m.access(i * 4, false, 0x40);
+            }
+            m
+        });
+        for level in [&fast.l2, &fast.l3] {
+            assert_eq!(level.stamp_of(0), Some(5));
+            assert_eq!(level.memo_addr(), Some(0));
+        }
+        // Way 1 was touched last: 8 ways leave node 3 pointing left,
+        // 16 ways node 7.
+        assert_eq!((fast.l2.plru_of(64), fast.l3.plru_of(64)), (1 << 3, 1 << 7));
+
+        // Loads 16..=60 stay on L1's line 0. Their targets 20..=68 take
+        // 11 elements of line 0 and then 64 and 68 of the resident line
+        // 1: all 12 loads are steady (only 10 without the spill).
+        assert_eq!(fast.steady_run(16, 4, 100, false, 0x40), 12);
+        for i in 0..12 {
+            stepped.access(16 + i * 4, false, 0x40);
+        }
+        assert!(fast == stepped, "closed form left another state");
+
+        // 24 target accesses per level: 11 + 10 on line 0 (the first
+        // targets of loads 0..11, the second of loads 0..10), then
+        // 60 → 64 of load 10 and 64, 68 of load 11 on line 1.
+        for level in [&fast.l2, &fast.l3] {
+            assert_eq!(level.stamp_of(0), Some(5 + 21));
+            assert_eq!(level.stamp_of(64), Some(5 + 24));
+            assert_eq!(level.stamp_of(64 + 2048 * 64), Some(2));
+            assert_eq!(level.memo_addr(), Some(64));
+            assert_eq!(level.plru_of(64), 0, "line 1 in way 0 touched");
+        }
+        assert_eq!(fast.l1d.stamp_of(0), Some(18));
+        assert_eq!(fast.l1d.memo_addr(), Some(0));
+        let s = fast.stats();
+        assert_eq!(
+            [ahm(s.l1d), ahm(s.l2), ahm(s.l3)],
+            [[18, 15, 3], [29, 26, 3], [29, 26, 3]]
+        );
+        assert_eq!(
+            [
+                s.llc_references,
+                s.llc_misses,
+                s.prefetches,
+                s.demand_cycles
+            ],
+            [29, 3, 26, 3 * 200 + 15 * 4]
+        );
+    }
+
+    #[test]
+    fn steady_run_does_not_spill_past_i64_max() {
+        let top = 1u64 << 63;
+        let [mut fast, mut stepped] = [(); 2].map(|_| {
+            let mut m = hierarchy(PrefetcherKind::Stride);
+            // The line at 2^63 is resident, and a stream from 0x40
+            // trains on the line below it.
+            m.access(top, false, 0x80);
+            for i in 0..4 {
+                m.access(top - 64 + i * 4, false, 0x40);
+            }
+            m
+        });
+        // The loads at top - 48 ..= top - 8 would prefetch 2^63 and on,
+        // which the prefetcher drops: no chunk may count those targets.
+        let mut addr = top - 48;
+        while addr < top {
+            let k = match fast.steady_run(addr, 4, (top - addr) / 4, false, 0x40) {
+                0 => {
+                    fast.access(addr, false, 0x40);
+                    1
+                }
+                k => k,
+            };
+            for _ in 0..k {
+                stepped.access(addr, false, 0x40);
+                addr += 4;
+            }
+            assert!(fast == stepped, "at {addr:#x}");
+        }
+        assert_eq!(fast.stats().prefetches, 2 + 20 + 1);
+    }
+
+    #[test]
+    fn steady_run_does_not_spill_into_a_line_that_is_not_resident() {
+        let [mut m, _] = trained(WritePolicy::WriteBackAllocate, 0);
+        assert_eq!(m.steady_run(16, 4, 100, false, 0x40), 10);
     }
 
     /// Accesses, hits and misses of one level.

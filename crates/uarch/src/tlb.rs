@@ -162,6 +162,35 @@ impl Tlb {
         false
     }
 
+    /// [`translate`](Self::translate), trying `hint` first: a flat index
+    /// (`set * associativity + way`) where an earlier translation found
+    /// an entry. The hint counts only when it is a way of `addr`'s set
+    /// whose entry is valid and holds `addr`'s page. A set never holds a
+    /// page twice (a page is installed only after a scan missed it), so
+    /// that is the entry the scan would find, and the hit is applied
+    /// exactly as `translate` applies it: clock, stamp and memo.
+    /// Otherwise the translation takes the usual path and `hint` becomes
+    /// the index of the page's entry. Any value is a safe hint.
+    #[inline(always)]
+    pub(crate) fn translate_hinted(&mut self, addr: u64, hint: &mut usize) -> bool {
+        let vpn = addr >> self.page_shift;
+        let ways = self.config.associativity;
+        let idx = *hint;
+        if idx.wrapping_sub((vpn & self.set_mask) as usize * ways) < ways
+            && self.stamps[idx] != 0
+            && self.vpns[idx] == vpn
+        {
+            self.clock += 1;
+            self.stamps[idx] = self.clock;
+            self.last_vpn = vpn;
+            self.last_idx = idx;
+            return true;
+        }
+        let hit = self.translate(addr);
+        *hint = self.last_idx;
+        hit
+    }
+
     /// How many leading translations of the run `addr`, `addr + stride`,
     /// … (at most `n`) fall on the remembered page; 0 when no page is
     /// remembered or `addr` lies elsewhere.
@@ -261,6 +290,43 @@ mod tests {
         let s = tlb.stats();
         assert_eq!(s.hits + s.misses, s.accesses);
         assert!(s.miss_ratio() > 0.0);
+    }
+
+    #[test]
+    fn hinted_translations_leave_the_state_plain_ones_leave() {
+        use scnn_rng::{ChaCha8Rng, Rng, SeedableRng};
+
+        let mut rng = ChaCha8Rng::seed_from_u64(0x71b);
+        let mut plain = Tlb::new(TlbConfig {
+            entries: 16,
+            associativity: 4,
+            page_bytes: 4096,
+        });
+        let mut hinted = plain.clone();
+        let mut hints = [NO_MEMO; 6];
+        let mut hint_hits = 0;
+        for step in 0..5000 {
+            let slot = step % hints.len();
+            let addr = if rng.gen_range(0u32..4) == 0 {
+                rng.gen_range(0u64..1 << 20)
+            } else {
+                slot as u64 * 0x5000 + step as u64 * 8
+            };
+            match rng.gen_range(0u32..50) {
+                0 => hints[slot] = rng.gen_range(0..20),
+                1 => {
+                    plain.flush();
+                    hinted.flush();
+                }
+                _ => {}
+            }
+            let before = hints[slot];
+            let hit = hinted.translate_hinted(addr, &mut hints[slot]);
+            assert_eq!(hit, plain.translate(addr), "step {step}");
+            assert!(hinted == plain, "step {step}");
+            hint_hits += usize::from(hints[slot] == before && hit);
+        }
+        assert!(hint_hits > 2000, "{hint_hits} hint hits");
     }
 
     #[test]
