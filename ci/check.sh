@@ -26,26 +26,24 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 step "cargo build --release --offline"
 cargo build --release --offline --workspace
 
+step "cargo doc (-D warnings: broken and private intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 step "cargo test --offline"
+# Includes, in debug, the batch-size invariance suite (scnn-nn --test
+# batch), the training-trajectory pin (--test train_pin) and the
+# simulated-count pin (scnn-core --test count_pin).
 cargo test -q --offline --workspace
 
-step "batch-equivalence suite (batched GEMM path bitwise-equals scalar path)"
-cargo test -q --offline -p scnn-nn --test batch
-
-step "training-trajectory pin (trained model bytes equal the recorded digests)"
-cargo test -q --offline -p scnn-nn --test train_pin
-
-step "release-build kernel tests (the optimised, vectorised code that ships: tensor kernels bit for bit, training pin, simulator closed forms and count pin)"
-# The debug-build runs above do not autovectorise; the GEMM tiles and
+step "release-build kernel tests (the optimised, vectorised code that ships: tensor kernels bit for bit, batch-size invariance, training pin, simulator closed forms and count pin)"
+# The debug-build run above does not autovectorise; the GEMM tiles and
 # im2col row segments must also hold bit for bit as release compiles them.
 # The simulator's way hints and closed-form chunks ship optimised too.
 cargo test -q --release --offline -p scnn-tensor
+cargo test -q --release --offline -p scnn-nn --test batch
 cargo test -q --release --offline -p scnn-nn --test train_pin
 cargo test -q --release --offline -p scnn-uarch --test differential
 cargo test -q --release --offline -p scnn-core --test count_pin
-
-step "simulated-count pin (per-layer counter windows of traced inferences equal the recorded digests)"
-cargo test -q --offline -p scnn-core --test count_pin
 
 step "perfbench self-tests (readings digest and exact traced counts repeat, traced or not)"
 # perfbench is a package of its own, outside the workspace above.

@@ -204,7 +204,8 @@ fn main() {
     });
     let mut batch_net = mlp.clone();
     let stacked = scnn_nn::batch::stack(&images.iter().collect::<Vec<_>>()).unwrap();
-    let (batch_infer_ms, batch_out) = best_of(|| batch_net.infer_batch(&stacked).unwrap());
+    let (batch_infer_ms, batch_out) =
+        best_of(|| batch_net.forward(&stacked, scnn_nn::Mode::Infer).unwrap());
     let want = scnn_nn::batch::stack(&scalar_out.iter().collect::<Vec<_>>()).unwrap();
     assert_eq!(
         batch_out, want,

@@ -180,6 +180,46 @@ impl LeakageReport {
     pub fn event(&self, event: HpcEvent) -> Option<&EventLeakage> {
         self.per_event.iter().find(|e| e.event == event)
     }
+
+    /// Folds every `(event, category-pair)` cell into [`CellStats`].
+    ///
+    /// When the report carries Holm-corrected verdicts (requested with
+    /// [`EvaluatorConfig::holm_alpha`]) those decide the alarm and the
+    /// distinguishable count, keeping the family-wise error of a many-cell
+    /// alarm controlled; max |t| stays the raw statistic either way. On a
+    /// report without them, `alarm` equals `self.alarm().raised()`.
+    pub fn cell_stats(&self) -> CellStats {
+        let mut stats = CellStats {
+            alarm: false,
+            distinguishable: 0,
+            total: 0,
+            max_abs_t: 0.0,
+        };
+        for ev in &self.per_event {
+            let verdicts = ev.holm.as_ref().unwrap_or(&ev.pairwise);
+            stats.total += verdicts.pairs.len();
+            stats.distinguishable += verdicts.leak_count();
+            for p in &ev.pairwise.pairs {
+                stats.max_abs_t = stats.max_abs_t.max(p.test.t.abs());
+            }
+        }
+        stats.alarm = stats.distinguishable > 0;
+        stats
+    }
+}
+
+/// A [`LeakageReport`]'s cells in four numbers (see
+/// [`LeakageReport::cell_stats`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellStats {
+    /// Whether any cell is distinguishable.
+    pub alarm: bool,
+    /// Distinguishable `(event, category-pair)` cells.
+    pub distinguishable: usize,
+    /// Total cells tested.
+    pub total: usize,
+    /// Largest raw |t| across all events and pairs.
+    pub max_abs_t: f64,
 }
 
 /// The evaluator.
@@ -434,6 +474,38 @@ mod tests {
             holm.leak_count() <= ev.pairwise.leak_count(),
             "corrected verdicts never exceed raw verdicts"
         );
+    }
+
+    #[test]
+    fn cell_stats_count_holm_verdicts_when_present() {
+        // Cache misses: four clear pairs and two borderline ones (|t| ≈
+        // 2.2, p ≈ 0.03), significant alone but not after Holm's
+        // step-down. Branches: six quiet pairs.
+        let obs = synth_obs(
+            &[
+                (HpcEvent::CacheMisses, vec![100.0, 100.7, 101.4, 300.0]),
+                (HpcEvent::Branches, vec![5000.0; 4]),
+            ],
+            40,
+        );
+        let evaluate = |holm_alpha| {
+            Evaluator::new(EvaluatorConfig {
+                holm_alpha,
+                ..EvaluatorConfig::default()
+            })
+            .evaluate(&obs)
+            .unwrap()
+        };
+        let raw_report = evaluate(None);
+        let (raw, holm) = (raw_report.cell_stats(), evaluate(Some(0.05)).cell_stats());
+        assert_eq!((raw.alarm, raw.distinguishable, raw.total), (true, 6, 12));
+        assert_eq!(
+            (holm.alarm, holm.distinguishable, holm.total),
+            (true, 4, 12)
+        );
+        assert_eq!(raw.alarm, raw_report.alarm().raised());
+        assert!(raw.max_abs_t > 100.0);
+        assert_eq!(raw.max_abs_t, holm.max_abs_t, "raw |t| either way");
     }
 
     #[test]

@@ -38,7 +38,6 @@ use crate::campaign::{map_arms, profile_split, Campaign, TrainedModel};
 use crate::collect::category_seed;
 use crate::countermeasure::Countermeasure;
 use crate::error::Error;
-use crate::evaluator::LeakageReport;
 use crate::extract;
 use crate::json::{flag, number, ratio, section, text, ObjectWriter, ToJson, Value};
 use crate::pipeline::{CacheUsage, ExperimentConfig, ExperimentOutcome};
@@ -73,30 +72,6 @@ impl Default for FrontierOptions {
             profile_fraction: 0.6,
         }
     }
-}
-
-/// Evaluator-side leak statistics folded out of a [`LeakageReport`]:
-/// `(alarm, distinguishable cells, total cells, max |t|)`.
-///
-/// The frontier's alarm tests 48 cells at once (8 events × 6 pairs),
-/// so raw per-cell verdicts at 95% confidence would false-alarm on
-/// ~2.4 quiet cells per arm. When the report carries Holm-corrected
-/// verdicts (the frontier always requests them) those are used for the
-/// alarm and the cell count, keeping the family-wise error controlled;
-/// max |t| stays the raw statistic either way.
-fn leak_stats(report: &LeakageReport) -> (bool, usize, usize, f64) {
-    let mut distinguishable = 0;
-    let mut total = 0;
-    let mut max_abs_t = 0.0f64;
-    for ev in &report.per_event {
-        let verdicts = ev.holm.as_ref().unwrap_or(&ev.pairwise);
-        total += verdicts.pairs.len();
-        distinguishable += verdicts.leak_count();
-        for p in &ev.pairwise.pairs {
-            max_abs_t = max_abs_t.max(p.test.t.abs());
-        }
-    }
-    (distinguishable > 0, distinguishable, total, max_abs_t)
 }
 
 /// One arm of the frontier.
@@ -368,7 +343,7 @@ const CALIBRATE_CAP: u64 = 512_000;
 /// Where [`calibrate_noise`] stopped.
 pub struct Calibration {
     /// The last probe's volume: the first whose max |t| is at most the
-    /// target, or [`CALIBRATE_CAP`].
+    /// target, or `CALIBRATE_CAP`.
     pub dummy_events: u64,
     /// The last probe's max |t| reached `target_t`.
     pub converged: bool,
@@ -379,11 +354,11 @@ pub struct Calibration {
 
 /// Finds the dummy-event volume at which noise injection pushes the
 /// evaluator's max |t| below `target_t`, by doubling from
-/// [`CALIBRATE_START`]: each probe volume runs the full (cache-resumed)
+/// `CALIBRATE_START`: each probe volume runs the full (cache-resumed)
 /// evaluation of `base` under `CalibratedNoise` on the campaign's
 /// shared model, so a warm rerun replays the whole search from
 /// checkpoints. Stops at the converged volume, or at the cap when even
-/// [`CALIBRATE_CAP`] still leaks.
+/// `CALIBRATE_CAP` still leaks.
 ///
 /// # Errors
 ///
@@ -402,9 +377,8 @@ pub fn calibrate_noise(
             dummy_events: volume,
         });
         let outcome = campaign.run(cfg)?;
-        let (_, _, _, max_abs_t) = leak_stats(&outcome.report);
         scnn_obs::counter_add("frontier.calibration-runs", 1);
-        let converged = max_abs_t <= target_t;
+        let converged = outcome.report.cell_stats().max_abs_t <= target_t;
         if converged || volume >= CALIBRATE_CAP {
             return Ok(Calibration {
                 dummy_events: volume,
@@ -506,8 +480,10 @@ pub fn run_frontier(
     let mut base = base.clone().threads(threads);
     // Both adversaries watch the full Fig 2b event set, like the sweep.
     base.collection.events = scnn_hpc::HpcEvent::FIG2B.to_vec();
-    // 48 cells per arm: correct the alarm for multiple testing (see
-    // `leak_stats`) so a quiet arm is not condemned by per-cell noise.
+    // 48 cells per arm (8 events × 6 pairs): raw per-cell verdicts at
+    // 95% confidence would false-alarm on ~2.4 quiet cells per arm, so
+    // the alarm and the cell count use Holm-corrected verdicts (see
+    // `LeakageReport::cell_stats`).
     base.evaluator.holm_alpha = Some(0.05);
 
     // Everything downstream shares one victim.
@@ -548,7 +524,7 @@ pub fn run_frontier(
                 campaign.run(cfg)?
             }
         };
-        let (alarm, distinguishable, total, max_abs_t) = leak_stats(&outcome.report);
+        let stats = outcome.report.cell_stats();
 
         // Extraction adversary: profile a trace corpus, score recovery.
         let (corpus, trace_hit) = extract::obtain_traces(&base, net, &test_set, cm, cache)?;
@@ -557,18 +533,18 @@ pub fn run_frontier(
         // Overhead axis: mean cycles per traced inference.
         let cycles = mean_cycles(&base, net, &test_set, cm)?;
 
-        let cell_ratio = if total == 0 {
+        let cell_ratio = if stats.total == 0 {
             0.0
         } else {
-            distinguishable as f64 / total as f64
+            stats.distinguishable as f64 / stats.total as f64
         };
         Ok::<FrontierRow, Error>(FrontierRow {
             arm: name.to_owned(),
             countermeasure: cm,
-            alarm,
-            distinguishable_pairs: distinguishable,
-            total_pairs: total,
-            max_abs_t,
+            alarm: stats.alarm,
+            distinguishable_pairs: stats.distinguishable,
+            total_pairs: stats.total,
+            max_abs_t: stats.max_abs_t,
             extraction_overall: score.overall,
             mean_cycles: cycles,
             overhead: 0.0, // relative to baseline, filled below

@@ -75,7 +75,7 @@ pub use collect::{
 pub use countermeasure::{Countermeasure, ProtectedModel};
 pub use error::{Error, Result};
 pub use evaluator::{
-    Alarm, EvaluateError, Evaluator, EvaluatorConfig, EventLeakage, LeakageReport,
+    Alarm, CellStats, EvaluateError, Evaluator, EvaluatorConfig, EventLeakage, LeakageReport,
 };
 pub use extract::{
     run_extract, ArchitectureHypothesis, ExtractOutcome, Extractor, InferenceTrace,

@@ -138,12 +138,6 @@ impl ExperimentConfig {
         }
     }
 
-    /// Returns the same config with a countermeasure applied.
-    pub fn with_countermeasure(mut self, cm: Countermeasure) -> Self {
-        self.countermeasure = Some(cm);
-        self
-    }
-
     // Fluent builders. Every field stays `pub` — these are sugar over
     // direct mutation, so `config.collection.samples_per_category = n`
     // and `config.samples(n)` remain interchangeable.
@@ -163,8 +157,7 @@ impl ExperimentConfig {
         self
     }
 
-    /// Sets the countermeasure to apply before measuring (fluent
-    /// spelling of [`with_countermeasure`](Self::with_countermeasure)).
+    /// Sets the countermeasure to apply before measuring.
     pub fn countermeasure(mut self, cm: Countermeasure) -> Self {
         self.countermeasure = Some(cm);
         self
@@ -639,7 +632,7 @@ mod tests {
         let mut cfg = fast(DatasetKind::Mnist);
         cfg.pmu.noise = NoiseConfig::quiet();
         let leaky = Experiment::new(cfg.clone()).run().unwrap();
-        let protected = Experiment::new(cfg.with_countermeasure(Countermeasure::ConstantTime))
+        let protected = Experiment::new(cfg.countermeasure(Countermeasure::ConstantTime))
             .run()
             .unwrap();
         let leaky_count = leaky

@@ -7,8 +7,8 @@
 //! one CLI invocation per experiment. This module provides the
 //! transport-agnostic half of that service:
 //!
-//! - a newline-delimited JSON **job protocol** ([`JobSpec`] in,
-//!   [`JobResponse`] out), parsed and emitted with the in-tree
+//! - a newline-delimited JSON **job protocol** ([`JobSpec`] in, one
+//!   response line out), parsed and emitted with the in-tree
 //!   [`crate::json`] reader/writer;
 //! - the **serve loop** ([`serve`]) — the calling thread reads job
 //!   lines from any [`BufRead`] (stdin, a Unix-socket connection, a

@@ -57,22 +57,13 @@ pub struct SweepRow {
 impl SweepRow {
     fn from_outcome(preset: &str, outcome: &crate::pipeline::ExperimentOutcome) -> SweepRow {
         let report = &outcome.report;
-        let mut distinguishable = 0;
-        let mut total = 0;
-        let mut max_abs_t = 0.0f64;
-        for ev in &report.per_event {
-            total += ev.pairwise.pairs.len();
-            distinguishable += ev.pairwise.leak_count();
-            for p in &ev.pairwise.pairs {
-                max_abs_t = max_abs_t.max(p.test.t.abs());
-            }
-        }
+        let stats = report.cell_stats();
         SweepRow {
             preset: preset.to_owned(),
-            alarm: report.alarm().raised(),
-            distinguishable_pairs: distinguishable,
-            total_pairs: total,
-            max_abs_t,
+            alarm: stats.alarm,
+            distinguishable_pairs: stats.distinguishable,
+            total_pairs: stats.total,
+            max_abs_t: stats.max_abs_t,
             per_event: report
                 .per_event
                 .iter()

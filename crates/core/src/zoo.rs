@@ -602,8 +602,7 @@ impl ToJson for SimPmuConfig {
         obj.field("core", &self.core)
             .field("noise", &self.noise)
             .field("warmup", &self.warmup)
-            .field("clock_ghz", &self.clock_ghz)
-            .field("hw_counters", &self.hw_counters);
+            .field("clock_ghz", &self.clock_ghz);
         obj.finish();
     }
 }

@@ -32,8 +32,6 @@ pub struct SimPmuConfig {
     /// Core clock in GHz, used to convert cycles into the
     /// `time_enabled`/`time_running` nanoseconds perf reports.
     pub clock_ghz: f64,
-    /// Number of simultaneously-programmable hardware counters.
-    pub hw_counters: usize,
 }
 
 impl Default for SimPmuConfig {
@@ -43,7 +41,6 @@ impl Default for SimPmuConfig {
             noise: NoiseConfig::default(),
             warmup: WarmupPolicy::ColdStart,
             clock_ghz: 2.9, // Xeon E5-2690 base clock
-            hw_counters: CounterGroup::DEFAULT_HW_COUNTERS,
         }
     }
 }

@@ -143,16 +143,6 @@ impl Layer for Relu {
         Ok(grad_output.zip_with(input, |g, x| if x > t { g } else { 0.0 })?)
     }
 
-    fn forward_batch(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        // Elementwise — the scalar path is already shape-agnostic, so the
-        // batched forward is the same map over the batch tensor.
-        self.forward(input, mode)
-    }
-
-    fn backward_batch(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        self.backward(grad_output)
-    }
-
     fn assign_addresses(&mut self, _alloc: &mut SegmentAllocator) {}
 
     fn set_constant_time(&mut self, enabled: bool) {

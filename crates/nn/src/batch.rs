@@ -1,11 +1,11 @@
-//! Batch-axis helpers shared by the batched layer paths and the trainer.
+//! Batch-axis helpers shared by the layers and the trainer.
 //!
-//! A batch is always a single row-major tensor whose leading dimension is
-//! the batch size `N` and whose trailing dimensions are one sample's
-//! shape, so sample `s` is the contiguous slice
-//! `data[s * sample_len .. (s + 1) * sample_len]`. Keeping batches in one
-//! allocation is what lets dense and conv layers run the whole batch as a
-//! single GEMM.
+//! The numeric path always runs on a batch: a single row-major tensor
+//! whose leading dimension is the batch size `N` and whose trailing
+//! dimensions are one sample's shape, so sample `s` is the contiguous
+//! slice `data[s * sample_len .. (s + 1) * sample_len]`. A lone sample is
+//! a batch of one (`stack(&[&x])`). Keeping batches in one allocation is
+//! what lets dense layers run the whole batch as a single GEMM.
 
 use crate::layer::{NnError, Result};
 use scnn_tensor::{Shape, ShapeError, Tensor};
@@ -51,29 +51,6 @@ pub fn stack(samples: &[&Tensor]) -> Result<Tensor> {
     Ok(Tensor::from_vec(data, dims)?)
 }
 
-/// Extracts sample `s` of a batch as an owned tensor with the given
-/// per-sample shape. Used where a per-row computation (loss, softmax)
-/// needs a standalone tensor.
-///
-/// # Errors
-///
-/// Returns a shape error when the index or shape is inconsistent with the
-/// batch tensor.
-pub fn sample(batch: &Tensor, s: usize, sample_shape: &Shape) -> Result<Tensor> {
-    let sample_len = sample_shape.len();
-    let start = s * sample_len;
-    if start + sample_len > batch.len() {
-        return Err(NnError::Shape(ShapeError::Mismatch {
-            left: batch.dims().to_vec(),
-            right: sample_shape.dims().to_vec(),
-        }));
-    }
-    Ok(Tensor::from_vec(
-        batch.as_slice()[start..start + sample_len].to_vec(),
-        sample_shape.clone(),
-    )?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,8 +64,8 @@ mod tests {
         let (n, sample_shape) = split_batch(batch.shape()).unwrap();
         assert_eq!(n, 2);
         assert_eq!(sample_shape.dims(), &[2, 3]);
-        assert_eq!(sample(&batch, 0, &sample_shape).unwrap(), a);
-        assert_eq!(sample(&batch, 1, &sample_shape).unwrap(), b);
+        assert_eq!(&batch.as_slice()[..6], a.as_slice());
+        assert_eq!(&batch.as_slice()[6..], b.as_slice());
     }
 
     #[test]

@@ -195,7 +195,7 @@ impl Conv2d {
     }
 
     /// Input-stationary scatter convolution behind `forward_traced` (the
-    /// numeric paths run lowered, see `lowered_forward`). `emit_pixel`
+    /// numeric path runs lowered, see `forward`). `emit_pixel`
     /// observes `(input_index, is_zero_skipped)` per input pixel;
     /// `emit_tap` observes `(weight_index, output_index)` of filter 0
     /// once per live pixel × kernel tap, before that tap's
@@ -277,125 +277,28 @@ impl Conv2d {
         Ok(Tensor::from_vec(out, [self.out_channels, oh, ow])?)
     }
 
-    /// Validates a `[N, C, H, W]` batch shape and returns
-    /// `(n, h, w, oh, ow)`.
+    /// `(n, h, w, oh, ow)` of a `[N, C, H, W]` batch.
     fn batch_geometry(&self, input: &Shape) -> Result<(usize, usize, usize, usize, usize)> {
-        input.expect_rank(4)?;
-        if input.dim(1) != self.in_channels {
-            return Err(NnError::Shape(ShapeError::Mismatch {
-                left: vec![input.dim(1)],
-                right: vec![self.in_channels],
-            }));
-        }
-        let (h, w) = (input.dim(2), input.dim(3));
-        let (oh, ow) = self.win.output_size(h, w)?;
-        Ok((input.dim(0), h, w, oh, ow))
-    }
-
-    /// `(n, h, w, oh, ow)` of a single-sample (`[C, H, W]`, `n = 1`) or
-    /// batch (`[N, C, H, W]`) input.
-    fn any_geometry(&self, input: &Shape) -> Result<(usize, usize, usize, usize, usize)> {
-        if input.rank() == 4 {
-            self.batch_geometry(input)
-        } else {
-            let (h, w, oh, ow) = self.geometry(input)?;
-            Ok((1, h, w, oh, ow))
-        }
-    }
-
-    /// Output shape matching the input's form: `[F, oh, ow]` for a single
-    /// sample, `[N, F, oh, ow]` for a batch.
-    fn any_output_shape(&self, input: &Shape) -> Result<Shape> {
-        let (n, _, _, oh, ow) = self.any_geometry(input)?;
-        let lead = if input.rank() == 4 {
-            vec![n]
-        } else {
-            Vec::new()
-        };
-        Ok(Shape::from(
-            [lead, vec![self.out_channels, oh, ow]].concat(),
-        ))
-    }
-
-    /// Lowered forward over a single sample or a batch: each sample is
-    /// lowered on its own (im2col) and convolved by one `[F, K] × [K, P]`
-    /// GEMM seeded with the bias, straight into its `[F, P]` block of the
-    /// output. Bit-compatible with `scatter`: a fixed output's
-    /// contributions arrive in `(c, ky, kx)` order — exactly the im2col
-    /// row order the GEMM reduces in — and the GEMM's extra `w·0`
-    /// padding/zero-pixel terms cannot move a finite accumulator (see
-    /// DESIGN.md §12). One sample per GEMM is also what keeps a batch row
-    /// bit-identical to a lone `forward` of that sample.
-    ///
-    /// [`Mode::Train`] keeps every sample's lowering in the train cache
-    /// for backward; inference reuses one sample's worth of scratch.
-    fn lowered_forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let (n, h, w, oh, ow) = self.any_geometry(input.shape())?;
-        let (c, f, p) = (self.in_channels, self.out_channels, oh * ow);
-        let rows = c * self.win.kh * self.win.kw;
-        let (sample_len, lowered_len) = (c * h * w, rows * p);
-        let kept = if mode == Mode::Train { n } else { 1 };
-        let mut cols = match mode {
-            Mode::Train => self.train_cache.take().map(|t| t.cols).unwrap_or_default(),
-            Mode::Infer => std::mem::take(&mut self.scratch.cols),
-        };
-        // im2col writes every position, so the buffer is not cleared first.
-        cols.resize(kept * lowered_len, 0.0);
-        let mut out = vec![0.0f32; n * f * p];
-        let src = input.as_slice();
-        for s in 0..n {
-            let lowered = &mut cols[(s % kept) * lowered_len..][..lowered_len];
-            ops::im2col_slice_into(
-                &src[s * sample_len..(s + 1) * sample_len],
-                c,
-                h,
-                w,
-                self.win,
-                lowered,
-            )?;
-            gemm::gemm(
-                self.filters.value.as_slice(),
-                lowered,
-                f,
-                rows,
-                p,
-                GemmInit::BiasPerRow(self.bias.value.as_slice()),
-                None,
-                &mut out[s * f * p..(s + 1) * f * p],
-                &mut self.scratch.gemm,
-            )?;
-        }
-        match mode {
-            Mode::Train => {
-                self.train_cache = Some(TrainCache {
-                    input_shape: input.shape().clone(),
-                    cols,
-                });
-            }
-            Mode::Infer => self.scratch.cols = cols,
-        }
-        Ok(Tensor::from_vec(
-            out,
-            self.any_output_shape(input.shape())?,
-        )?)
+        let (n, sample) = crate::batch::split_batch(input)?;
+        let (h, w, oh, ow) = self.geometry(&sample)?;
+        Ok((n, h, w, oh, ow))
     }
 
     /// `(n, h, w, p)` of the input cached by the last Train forward, after
-    /// checking that `grad_output` is the matching `[F, oh, ow]` /
-    /// `[N, F, oh, ow]`.
+    /// checking that `grad_output` is the matching `[N, F, oh, ow]`.
     fn train_geometry(&self, grad_output: &Tensor) -> Result<(usize, usize, usize, usize)> {
         let cache = self
             .train_cache
             .as_ref()
             .ok_or(NnError::NoForwardCache { layer: "conv2d" })?;
-        let (n, h, w, oh, ow) = self.any_geometry(&cache.input_shape)?;
+        let (n, h, w, oh, ow) = self.batch_geometry(&cache.input_shape)?;
         grad_output
             .shape()
-            .expect_same(&self.any_output_shape(&cache.input_shape)?)?;
+            .expect_same(&Shape::from([n, self.out_channels, oh, ow]))?;
         Ok((n, h, w, oh * ow))
     }
 
-    /// Parameter half of backward, shared by every backward entry point:
+    /// Parameter half of backward, shared by both backward entry points:
     /// samples in batch order, each accumulating `dW += dY·colsᵀ` against
     /// the lowering cached by the Train forward, then `db += Σ_p dY`.
     fn param_grads(&mut self, grad_output: &Tensor) -> Result<()> {
@@ -430,8 +333,8 @@ impl Conv2d {
 
     /// Input half of backward: `dX_s = col2im(Wᵀ·dY_s)` per sample,
     /// transpose-free. Reads only the weights and `dY`, so running it
-    /// after [`Conv2d::param_grads`] yields the same bits as interleaving
-    /// the two per sample.
+    /// after `param_grads` yields the same bits as interleaving the two
+    /// per sample.
     fn input_grad(&mut self, grad_output: &Tensor) -> Result<Tensor> {
         let (n, h, w, p) = self.train_geometry(grad_output)?;
         let (c, f) = (self.in_channels, self.out_channels);
@@ -484,11 +387,66 @@ impl Layer for Conv2d {
         Ok(Shape::from(vec![self.out_channels, oh, ow]))
     }
 
+    /// The numeric path runs lowered (im2col + GEMM); `scatter` remains
+    /// the *leakage model* driven by `forward_traced`. Each sample is
+    /// lowered on its own and convolved by one `[F, K] × [K, P]` GEMM
+    /// seeded with the bias, straight into its `[F, P]` block of the
+    /// output. Bit-compatible
+    /// with `scatter`: a fixed output's contributions arrive in
+    /// `(c, ky, kx)` order — exactly the im2col row order the GEMM
+    /// reduces in — and the GEMM's extra `w·0` padding/zero-pixel terms
+    /// cannot move a finite accumulator (see DESIGN.md §12). One sample
+    /// per GEMM is also what keeps a batch row bit-identical to that
+    /// sample run as a batch of one.
+    ///
+    /// [`Mode::Train`] keeps every sample's lowering in the train cache
+    /// for backward; inference reuses one sample's worth of scratch.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        input.shape().expect_rank(3)?;
-        // The numeric hot path runs lowered (im2col + GEMM); `scatter`
-        // remains the *leakage model* driven by `forward_traced`.
-        self.lowered_forward(input, mode)
+        let (n, h, w, oh, ow) = self.batch_geometry(input.shape())?;
+        let (c, f, p) = (self.in_channels, self.out_channels, oh * ow);
+        let rows = c * self.win.kh * self.win.kw;
+        let (sample_len, lowered_len) = (c * h * w, rows * p);
+        let kept = if mode == Mode::Train { n } else { 1 };
+        let mut cols = match mode {
+            Mode::Train => self.train_cache.take().map(|t| t.cols).unwrap_or_default(),
+            Mode::Infer => std::mem::take(&mut self.scratch.cols),
+        };
+        // im2col writes every position, so the buffer is not cleared first.
+        cols.resize(kept * lowered_len, 0.0);
+        let mut out = vec![0.0f32; n * f * p];
+        let src = input.as_slice();
+        for s in 0..n {
+            let lowered = &mut cols[(s % kept) * lowered_len..][..lowered_len];
+            ops::im2col_slice_into(
+                &src[s * sample_len..(s + 1) * sample_len],
+                c,
+                h,
+                w,
+                self.win,
+                lowered,
+            )?;
+            gemm::gemm(
+                self.filters.value.as_slice(),
+                lowered,
+                f,
+                rows,
+                p,
+                GemmInit::BiasPerRow(self.bias.value.as_slice()),
+                None,
+                &mut out[s * f * p..(s + 1) * f * p],
+                &mut self.scratch.gemm,
+            )?;
+        }
+        match mode {
+            Mode::Train => {
+                self.train_cache = Some(TrainCache {
+                    input_shape: input.shape().clone(),
+                    cols,
+                });
+            }
+            Mode::Infer => self.scratch.cols = cols,
+        }
+        Ok(Tensor::from_vec(out, [n, f, oh, ow])?)
     }
 
     fn forward_traced(
@@ -590,19 +548,6 @@ impl Layer for Conv2d {
         self.param_grads(grad_output)
     }
 
-    fn forward_batch(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        input.shape().expect_rank(4)?;
-        self.lowered_forward(input, mode)
-    }
-
-    fn backward_batch(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        self.backward(grad_output)
-    }
-
-    fn backward_batch_params(&mut self, grad_output: &Tensor) -> Result<()> {
-        self.param_grads(grad_output)
-    }
-
     fn end_training(&mut self) {
         self.train_cache = None;
     }
@@ -654,7 +599,13 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::stack;
     use scnn_uarch::CountingProbe;
+
+    /// `x` as a batch of one.
+    fn one(x: &Tensor) -> Tensor {
+        stack(&[x]).unwrap()
+    }
 
     fn input(seed: u64) -> Tensor {
         let data: Vec<f32> = (0..2 * 6 * 6)
@@ -674,9 +625,9 @@ mod tests {
     fn forward_matches_reference_conv() {
         let mut conv = Conv2d::new(2, 3, 3, ConvStyle::ZeroSkip, 5);
         let x = input(1);
-        let got = conv.forward(&x, Mode::Infer).unwrap();
+        let got = conv.forward(&one(&x), Mode::Infer).unwrap();
         let want = ops::conv2d(&x, &conv.filters.value, &conv.bias.value, conv.win).unwrap();
-        assert_eq!(got.dims(), want.dims());
+        assert_eq!(&got.dims()[1..], want.dims());
         for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
@@ -687,12 +638,13 @@ mod tests {
         for style in [ConvStyle::ZeroSkip, ConvStyle::Dense] {
             let mut conv = Conv2d::new(2, 3, 3, style, 5);
             let x = input(2);
-            let want = conv.forward(&x, Mode::Infer).unwrap();
+            let want = conv.forward(&one(&x), Mode::Infer).unwrap();
             let mut probe = CountingProbe::new();
             let mut ctx = ExecContext::new(&mut probe);
             let region = ctx.alloc_activation(x.len());
             let (got, _) = conv.forward_traced(&x, region, &mut ctx).unwrap();
-            assert_eq!(got, want, "{style:?}");
+            assert_eq!(got.dims(), &want.dims()[1..], "{style:?}");
+            assert_eq!(got.as_slice(), want.as_slice(), "{style:?}");
         }
     }
 
@@ -738,12 +690,11 @@ mod tests {
         let mut conv = Conv2d::new(1, 2, 3, ConvStyle::Dense, 9);
         let x = Tensor::from_vec(
             (0..16).map(|i| (i as f32 * 0.13).sin()).collect(),
-            [1, 4, 4],
+            [1, 1, 4, 4],
         )
         .unwrap();
         conv.forward(&x, Mode::Train).unwrap();
-        let oh_ow = 2 * 2 * 2;
-        let gy = Tensor::full([2, 2, 2], 1.0);
+        let gy = Tensor::full([1, 2, 2, 2], 1.0);
         let gx = conv.backward(&gy).unwrap();
 
         let eps = 1e-2f32;
@@ -761,19 +712,18 @@ mod tests {
                 "dx[{i}]: numeric {numeric} vs analytic {analytic}"
             );
         }
-        let _ = oh_ow;
     }
 
     #[test]
     fn filter_gradient_finite_differences() {
         let x = Tensor::from_vec(
             (0..16).map(|i| ((i * 3) % 7) as f32 * 0.2 - 0.5).collect(),
-            [1, 4, 4],
+            [1, 1, 4, 4],
         )
         .unwrap();
         let mut conv = Conv2d::new(1, 1, 3, ConvStyle::Dense, 21);
         conv.forward(&x, Mode::Train).unwrap();
-        conv.backward(&Tensor::full([1, 2, 2], 1.0)).unwrap();
+        conv.backward(&Tensor::full([1, 1, 2, 2], 1.0)).unwrap();
         let analytic = conv.filters.grad.clone();
 
         let eps = 1e-2f32;
@@ -799,13 +749,13 @@ mod tests {
         assert!(!conv.has_bias());
         assert_eq!(conv.params_mut().len(), 1);
         let y = conv
-            .forward(&Tensor::zeros([1, 6, 6]), Mode::Infer)
+            .forward(&Tensor::zeros([1, 1, 6, 6]), Mode::Infer)
             .unwrap();
         assert_eq!(y.sum(), 0.0, "zero input must give exactly zero output");
         // Training never moves the bias.
-        conv.forward(&Tensor::full([1, 6, 6], 0.5), Mode::Train)
+        conv.forward(&Tensor::full([1, 1, 6, 6], 0.5), Mode::Train)
             .unwrap();
-        conv.backward(&Tensor::full([4, 4, 4], 1.0)).unwrap();
+        conv.backward(&Tensor::full([1, 4, 4, 4], 1.0)).unwrap();
         assert_eq!(conv.bias.grad.sum(), 0.0);
     }
 
@@ -825,30 +775,21 @@ mod tests {
 
     #[test]
     fn parameter_only_backward_matches_full_backward_bitwise() {
-        let gy = Tensor::from_vec(
-            (0..3 * 4 * 4).map(|i| (i as f32 * 0.37).sin()).collect(),
-            [3, 4, 4],
-        )
-        .unwrap();
-        let mut full = Conv2d::new(2, 3, 3, ConvStyle::ZeroSkip, 5);
-        let mut params = full.clone();
-        for seed in 0..2 {
-            full.forward(&input(seed), Mode::Train).unwrap();
-            full.backward(&gy).unwrap();
-            params.forward(&input(seed), Mode::Train).unwrap();
-            params.backward_params(&gy).unwrap();
+        let gy: Vec<f32> = (0..3 * 4 * 4).map(|i| (i as f32 * 0.37).sin()).collect();
+        for (n, mut full) in [
+            (1, Conv2d::new(2, 3, 3, ConvStyle::ZeroSkip, 5)),
+            (3, Conv2d::new(2, 3, 3, ConvStyle::Dense, 6).without_bias()),
+        ] {
+            let gys = Tensor::from_vec(gy.repeat(n), [n, 3, 4, 4]).unwrap();
+            let mut params = full.clone();
+            for _ in 0..2 {
+                full.forward(&batch(n), Mode::Train).unwrap();
+                full.backward(&gys).unwrap();
+                params.forward(&batch(n), Mode::Train).unwrap();
+                params.backward_params(&gys).unwrap();
+            }
+            assert_eq!(grad_bits(&mut params), grad_bits(&mut full), "n = {n}");
         }
-        assert_eq!(grad_bits(&mut params), grad_bits(&mut full));
-
-        let gys: Vec<f32> = (0..3).flat_map(|_| gy.as_slice().to_vec()).collect();
-        let gys = Tensor::from_vec(gys, [3, 3, 4, 4]).unwrap();
-        let mut full = Conv2d::new(2, 3, 3, ConvStyle::Dense, 6).without_bias();
-        let mut params = full.clone();
-        full.forward_batch(&batch(3), Mode::Train).unwrap();
-        full.backward_batch(&gys).unwrap();
-        params.forward_batch(&batch(3), Mode::Train).unwrap();
-        params.backward_batch_params(&gys).unwrap();
-        assert_eq!(grad_bits(&mut params), grad_bits(&mut full));
     }
 
     #[test]
@@ -856,14 +797,14 @@ mod tests {
         // Backward reads the lowering the Train forward cached, so an
         // inference pass in between (which lowers into scratch) must not
         // change the gradients.
-        let gy = Tensor::full([3, 4, 4], 0.5);
+        let gy = Tensor::full([1, 3, 4, 4], 0.5);
         let mut plain = Conv2d::new(2, 3, 3, ConvStyle::ZeroSkip, 5);
         let mut interleaved = plain.clone();
-        plain.forward(&input(1), Mode::Train).unwrap();
+        plain.forward(&one(&input(1)), Mode::Train).unwrap();
         let dx_plain = plain.backward(&gy).unwrap();
-        interleaved.forward(&input(1), Mode::Train).unwrap();
-        interleaved.forward_batch(&batch(4), Mode::Infer).unwrap();
-        interleaved.forward(&input(2), Mode::Infer).unwrap();
+        interleaved.forward(&one(&input(1)), Mode::Train).unwrap();
+        interleaved.forward(&batch(4), Mode::Infer).unwrap();
+        interleaved.forward(&one(&input(2)), Mode::Infer).unwrap();
         let dx = interleaved.backward(&gy).unwrap();
         assert_eq!(dx, dx_plain);
         assert_eq!(grad_bits(&mut interleaved), grad_bits(&mut plain));
@@ -876,14 +817,16 @@ mod tests {
         // one sample's `[C·k·k, P]` lowering.
         let mut conv = Conv2d::new(2, 3, 3, ConvStyle::ZeroSkip, 5);
         let one_sample = 2 * 3 * 3 * 4 * 4;
-        let out = conv.forward_batch(&batch(32), Mode::Infer).unwrap();
+        let out = conv.forward(&batch(32), Mode::Infer).unwrap();
         assert_eq!(out.dims(), &[32, 3, 4, 4]);
         assert!(conv.scratch.cols.capacity() <= one_sample);
         assert_eq!(conv.scratch.stage.capacity(), 0);
         assert!(conv.train_cache.is_none());
-        // Rows still equal lone forwards of each sample.
+        // Rows still equal each sample run as a batch of one.
         for s in [0usize, 17, 31] {
-            let lone = conv.forward(&input(s as u64 + 4), Mode::Infer).unwrap();
+            let lone = conv
+                .forward(&one(&input(s as u64 + 4)), Mode::Infer)
+                .unwrap();
             assert_eq!(&out.as_slice()[s * 48..(s + 1) * 48], lone.as_slice());
         }
     }
@@ -892,8 +835,13 @@ mod tests {
     fn rejects_wrong_channels() {
         let mut conv = Conv2d::new(3, 2, 3, ConvStyle::ZeroSkip, 1);
         assert!(conv
-            .forward(&Tensor::zeros([2, 6, 6]), Mode::Infer)
+            .forward(&Tensor::zeros([1, 2, 6, 6]), Mode::Infer)
             .is_err());
+        assert!(
+            conv.forward(&Tensor::zeros([3, 6, 6]), Mode::Infer)
+                .is_err(),
+            "a lone sample is not a batch"
+        );
     }
 
     #[test]

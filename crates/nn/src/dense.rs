@@ -16,6 +16,7 @@ use crate::addr::{Region, SegmentAllocator};
 use crate::exec::{ExecContext, Site, Strided};
 use crate::layer::{Layer, Mode, NnError, Param, Result};
 use scnn_rng::{ChaCha8Rng, SeedableRng, SliceRandom};
+use scnn_tensor::gemm;
 use scnn_tensor::ops::{self, GemmInit, GemmScratch};
 use scnn_tensor::{Init, Shape, ShapeError, Tensor};
 
@@ -125,45 +126,17 @@ impl Dense {
         Ok(())
     }
 
-    /// Parameter half of the per-sample backward:
-    /// `dW[i][j] += x[i]·g[j]`, `db[j] += g[j]`.
+    /// Parameter half of backward: `dW += Xᵀ·G`, `db += Σ_s G[s]`.
     fn param_grads(&mut self, grad_output: &Tensor) -> Result<()> {
         let input = self
             .cached_input
             .as_ref()
             .ok_or(NnError::NoForwardCache { layer: "dense" })?;
-        grad_output.shape().expect_rank(1)?;
-        let g = grad_output.as_slice();
-        let x = input.as_slice();
-        let gw = self.weight.grad.as_mut_slice();
-        for i in 0..self.in_dim {
-            for j in 0..self.out_dim {
-                gw[i * self.out_dim + j] += x[i] * g[j];
-            }
-        }
-        let gb = self.bias.grad.as_mut_slice();
-        for j in 0..self.out_dim {
-            gb[j] += g[j];
-        }
-        Ok(())
-    }
-
-    /// Parameter half of the batched backward.
-    fn batch_param_grads(&mut self, grad_output: &Tensor) -> Result<()> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::NoForwardCache { layer: "dense" })?;
-        input.shape().expect_rank(2)?;
-        grad_output.shape().expect_rank(2)?;
-        if grad_output.dims() != [input.dims()[0], self.out_dim] {
-            return Err(NnError::Shape(ShapeError::Mismatch {
-                left: grad_output.dims().to_vec(),
-                right: vec![input.dims()[0], self.out_dim],
-            }));
-        }
-        // dW += Xᵀ·G streams samples in increasing order — the same
-        // accumulation sequence as per-sample `dW += x ⊗ g`.
+        grad_output
+            .shape()
+            .expect_same(&Shape::from([input.dims()[0], self.out_dim]))?;
+        // dW += Xᵀ·G streams samples in increasing order, each adding its
+        // outer product `x ⊗ g`.
         ops::matmul_atb_acc(input, grad_output, &mut self.weight.grad)?;
         let gb = self.bias.grad.as_mut_slice();
         for grow in grad_output.as_slice().chunks_exact(self.out_dim) {
@@ -172,23 +145,6 @@ impl Dense {
             }
         }
         Ok(())
-    }
-
-    fn compute(&self, x: &[f32]) -> Vec<f32> {
-        let w = self.weight.value.as_slice();
-        let mut y = self.bias.value.as_slice().to_vec();
-        // Input-stationary, branch-free accumulation: one row of the batch
-        // GEMM (`y ← b; y += xᵢ·Wᵢ`, i ascending), so the scalar and
-        // batched paths make identical rounding decisions. Zero skipping
-        // is purely an *event-stream* property of the traced kernel — a
-        // numeric skip would defeat autovectorization here.
-        for (i, &xi) in x.iter().enumerate() {
-            let col = &w[i * self.out_dim..(i + 1) * self.out_dim];
-            for (yj, &wij) in y.iter_mut().zip(col) {
-                *yj += wij * xi;
-            }
-        }
-        y
     }
 }
 
@@ -207,14 +163,23 @@ impl Layer for Dense {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        self.check_input(input.shape())?;
+        let (n, sample) = crate::batch::split_batch(input.shape())?;
+        self.check_input(&sample)?;
         if mode == Mode::Train {
             self.cached_input = Some(input.clone());
         }
-        Ok(Tensor::from_vec(
-            self.compute(input.as_slice()),
-            [self.out_dim],
-        )?)
+        let mut out = Tensor::zeros([n, self.out_dim]);
+        // One [N, in]×[in, out] GEMM: each output row is seeded with the
+        // bias and accumulates `xᵢ·Wᵢ`, i ascending.
+        ops::gemm_into(
+            input,
+            &self.weight.value,
+            GemmInit::BiasPerCol(self.bias.value.as_slice()),
+            None,
+            &mut out,
+            &mut self.scratch,
+        )?;
+        Ok(out)
     }
 
     fn forward_traced(
@@ -244,7 +209,7 @@ impl Layer for Dense {
         // activations in a seeded random order — the probe sees permuted
         // activation/weight addresses and a decorrelated skip pattern.
         // The numeric output is untouched either way: it comes from the
-        // separate branch-free fold below.
+        // branch-free GEMM below.
         let order = self.shuffle.map(|seed| {
             let salt = ((self.in_dim as u64) << 32) | self.out_dim as u64;
             let mut order: Vec<usize> = (0..self.in_dim).collect();
@@ -289,65 +254,45 @@ impl Layer for Dense {
         ctx.counted_loop(Site::LOOP, self.in_dim);
 
         // The event stream above models the skipping kernel; the numbers
-        // come from the same branch-free fold as the reference path.
-        Ok((
-            Tensor::from_vec(self.compute(x), [self.out_dim])?,
-            out_region,
-        ))
+        // come from the numeric path's GEMM on a one-row `A`, which reads
+        // `W` in place and never touches the scratch. Zero skipping is
+        // purely an event-stream property — a numeric skip would defeat
+        // autovectorization.
+        let mut y = vec![0.0; self.out_dim];
+        gemm::gemm(
+            x,
+            self.weight.value.as_slice(),
+            1,
+            self.in_dim,
+            self.out_dim,
+            GemmInit::BiasPerCol(self.bias.value.as_slice()),
+            None,
+            &mut y,
+            &mut GemmScratch::new(),
+        )?;
+        Ok((Tensor::from_vec(y, [self.out_dim])?, out_region))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
         self.param_grads(grad_output)?;
-        let g = grad_output.as_slice();
-        let w = self.weight.value.as_slice();
-        // dx[i] = Σ_j g[j]·W[i][j]
-        let mut gx = vec![0.0f32; self.in_dim];
-        for (i, gxi) in gx.iter_mut().enumerate() {
-            let col = &w[i * self.out_dim..(i + 1) * self.out_dim];
-            *gxi = col.iter().zip(g).map(|(&wij, &gj)| wij * gj).sum();
-        }
-        Ok(Tensor::from_vec(gx, [self.in_dim])?)
+        // dX = G·Wᵀ: each dx[i] = Σ_j g[j]·W[i][j], one j-ascending fold.
+        let n = grad_output.dims()[0];
+        let mut dx = Tensor::zeros([n, self.in_dim]);
+        gemm::gemm_abt(
+            grad_output.as_slice(),
+            self.weight.value.as_slice(),
+            n,
+            self.out_dim,
+            self.in_dim,
+            false,
+            dx.as_mut_slice(),
+            &mut self.scratch,
+        )?;
+        Ok(dx)
     }
 
     fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
         self.param_grads(grad_output)
-    }
-
-    fn forward_batch(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        input.shape().expect_rank(2)?;
-        if input.dims()[1] != self.in_dim {
-            return Err(NnError::Shape(ShapeError::Mismatch {
-                left: input.dims().to_vec(),
-                right: vec![input.dims()[0], self.in_dim],
-            }));
-        }
-        if mode == Mode::Train {
-            self.cached_input = Some(input.clone());
-        }
-        let n = input.dims()[0];
-        let mut out = Tensor::zeros([n, self.out_dim]);
-        // One [N, in]×[in, out] GEMM. Seeding each output row with the
-        // bias and accumulating k-ascending is exactly `compute` per row.
-        ops::gemm_into(
-            input,
-            &self.weight.value,
-            GemmInit::BiasPerCol(self.bias.value.as_slice()),
-            None,
-            &mut out,
-            &mut self.scratch,
-        )?;
-        Ok(out)
-    }
-
-    fn backward_batch(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        self.batch_param_grads(grad_output)?;
-        // dX = G·Wᵀ: each dx[i] is the same j-ascending dot product the
-        // per-sample backward computes.
-        ops::matmul_abt(grad_output, &self.weight.value).map_err(NnError::from)
-    }
-
-    fn backward_batch_params(&mut self, grad_output: &Tensor) -> Result<()> {
-        self.batch_param_grads(grad_output)
     }
 
     fn end_training(&mut self) {
@@ -402,7 +347,7 @@ mod tests {
     fn forward_matches_matvec() {
         let mut d = layer(DenseStyle::ZeroSkip);
         let x = Tensor::from_slice(&[0.5, -1.0, 0.0, 2.0]);
-        let y = d.forward(&x, Mode::Infer).unwrap();
+        let y = d.forward(&x.reshape([1, 4]).unwrap(), Mode::Infer).unwrap();
         let wt = ops::transpose(&d.weight.value).unwrap();
         let mut expect = ops::matvec(&wt, &x).unwrap();
         expect += &d.bias.value;
@@ -419,27 +364,22 @@ mod tests {
                 .flat_map(|p| p.grad.as_slice().iter().map(|v| v.to_bits()))
                 .collect()
         };
-        let x = Tensor::from_slice(&[0.5, -1.0, 0.0, 2.0]);
-        let g = Tensor::from_slice(&[0.25, -0.0, -3.0]);
-        let (mut full, mut params) = (layer(DenseStyle::ZeroSkip), layer(DenseStyle::ZeroSkip));
-        for _ in 0..2 {
-            full.forward(&x, Mode::Train).unwrap();
-            full.backward(&g).unwrap();
-            params.forward(&x, Mode::Train).unwrap();
-            params.backward_params(&g).unwrap();
+        let x = [0.5, -1.0, 0.0, 2.0, 0.0, 0.0, 1.5, -0.5];
+        let g = [0.25, -0.0, -3.0, 1.0, 0.0, -0.5];
+        for n in [1, 2] {
+            let xb = Tensor::from_vec(x[..n * 4].to_vec(), [n, 4]).unwrap();
+            let gb = Tensor::from_vec(g[..n * 3].to_vec(), [n, 3]).unwrap();
+            let (mut full, mut params) = (layer(DenseStyle::Dense), layer(DenseStyle::Dense));
+            for _ in 0..2 {
+                full.forward(&xb, Mode::Train).unwrap();
+                full.backward(&gb).unwrap();
+                params.forward(&xb, Mode::Train).unwrap();
+                params.backward_params(&gb).unwrap();
+            }
+            assert_eq!(bits(&mut params), bits(&mut full), "n = {n}");
         }
-        assert_eq!(bits(&mut params), bits(&mut full));
-
-        let xb = Tensor::from_vec(vec![0.5, -1.0, 0.0, 2.0, 0.0, 0.0, 1.5, -0.5], [2, 4]).unwrap();
-        let gb = Tensor::from_vec(vec![0.25, -0.0, -3.0, 1.0, 0.0, -0.5], [2, 3]).unwrap();
-        let (mut full, mut params) = (layer(DenseStyle::Dense), layer(DenseStyle::Dense));
-        full.forward_batch(&xb, Mode::Train).unwrap();
-        full.backward_batch(&gb).unwrap();
-        params.forward_batch(&xb, Mode::Train).unwrap();
-        params.backward_batch_params(&gb).unwrap();
-        assert_eq!(bits(&mut params), bits(&mut full));
         assert!(matches!(
-            layer(DenseStyle::Dense).backward_params(&g),
+            layer(DenseStyle::Dense).backward_params(&Tensor::zeros([1, 3])),
             Err(NnError::NoForwardCache { .. })
         ));
     }
@@ -449,12 +389,13 @@ mod tests {
         for style in [DenseStyle::ZeroSkip, DenseStyle::Dense] {
             let mut d = layer(style);
             let x = Tensor::from_slice(&[0.0, 1.0, 0.0, -2.0]);
-            let want = d.forward(&x, Mode::Infer).unwrap();
+            let want = d.forward(&x.reshape([1, 4]).unwrap(), Mode::Infer).unwrap();
             let mut probe = CountingProbe::new();
             let mut ctx = ExecContext::new(&mut probe);
             let region = ctx.alloc_activation(4);
             let (got, _) = d.forward_traced(&x, region, &mut ctx).unwrap();
-            assert_eq!(got, want, "{style:?}");
+            assert_eq!(got.dims(), &[3], "{style:?}");
+            assert_eq!(got.as_slice(), want.as_slice(), "{style:?}");
         }
     }
 
@@ -510,10 +451,10 @@ mod tests {
     #[test]
     fn gradients_match_finite_differences() {
         let mut d = layer(DenseStyle::ZeroSkip);
-        let x = Tensor::from_slice(&[0.3, -0.7, 0.9, 0.1]);
-        let y = d.forward(&x, Mode::Train).unwrap();
+        let x = Tensor::from_vec(vec![0.3, -0.7, 0.9, 0.1], [1, 4]).unwrap();
+        d.forward(&x, Mode::Train).unwrap();
         // Loss = sum(y); dL/dy = 1.
-        let ones = Tensor::full([3], 1.0);
+        let ones = Tensor::full([1, 3], 1.0);
         let gx = d.backward(&ones).unwrap();
 
         let eps = 1e-3f32;
@@ -546,14 +487,17 @@ mod tests {
             .as_slice()
             .iter()
             .all(|&g| (g - 1.0).abs() < 1e-6));
-        let _ = y;
     }
 
     #[test]
     fn rejects_wrong_input_shape() {
         let mut d = layer(DenseStyle::ZeroSkip);
-        assert!(d.forward(&Tensor::zeros([5]), Mode::Infer).is_err());
+        assert!(d.forward(&Tensor::zeros([1, 5]), Mode::Infer).is_err());
         assert!(d.forward(&Tensor::zeros([2, 2]), Mode::Infer).is_err());
+        assert!(
+            d.forward(&Tensor::zeros([4]), Mode::Infer).is_err(),
+            "a lone sample is not a batch"
+        );
     }
 
     #[test]
@@ -590,7 +534,11 @@ mod tests {
     fn shuffle_permutes_trace_but_not_numbers() {
         let x = Tensor::from_slice(&[0.5, 0.0, -1.0, 2.0]);
         let mut reference = layer(DenseStyle::ZeroSkip);
-        let want = reference.forward(&x, Mode::Infer).unwrap();
+        let want = reference
+            .forward(&x.reshape([1, 4]).unwrap(), Mode::Infer)
+            .unwrap()
+            .reshape([3])
+            .unwrap();
         let trace = |shuffle: Option<u64>| {
             let mut d = layer(DenseStyle::ZeroSkip);
             d.set_shuffle(shuffle);

@@ -1,6 +1,6 @@
 //! Execution context for instrumented ("traced") inference.
 //!
-//! Traced kernels compute the same numbers as the reference kernels while
+//! Traced kernels compute the same numbers as the numeric kernels while
 //! narrating their architectural behaviour — every load/store of a weight
 //! or activation and every data-dependent branch — to a
 //! [`Probe`]. Feeding that stream to a

@@ -1,4 +1,4 @@
-//! The [`Layer`] trait: forward (reference and traced), backward, and
+//! The [`Layer`] trait: forward (numeric and traced), backward, and
 //! parameter access.
 
 use crate::addr::SegmentAllocator;
@@ -91,42 +91,49 @@ pub enum Mode {
 
 /// One network layer.
 ///
-/// Layers provide three execution paths:
+/// Layers provide two execution paths:
 ///
-/// - [`Layer::forward`] — the fast reference path, used for training and
-///   accuracy evaluation;
-/// - [`Layer::forward_traced`] — numerically identical, but narrating
-///   every weight/activation access and data-dependent branch to an
-///   [`ExecContext`]. This is the path the side-channel evaluator
-///   measures;
-/// - [`Layer::backward`] — gradients for training (and
-///   [`Layer::backward_params`] when the input gradient is not needed).
+/// - the numeric path — [`Layer::forward`], [`Layer::backward`] and
+///   [`Layer::backward_params`] — over `[N, …]` batches whose trailing
+///   axes are one sample's shape. It trains the network and scores its
+///   accuracy; a lone sample is a batch of one, so every layer has one
+///   implementation of its forward arithmetic, its input gradient and
+///   its parameter gradient. Row `s` of a batch gets the same bits as
+///   that sample run alone (see DESIGN.md §12);
+/// - [`Layer::forward_traced`] — one sample, numerically identical to
+///   its row of `forward`, but narrating every weight/activation access
+///   and data-dependent branch to an [`ExecContext`]. This is the path
+///   the side-channel evaluator measures.
 pub trait Layer: Send + Sync {
     /// Short human-readable layer name (`"conv2d"`, `"relu"`, …).
     fn name(&self) -> &'static str;
 
     /// Clones this layer behind a fresh box, so a whole
     /// [`Network`](crate::Network) can be duplicated for parallel
-    /// per-sample gradient evaluation.
+    /// gradient evaluation.
     fn clone_box(&self) -> Box<dyn Layer>;
 
-    /// Output shape for a given input shape.
+    /// Output shape of one sample for one sample's input shape.
     ///
     /// # Errors
     ///
     /// Returns a shape error when the input is incompatible.
     fn output_shape(&self, input: &Shape) -> Result<Shape>;
 
-    /// Reference forward pass. With [`Mode::Train`] the layer caches
-    /// whatever its backward pass needs.
+    /// Numeric forward pass over a `[N, …]` batch whose trailing axes are
+    /// one sample's shape. Row `s` of the output depends on row `s` of
+    /// the input alone. With [`Mode::Train`] the layer caches whatever
+    /// its backward pass needs.
     ///
     /// # Errors
     ///
-    /// Returns a shape error when the input is incompatible.
+    /// Returns a shape error when the input is not a batch of compatible
+    /// samples.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor>;
 
-    /// Instrumented forward pass; must produce the same numbers as
-    /// [`Layer::forward`] while emitting its event stream into `ctx`.
+    /// Instrumented forward pass over one sample; must produce the same
+    /// numbers as that sample's row of [`Layer::forward`] while emitting
+    /// its event stream into `ctx`.
     ///
     /// `input_region` is where the caller's activation buffer lives in the
     /// synthetic address space; the returned region is where this layer
@@ -142,43 +149,17 @@ pub trait Layer: Send + Sync {
         ctx: &mut ExecContext<'_>,
     ) -> Result<(Tensor, crate::addr::Region)>;
 
-    /// Backward pass: consumes the gradient w.r.t. this layer's output and
-    /// returns the gradient w.r.t. its input, accumulating parameter
-    /// gradients internally.
+    /// Backward pass: consumes the `[N, …]` gradient w.r.t. the output of
+    /// the most recent [`Mode::Train`] forward and returns the gradient
+    /// w.r.t. its input, accumulating parameter gradients internally.
+    /// Samples accumulate in batch order, so one N-batch adds the same
+    /// bits as N batches of one in a row (without zeroing in between).
     ///
     /// # Errors
     ///
     /// Returns [`NnError::NoForwardCache`] when no `forward(Train)` pass
-    /// preceded this call.
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
-
-    /// Batched reference forward pass over a `[N, …]` input whose trailing
-    /// dimensions are one sample's shape. **Contract:** row `s` of the
-    /// output must be bit-identical to `forward` on sample `s` alone —
-    /// batching is an execution-schedule change, never a numeric one
-    /// (dense layers run one GEMM over the whole batch, conv layers one
-    /// GEMM per sample, each with the same per-output reduction order;
-    /// see DESIGN.md §12). With
-    /// [`Mode::Train`] the layer caches the batch for
-    /// [`Layer::backward_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error when the per-sample shape is incompatible.
-    fn forward_batch(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor>;
-
-    /// Batched backward pass: `grad_output` is `[N, …]` aligned with the
-    /// most recent [`Layer::forward_batch`] in [`Mode::Train`].
-    /// **Contract:** parameter-gradient accumulation and the returned
-    /// `[N, …]` input gradient are bit-identical to running
-    /// `forward(s); backward(s)` for each sample `s` in batch order
-    /// (without zeroing gradients in between).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::NoForwardCache`] when no `forward_batch(Train)`
     /// preceded this call, and shape errors on misaligned gradients.
-    fn backward_batch(&mut self, grad_output: &Tensor) -> Result<Tensor>;
+    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
 
     /// Parameter-only backward: accumulates exactly the parameter
     /// gradients of [`Layer::backward`] but need not compute the input
@@ -191,16 +172,6 @@ pub trait Layer: Send + Sync {
     /// Same conditions as [`Layer::backward`].
     fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
         self.backward(grad_output).map(drop)
-    }
-
-    /// Batched [`Layer::backward_params`]: the parameter gradients of
-    /// [`Layer::backward_batch`], no input gradient required.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Layer::backward_batch`].
-    fn backward_batch_params(&mut self, grad_output: &Tensor) -> Result<()> {
-        self.backward_batch(grad_output).map(drop)
     }
 
     /// Drops what [`Mode::Train`] forwards keep for backward (inputs,

@@ -1,4 +1,4 @@
-//! The [`Network`]: a sequential stack of layers with reference and
+//! The [`Network`]: a sequential stack of layers with numeric and
 //! instrumented execution paths.
 
 use crate::addr::SegmentAllocator;
@@ -88,7 +88,7 @@ impl Network {
 
     /// Assigns stable weight addresses to every layer. Must be called
     /// once after the last `push` and before any traced execution;
-    /// reference execution works either way.
+    /// numeric execution works either way.
     pub fn finalize(&mut self) {
         let mut alloc = SegmentAllocator::statics();
         for layer in &mut self.layers {
@@ -128,63 +128,34 @@ impl Network {
         Ok(shape)
     }
 
-    /// Reference forward pass in the given mode.
+    /// Numeric forward pass over an `[N, …]` batch whose trailing axes
+    /// are one sample (see [`Layer::forward`]). Row `s` of the output
+    /// depends on sample `s` alone and gets the same bits at any `N`.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::EmptyNetwork`] or layer shape errors.
+    /// Returns [`NnError::EmptyNetwork`] or layer shape errors (a lone
+    /// sample without its batch axis is one).
     pub fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        if self.layers.is_empty() {
-            return Err(NnError::EmptyNetwork);
-        }
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        let (first, rest) = self.layers.split_first_mut().ok_or(NnError::EmptyNetwork)?;
+        let mut x = first.forward(input, mode)?;
+        for layer in rest {
             x = layer.forward(&x, mode)?;
         }
         Ok(x)
     }
 
-    /// Fast inference (reference path, no caches).
+    /// Inference on one sample, run as a batch of one; returns that
+    /// sample's output (no caches are kept).
     ///
     /// # Errors
     ///
     /// Same conditions as [`Network::forward`].
     pub fn infer(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.forward(input, Mode::Infer)
-    }
-
-    /// Batched forward pass over an `[N, …]` tensor whose trailing axes
-    /// are one sample.
-    ///
-    /// Row `s` of the output is bit-identical to `forward` on sample `s`
-    /// alone: every layer's `forward_batch` preserves the per-sample
-    /// reduction order. Dense layers run the whole batch through one GEMM;
-    /// conv layers lower and multiply one sample at a time, so their
-    /// scratch never outgrows one sample.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Network::forward`], plus shape errors when the
-    /// input is not rank ≥ 2.
-    pub fn forward_batch(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        if self.layers.is_empty() {
-            return Err(NnError::EmptyNetwork);
-        }
-        let _span = scnn_obs::Span::enter("nn.forward_batch");
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward_batch(&x, mode)?;
-        }
-        Ok(x)
-    }
-
-    /// Batched inference (no caches). See [`Network::forward_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Network::forward_batch`].
-    pub fn infer_batch(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.forward_batch(input, Mode::Infer)
+        let mut out = self.forward(&crate::batch::stack(&[input])?, Mode::Infer)?;
+        let sample_dims = out.dims()[1..].to_vec();
+        out.reshape_in_place(sample_dims)?;
+        Ok(out)
     }
 
     /// Predicted class index per batch row (first occurrence wins on
@@ -192,9 +163,9 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Network::forward_batch`].
+    /// Same conditions as [`Network::forward`].
     pub fn classify_batch(&mut self, input: &Tensor) -> Result<Vec<usize>> {
-        let out = self.infer_batch(input)?;
+        let out = self.forward(input, Mode::Infer)?;
         out.shape().expect_rank(2).map_err(NnError::from)?;
         let classes = out.dims()[1];
         Ok(out
@@ -214,7 +185,7 @@ impl Network {
             .collect())
     }
 
-    /// Predicted class index for an input.
+    /// Predicted class index for one sample (see [`Network::infer`]).
     ///
     /// # Errors
     ///
@@ -224,9 +195,9 @@ impl Network {
         out.argmax().ok_or(NnError::EmptyNetwork)
     }
 
-    /// Instrumented inference: numerically identical to [`Network::infer`]
-    /// while narrating every architectural event to `probe`. This is the
-    /// execution the side-channel evaluator measures.
+    /// Instrumented inference on one sample: numerically identical to
+    /// [`Network::infer`] while narrating every architectural event to
+    /// `probe`. This is the execution the side-channel evaluator measures.
     ///
     /// The input image is first streamed into the synthetic input segment
     /// (the memcpy/decode a real pipeline performs).
@@ -273,8 +244,11 @@ impl Network {
         out.argmax().ok_or(NnError::EmptyNetwork)
     }
 
-    /// Backward pass through every layer, from the loss gradient at the
-    /// output. Must follow a `forward(…, Mode::Train)` call.
+    /// Backward pass through every layer, from the `[N, …]` loss gradient
+    /// at the output. Must follow a `forward(…, Mode::Train)` call.
+    /// Parameter gradients accumulate in batch order, exactly as if the
+    /// `N` samples had been driven through as batches of one without
+    /// zeroing in between.
     ///
     /// # Errors
     ///
@@ -290,26 +264,6 @@ impl Network {
         Ok(g)
     }
 
-    /// Batched backward pass from a `[N, …]` loss gradient. Must follow a
-    /// `forward_batch(…, Mode::Train)` call. Parameter gradients accumulate
-    /// exactly as if the `N` samples had been driven through
-    /// `forward`/`backward` one at a time without zeroing in between.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::NoForwardCache`] when driven out of order.
-    pub fn backward_batch(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        if self.layers.is_empty() {
-            return Err(NnError::EmptyNetwork);
-        }
-        let _span = scnn_obs::Span::enter("nn.backward_batch");
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward_batch(&g)?;
-        }
-        Ok(g)
-    }
-
     /// Training backward: accumulates every parameter gradient exactly as
     /// [`Network::backward`] does, without computing input gradients that
     /// nothing consumes. Layers before the first layer with parameters
@@ -321,35 +275,6 @@ impl Network {
     ///
     /// Returns [`NnError::NoForwardCache`] when driven out of order.
     pub fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
-        self.backward_params_with(
-            grad_output,
-            |l, g| l.backward(g),
-            |l, g| l.backward_params(g),
-        )
-    }
-
-    /// Batched [`Network::backward_params`]: the parameter gradients of
-    /// [`Network::backward_batch`] without the unused input gradients.
-    /// Must follow a `forward_batch(…, Mode::Train)` call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::NoForwardCache`] when driven out of order.
-    pub fn backward_batch_params(&mut self, grad_output: &Tensor) -> Result<()> {
-        let _span = scnn_obs::Span::enter("nn.backward_batch");
-        self.backward_params_with(
-            grad_output,
-            |l, g| l.backward_batch(g),
-            |l, g| l.backward_batch_params(g),
-        )
-    }
-
-    fn backward_params_with(
-        &mut self,
-        grad_output: &Tensor,
-        full: impl Fn(&mut dyn Layer, &Tensor) -> Result<Tensor>,
-        params_only: impl Fn(&mut dyn Layer, &Tensor) -> Result<()>,
-    ) -> Result<()> {
         if self.layers.is_empty() {
             return Err(NnError::EmptyNetwork);
         }
@@ -358,9 +283,9 @@ impl Network {
         };
         let mut g = grad_output.clone();
         for layer in self.layers[first + 1..].iter_mut().rev() {
-            g = full(layer.as_mut(), &g)?;
+            g = layer.backward(&g)?;
         }
-        params_only(self.layers[first].as_mut(), &g)
+        self.layers[first].backward_params(&g)
     }
 
     /// Drops every layer's training state (see [`Layer::end_training`]).
@@ -510,6 +435,12 @@ mod tests {
         .unwrap()
     }
 
+    /// `image(seed)` for each seed, stacked into one batch.
+    fn image_batch(seeds: &[u32]) -> Tensor {
+        let images: Vec<Tensor> = seeds.iter().map(|&s| image(s)).collect();
+        crate::batch::stack(&images.iter().collect::<Vec<_>>()).unwrap()
+    }
+
     #[test]
     fn shapes_flow() {
         let net = tiny_net();
@@ -571,8 +502,8 @@ mod tests {
         // One SGD step on a fixed example must reduce a simple quadratic
         // loss (L = Σ(y - t)²) for a small enough step.
         let mut net = tiny_net();
-        let x = image(2);
-        let target = Tensor::from_slice(&[1.0, 0.0, 0.0, 0.0]);
+        let x = image_batch(&[2]);
+        let target = Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0], [1, 4]).unwrap();
 
         let loss = |y: &Tensor| -> f32 {
             y.as_slice()
@@ -591,14 +522,14 @@ mod tests {
             let g = p.grad.clone();
             p.value.axpy(-0.01, &g).unwrap();
         });
-        let y1 = net.infer(&x).unwrap();
+        let y1 = net.forward(&x, Mode::Infer).unwrap();
         assert!(loss(&y1) < l0, "{} -> {}", l0, loss(&y1));
     }
 
     #[test]
     fn zero_grads_clears() {
         let mut net = tiny_net();
-        let x = image(3);
+        let x = image_batch(&[3]);
         let y = net.forward(&x, Mode::Train).unwrap();
         net.backward(&Tensor::full(y.shape().clone(), 1.0)).unwrap();
         let mut total = 0.0f32;
@@ -624,7 +555,7 @@ mod tests {
         assert_eq!(probe.loads, probe2.loads, "cloned addresses must match");
         // Training the clone leaves the original untouched.
         let before = net.infer(&x).unwrap();
-        let y = copy.forward(&x, Mode::Train).unwrap();
+        let y = copy.forward(&image_batch(&[4]), Mode::Train).unwrap();
         copy.zero_grads();
         copy.backward(&Tensor::full(y.shape().clone(), 1.0))
             .unwrap();
@@ -658,7 +589,7 @@ mod tests {
         for make in [tiny_net as fn() -> Network, mlp] {
             let (mut full, mut params) = (make(), make());
             for seed in 0..3 {
-                let x = image(seed);
+                let x = image_batch(&[seed]);
                 let y = full.forward(&x, Mode::Train).unwrap();
                 let g = y.map(|v| v - 0.25);
                 full.backward(&g).unwrap();
@@ -668,12 +599,12 @@ mod tests {
             assert_eq!(grad_bits(&mut params), grad_bits(&mut full));
 
             let (mut full, mut params) = (make(), make());
-            let xb = crate::batch::stack(&[&image(0), &image(1), &image(2)]).unwrap();
-            let y = full.forward_batch(&xb, Mode::Train).unwrap();
+            let xb = image_batch(&[0, 1, 2]);
+            let y = full.forward(&xb, Mode::Train).unwrap();
             let g = y.map(|v| v - 0.25);
-            full.backward_batch(&g).unwrap();
-            params.forward_batch(&xb, Mode::Train).unwrap();
-            params.backward_batch_params(&g).unwrap();
+            full.backward(&g).unwrap();
+            params.forward(&xb, Mode::Train).unwrap();
+            params.backward_params(&g).unwrap();
             assert_eq!(grad_bits(&mut params), grad_bits(&mut full));
         }
         assert!(matches!(
@@ -685,7 +616,7 @@ mod tests {
     #[test]
     fn grad_snapshot_roundtrip() {
         let mut net = tiny_net();
-        let x = image(5);
+        let x = image_batch(&[5]);
         let y = net.forward(&x, Mode::Train).unwrap();
         net.zero_grads();
         net.backward(&Tensor::full(y.shape().clone(), 1.0)).unwrap();

@@ -113,11 +113,11 @@ mod tests {
         // monotonically for a small lr.
         let mut net = one_layer_net();
         let mut opt = Sgd::new(0.05, 0.0);
-        let x = Tensor::from_slice(&[1.0, -2.0]);
+        let x = Tensor::from_vec(vec![1.0, -2.0], [1, 2]).unwrap();
         let mut losses = Vec::new();
         for _ in 0..20 {
             let y = net.forward(&x, Mode::Train).unwrap();
-            let (loss, grad) = crate::loss::mse(&y, &Tensor::from_slice(&[3.0])).unwrap();
+            let (loss, grad) = crate::loss::mse(&y, &Tensor::full([1, 1], 3.0)).unwrap();
             losses.push(loss);
             net.zero_grads();
             net.backward(&grad).unwrap();
@@ -132,11 +132,11 @@ mod tests {
         let run = |momentum: f64| {
             let mut net = one_layer_net();
             let mut opt = Sgd::new(0.01, momentum);
-            let x = Tensor::from_slice(&[1.0, -2.0]);
+            let x = Tensor::from_vec(vec![1.0, -2.0], [1, 2]).unwrap();
             let mut losses = Vec::new();
             for _ in 0..60 {
                 let y = net.forward(&x, Mode::Train).unwrap();
-                let (loss, grad) = crate::loss::mse(&y, &Tensor::from_slice(&[3.0])).unwrap();
+                let (loss, grad) = crate::loss::mse(&y, &Tensor::full([1, 1], 3.0)).unwrap();
                 losses.push(loss);
                 net.zero_grads();
                 net.backward(&grad).unwrap();

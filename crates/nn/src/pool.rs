@@ -56,31 +56,12 @@ impl MaxPool2d {
         Ok((c, h, w, oh, ow))
     }
 
-    /// Core pooling loop shared by the reference and traced paths. The
-    /// `emit` callback sees `(output_index, window_position, input_index,
-    /// is_new_max)` for every window element.
-    fn pool_with<F: FnMut(usize, usize, usize, bool)>(
-        &self,
-        input: &Tensor,
-        emit: F,
-    ) -> Result<(Tensor, Vec<usize>)> {
-        let (c, h, w, oh, ow) = self.geometry(input.shape())?;
-        let mut out = vec![0.0f32; c * oh * ow];
-        let mut argmax = vec![0usize; c * oh * ow];
-        self.pool_sample(
-            input.as_slice(),
-            (c, h, w, oh, ow),
-            &mut out,
-            &mut argmax,
-            emit,
-        );
-        Ok((Tensor::from_vec(out, [c, oh, ow])?, argmax))
-    }
-
-    /// Pools one `[C, H, W]` sample given as a raw slice — the unit the
-    /// batched path loops over. `dims` is `(c, h, w, oh, ow)`; `argmax`
-    /// receives *sample-local* input indices.
-    fn pool_sample<F: FnMut(usize, usize, usize, bool)>(
+    /// Pools one `[C, H, W]` sample given as a raw slice — the loop shared
+    /// by the numeric path (once per batch row) and the traced path.
+    /// `dims` is `(c, h, w, oh, ow)`; `argmax` receives *sample-local*
+    /// input indices. The `emit` callback sees `(window_position,
+    /// input_index, is_new_max)` for every window element.
+    fn pool_sample<F: FnMut(usize, usize, bool)>(
         &self,
         src: &[f32],
         dims: (usize, usize, usize, usize, usize),
@@ -106,7 +87,7 @@ impl MaxPool2d {
                             let ii = (ch * h + iy) * w + ix;
                             let v = src[ii];
                             let new_max = v > best;
-                            emit(oi, wpos, ii, new_max);
+                            emit(wpos, ii, new_max);
                             if new_max {
                                 best = v;
                                 best_idx = ii;
@@ -141,14 +122,35 @@ impl Layer for MaxPool2d {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let (out, argmax) = self.pool_with(input, |_, _, _, _| {})?;
+        let (n, sample) = crate::batch::split_batch(input.shape())?;
+        let (c, h, w, oh, ow) = self.geometry(&sample)?;
+        let in_len = c * h * w;
+        let out_len = c * oh * ow;
+        let src = input.as_slice();
+        let mut out = vec![0.0f32; n * out_len];
+        let mut argmax = vec![0usize; n * out_len];
+        for s in 0..n {
+            let arg_s = &mut argmax[s * out_len..(s + 1) * out_len];
+            self.pool_sample(
+                &src[s * in_len..(s + 1) * in_len],
+                (c, h, w, oh, ow),
+                &mut out[s * out_len..(s + 1) * out_len],
+                arg_s,
+                |_, _, _| {},
+            );
+            // Rebase to batch-flat input indices for the argmax scatter in
+            // `backward`.
+            for a in arg_s.iter_mut() {
+                *a += s * in_len;
+            }
+        }
         if mode == Mode::Train {
             self.cached = Some(PoolCache {
                 input_shape: input.shape().clone(),
                 argmax,
             });
         }
-        Ok(out)
+        Ok(Tensor::from_vec(out, [n, c, oh, ow])?)
     }
 
     fn forward_traced(
@@ -157,23 +159,31 @@ impl Layer for MaxPool2d {
         input_region: Region,
         ctx: &mut ExecContext<'_>,
     ) -> Result<(Tensor, Region)> {
-        let out_shape = self.output_shape(input.shape())?;
-        let out_region = ctx.alloc_activation(out_shape.len());
+        let (c, h, w, oh, ow) = self.geometry(input.shape())?;
+        let out_region = ctx.alloc_activation(c * oh * ow);
         let mut writes = 0usize;
         let ct = self.constant_time;
-        let (out, _) = self.pool_with(input, |oi, wpos, ii, new_max| {
-            ctx.load(Site::ACT, input_region, ii);
-            if wpos > 0 {
-                if ct {
-                    // Compare + blend: ALU only, no branch to mispredict.
-                    ctx.alu(1);
-                } else {
-                    // The running-max comparison: data-dependent outcome.
-                    ctx.branch(Site::POOL, new_max);
+        let mut out = vec![0.0f32; c * oh * ow];
+        let mut argmax = vec![0usize; c * oh * ow];
+        self.pool_sample(
+            input.as_slice(),
+            (c, h, w, oh, ow),
+            &mut out,
+            &mut argmax,
+            |wpos, ii, new_max| {
+                ctx.load(Site::ACT, input_region, ii);
+                if wpos > 0 {
+                    if ct {
+                        // Compare + blend: ALU only, no branch to mispredict.
+                        ctx.alu(1);
+                    } else {
+                        // The running-max comparison: data-dependent outcome.
+                        ctx.branch(Site::POOL, new_max);
+                    }
                 }
-            }
-            let _ = oi;
-        })?;
+            },
+        );
+        let out = Tensor::from_vec(out, [c, oh, ow])?;
         for i in 0..out.len() {
             ctx.store(Site::ACC, out_region, i);
             writes += 1;
@@ -195,46 +205,6 @@ impl Layer for MaxPool2d {
         Ok(grad_in)
     }
 
-    fn forward_batch(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        input.shape().expect_rank(4)?;
-        let n = input.dims()[0];
-        let sample_shape = Shape::from(input.dims()[1..].to_vec());
-        let (c, h, w, oh, ow) = self.geometry(&sample_shape)?;
-        let in_len = c * h * w;
-        let out_len = c * oh * ow;
-        let src = input.as_slice();
-        let mut out = vec![0.0f32; n * out_len];
-        let mut argmax = vec![0usize; n * out_len];
-        for s in 0..n {
-            let arg_s = &mut argmax[s * out_len..(s + 1) * out_len];
-            self.pool_sample(
-                &src[s * in_len..(s + 1) * in_len],
-                (c, h, w, oh, ow),
-                &mut out[s * out_len..(s + 1) * out_len],
-                arg_s,
-                |_, _, _, _| {},
-            );
-            // Rebase to batch-flat input indices so the argmax scatter in
-            // `backward` works on the batch tensor unchanged.
-            for a in arg_s.iter_mut() {
-                *a += s * in_len;
-            }
-        }
-        if mode == Mode::Train {
-            self.cached = Some(PoolCache {
-                input_shape: input.shape().clone(),
-                argmax,
-            });
-        }
-        Ok(Tensor::from_vec(out, [n, c, oh, ow])?)
-    }
-
-    fn backward_batch(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        // The argmax scatter is shape-agnostic; with batch-flat indices
-        // cached by `forward_batch` it already is the batched backward.
-        self.backward(grad_output)
-    }
-
     fn assign_addresses(&mut self, _alloc: &mut SegmentAllocator) {}
 
     fn end_training(&mut self) {
@@ -249,6 +219,7 @@ impl Layer for MaxPool2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::stack;
     use crate::exec::ExecContext;
     use scnn_uarch::CountingProbe;
 
@@ -265,11 +236,11 @@ mod tests {
                 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0,
                 16.0,
             ],
-            [1, 4, 4],
+            [1, 1, 4, 4],
         )
         .unwrap();
         let y = pool.forward(&x, Mode::Infer).unwrap();
-        assert_eq!(y.dims(), &[1, 2, 2]);
+        assert_eq!(y.dims(), &[1, 1, 2, 2]);
         assert_eq!(y.as_slice(), &[6.0, 8.0, 14.0, 16.0]);
     }
 
@@ -277,12 +248,13 @@ mod tests {
     fn traced_matches_reference() {
         let x = input_2x4x4();
         let mut pool = MaxPool2d::new(2);
-        let want = pool.forward(&x, Mode::Infer).unwrap();
+        let want = pool.forward(&stack(&[&x]).unwrap(), Mode::Infer).unwrap();
         let mut probe = CountingProbe::new();
         let mut ctx = ExecContext::new(&mut probe);
         let region = ctx.alloc_activation(x.len());
         let (got, _) = pool.forward_traced(&x, region, &mut ctx).unwrap();
-        assert_eq!(got, want);
+        assert_eq!(got.dims(), &want.dims()[1..]);
+        assert_eq!(got.as_slice(), want.as_slice());
     }
 
     #[test]
@@ -328,7 +300,7 @@ mod tests {
         let trace = |x: &Tensor| {
             let mut pool = MaxPool2d::new(2);
             pool.set_constant_time(true);
-            let want = pool.forward(x, Mode::Infer).unwrap();
+            let want = pool.forward(&stack(&[x]).unwrap(), Mode::Infer).unwrap();
             let mut probe = CountingProbe::new();
             let branches;
             let taken;
@@ -340,7 +312,7 @@ mod tests {
                 branches = probe.branches;
                 taken = probe.taken_branches;
             }
-            assert_eq!(got, want);
+            assert_eq!(got.as_slice(), want.as_slice());
             (branches, taken)
         };
         let ascending = Tensor::from_vec((0..16).map(|i| i as f32).collect(), [1, 4, 4]).unwrap();
@@ -358,17 +330,21 @@ mod tests {
             vec![
                 0.0, 9.0, 0.0, 0.0, 0.0, 0.0, 0.0, 7.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0,
             ],
-            [1, 4, 4],
+            [1, 1, 4, 4],
         )
         .unwrap();
         pool.forward(&x, Mode::Train).unwrap();
         let g = pool
-            .backward(&Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [1, 2, 2]).unwrap())
+            .backward(&Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [1, 1, 2, 2]).unwrap())
             .unwrap();
-        assert_eq!(g.get(&[0, 0, 1]).unwrap(), 1.0, "9.0 won the first window");
-        assert_eq!(g.get(&[0, 1, 3]).unwrap(), 2.0, "7.0 won the second");
-        assert_eq!(g.get(&[0, 2, 0]).unwrap(), 3.0);
-        assert_eq!(g.get(&[0, 3, 3]).unwrap(), 4.0);
+        assert_eq!(
+            g.get(&[0, 0, 0, 1]).unwrap(),
+            1.0,
+            "9.0 won the first window"
+        );
+        assert_eq!(g.get(&[0, 0, 1, 3]).unwrap(), 2.0, "7.0 won the second");
+        assert_eq!(g.get(&[0, 0, 2, 0]).unwrap(), 3.0);
+        assert_eq!(g.get(&[0, 0, 3, 3]).unwrap(), 4.0);
         assert_eq!(g.sum(), 10.0, "all gradient mass routed");
     }
 

@@ -5,8 +5,8 @@ use crate::exec::{ExecContext, Site};
 use crate::layer::{Layer, Mode, NnError, Result};
 use scnn_tensor::{ops, Shape, Tensor};
 
-/// Reshapes any input to a rank-1 vector. Free at runtime — tensors are
-/// row-major, so no data moves and the traced path emits no events.
+/// Reshapes each sample to a rank-1 vector. Free at runtime — tensors
+/// are row-major, so no data moves and the traced path emits no events.
 #[derive(Debug, Clone, Default)]
 pub struct Flatten {
     cached_shape: Option<Shape>,
@@ -33,10 +33,11 @@ impl Layer for Flatten {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+        let (n, sample) = crate::batch::split_batch(input.shape())?;
         if mode == Mode::Train {
             self.cached_shape = Some(input.shape().clone());
         }
-        Ok(input.reshape([input.len()])?)
+        Ok(input.reshape([n, sample.len()])?)
     }
 
     fn forward_traced(
@@ -56,20 +57,6 @@ impl Layer for Flatten {
         Ok(grad_output.reshape(shape.clone())?)
     }
 
-    fn forward_batch(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let (n, sample) = crate::batch::split_batch(input.shape())?;
-        if mode == Mode::Train {
-            self.cached_shape = Some(input.shape().clone());
-        }
-        Ok(input.reshape([n, sample.len()])?)
-    }
-
-    fn backward_batch(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        // The cached shape is the batch shape, so the scalar reshape is
-        // already the batched backward.
-        self.backward(grad_output)
-    }
-
     fn assign_addresses(&mut self, _alloc: &mut SegmentAllocator) {}
 
     fn end_training(&mut self) {
@@ -81,7 +68,7 @@ impl Layer for Flatten {
     }
 }
 
-/// Numerically stable softmax over a vector.
+/// Numerically stable softmax over each sample's vector of logits.
 #[derive(Debug, Clone, Default)]
 pub struct Softmax {
     cached_output: Option<Tensor>,
@@ -109,7 +96,15 @@ impl Layer for Softmax {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let out = ops::softmax(input)?;
+        input.shape().expect_rank(2)?;
+        let (n, classes) = (input.dims()[0], input.dims()[1]);
+        let mut data = Vec::with_capacity(n * classes);
+        // Row at a time: softmax has no cross-sample coupling.
+        for row in input.as_slice().chunks_exact(classes) {
+            let s = ops::softmax(&Tensor::from_vec(row.to_vec(), [classes])?)?;
+            data.extend_from_slice(s.as_slice());
+        }
+        let out = Tensor::from_vec(data, [n, classes])?;
         if mode == Mode::Train {
             self.cached_output = Some(out.clone());
         }
@@ -149,38 +144,6 @@ impl Layer for Softmax {
             .cached_output
             .as_ref()
             .ok_or(NnError::NoForwardCache { layer: "softmax" })?;
-        // dx = s ⊙ (g − ⟨g, s⟩)
-        let dot: f32 = grad_output
-            .as_slice()
-            .iter()
-            .zip(s.as_slice())
-            .map(|(&g, &p)| g * p)
-            .sum();
-        Ok(s.zip_with(grad_output, |p, g| p * (g - dot))?)
-    }
-
-    fn forward_batch(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        input.shape().expect_rank(2)?;
-        let (n, classes) = (input.dims()[0], input.dims()[1]);
-        let mut data = Vec::with_capacity(n * classes);
-        // Row-at-a-time: softmax has no cross-sample coupling, so the
-        // batched output is the per-row computation verbatim.
-        for row in input.as_slice().chunks_exact(classes) {
-            let s = ops::softmax(&Tensor::from_vec(row.to_vec(), [classes])?)?;
-            data.extend_from_slice(s.as_slice());
-        }
-        let out = Tensor::from_vec(data, [n, classes])?;
-        if mode == Mode::Train {
-            self.cached_output = Some(out.clone());
-        }
-        Ok(out)
-    }
-
-    fn backward_batch(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let s = self
-            .cached_output
-            .as_ref()
-            .ok_or(NnError::NoForwardCache { layer: "softmax" })?;
         s.shape().expect_same(grad_output.shape())?;
         s.shape().expect_rank(2)?;
         let classes = s.dims()[1];
@@ -190,7 +153,7 @@ impl Layer for Softmax {
             .chunks_exact(classes)
             .zip(grad_output.as_slice().chunks_exact(classes))
         {
-            // Same fold as the scalar backward: dx = s ⊙ (g − ⟨g, s⟩).
+            // dx = s ⊙ (g − ⟨g, s⟩), one row at a time.
             let dot: f32 = grow.iter().zip(srow).map(|(&g, &p)| g * p).sum();
             dx.extend(srow.iter().zip(grow).map(|(&p, &g)| p * (g - dot)));
         }
@@ -218,9 +181,10 @@ mod tests {
         let mut f = Flatten::new();
         let x = Tensor::zeros([2, 3, 4]);
         let y = f.forward(&x, Mode::Train).unwrap();
-        assert_eq!(y.dims(), &[24]);
-        let g = f.backward(&Tensor::zeros([24])).unwrap();
+        assert_eq!(y.dims(), &[2, 12], "one row per sample");
+        let g = f.backward(&Tensor::zeros([2, 12])).unwrap();
         assert_eq!(g.dims(), &[2, 3, 4]);
+        assert!(f.forward(&Tensor::zeros([4]), Mode::Infer).is_err());
     }
 
     #[test]
@@ -240,9 +204,14 @@ mod tests {
     fn softmax_forward_normalises() {
         let mut s = Softmax::new();
         let y = s
-            .forward(&Tensor::from_slice(&[1.0, 2.0, 3.0]), Mode::Infer)
+            .forward(
+                &Tensor::from_vec(vec![1.0, 2.0, 3.0, 0.0, 0.0, -9.0], [2, 3]).unwrap(),
+                Mode::Infer,
+            )
             .unwrap();
-        assert!((y.sum() - 1.0).abs() < 1e-6);
+        for row in y.as_slice().chunks_exact(3) {
+            assert!((row.iter().sum::<f32>() - 1.0).abs() < 1e-6);
+        }
     }
 
     #[test]
@@ -262,9 +231,9 @@ mod tests {
     fn softmax_backward_jacobian() {
         // Check against the analytic Jacobian: J[i][j] = s_i(δ_ij − s_j).
         let mut s = Softmax::new();
-        let x = Tensor::from_slice(&[0.3, -0.5, 0.9]);
+        let x = Tensor::from_vec(vec![0.3, -0.5, 0.9], [1, 3]).unwrap();
         let p = s.forward(&x, Mode::Train).unwrap();
-        let g = Tensor::from_slice(&[1.0, 0.0, 0.0]);
+        let g = Tensor::from_vec(vec![1.0, 0.0, 0.0], [1, 3]).unwrap();
         let dx = s.backward(&g).unwrap();
         for i in 0..3 {
             let pi = p.as_slice()[i];
@@ -281,11 +250,10 @@ mod tests {
     fn softmax_gradient_sums_to_zero() {
         // Softmax outputs sum to 1 ⇒ gradient w.r.t. inputs sums to 0.
         let mut s = Softmax::new();
-        s.forward(&Tensor::from_slice(&[1.0, 2.0, -1.0, 0.5]), Mode::Train)
-            .unwrap();
-        let dx = s
-            .backward(&Tensor::from_slice(&[0.3, -0.2, 0.9, 0.0]))
-            .unwrap();
+        let x = Tensor::from_vec(vec![1.0, 2.0, -1.0, 0.5], [1, 4]).unwrap();
+        s.forward(&x, Mode::Train).unwrap();
+        let g = Tensor::from_vec(vec![0.3, -0.2, 0.9, 0.0], [1, 4]).unwrap();
+        let dx = s.backward(&g).unwrap();
         assert!(dx.sum().abs() < 1e-6);
     }
 

@@ -332,7 +332,7 @@ impl Network {
 
     /// Reconstructs a network from [`Network::to_bytes`] output. The
     /// result is finalized (weight addresses assigned) and ready for both
-    /// reference and traced execution.
+    /// numeric and traced execution.
     ///
     /// # Errors
     ///

@@ -1,4 +1,4 @@
-//! Training loop: per-example SGD over a labelled dataset.
+//! Training loop: per-example or minibatch SGD over a labelled dataset.
 
 use crate::layer::{Mode, NnError, Result};
 use crate::loss::softmax_cross_entropy;
@@ -36,12 +36,12 @@ pub struct TrainConfig {
     pub weight_decay: f64,
     /// Shuffle seed.
     pub seed: u64,
-    /// Minibatch size. `1` (the default) runs the paper's original
-    /// per-example SGD loop verbatim; larger values step on the mean
-    /// gradient of each batch. The batch is split into fixed
-    /// [`GRAD_SUBBATCH`]-sample chunks — a property of the batch alone,
-    /// never of the thread count — and each chunk runs through the
-    /// batched GEMM forward/backward on its own network replica (in
+    /// Minibatch size. `1` (the default) is the paper's per-example SGD:
+    /// one step per sample, each run as a batch of one. Larger values
+    /// step on the mean gradient of each batch. The batch is split into
+    /// fixed [`GRAD_SUBBATCH`]-sample chunks — a property of the batch
+    /// alone, never of the thread count — and each chunk runs through
+    /// the same forward/backward on its own network replica (in
     /// parallel when [`TrainConfig::threads`] allows). Chunk gradients
     /// are reduced in batch order, so the result is bit-identical at
     /// every thread count.
@@ -131,20 +131,16 @@ fn train_epochs(
         order.shuffle(&mut rng);
         let mut total = 0.0f64;
         if config.batch_size <= 1 {
-            // Per-example SGD, exactly as in the paper's setup, so
-            // `batch_size: 1` reproduces the original training trajectory
-            // bit for bit. The backward is parameter-only: the input
-            // gradient of the first parameterised layer is never used.
-            for &i in &order {
-                let (image, label) = &samples[i];
-                let logits = net.forward(image, Mode::Train)?;
-                let (loss, grad) = softmax_cross_entropy(&logits, *label)?;
-                if !loss.is_finite() {
-                    return Err(NnError::Diverged { epoch });
-                }
-                total += loss as f64;
+            // Per-example SGD, as in the paper's setup: one step per
+            // sample, on that sample's gradient alone.
+            for i in &order {
                 net.zero_grads();
-                net.backward_params(&grad)?;
+                for loss in accumulate_gradients(net, samples, std::slice::from_ref(i))? {
+                    if !loss.is_finite() {
+                        return Err(NnError::Diverged { epoch });
+                    }
+                    total += loss as f64;
+                }
                 opt.step(net);
             }
             scnn_obs::counter_add("train.steps", order.len() as u64);
@@ -193,13 +189,37 @@ fn train_epochs(
     })
 }
 
+/// Runs the samples `batch` indexes as one batch through a Train forward,
+/// the cross-entropy loss and a parameter-only backward (nothing uses the
+/// input gradient of the first parameterised layer), adding their
+/// gradients to `net`'s. Returns the per-sample losses in batch order.
+fn accumulate_gradients(
+    net: &mut Network,
+    samples: &[Sample],
+    batch: &[usize],
+) -> Result<Vec<f32>> {
+    let images: Vec<&Tensor> = batch.iter().map(|&i| &samples[i].0).collect();
+    let logits = net.forward(&crate::batch::stack(&images)?, Mode::Train)?;
+    let classes = logits.dims()[1];
+    let mut losses = Vec::with_capacity(batch.len());
+    let mut grad_rows = Vec::with_capacity(logits.len());
+    for (row, &i) in logits.as_slice().chunks_exact(classes).zip(batch) {
+        let logits_s = Tensor::from_vec(row.to_vec(), [classes])?;
+        let (loss, grad) = softmax_cross_entropy(&logits_s, samples[i].1)?;
+        losses.push(loss);
+        grad_rows.extend_from_slice(grad.as_slice());
+    }
+    net.backward_params(&Tensor::from_vec(grad_rows, [batch.len(), classes])?)?;
+    Ok(losses)
+}
+
 /// Per-chunk losses and gradient snapshots for one minibatch, in batch
 /// order.
 ///
 /// The batch is split into fixed [`GRAD_SUBBATCH`]-sample chunks —
 /// independent of the worker count, so the reduction tree never moves
 /// when the pool is resized. Each chunk runs on its own clone of `net`
-/// through the batched forward/backward (one GEMM per dense layer, one
+/// through [`accumulate_gradients`] (one GEMM per dense layer, one
 /// lowered pass per conv layer); the master's weights are never touched,
 /// so every chunk's gradient is a pure function of (weights, chunk) and
 /// the ordered flatten yields the same `Vec` — bit for bit — at any
@@ -213,23 +233,8 @@ fn chunk_gradients(
     let chunks: Vec<Vec<usize>> = batch.chunks(GRAD_SUBBATCH).map(<[usize]>::to_vec).collect();
     let per_chunk = pool.par_map(chunks, |chunk| -> Result<(Vec<f32>, Vec<Tensor>)> {
         let mut replica = net.clone();
-        let images: Vec<&Tensor> = chunk.iter().map(|&i| &samples[i].0).collect();
-        let input = crate::batch::stack(&images)?;
-        let logits = replica.forward_batch(&input, Mode::Train)?;
-        let classes = logits.dims()[1];
-        let mut losses = Vec::with_capacity(chunk.len());
-        let mut grad_rows = Vec::with_capacity(logits.len());
-        for (row, &i) in logits.as_slice().chunks_exact(classes).zip(&chunk) {
-            // Same per-row loss computation as the per-example path:
-            // forward_batch row s is bit-identical to forward on sample s.
-            let logits_s = Tensor::from_vec(row.to_vec(), [classes])?;
-            let (loss, grad) = softmax_cross_entropy(&logits_s, samples[i].1)?;
-            losses.push(loss);
-            grad_rows.extend_from_slice(grad.as_slice());
-        }
-        let grad = Tensor::from_vec(grad_rows, [chunk.len(), classes])?;
         replica.zero_grads();
-        replica.backward_batch_params(&grad)?;
+        let losses = accumulate_gradients(&mut replica, samples, &chunk)?;
         Ok((losses, replica.grad_vector()))
     });
     per_chunk.into_iter().collect()
@@ -328,7 +333,7 @@ mod tests {
                 ..TrainConfig::default()
             };
             train(&mut net, &samples, &config).unwrap();
-            let grad = Tensor::zeros([10]);
+            let grad = Tensor::zeros([1, 10]);
             assert!(matches!(
                 net.backward(&grad),
                 Err(NnError::NoForwardCache { .. })

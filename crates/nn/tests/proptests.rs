@@ -7,6 +7,7 @@
 //! and reproduces exactly. The count matches the suite's historical
 //! proptest configuration (48 cases — network inference is costly).
 
+use scnn_nn::batch::stack;
 use scnn_nn::prelude::*;
 use scnn_nn::{loss, models};
 use scnn_rng::{ChaCha8Rng, Rng, SeedableRng};
@@ -41,12 +42,13 @@ fn conv_traced_equals_reference() {
         };
         let seed = rng.gen_range(0u64..100);
         let mut conv = Conv2d::new(2, 3, 3, style, seed);
-        let want = conv.forward(&img, Mode::Infer).unwrap();
+        let want = conv.forward(&stack(&[&img]).unwrap(), Mode::Infer).unwrap();
         let mut probe = CountingProbe::new();
         let mut ctx = scnn_nn::ExecContext::new(&mut probe);
         let region = ctx.alloc_activation(img.len());
         let (got, _) = conv.forward_traced(&img, region, &mut ctx).unwrap();
-        assert_eq!(got, want, "case {case}");
+        assert_eq!(got.dims(), &want.dims()[1..], "case {case}");
+        assert_eq!(got.as_slice(), want.as_slice(), "case {case}");
     }
 }
 
@@ -72,12 +74,13 @@ fn dense_traced_equals_reference() {
         let seed = rng.gen_range(0u64..100);
         let x = Tensor::from_slice(&data);
         let mut dense = Dense::new(data.len(), 5, style, seed);
-        let want = dense.forward(&x, Mode::Infer).unwrap();
+        let want = dense.forward(&stack(&[&x]).unwrap(), Mode::Infer).unwrap();
         let mut probe = CountingProbe::new();
         let mut ctx = scnn_nn::ExecContext::new(&mut probe);
         let region = ctx.alloc_activation(x.len());
         let (got, _) = dense.forward_traced(&x, region, &mut ctx).unwrap();
-        assert_eq!(got, want, "case {case}");
+        assert_eq!(got.dims(), &want.dims()[1..], "case {case}");
+        assert_eq!(got.as_slice(), want.as_slice(), "case {case}");
     }
 }
 
@@ -176,7 +179,7 @@ fn maxpool_output_bounded_by_input() {
     for case in 0..CASES {
         let img = image(&mut rng, 1, 8);
         let mut pool = MaxPool2d::new(2);
-        let y = pool.forward(&img, Mode::Infer).unwrap();
+        let y = pool.forward(&stack(&[&img]).unwrap(), Mode::Infer).unwrap();
         assert!(y.max() <= img.max() + 1e-6, "case {case}");
         assert!(y.min() >= img.min() - 1e-6, "case {case}");
     }

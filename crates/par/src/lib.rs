@@ -13,7 +13,7 @@
 //! # Determinism contract
 //!
 //! `par_map` returns results **in item order**, whatever the thread
-//! count, and [`Threads::Count(1)`] (or a single-item input) runs the
+//! count, and [`Threads::Count`]`(1)` (or a single-item input) runs the
 //! closure on the caller's thread with no pool machinery at all. Callers
 //! keep bit-identical output across thread counts by making each item's
 //! work self-contained (own RNG stream, own scratch state) and doing any

@@ -8,9 +8,10 @@
 //!   zero test — that defeats autovectorization on dense operands; any
 //!   sparsity exploitation belongs to the *traced* sparse-im2col kernels
 //!   in `scnn-nn`, which model it as an event stream, not as arithmetic).
-//!   `B` is packed into a contiguous panel when it exceeds one block, so
-//!   the hot loop streams cache-resident rows, and each `C` row segment
-//!   is held in a register tile across the whole depth of a `k` block.
+//!   `B` is packed into a contiguous panel when it exceeds one block and
+//!   `A` has more than one row, so the hot loop streams cache-resident
+//!   rows, and each `C` row segment is held in a register tile across
+//!   the whole depth of a `k` block.
 //! - **Determinism.** Block sizes are fixed constants, `k` blocks are
 //!   visited in increasing order, and the register tile is seeded from
 //!   (and stored back to) `C` — so every `C[i][j]` is a *single running
@@ -159,8 +160,9 @@ fn accumulate(
     }
     // One-block operands are read in place; anything larger gets its
     // current `B` block packed contiguously so panel rows are unit-stride
-    // regardless of `n`.
-    let pack = k > BLOCK_K || n > BLOCK_N;
+    // regardless of `n` — unless `A` has a single row, which reads each
+    // panel row once, so a copy would cost as much as the multiply.
+    let pack = m > 1 && (k > BLOCK_K || n > BLOCK_N);
     for jb in (0..n).step_by(BLOCK_N) {
         let jw = BLOCK_N.min(n - jb);
         for kb in (0..k).step_by(BLOCK_K) {
@@ -173,10 +175,13 @@ fn accumulate(
                 }
             }
             let block = Block {
-                panel: if pack { &scratch.panel } else { b },
-                // When unpacked there is exactly one block, so the panel
-                // row stride is `n` with `kb == jb == 0`; packed rows are
-                // `jw`.
+                // Packed rows are `jw` long; in place, the block starts at
+                // `B[kb][jb]` and its rows are `n` apart.
+                panel: if pack {
+                    &scratch.panel
+                } else {
+                    &b[kb * n + jb..]
+                },
                 stride: if pack { jw } else { n },
                 k,
                 kb,
@@ -198,7 +203,8 @@ fn accumulate(
 }
 
 /// One `(k, j)` block of [`accumulate`]: the `B` panel rows `kb..kb + kw`
-/// over columns `jb..jb + jw`, as packed or read in place.
+/// over columns `jb..jb + jw`, as packed or read in place. `panel` starts
+/// at the block's first element.
 struct Block<'p> {
     panel: &'p [f32],
     stride: usize,
@@ -512,6 +518,9 @@ mod tests {
             (2, BLOCK_K + 1, TILE_N + 1),
             (5, 2 * BLOCK_K + 3, BLOCK_N + 17),
             (7, 130, 300),
+            // One row of `A`: `B` read in place, block by block.
+            (1, 2 * BLOCK_K + 3, BLOCK_N + 17),
+            (1, BLOCK_K + 1, TILE_N + 3),
         ];
         for &(m, k, n) in &shapes {
             let a = fill(m * k, 11);

@@ -298,7 +298,7 @@ impl Probe for CoreSim {
     /// Each iteration's weight load and accumulator load go through the
     /// TLB and the hierarchy like single loads; the accumulator store is
     /// applied in closed form (a TLB memo hit on the page the load just
-    /// translated, then [`MemoryHierarchy::store_after_load`]). After the
+    /// translated, then `MemoryHierarchy::store_after_load`). After the
     /// first iteration, accumulator loads skip the prefetcher when it
     /// provably proposes nothing for them and the store after each
     /// rewrites what it would change (`Prefetcher::acc_loads_idle`).

@@ -2,6 +2,7 @@
 //! exactly the reference numbers while driving the full simulator, and
 //! the counter model must keep its internal identities.
 
+use scnn::data::cifar_synth::{self, CifarSynthConfig};
 use scnn::data::mnist_synth::{generate, MnistSynthConfig};
 use scnn::hpc::{CounterGroup, HpcEvent, Pmu, SimPmuConfig, SimulatedPmu};
 use scnn::nn::models;
@@ -21,15 +22,48 @@ fn dataset() -> scnn::data::Dataset {
 
 #[test]
 fn traced_inference_equals_reference_through_core_sim() {
-    let mut net = models::small_cnn(1, 12, 10, 5);
+    // The tiny-scale model, then the shipped case-study models: the
+    // traced kernels produce the numbers on their own code paths (conv's
+    // scatter shares no code with im2col; dense runs the numeric GEMM on
+    // one row), so each is pinned here against the numeric path on the
+    // real shapes.
+    let mnist = generate(
+        &MnistSynthConfig {
+            per_class: 1,
+            ..MnistSynthConfig::default()
+        },
+        78,
+    )
+    .unwrap();
+    let cifar = cifar_synth::generate(
+        &CifarSynthConfig {
+            per_class: 1,
+            ..CifarSynthConfig::default()
+        },
+        79,
+    )
+    .unwrap();
+    // (model, images, how many of them: the case-study models cost about
+    // a million simulated events per inference).
+    let cases = [
+        ("small_cnn", models::small_cnn(1, 12, 10, 5), dataset(), 30),
+        ("mnist_cnn", models::mnist_cnn(6), mnist, 4),
+        ("cifar_cnn", models::cifar_cnn(7), cifar, 4),
+        ("mnist_mlp", models::mnist_mlp(1, 12, 8), dataset(), 30),
+    ];
     let mut core = CoreSim::new(CoreConfig::tiny()).unwrap();
-    for (image, _) in dataset().iter() {
-        let reference = {
-            // The reference path needs &mut for cache bookkeeping.
-            net.infer(image).unwrap()
-        };
-        let traced = net.infer_traced(image, &mut core).unwrap();
-        assert_eq!(traced, reference, "simulation must not perturb semantics");
+    for (name, mut net, data, count) in cases {
+        for (image, _) in data.iter().take(count) {
+            let reference = {
+                // The reference path needs &mut for cache bookkeeping.
+                net.infer(image).unwrap()
+            };
+            let traced = net.infer_traced(image, &mut core).unwrap();
+            assert_eq!(
+                traced, reference,
+                "{name}: simulation must not perturb semantics"
+            );
+        }
     }
     let snap = core.snapshot();
     assert!(snap.instructions > 0);

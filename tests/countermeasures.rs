@@ -21,7 +21,7 @@ fn fast() -> ExperimentConfig {
 #[test]
 fn constant_time_removes_cache_miss_leak() {
     let leaky = Experiment::new(fast()).run().unwrap();
-    let protected = Experiment::new(fast().with_countermeasure(Countermeasure::ConstantTime))
+    let protected = Experiment::new(fast().countermeasure(Countermeasure::ConstantTime))
         .run()
         .unwrap();
 
@@ -47,7 +47,7 @@ fn constant_time_removes_cache_miss_leak() {
 #[test]
 fn constant_time_keeps_accuracy() {
     let leaky = Experiment::new(fast()).run().unwrap();
-    let protected = Experiment::new(fast().with_countermeasure(Countermeasure::ConstantTime))
+    let protected = Experiment::new(fast().countermeasure(Countermeasure::ConstantTime))
         .run()
         .unwrap();
     assert_eq!(
@@ -60,7 +60,7 @@ fn constant_time_keeps_accuracy() {
 fn constant_time_defeats_the_attack() {
     let cfg = fast().samples(12);
     let leaky = Experiment::new(cfg.clone()).run().unwrap();
-    let protected = Experiment::new(cfg.with_countermeasure(Countermeasure::ConstantTime))
+    let protected = Experiment::new(cfg.countermeasure(Countermeasure::ConstantTime))
         .run()
         .unwrap();
 
@@ -82,7 +82,7 @@ fn constant_time_defeats_the_attack() {
 #[test]
 fn shuffle_preserves_predictions() {
     let plain = Experiment::new(fast()).run().unwrap();
-    let shuffled = Experiment::new(fast().with_countermeasure(Countermeasure::Shuffle))
+    let shuffled = Experiment::new(fast().countermeasure(Countermeasure::Shuffle))
         .run()
         .unwrap();
     assert_eq!(
@@ -93,7 +93,7 @@ fn shuffle_preserves_predictions() {
 
 #[test]
 fn oblivious_shape_equalises_footprints_across_categories() {
-    let outcome = Experiment::new(fast().with_countermeasure(Countermeasure::ObliviousShape))
+    let outcome = Experiment::new(fast().countermeasure(Countermeasure::ObliviousShape))
         .run()
         .unwrap();
     // Every layer window is padded to one shared ceiling, so under a
@@ -118,7 +118,7 @@ fn oblivious_shape_equalises_footprints_across_categories() {
 #[test]
 fn noise_injection_inflates_variance() {
     let plain = Experiment::new(fast()).run().unwrap();
-    let noisy = Experiment::new(fast().with_countermeasure(Countermeasure::NoiseInjection {
+    let noisy = Experiment::new(fast().countermeasure(Countermeasure::NoiseInjection {
         dummy_events: 5_000,
     }))
     .run()
