@@ -35,15 +35,18 @@ step "cargo test --offline"
 # simulated-count pin (scnn-core --test count_pin).
 cargo test -q --offline --workspace
 
-step "release-build kernel tests (the optimised, vectorised code that ships: tensor kernels bit for bit, batch-size invariance, training pin, simulator closed forms and count pin)"
+step "release-build kernel tests (the optimised, vectorised code that ships: tensor kernels bit for bit, batch-size invariance, training pin, simulator closed forms, count pin, and the shipped fast paths on every zoo preset)"
 # The debug-build run above does not autovectorise; the GEMM tiles and
 # im2col row segments must also hold bit for bit as release compiles them.
-# The simulator's way hints and closed-form chunks ship optimised too.
+# The simulator's way hints, fill queues and closed-form chunks ship
+# optimised too, and zoo_differential and oblivious_runs drive them
+# through real traced inferences on every preset.
 cargo test -q --release --offline -p scnn-tensor
 cargo test -q --release --offline -p scnn-nn --test batch
 cargo test -q --release --offline -p scnn-nn --test train_pin
 cargo test -q --release --offline -p scnn-uarch --test differential
 cargo test -q --release --offline -p scnn-core --test count_pin
+cargo test -q --release --offline -p scnn-core --test zoo_differential --test oblivious_runs
 
 step "perfbench self-tests (readings digest and exact traced counts repeat, traced or not)"
 # perfbench is a package of its own, outside the workspace above.

@@ -22,7 +22,7 @@
 //! ```
 //!
 //! Options (see `repro --help` for the generated page): `--samples <n>`
-//! (measurements per category, at least 2, default 100), `--quick` (tiny
+//! (measurements per category, 2 to 10⁶, default 100), `--quick` (tiny
 //! models, for smoke tests), `--csv <dir>` (additionally write the raw
 //! figure/table series as CSV files for external plotting), `--threads
 //! <n|auto>` (worker threads, at least 1, for collection, evaluation,
@@ -110,6 +110,9 @@ macro_rules! op {
     ($r:expr, $($arg:tt)*) => { write!($r.out, $($arg)*).map_err(|e| Error::io("stdout", e))? };
 }
 
+/// Most measurements per category `--samples` accepts.
+const MAX_SAMPLES: usize = 1_000_000;
+
 #[derive(Clone)]
 struct Options {
     samples: usize,
@@ -188,7 +191,15 @@ impl Options {
         match flag {
             // Every command ends in pairwise t-tests, which need two
             // observations per category: reject fewer before training.
+            // The collector reserves room for every sample up front, so
+            // an absurd count would abort the process (and a whole
+            // `serve`) on allocation: cap it here too.
             "--samples" => match text.parse::<usize>() {
+                Ok(n) if n > MAX_SAMPLES => {
+                    return Err(format!(
+                        "--samples allows at most {MAX_SAMPLES} per category, got {text:?}"
+                    ))
+                }
                 Ok(n) if n >= 2 => self.samples = n,
                 _ => {
                     return Err(format!(
@@ -1499,6 +1510,9 @@ mod tests {
             options.set(flag, text).unwrap();
         }
         assert_eq!(options.samples, 8);
+        let mut most = Options::default();
+        most.set("--samples", &MAX_SAMPLES.to_string()).unwrap();
+        assert_eq!(most.samples, MAX_SAMPLES);
         assert!(options.quick);
         assert_eq!(options.threads, Threads::Auto);
         assert_eq!(options.profile_frac, Some(0.6));
@@ -1508,6 +1522,8 @@ mod tests {
             ("--samples", "1"),
             ("--samples", "0"),
             ("--samples", "-3"),
+            ("--samples", "1000001"),
+            ("--samples", "100000000000"),
             ("--threads", "0"),
             ("--profile-frac", "0"),
             ("--profile-frac", "1"),

@@ -39,7 +39,7 @@ pub fn repro_flags() -> FlagSet {
     .value(
         "--samples",
         "N",
-        "measurements per category, at least 2 (default 100)",
+        "measurements per category, 2 to 1000000 (default 100)",
     )
     .switch("--quick", "tiny models and few samples, for smoke tests")
     .value(

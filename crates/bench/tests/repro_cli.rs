@@ -39,6 +39,22 @@ fn too_few_samples_exit_1_without_panicking() {
 }
 
 #[test]
+fn huge_sample_counts_exit_1_without_allocating() {
+    // Decoding rejects the count, so nothing reserves room for it: the
+    // process exits with the message instead of aborting on allocation.
+    for samples in ["1000001", "100000000000"] {
+        let out = repro(&["table1", "--quick", "--samples", samples]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{samples}: {stderr}");
+        assert!(
+            stderr.contains("--samples allows at most 1000000 per category"),
+            "{samples}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{samples}: nothing ran");
+    }
+}
+
+#[test]
 fn closed_stdout_exits_1_without_panicking() {
     // As `repro table1 | head -1` does once `head` has its line; here
     // the reader is gone before the first write, so the banner fails.
@@ -114,6 +130,8 @@ fn jobs_decode_options_like_flags() {
             "\n",
             r#"{"id":"frac","command":"attack","quick":true,"samples":8,"profile_frac":1.5}"#,
             "\n",
+            r#"{"id":"huge","command":"table1","quick":true,"samples":100000000000}"#,
+            "\n",
             r#"{"id":"bye","command":"shutdown"}"#,
             "\n",
         ),
@@ -138,5 +156,8 @@ fn jobs_decode_options_like_flags() {
     let frac = line("frac");
     assert!(frac.contains(r#""status":"error""#), "{frac}");
     assert!(frac.contains("profile-frac"), "{frac}");
+    let huge = line("huge");
+    assert!(huge.contains(r#""status":"error""#), "{huge}");
+    assert!(huge.contains("at most 1000000"), "{huge}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,7 +13,7 @@ use crate::collect::TracedClassifier;
 use scnn_nn::{Network, NnError};
 use scnn_rng::{ChaCha8Rng, Rng, SeedableRng};
 use scnn_tensor::Tensor;
-use scnn_uarch::{MacRun, Probe};
+use scnn_uarch::{MacRun, Probe, Tap};
 
 /// A deployable countermeasure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,6 +124,12 @@ impl ShapeCounts {
         self.alu += run.alu * run.count;
     }
 
+    /// Counts the events of a convolution tap: two stores and a run.
+    fn add_tap(&mut self, tap: &Tap) {
+        self.stores += 2;
+        self.add_mac_run(&tap.run);
+    }
+
     fn max(self, other: ShapeCounts) -> ShapeCounts {
         ShapeCounts {
             loads: self.loads.max(other.loads),
@@ -170,6 +176,10 @@ impl Probe for WindowCounter {
 
     fn mac_run(&mut self, run: MacRun) {
         self.current.add_mac_run(&run);
+    }
+
+    fn tap(&mut self, tap: Tap) {
+        self.current.add_tap(&tap);
     }
 
     fn layer_boundary(&mut self, _index: usize) {
@@ -278,6 +288,11 @@ impl Probe for PaddingProbe<'_> {
     fn mac_run(&mut self, run: MacRun) {
         self.current.add_mac_run(&run);
         self.inner.mac_run(run);
+    }
+
+    fn tap(&mut self, tap: Tap) {
+        self.current.add_tap(&tap);
+        self.inner.tap(tap);
     }
 
     fn layer_boundary(&mut self, index: usize) {

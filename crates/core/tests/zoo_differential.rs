@@ -17,7 +17,7 @@ use scnn_hpc::{SimPmuConfig, SimulatedPmu};
 use scnn_nn::{models, Network};
 use scnn_rng::{ChaCha8Rng, Rng, SeedableRng};
 use scnn_tensor::Tensor;
-use scnn_uarch::{CounterSnapshot, MacRun, NoiseConfig, Probe};
+use scnn_uarch::{CounterSnapshot, MacRun, NoiseConfig, Probe, Tap};
 
 #[test]
 fn every_zoo_preset_matches_the_reference_core() {
@@ -110,8 +110,8 @@ fn every_zoo_preset_matches_the_reference_core_on_a_traced_inference() {
     }
 }
 
-/// Forwards every event to `inner`, runs whole, and records it in
-/// `recorder`, one op per event.
+/// Forwards every event to `inner`, runs and taps whole, and records it
+/// in `recorder`, one op per event.
 struct Tee<'p> {
     inner: &'p mut dyn Probe,
     recorder: &'p mut Recorder,
@@ -141,6 +141,11 @@ impl Probe for Tee<'_> {
     fn mac_run(&mut self, run: MacRun) {
         self.inner.mac_run(run);
         self.recorder.mac_run(run);
+    }
+
+    fn tap(&mut self, tap: Tap) {
+        self.inner.tap(tap);
+        self.recorder.tap(tap);
     }
 
     fn branch(&mut self, pc: u64, taken: bool) {

@@ -3,7 +3,9 @@
 
 use crate::group::CounterGroup;
 use crate::pmu::{Measurement, Pmu, PmuError};
-use scnn_uarch::{CoreConfig, CoreSim, CounterSnapshot, MacRun, NoiseConfig, NoiseModel, Probe};
+use scnn_uarch::{
+    CoreConfig, CoreSim, CounterSnapshot, MacRun, NoiseConfig, NoiseModel, Probe, Tap,
+};
 
 /// How the measured process's cache state is treated between measurement
 /// windows.
@@ -205,6 +207,10 @@ impl Probe for LayerCapture<'_> {
 
     fn mac_run(&mut self, run: MacRun) {
         self.core.mac_run(run);
+    }
+
+    fn tap(&mut self, tap: Tap) {
+        self.core.tap(tap);
     }
 
     fn branch(&mut self, pc: u64, taken: bool) {

@@ -518,9 +518,6 @@ impl Layer for Conv2d {
                     // Each (pixel, ky, kx) triple appends one value + one
                     // index entry to the compacted lowering scratch, then
                     // multiply-accumulates into every filter's output.
-                    c.store(Site::SCRATCH, scratch_region, scratch_cursor);
-                    c.store(Site::SCRATCH, scratch_idx_region, scratch_cursor);
-                    scratch_cursor += 1;
                     let weights = Strided {
                         region: filter_region,
                         start: wi,
@@ -531,7 +528,9 @@ impl Layer for Conv2d {
                         start: oi,
                         step: pixels,
                     };
-                    c.mac_run(weights, acc, self.out_channels);
+                    let scratch = [scratch_region, scratch_idx_region];
+                    c.tap(scratch, scratch_cursor, weights, acc, self.out_channels);
+                    scratch_cursor += 1;
                 },
             )?
         };

@@ -9,7 +9,7 @@
 //! [`NullProbe`](scnn_uarch::NullProbe) costs (almost) nothing.
 
 use crate::addr::{Region, SegmentAllocator, CODE_BASE};
-use scnn_uarch::{MacRun, Probe};
+use scnn_uarch::{MacRun, Probe, Tap};
 
 /// Identifies a static code site (loop body, branch) inside a layer's
 /// kernel; combined with the layer index it yields a stable synthetic PC.
@@ -124,24 +124,59 @@ impl<'p> ExecContext<'p> {
     /// `load`, `load`, `alu(2)`, `store` calls.
     #[inline]
     pub fn mac_run(&mut self, weights: Strided, acc: Strided, count: usize) {
-        let Some(last) = count.checked_sub(1) else {
-            return;
+        if count > 0 {
+            self.events += 4 * count as u64;
+            let run = self.mac(weights, acc, count);
+            self.probe.mac_run(run);
+        }
+    }
+
+    /// One convolution tap as one [`Probe::tap`]: stores to element
+    /// `slot` of each of the two `scratch` regions (site
+    /// [`Site::SCRATCH`]), then [`mac_run`](Self::mac_run)`(weights, acc,
+    /// count)` — the events, and the event count `2 + 4·count`, of those
+    /// two `store` calls and that run.
+    #[inline]
+    pub fn tap(
+        &mut self,
+        scratch: [Region; 2],
+        slot: usize,
+        weights: Strided,
+        acc: Strided,
+        count: usize,
+    ) {
+        self.events += 2 + 4 * count as u64;
+        let tap = Tap {
+            scratch: scratch.map(|region| region.addr(slot)),
+            scratch_pc: self.pc(Site::SCRATCH),
+            run: self.mac(weights, acc, count),
         };
-        // `Region::addr` bounds-checks the last iteration (debug builds).
-        let _ = weights.region.addr(weights.start + last * weights.step);
-        let _ = acc.region.addr(acc.start + last * acc.step);
-        self.events += 4 * count as u64;
+        self.probe.tap(tap);
+    }
+
+    /// The [`MacRun`] of `count` iterations over `weights` and `acc`.
+    #[inline]
+    fn mac(&self, weights: Strided, acc: Strided, count: usize) -> MacRun {
+        let first = |s: Strided| match count.checked_sub(1) {
+            Some(last) => {
+                // `Region::addr` bounds-checks the last iteration (debug builds).
+                let _ = s.region.addr(s.start + last * s.step);
+                s.region.addr(s.start)
+            }
+            // A run of no iterations touches no element.
+            None => 0,
+        };
         let bytes = |s: Strided| s.step as i64 * crate::addr::ELEM_BYTES as i64;
-        self.probe.mac_run(MacRun {
-            weight: weights.region.addr(weights.start),
+        MacRun {
+            weight: first(weights),
             weight_stride: bytes(weights),
             weight_pc: self.pc(Site::WEIGHT),
-            acc: acc.region.addr(acc.start),
+            acc: first(acc),
             acc_stride: bytes(acc),
             acc_pc: self.pc(Site::ACC),
             alu: 2,
             count: count as u64,
-        });
+        }
     }
 
     /// A conditional branch at `site` with outcome `taken`.
@@ -207,6 +242,39 @@ mod tests {
         assert_eq!(probe.stores, 1);
         assert_eq!(probe.branches, 1);
         assert_eq!(probe.alu_ops, 5);
+    }
+
+    #[test]
+    fn a_tap_counts_its_stores_and_its_run() {
+        let mut probe = CountingProbe::new();
+        {
+            let mut ctx = ExecContext::new(&mut probe);
+            let scratch = [ctx.alloc_activation(4), ctx.alloc_activation(4)];
+            let weights = Strided {
+                region: ctx.alloc_activation(12),
+                start: 1,
+                step: 4,
+            };
+            let acc = Strided {
+                region: ctx.alloc_activation(3),
+                start: 0,
+                step: 1,
+            };
+            ctx.tap(scratch, 3, weights, acc, 3);
+            assert_eq!(ctx.events(), 2 + 4 * 3);
+            // No filters: the stores alone, from regions of no elements.
+            let none = Strided {
+                region: ctx.alloc_activation(0),
+                start: 0,
+                step: 1,
+            };
+            ctx.tap(scratch, 0, none, none, 0);
+            assert_eq!(ctx.events(), 14 + 2);
+        }
+        assert_eq!(
+            (probe.loads, probe.stores, probe.alu_ops),
+            (6, 2 + 3 + 2, 6)
+        );
     }
 
     #[test]

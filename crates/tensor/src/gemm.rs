@@ -287,7 +287,9 @@ impl Block<'_> {
 /// values. Lanes and rows are independent accumulators, so
 /// vectorising across them changes the memory schedule only; every
 /// output's fold is still one running sum over `p` in increasing order
-/// (see DESIGN.md §12).
+/// (see DESIGN.md §12). A single `A` row (`m = 1`, as in per-example
+/// training) is not packed: it meets `ABT_ROWS` `B` rows per pass, each
+/// row its own running sum over `p`.
 ///
 /// # Errors
 ///
@@ -311,6 +313,12 @@ pub fn gemm_abt(
     // from it keeps a dot product of all-(−0.0) terms, or of no terms,
     // bit-equal to `arow·brow` summed with `.sum()`.
     let neutral: f32 = std::iter::empty::<f32>().sum();
+    scnn_obs::counter_add("gemm.calls", 1);
+    scnn_obs::counter_add("gemm.flops", 2 * (m * k * n) as u64);
+    if m == 1 {
+        abt_one_row(a, b, k, accumulate, c, neutral);
+        return Ok(());
+    }
     // Strip-major packing: strip `s` holds `A` rows `s·L .. s·L + L` as
     // `k` consecutive lane vectors (`panel[(s·k + p)·L + l] = A[s·L + l][p]`),
     // rows past `m` zero-padded.
@@ -364,9 +372,44 @@ pub fn gemm_abt(
             store(c, i0, j, &acc);
         }
     }
-    scnn_obs::counter_add("gemm.calls", 1);
-    scnn_obs::counter_add("gemm.flops", 2 * (m * k * n) as u64);
     Ok(())
+}
+
+/// [`gemm_abt`] of the one row `a` (length `k`): `c[j] (+)= a·B[j]`,
+/// `ABT_ROWS` rows of `B` per pass over `a`, each output one running sum
+/// over `p` from `neutral`, then a ragged tail one row per pass.
+fn abt_one_row(a: &[f32], b: &[f32], k: usize, accumulate: bool, c: &mut [f32], neutral: f32) {
+    let store = |out: &mut f32, dot: f32| *out = if accumulate { *out + dot } else { dot };
+    let row = |j: usize| &b[j * k..(j + 1) * k];
+    let n = c.len();
+    let mut j = 0;
+    while j + ABT_ROWS <= n {
+        let [mut c0, mut c1, mut c2, mut c3] = [neutral; ABT_ROWS];
+        for ((((&av, &b0), &b1), &b2), &b3) in a
+            .iter()
+            .zip(row(j))
+            .zip(row(j + 1))
+            .zip(row(j + 2))
+            .zip(row(j + 3))
+        {
+            c0 += av * b0;
+            c1 += av * b1;
+            c2 += av * b2;
+            c3 += av * b3;
+        }
+        for (out, dot) in c[j..j + ABT_ROWS].iter_mut().zip([c0, c1, c2, c3]) {
+            store(out, dot);
+        }
+        j += ABT_ROWS;
+    }
+    for (j, out) in c.iter_mut().enumerate().skip(j) {
+        store(
+            out,
+            a.iter()
+                .zip(row(j))
+                .fold(neutral, |acc, (&x, &y)| acc + x * y),
+        );
+    }
 }
 
 /// `C (+)= Aᵀ·B` without materialising the transpose: `A` is `[r, m]`,
@@ -708,7 +751,7 @@ mod tests {
         // contents from a larger shape must not leak into a smaller one.
         let mut scratch = GemmScratch::new();
         for &m in &[1, 3, 7, 8, 9, 16, 17] {
-            for &n in &[1, 2, 3, 4, 5, 7, 25] {
+            for &n in &[1, 2, 3, 4, 5, 7, 8, 9, 25] {
                 for &k in &[0, 1, 577] {
                     let a = fill(m * k, 41 + m as u64);
                     let b = fill(n * k, 43 + n as u64);
@@ -740,6 +783,9 @@ mod tests {
         for accumulate in [false, true] {
             assert_abt_bitwise(&a, &b, m, k, n, accumulate, &c0, &mut scratch);
             assert_abt_bitwise(&[], &[], m, 0, n, accumulate, &c0, &mut scratch);
+            // The one-row path, on the first row.
+            assert_abt_bitwise(&a[..k], &b, 1, k, n, accumulate, &c0[..n], &mut scratch);
+            assert_abt_bitwise(&[], &[], 1, 0, n, accumulate, &c0[..n], &mut scratch);
         }
         // The neutral element really is exercised: with no terms the
         // overwrite form writes `.sum()` of nothing.

@@ -491,6 +491,31 @@ impl Cache {
         write: bool,
         hint: &mut usize,
     ) -> AccessOutcome {
+        self.hinted(addr, write, false, hint)
+    }
+
+    /// A load of `addr` and a store to it right after, as
+    /// [`access_hinted`](Self::access_hinted)`(addr, false, hint)` and
+    /// then [`access`](Self::access)`(addr, true)` apply them, in one
+    /// lookup: the load leaves its line remembered (a read that misses
+    /// fills), so the store is a memo hit on it, which ticks the clock,
+    /// takes the stamp to the new clock where hits refresh it and sets
+    /// the dirty bit under write-back. Returns the load's outcome.
+    #[inline(always)]
+    pub(crate) fn load_store_hinted(&mut self, addr: u64, hint: &mut usize) -> AccessOutcome {
+        self.hinted(addr, false, true, hint)
+    }
+
+    /// [`access_hinted`](Self::access_hinted), followed by a store hit
+    /// on the line when `store_after`.
+    #[inline(always)]
+    fn hinted(
+        &mut self,
+        addr: u64,
+        write: bool,
+        store_after: bool,
+        hint: &mut usize,
+    ) -> AccessOutcome {
         let line_addr = addr >> self.line_shift;
         let set = (line_addr & self.set_mask) as usize;
         let idx = *hint;
@@ -499,7 +524,7 @@ impl Cache {
             && self.valid[set] >> way & 1 != 0
             && self.tags[idx] == line_addr >> self.set_bits
         {
-            self.clock += 1;
+            self.clock += 1 + u64::from(store_after);
             // The remembered line is resident at `last_idx` and nowhere
             // else, so the same index means the same line.
             if idx != self.last_idx {
@@ -507,9 +532,15 @@ impl Cache {
                 self.last_line = line_addr;
                 self.last_idx = idx;
             }
+            if store_after && !self.write_through {
+                self.dirty[set] |= 1 << way;
+            }
             return self.hit(set, way, line_addr, write);
         }
         let outcome = self.access(addr, write);
+        if store_after {
+            self.repeat_memo_hits(1, true);
+        }
         *hint = self.last_idx;
         outcome
     }
@@ -586,6 +617,27 @@ impl Cache {
             span.next_idx = set * self.ways + way;
         }
         span
+    }
+
+    /// Reads `targets` in order, as that many calls of
+    /// [`access`](Self::access)`(target, false)` would: each read leaves
+    /// its line remembered (a read that misses fills), so the targets
+    /// right after it on the same line are applied as memo hits.
+    #[inline]
+    pub(crate) fn read_all(&mut self, targets: &[u64]) {
+        let mut rest = targets;
+        while let [first, tail @ ..] = rest {
+            self.access(*first, false);
+            let line = first >> self.line_shift;
+            let same = tail
+                .iter()
+                .take_while(|&&t| t >> self.line_shift == line)
+                .count();
+            if same > 0 {
+                self.repeat_memo_hits(same as u64, false);
+            }
+            rest = &tail[same..];
+        }
     }
 
     /// Applies `k ≥ 1` read hits on the resident line at flat index
@@ -1114,13 +1166,55 @@ mod tests {
                         _ => {}
                     }
                     let before = hints[slot];
-                    let out = hinted.access_hinted(addr, write, &mut hints[slot]);
-                    assert_eq!(out, plain.access(addr, write), "step {step}");
+                    // Now and then a load with a store right after it.
+                    let out = if step % 5 == 0 {
+                        let out = hinted.load_store_hinted(addr, &mut hints[slot]);
+                        assert_eq!(out, plain.access(addr, false), "step {step}");
+                        assert!(plain.access(addr, true).hit, "step {step}");
+                        out
+                    } else {
+                        let out = hinted.access_hinted(addr, write, &mut hints[slot]);
+                        assert_eq!(out, plain.access(addr, write), "step {step}");
+                        out
+                    };
                     assert!(hinted == plain, "{config:?} step {step}");
                     hint_hits += usize::from(hints[slot] == before && out.hit);
                 }
                 assert!(hint_hits > 1000, "{config:?}: {hint_hits} hint hits");
             }
+        }
+    }
+
+    #[test]
+    fn read_all_equals_reading_each_target() {
+        for policy in ReplacementPolicy::ALL {
+            let config = CacheConfig::new(512, 2, 64).with_policy(policy);
+            let mut each = Cache::new(config).unwrap();
+            each.access(1024, true);
+            let mut all = each.clone();
+            // Repeats on one line, a line left and come back to, misses
+            // that evict, the top of the address space.
+            let targets = [
+                0,
+                4,
+                60,
+                64,
+                0,
+                0,
+                2048,
+                1024,
+                1028,
+                u64::MAX,
+                u64::MAX - 63,
+                3,
+            ];
+            for &t in &targets {
+                each.access(t, false);
+            }
+            all.read_all(&targets);
+            assert!(all == each, "{policy:?}");
+            all.read_all(&[]);
+            assert!(all == each, "{policy:?}: an empty read");
         }
     }
 

@@ -6,7 +6,8 @@ use crate::cache::{CacheConfigError, NO_MEMO};
 use crate::config::CoreConfig;
 use crate::cycles::RetiredCounts;
 use crate::hierarchy::{MemoryHierarchy, ServedBy};
-use crate::probe::{MacRun, Probe};
+use crate::prefetch::LocalEntry;
+use crate::probe::{MacRun, Probe, Tap};
 use crate::tlb::Tlb;
 
 /// A raw snapshot of every architectural/microarchitectural count the
@@ -110,27 +111,44 @@ pub struct CoreSim {
     /// weight and accumulator were found: guesses for the same
     /// iteration of the next run, which no count depends on.
     mac_hints: Vec<SlotHint>,
+    /// Where the latest tap's two scratch stores were found, guesses for
+    /// the next tap's in the same way.
+    scratch_hints: [Hint; 2],
+    /// Prefetch targets of the current run or tap whose L3 and L2 fills
+    /// are deferred (see [`MemoryHierarchy::fill_queued`]); empty
+    /// between calls.
+    fills: Vec<u64>,
 }
 
-/// Flat L1 and TLB indices where one iteration of a multiply-accumulate
-/// run found its weight and its accumulator (see
+/// Flat L1 and TLB indices where an access found its line and page (see
 /// [`Cache::access_hinted`](crate::cache::Cache::access_hinted) and
 /// [`Tlb::translate_hinted`]).
 #[derive(Debug, Clone, Copy)]
+struct Hint {
+    l1: usize,
+    tlb: usize,
+}
+
+impl Hint {
+    /// A hint that matches no line or entry.
+    const NONE: Hint = Hint {
+        l1: NO_MEMO,
+        tlb: NO_MEMO,
+    };
+}
+
+/// Where one iteration of a multiply-accumulate run found its weight and
+/// its accumulator.
+#[derive(Debug, Clone, Copy)]
 struct SlotHint {
-    weight_l1: usize,
-    weight_tlb: usize,
-    acc_l1: usize,
-    acc_tlb: usize,
+    weight: Hint,
+    acc: Hint,
 }
 
 impl SlotHint {
-    /// Hints that match no line or entry.
     const NONE: SlotHint = SlotHint {
-        weight_l1: NO_MEMO,
-        weight_tlb: NO_MEMO,
-        acc_l1: NO_MEMO,
-        acc_tlb: NO_MEMO,
+        weight: Hint::NONE,
+        acc: Hint::NONE,
     };
 }
 
@@ -163,6 +181,8 @@ impl CoreSim {
             stores: 0,
             alu_ops: 0,
             mac_hints: Vec::new(),
+            scratch_hints: [Hint::NONE; 2],
+            fills: Vec::new(),
         })
     }
 
@@ -272,6 +292,89 @@ impl CoreSim {
             left -= k;
         }
     }
+
+    /// The iterations of `run` (see [`Probe::mac_run`] for `CoreSim`),
+    /// with the prefetch targets they propose left queued in `fills`.
+    fn mac_iterations(&mut self, run: MacRun) {
+        if run.count == 0 {
+            return;
+        }
+        self.loads += 2 * run.count;
+        self.stores += run.count;
+        self.alu_ops += run.alu * run.count;
+        let prefetcher = self.hierarchy.prefetcher_mut();
+        let idle = prefetcher.acc_loads_idle();
+        let separate = prefetcher.separate_entries(run.weight_pc, run.acc_pc);
+        let mut weight_entry = if separate {
+            prefetcher.local(run.weight_pc)
+        } else {
+            None
+        };
+        let mut observe_acc = true;
+        let slots = run.count.min(HINT_SLOTS as u64) as usize;
+        if self.mac_hints.len() < slots {
+            self.mac_hints.resize(slots, SlotHint::NONE);
+        }
+        let (hierarchy, fills) = (&mut self.hierarchy, &mut self.fills);
+        let (mut weight, mut acc) = (run.weight, run.acc);
+        for i in 0..run.count {
+            let hint = &mut self.mac_hints[(i as usize).min(slots - 1)];
+            self.tlb.translate_hinted(weight, &mut hint.weight.tlb, 1);
+            let served = hierarchy.demand(weight, false, &mut hint.weight.l1, fills);
+            let miss = served != ServedBy::L1;
+            queue(
+                hierarchy,
+                fills,
+                &mut weight_entry,
+                run.weight_pc,
+                weight,
+                miss,
+            );
+            self.tlb.translate_hinted(acc, &mut hint.acc.tlb, 2);
+            let served = hierarchy.demand_load_store(acc, &mut hint.acc.l1, fills);
+            if observe_acc {
+                let miss = served != ServedBy::L1;
+                queue(hierarchy, fills, &mut None, run.acc_pc, acc, miss);
+                observe_acc = !idle;
+            }
+            if !separate {
+                hierarchy.prefetcher_mut().observe_repeat(run.acc_pc, acc);
+            }
+            weight = weight.wrapping_add_signed(run.weight_stride);
+            acc = acc.wrapping_add_signed(run.acc_stride);
+        }
+        let prefetcher = self.hierarchy.prefetcher_mut();
+        if let Some(entry) = weight_entry {
+            prefetcher.write_back(entry);
+        }
+        if separate {
+            let last = run
+                .acc
+                .wrapping_add_signed(run.acc_stride.wrapping_mul((run.count - 1) as i64));
+            prefetcher.observe_repeat(run.acc_pc, last);
+        }
+    }
+}
+
+/// The prefetcher observes a demand access to `addr` from `pc` (`miss`
+/// when L1 missed), on `local` when it holds a copy of the site's entry;
+/// the targets it proposes join `fills`.
+#[inline(always)]
+fn queue(
+    hierarchy: &mut MemoryHierarchy,
+    fills: &mut Vec<u64>,
+    local: &mut Option<LocalEntry>,
+    pc: u64,
+    addr: u64,
+    miss: bool,
+) {
+    let (targets, n) = match local {
+        Some(entry) => entry.observe(pc, addr),
+        None => hierarchy.prefetcher_mut().observe(pc, addr, miss),
+    };
+    for &target in &targets[..n] {
+        fills.push(target);
+    }
 }
 
 impl Probe for CoreSim {
@@ -295,77 +398,71 @@ impl Probe for CoreSim {
         self.run(base, stride, count, pc, true);
     }
 
-    /// Each iteration's weight load and accumulator load go through the
-    /// TLB and the hierarchy like single loads; the accumulator store is
-    /// applied in closed form (a TLB memo hit on the page the load just
-    /// translated, then `MemoryHierarchy::store_after_load`). After the
-    /// first iteration, accumulator loads skip the prefetcher when it
-    /// provably proposes nothing for them and the store after each
-    /// rewrites what it would change (`Prefetcher::acc_loads_idle`).
+    /// The prefetch targets the iterations propose are queued, not filled
+    /// (`MemoryHierarchy::fill_queued`): the queue is filled into L3 and
+    /// L2 at the end of the run, or just before a demand access that
+    /// missed L1 reaches L2, whichever comes first.
     ///
-    /// When the two sites have stride entries of their own, the stores'
-    /// rewrites of the accumulator entry, which nothing reads during the
-    /// run, are made once after it; and once the weight stream is steady
-    /// its targets are filled without observing, and its entry is
-    /// brought up to date once after the run (`Prefetcher::advance`).
+    /// Each iteration's weight load goes through the TLB and the
+    /// hierarchy like a single load. The accumulator load and the store
+    /// right after it are one hinted translation that counts twice and
+    /// one hinted L1 access that counts twice and dirties the line
+    /// (`MemoryHierarchy::demand_load_store`): the load leaves the
+    /// page and the line remembered, so the store hits both. The
+    /// store's observe proposes nothing (next-line proposes on misses
+    /// only; the stride entry, holding `acc_pc` after the load, sees
+    /// stride 0) and leaves the entry holding `acc_pc` at the
+    /// accumulator with stride 0 and confidence 0
+    /// (`Prefetcher::observe_repeat`). After the first iteration,
+    /// accumulator loads skip the prefetcher when it provably proposes
+    /// nothing for them and the store after each rewrites what it would
+    /// change (`Prefetcher::acc_loads_idle`).
     ///
-    /// The two loads' L1 lookups and translations are hinted with where
-    /// the same iteration of the previous run found its operands: runs
-    /// one kernel tap apart revisit the same lines iteration by
-    /// iteration.
+    /// When the two sites have stride entries of their own, nothing but
+    /// the weight loads reads or writes the weight entry during the run,
+    /// so they observe a copy of it, written back once after the run;
+    /// and the stores' rewrites of the accumulator entry, which nothing
+    /// reads after the first iteration's load, are made once after it.
+    ///
+    /// The weight and accumulator lookups and translations are hinted
+    /// with where the same iteration of the previous run found its
+    /// operands: runs one kernel tap apart revisit the same lines
+    /// iteration by iteration.
     fn mac_run(&mut self, run: MacRun) {
-        self.loads += 2 * run.count;
-        self.stores += run.count;
-        self.alu_ops += run.alu * run.count;
-        let prefetcher = self.hierarchy.prefetcher_mut();
-        let idle = prefetcher.acc_loads_idle();
-        let separate = prefetcher.separate_entries(run.weight_pc, run.acc_pc);
-        let store_pc = (!separate).then_some(run.acc_pc);
-        let mut observe_acc = true;
-        let mut weight_steady = false;
-        let slots = run.count.min(HINT_SLOTS as u64) as usize;
-        if self.mac_hints.len() < slots {
-            self.mac_hints.resize(slots, SlotHint::NONE);
+        self.mac_iterations(run);
+        self.hierarchy.fill_queued(&mut self.fills);
+    }
+
+    /// The two scratch stores go through the TLB and the hierarchy as
+    /// single stores, each with a hint of its own, since the two
+    /// alternate between the value and the index array. Nothing else
+    /// runs between them, so the stride prefetcher observes both on a
+    /// copy of the scratch site's entry, written back once. Then the
+    /// run, as in [`mac_run`](Probe::mac_run), with the stores' fills
+    /// queued in front of the run's.
+    fn tap(&mut self, tap: Tap) {
+        self.stores += 2;
+        let pc = tap.scratch_pc;
+        let mut entry = self.hierarchy.prefetcher_mut().local(pc);
+        for (addr, hint) in tap.scratch.into_iter().zip(&mut self.scratch_hints) {
+            self.tlb.translate_hinted(addr, &mut hint.tlb, 1);
+            let served = self
+                .hierarchy
+                .demand(addr, true, &mut hint.l1, &mut self.fills);
+            let miss = served != ServedBy::L1;
+            queue(
+                &mut self.hierarchy,
+                &mut self.fills,
+                &mut entry,
+                pc,
+                addr,
+                miss,
+            );
         }
-        let mut slot = 0;
-        run.for_each(|weight, acc| {
-            let hint = &mut self.mac_hints[slot];
-            slot = (slot + 1).min(slots - 1);
-            self.tlb.translate_hinted(weight, &mut hint.weight_tlb);
-            if separate && !weight_steady {
-                let prefetcher = self.hierarchy.prefetcher_mut();
-                weight_steady = prefetcher
-                    .steady(run.weight_pc, weight, run.weight_stride)
-                    .is_some();
-            }
-            if weight_steady {
-                self.hierarchy
-                    .steady_load(weight, run.weight_stride, &mut hint.weight_l1);
-            } else {
-                let served = self.hierarchy.demand(weight, false, &mut hint.weight_l1);
-                self.hierarchy
-                    .prefetch(run.weight_pc, weight, served != ServedBy::L1);
-            }
-            self.tlb.translate_hinted(acc, &mut hint.acc_tlb);
-            let served = self.hierarchy.demand(acc, false, &mut hint.acc_l1);
-            if observe_acc {
-                self.hierarchy
-                    .prefetch(run.acc_pc, acc, served != ServedBy::L1);
-                observe_acc = !idle;
-            }
-            self.tlb.repeat_memo_hits(1);
-            self.hierarchy.store_after_load(acc, store_pc);
-        });
-        if separate && run.count > 0 {
-            let last = |base: u64, stride: i64| {
-                base.wrapping_add_signed(stride.wrapping_mul((run.count - 1) as i64))
-            };
-            let prefetcher = self.hierarchy.prefetcher_mut();
-            if weight_steady {
-                prefetcher.advance(run.weight_pc, last(run.weight, run.weight_stride));
-            }
-            prefetcher.observe_repeat(run.acc_pc, last(run.acc, run.acc_stride));
+        if let Some(entry) = entry {
+            self.hierarchy.prefetcher_mut().write_back(entry);
         }
+        self.mac_run(tap.run);
     }
 
     fn branch(&mut self, pc: u64, taken: bool) {
@@ -511,6 +608,51 @@ mod tests {
         assert_eq!(c.hierarchy().stats().demand_cycles, 22 * 4 + 2 * 200);
     }
 
+    #[test]
+    fn a_weight_that_misses_l1_finds_the_fills_queued_before_it() {
+        use crate::prefetch::PrefetcherKind;
+
+        let mut config = CoreConfig::tiny();
+        config.hierarchy.prefetcher = PrefetcherKind::Stride;
+        let [mut fast, mut slow] = [(); 2].map(|_| CoreSim::new(config).unwrap());
+        // Weights one line apart, each missing L1; one accumulator. The
+        // fourth weight load makes the stream confident and proposes
+        // lines 4 and 5, which wait in the queue while the accumulator
+        // hits L1; the fifth weight misses L1 and must find line 4 in
+        // L2, so the queue is filled before its L2 lookup.
+        let run = MacRun {
+            weight: 0,
+            weight_stride: 64,
+            weight_pc: 0x40_0100,
+            acc: 0x10000,
+            acc_stride: 0,
+            acc_pc: 0x40_0140,
+            alu: 2,
+            count: 6,
+        };
+        fast.mac_run(run);
+        mac_run_per_element(&mut slow, run);
+        assert!(fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb());
+        let s = fast.snapshot();
+        assert_eq!(s, slow.snapshot());
+        assert_eq!((s.loads, s.stores, s.instructions), (12, 6, 30));
+        // Six weight misses and the accumulator's cold miss.
+        assert_eq!((s.l1d_accesses, s.l1d_misses), (18, 7));
+        // Seven demand lookups, of which weights 4 and 5 hit the lines
+        // prefetched for them, and six fills: lines 4, 5 (misses), 5
+        // (a hit), 6 (a miss), 6 (a hit), 7 (a miss).
+        assert_eq!((s.l2_accesses, s.l2_misses), (13, 9));
+        assert_eq!((s.llc_references, s.llc_misses, s.prefetches), (11, 9, 6));
+        assert_eq!(s.dtlb_misses, 2);
+        assert_eq!(fast.tlb().stats().accesses, 18);
+        // 11 L1 hits, five DRAM fills on demand, two L2 hits.
+        assert_eq!(
+            fast.hierarchy().stats().demand_cycles,
+            11 * 4 + 5 * 200 + 2 * 12
+        );
+        assert!(fast.fills.is_empty(), "the run leaves no fill queued");
+    }
+
     /// The events of `run` one by one, as the trait's default makes them.
     fn mac_run_per_element(c: &mut CoreSim, run: MacRun) {
         run.for_each(|weight, acc| {
@@ -541,14 +683,14 @@ mod tests {
         mac_run_per_element(&mut slow, first);
         let hint = fast.mac_hints[0];
         let l1 = |c: &CoreSim, addr| c.hierarchy().l1d().index_of(addr);
-        assert_eq!(Some(hint.weight_l1), l1(&fast, 0));
+        assert_eq!(Some(hint.weight.l1), l1(&fast, 0));
         // Page 16 replaces page 0, which then replaces page 8; lines 8
         // and 16 push line 0 out of way 0, and it comes back in way 1.
         for addr in [0x100c0, 0x200, 0x400, 0x0] {
             fast.load(addr, 0x100);
             slow.load(addr, 0x100);
         }
-        assert!(l1(&fast, 0).is_some_and(|idx| idx != hint.weight_l1));
+        assert!(l1(&fast, 0).is_some_and(|idx| idx != hint.weight.l1));
         // One kernel tap on: the same lines, iteration by iteration.
         let next = MacRun {
             weight: 4,
@@ -559,9 +701,9 @@ mod tests {
         mac_run_per_element(&mut slow, next);
         assert_eq!(fast.snapshot(), slow.snapshot());
         assert!(fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb());
-        assert_eq!(Some(fast.mac_hints[0].weight_l1), l1(&fast, 0));
-        assert_ne!(fast.mac_hints[0].weight_tlb, hint.weight_tlb);
-        assert_ne!(fast.mac_hints[0].acc_tlb, hint.acc_tlb);
+        assert_eq!(Some(fast.mac_hints[0].weight.l1), l1(&fast, 0));
+        assert_ne!(fast.mac_hints[0].weight.tlb, hint.weight.tlb);
+        assert_ne!(fast.mac_hints[0].acc.tlb, hint.acc.tlb);
     }
 
     #[test]

@@ -175,11 +175,58 @@ impl MemoryHierarchy {
 
     /// The demand half of [`access`](Self::access), with the L1 lookup
     /// hinted (see [`Cache::access_hinted`]): the lookup down the
-    /// levels, the writeback of a dirty L1 victim and the latency.
+    /// levels, the writeback of a dirty L1 victim and the latency. When
+    /// L1 misses, the prefetch targets queued in `fills` are filled
+    /// first (see [`fill_queued`](Self::fill_queued)).
     #[inline]
-    pub(crate) fn demand(&mut self, addr: u64, write: bool, hint: &mut usize) -> ServedBy {
+    pub(crate) fn demand(
+        &mut self,
+        addr: u64,
+        write: bool,
+        hint: &mut usize,
+        fills: &mut Vec<u64>,
+    ) -> ServedBy {
         let l1 = self.l1d.access_hinted(addr, write, hint);
+        self.below_l1_after(addr, l1, fills)
+    }
+
+    /// [`demand`](Self::demand) for a load of `addr` and a store to it
+    /// right after, whose L1 effects are applied in one hinted access
+    /// (see [`Cache::load_store_hinted`]). The store hits the line the
+    /// load left in L1, so what follows is the load's: it returns the
+    /// level that served the load.
+    #[inline]
+    pub(crate) fn demand_load_store(
+        &mut self,
+        addr: u64,
+        hint: &mut usize,
+        fills: &mut Vec<u64>,
+    ) -> ServedBy {
+        let l1 = self.l1d.load_store_hinted(addr, hint);
+        self.below_l1_after(addr, l1, fills)
+    }
+
+    /// [`below_l1`](Self::below_l1), after filling the queued targets
+    /// when L1 missed: those fills precede this access, and only an L1
+    /// miss reaches L2 and L3.
+    #[inline]
+    fn below_l1_after(&mut self, addr: u64, l1: AccessOutcome, fills: &mut Vec<u64>) -> ServedBy {
+        if !l1.hit {
+            self.fill_queued(fills);
+        }
         self.below_l1(addr, l1)
+    }
+
+    /// Fills the prefetch targets queued in `fills`, in queue order, and
+    /// empties the queue. Deferring a fill past later L1 hits is exact:
+    /// L2 and L3 are touched only by fills and by the accesses that
+    /// miss L1, and L1 never reads them.
+    #[inline]
+    pub(crate) fn fill_queued(&mut self, fills: &mut Vec<u64>) {
+        if !fills.is_empty() {
+            self.fill(fills);
+            fills.clear();
+        }
     }
 
     /// What follows L1's outcome `l1` for a demand access to `addr`.
@@ -214,47 +261,18 @@ impl MemoryHierarchy {
     /// exactly as on real PMUs — prefetching hides *latency*, not
     /// *traffic*.
     #[inline]
-    pub(crate) fn prefetch(&mut self, pc: u64, addr: u64, miss: bool) {
+    fn prefetch(&mut self, pc: u64, addr: u64, miss: bool) {
         let (targets, n) = self.prefetcher.observe(pc, addr, miss);
         self.fill(&targets[..n]);
     }
 
-    /// Prefetches `targets` into L3 and L2.
+    /// Prefetches `targets` into L3 and L2, one cache after the other:
+    /// the two hold separate state, so this equals filling each target
+    /// into L3 and then L2 in turn (see [`Cache::read_all`]).
     #[inline]
     fn fill(&mut self, targets: &[u64]) {
-        for &t in targets {
-            self.l3.access(t, false);
-            self.l2.access(t, false);
-        }
-    }
-
-    /// A store to `addr` from `pc` right after a load of `addr` from
-    /// `pc`, in closed form: the load left `addr`'s line remembered in
-    /// L1, so the store is a memo hit there (dirtying the line under
-    /// write-back; a write-through hit is not forwarded, as in
-    /// [`access`](Self::access)), costs the L1 latency and proposes no
-    /// prefetch (see [`Prefetcher::observe_repeat`]). The effect equals
-    /// `access(addr, true, pc)`; with `pc` `None` the prefetcher's
-    /// `observe_repeat` is left to the caller.
-    #[inline]
-    pub(crate) fn store_after_load(&mut self, addr: u64, pc: Option<u64>) {
-        debug_assert_eq!(self.l1d.memo_run(addr, 0, 1), 1, "load left the line");
-        self.l1d.repeat_memo_hits(1, true);
-        if let Some(pc) = pc {
-            self.prefetcher.observe_repeat(pc, addr);
-        }
-    }
-
-    /// A load of `addr` whose site's stride entry is steady on it (see
-    /// [`Prefetcher::steady`]): the demand half of
-    /// [`access`](Self::access), then the targets the observe would
-    /// propose, filled directly. The entry is left to one
-    /// [`Prefetcher::advance`] after the run's last such load.
-    #[inline]
-    pub(crate) fn steady_load(&mut self, addr: u64, stride: i64, hint: &mut usize) {
-        self.demand(addr, false, hint);
-        let (targets, n) = self.prefetcher.steady_targets(addr, stride);
-        self.fill(&targets[..n]);
+        self.l3.read_all(targets);
+        self.l2.read_all(targets);
     }
 
     /// The prefetcher, for the multiply-accumulate runs of

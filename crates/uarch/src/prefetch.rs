@@ -146,17 +146,51 @@ impl Prefetcher {
         matches!(self, Prefetcher::Stride(p) if (a ^ b) & p.mask != 0)
     }
 
-    /// The targets of a steady access to `addr` of a run with `stride`
-    /// (see [`steady`](Self::steady)), computed as
-    /// [`observe`](Self::observe) computes them but leaving the entry as
-    /// it is: a run of steady accesses is brought up to date by one
-    /// [`advance`](Self::advance) after its last.
+    /// A copy of the stride entry of load site `pc`, to observe a
+    /// stream of that site's accesses on (see [`LocalEntry`]); `None`
+    /// unless this is the stride prefetcher.
     #[inline]
-    pub(crate) fn steady_targets(&self, addr: u64, stride: i64) -> ([u64; 2], usize) {
+    pub(crate) fn local(&self, pc: u64) -> Option<LocalEntry> {
         match self {
-            Prefetcher::Stride(p) => p.targets(addr, stride),
-            Prefetcher::None | Prefetcher::NextLine(_) => ([0; 2], 0),
+            Prefetcher::Stride(p) => {
+                let idx = (pc & p.mask) as usize;
+                Some(LocalEntry {
+                    idx,
+                    entry: p.table[idx],
+                    degree: p.degree,
+                })
+            }
+            Prefetcher::None | Prefetcher::NextLine(_) => None,
         }
+    }
+
+    /// Writes `local` back to the entry it was copied from.
+    #[inline]
+    pub(crate) fn write_back(&mut self, local: LocalEntry) {
+        if let Prefetcher::Stride(p) = self {
+            p.table[local.idx] = local.entry;
+        }
+    }
+}
+
+/// A copy of one stride-table entry, taken by [`Prefetcher::local`]:
+/// observing it proposes what [`Prefetcher::observe`] would, and leaves
+/// the copy as `observe` would leave the entry. It stands in for the
+/// entry while nothing else reads or writes that entry; one
+/// [`Prefetcher::write_back`] then brings the table up to date.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LocalEntry {
+    idx: usize,
+    entry: StrideEntry,
+    degree: usize,
+}
+
+impl LocalEntry {
+    /// [`StridePrefetcher::observe`] of an access to `addr` from `pc`,
+    /// on the copy.
+    #[inline]
+    pub(crate) fn observe(&mut self, pc: u64, addr: u64) -> ([u64; 2], usize) {
+        self.entry.observe(pc, addr, self.degree)
     }
 }
 
@@ -192,6 +226,44 @@ struct StrideEntry {
     stride: i64,
     confidence: u8,
     valid: bool,
+}
+
+impl StrideEntry {
+    /// See [`StridePrefetcher::observe`]: the entry of `pc`'s slot
+    /// observes an access to `addr` at prefetch degree `degree`.
+    #[inline]
+    fn observe(&mut self, pc: u64, addr: u64, degree: usize) -> ([u64; 2], usize) {
+        if !self.valid || self.pc != pc {
+            *self = StrideEntry {
+                pc,
+                last_addr: addr,
+                stride: 0,
+                confidence: 0,
+                valid: true,
+            };
+            return ([0; 2], 0);
+        }
+        let stride = addr.wrapping_sub(self.last_addr) as i64;
+        if stride == self.stride && stride != 0 {
+            self.confidence = (self.confidence + 1).min(3);
+        } else {
+            self.stride = stride;
+            self.confidence = 0;
+        }
+        self.last_addr = addr;
+        if self.confidence < 2 {
+            return ([0; 2], 0);
+        }
+        let mut targets = ([0; 2], 0);
+        for d in 1..=degree {
+            let target = addr as i128 + stride as i128 * d as i128;
+            if (0..=i64::MAX as i128).contains(&target) {
+                targets.0[targets.1] = target as u64;
+                targets.1 += 1;
+            }
+        }
+        targets
+    }
 }
 
 /// IP-stride prefetcher: learns a per-load-site stride and, once confident,
@@ -236,44 +308,7 @@ impl StridePrefetcher {
     #[inline]
     pub fn observe(&mut self, pc: u64, addr: u64) -> ([u64; 2], usize) {
         let idx = (pc & self.mask) as usize;
-        let e = &mut self.table[idx];
-        if !e.valid || e.pc != pc {
-            *e = StrideEntry {
-                pc,
-                last_addr: addr,
-                stride: 0,
-                confidence: 0,
-                valid: true,
-            };
-            return ([0; 2], 0);
-        }
-        let stride = addr.wrapping_sub(e.last_addr) as i64;
-        if stride == e.stride && stride != 0 {
-            e.confidence = (e.confidence + 1).min(3);
-        } else {
-            e.stride = stride;
-            e.confidence = 0;
-        }
-        e.last_addr = addr;
-        if e.confidence < 2 {
-            return ([0; 2], 0);
-        }
-        self.targets(addr, stride)
-    }
-
-    /// The up to `degree` addresses one `stride` apart after `addr`, those
-    /// outside `0..=i64::MAX` dropped.
-    #[inline]
-    fn targets(&self, addr: u64, stride: i64) -> ([u64; 2], usize) {
-        let mut targets = ([0; 2], 0);
-        for d in 1..=self.degree {
-            let target = addr as i128 + stride as i128 * d as i128;
-            if (0..=i64::MAX as i128).contains(&target) {
-                targets.0[targets.1] = target as u64;
-                targets.1 += 1;
-            }
-        }
-        targets
+        self.table[idx].observe(pc, addr, self.degree)
     }
 
     /// See [`Prefetcher::steady`]: the entry of `pc` holds `stride`, its
@@ -436,6 +471,27 @@ mod tests {
         }
         advanced.advance(0x40, 9 * 64);
         assert_eq!(advanced, stepped);
+    }
+
+    #[test]
+    fn a_local_entry_observes_as_the_table_does() {
+        let mut table = Prefetcher::new(PrefetcherKind::Stride, 64);
+        table.observe(0x40, 4096, false);
+        let mut copied = table.clone();
+        // A site of its own, then one aliasing it (same slot, another
+        // pc): each observes a copy, written back once.
+        for pc in [0x40, 0x140] {
+            let mut local = copied.local(pc).expect("a stride entry");
+            for i in 0..7u64 {
+                let addr = 4096 + 100 * i;
+                assert_eq!(local.observe(pc, addr), table.observe(pc, addr, false));
+            }
+            copied.write_back(local);
+            assert_eq!(copied, table, "pc {pc:#x}");
+        }
+        for kind in [PrefetcherKind::None, PrefetcherKind::NextLine] {
+            assert!(Prefetcher::new(kind, 64).local(0x40).is_none());
+        }
     }
 
     #[test]

@@ -14,8 +14,9 @@
 /// empty defaults so lightweight probes only override what they observe;
 /// the run methods ([`load_run`](Self::load_run),
 /// [`store_run`](Self::store_run), [`mac_run`](Self::mac_run)) default
-/// to one single-event call per element, so a probe that overrides only
-/// the single events still sees every event of a run.
+/// to one single-event call per element, and [`tap`](Self::tap) to its
+/// two stores and its run, so a probe that overrides only the single
+/// events still sees every event of a run.
 pub trait Probe {
     /// A data load at virtual address `addr`, issued by the load
     /// instruction at program counter `pc` (the PC lets PC-indexed
@@ -63,6 +64,17 @@ pub trait Probe {
             self.alu(run.alu);
             self.store(acc, run.acc_pc);
         });
+    }
+
+    /// One convolution tap (see [`Tap`]): the stores to `tap.scratch[0]`
+    /// and `tap.scratch[1]` from `tap.scratch_pc`, then
+    /// [`mac_run`](Self::mac_run)`(tap.run)`, which is what the default
+    /// makes. Probes that can account for a tap faster override it.
+    fn tap(&mut self, tap: Tap) {
+        for addr in tap.scratch {
+            self.store(addr, tap.scratch_pc);
+        }
+        self.mac_run(tap.run);
     }
 
     /// A conditional branch at program location `pc` whose outcome was
@@ -124,6 +136,20 @@ impl MacRun {
             acc = acc.wrapping_add_signed(self.acc_stride);
         }
     }
+}
+
+/// One tap of a convolution's scatter: the input pixel's entry is
+/// appended to a lowering scratch (a store to the value array, then one
+/// to the index array, both from `scratch_pc`), and then `run`
+/// multiply-accumulates it into every filter's output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tap {
+    /// Addresses of the two scratch stores, in order.
+    pub scratch: [u64; 2],
+    /// Store site of the scratch entries.
+    pub scratch_pc: u64,
+    /// The multiply-accumulate run after the stores.
+    pub run: MacRun,
 }
 
 /// A probe that ignores everything — the zero-cost fast path.
@@ -192,6 +218,11 @@ impl Probe for CountingProbe {
         self.loads += 2 * run.count;
         self.stores += run.count;
         self.alu_ops += run.alu * run.count;
+    }
+
+    fn tap(&mut self, tap: Tap) {
+        self.stores += 2;
+        self.mac_run(tap.run);
     }
 
     fn branch(&mut self, _pc: u64, taken: bool) {
@@ -289,8 +320,16 @@ mod tests {
             fast.mac_run(run);
             slow.mac_run(run);
             assert_eq!(fast, slow.0, "{count}-iteration run");
+            let tap = Tap {
+                scratch: [0x2000, u64::MAX],
+                scratch_pc: 0xc0,
+                run,
+            };
+            fast.tap(tap);
+            slow.tap(tap);
+            assert_eq!(fast, slow.0, "tap of a {count}-iteration run");
         }
-        assert_eq!((fast.loads, fast.stores, fast.alu_ops), (1014, 507, 1014));
+        assert_eq!((fast.loads, fast.stores, fast.alu_ops), (2028, 1022, 2028));
     }
 
     #[test]
@@ -340,6 +379,33 @@ mod tests {
                 (2, false),
                 (u64::MAX, true),
                 (0, false),
+                (0, false),
+                (2, false),
+                (0, true)
+            ]
+        );
+        // A tap: its two scratch stores, then its run.
+        let mut p = Addrs::default();
+        p.tap(Tap {
+            scratch: [16, u64::MAX],
+            scratch_pc: 0xc0,
+            run: MacRun {
+                weight: 8,
+                weight_stride: 4,
+                weight_pc: 0x40,
+                acc: 0,
+                acc_stride: 0,
+                acc_pc: 0x80,
+                alu: 2,
+                count: 1,
+            },
+        });
+        assert_eq!(
+            p.0,
+            [
+                (16, true),
+                (u64::MAX, true),
+                (8, false),
                 (0, false),
                 (2, false),
                 (0, true)

@@ -162,17 +162,20 @@ impl Tlb {
         false
     }
 
-    /// [`translate`](Self::translate), trying `hint` first: a flat index
-    /// (`set * associativity + way`) where an earlier translation found
-    /// an entry. The hint counts only when it is a way of `addr`'s set
-    /// whose entry is valid and holds `addr`'s page. A set never holds a
-    /// page twice (a page is installed only after a scan missed it), so
-    /// that is the entry the scan would find, and the hit is applied
-    /// exactly as `translate` applies it: clock, stamp and memo.
-    /// Otherwise the translation takes the usual path and `hint` becomes
-    /// the index of the page's entry. Any value is a safe hint.
+    /// `uses ≥ 1` translations of `addr`'s page in a row, as that many
+    /// calls of [`translate`](Self::translate) make them, trying `hint`
+    /// first: a flat index (`set * associativity + way`) where an
+    /// earlier translation found an entry. The hint counts only when it
+    /// is a way of `addr`'s set whose entry is valid and holds `addr`'s
+    /// page. A set never holds a page twice (a page is installed only
+    /// after a scan missed it), so that is the entry the scan would
+    /// find, and the hits are applied exactly as `translate` applies
+    /// them: clock, stamp and memo. Otherwise the first translation
+    /// takes the usual path, the rest hit the page it left remembered,
+    /// and `hint` becomes the index of the page's entry. Any value is a
+    /// safe hint. Returns whether the first translation hit.
     #[inline(always)]
-    pub(crate) fn translate_hinted(&mut self, addr: u64, hint: &mut usize) -> bool {
+    pub(crate) fn translate_hinted(&mut self, addr: u64, hint: &mut usize, uses: u64) -> bool {
         let vpn = addr >> self.page_shift;
         let ways = self.config.associativity;
         let idx = *hint;
@@ -180,13 +183,16 @@ impl Tlb {
             && self.stamps[idx] != 0
             && self.vpns[idx] == vpn
         {
-            self.clock += 1;
+            self.clock += uses;
             self.stamps[idx] = self.clock;
             self.last_vpn = vpn;
             self.last_idx = idx;
             return true;
         }
         let hit = self.translate(addr);
+        if uses > 1 {
+            self.repeat_memo_hits(uses - 1);
+        }
         *hint = self.last_idx;
         hit
     }
@@ -321,8 +327,15 @@ mod tests {
                 _ => {}
             }
             let before = hints[slot];
-            let hit = hinted.translate_hinted(addr, &mut hints[slot]);
+            let uses = 1 + u64::from(step % 3 == 0);
+            let hit = hinted.translate_hinted(addr, &mut hints[slot], uses);
             assert_eq!(hit, plain.translate(addr), "step {step}");
+            if uses > 1 {
+                assert!(
+                    plain.translate(addr),
+                    "step {step}: the page just translated"
+                );
+            }
             assert!(hinted == plain, "step {step}");
             hint_hits += usize::from(hints[slot] == before && hit);
         }

@@ -6,9 +6,9 @@
 //! — access outcomes, statistics, occupancy, residency probes, prefetch
 //! targets, TLB verdicts and whole-core counter snapshots — must match
 //! exactly. A failing case prints its configuration and step. Runs
-//! (`Probe::load_run`/`store_run`/`mac_run`) are also checked against
-//! the same events made one by one on a second production core, whose
-//! whole state must match.
+//! (`Probe::load_run`/`store_run`/`mac_run`) and convolution taps
+//! (`Probe::tap`) are also checked against the same events made one by
+//! one on a second production core, whose whole state must match.
 
 mod reference;
 
@@ -20,7 +20,7 @@ use scnn_rng::{ChaCha8Rng, Rng, SeedableRng};
 use scnn_uarch::cache::{Cache, CacheConfig, ReplacementPolicy, WritePolicy};
 use scnn_uarch::hierarchy::{HierarchyConfig, MemoryHierarchy};
 use scnn_uarch::prefetch::Prefetcher;
-use scnn_uarch::{CoreConfig, CoreSim, MacRun, PrefetcherKind, Probe, Tlb, TlbConfig};
+use scnn_uarch::{CoreConfig, CoreSim, MacRun, PrefetcherKind, Probe, Tap, Tlb, TlbConfig};
 
 /// (size, ways, line): direct-mapped, small, odd way counts for the PLRU
 /// tree, and the 64-way limit.
@@ -714,6 +714,90 @@ fn mac_runs_match_per_element_events_for_every_cache_shape() {
                 slow.snapshot(),
                 "{case} step {step}: {op:?}"
             );
+            assert_eq!(
+                fast.snapshot(),
+                reference.snapshot(),
+                "{case} step {step}: {op:?}"
+            );
+            assert!(
+                fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb(),
+                "{case} step {step}: {op:?} left another state than per-element events"
+            );
+        }
+    }
+}
+
+/// Scratch store sites of taps, for a run's (weight, accumulator) sites:
+/// a stride entry of its own, the weight's or the accumulator's site,
+/// and a site aliasing the weight's or the accumulator's entry.
+fn scratch_pc(rng: &mut ChaCha8Rng, (weight_pc, acc_pc): (u64, u64)) -> u64 {
+    match rng.gen_range(0u32..5) {
+        0 => 0x40_01c0,
+        1 => weight_pc,
+        2 => acc_pc,
+        3 => weight_pc ^ 0x1000,
+        _ => acc_pc ^ 0x1_0000,
+    }
+}
+
+/// One step of a convolution-tap workload.
+#[derive(Debug, Clone, Copy)]
+enum TapStep {
+    Tap(Tap),
+    Op(CoreOp),
+}
+
+/// The runs of [`mac_steps`] as taps: before each run, two stores from
+/// one scratch site, to the next element of a value array and of an
+/// index array (a few lines to a few pages apart, or wrapping past
+/// `u64::MAX`), both arrays restarting now and then.
+fn tap_steps(rng: &mut ChaCha8Rng, len: usize) -> Vec<TapStep> {
+    let mut scratch = [0u64; 2];
+    let mut pc = 0;
+    mac_steps(rng, len)
+        .into_iter()
+        .map(|step| match step {
+            MacStep::Run(run) => {
+                if pc == 0 || rng.gen_range(0u32..6) == 0 {
+                    let value = mac_base(rng);
+                    let gap = [256, 4096, 40_000][rng.gen_range(0..3)];
+                    scratch = [value, value.wrapping_add(gap)];
+                    pc = scratch_pc(rng, (run.weight_pc, run.acc_pc));
+                }
+                let tap = Tap {
+                    scratch,
+                    scratch_pc: pc,
+                    run,
+                };
+                scratch = scratch.map(|addr| addr.wrapping_add(4));
+                TapStep::Tap(tap)
+            }
+            MacStep::Op(op) => TapStep::Op(op),
+        })
+        .collect()
+}
+
+#[test]
+fn taps_match_per_element_events_for_every_cache_shape() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xd1ff_000a);
+    for config in every_cache_shape() {
+        let case = format!("{config:?}");
+        let mut fast = CoreSim::new(config).unwrap();
+        let mut slow = CoreSim::new(config).unwrap();
+        let mut reference = RefCore::new(config);
+        for (step, op) in tap_steps(&mut rng, 60).into_iter().enumerate() {
+            match op {
+                TapStep::Tap(tap) => {
+                    fast.tap(tap);
+                    PerElement(&mut slow).tap(tap);
+                    reference.tap(tap);
+                }
+                TapStep::Op(op) => {
+                    apply_to(&mut fast, op);
+                    apply_to(&mut slow, op);
+                    apply_to(&mut reference, op);
+                }
+            }
             assert_eq!(
                 fast.snapshot(),
                 reference.snapshot(),
