@@ -39,12 +39,13 @@ step "release-build kernel tests (the optimised, vectorised code that ships: ten
 # The debug-build run above does not autovectorise; the GEMM tiles and
 # im2col row segments must also hold bit for bit as release compiles them.
 # The simulator's way hints, fill queues and closed-form chunks ship
-# optimised too, and zoo_differential and oblivious_runs drive them
-# through real traced inferences on every preset.
+# optimised too: its differential tests and its hand-computed unit
+# tests run in release, and zoo_differential and oblivious_runs drive
+# them through real traced inferences on every preset.
 cargo test -q --release --offline -p scnn-tensor
 cargo test -q --release --offline -p scnn-nn --test batch
 cargo test -q --release --offline -p scnn-nn --test train_pin
-cargo test -q --release --offline -p scnn-uarch --test differential
+cargo test -q --release --offline -p scnn-uarch
 cargo test -q --release --offline -p scnn-core --test count_pin
 cargo test -q --release --offline -p scnn-core --test zoo_differential --test oblivious_runs
 

@@ -13,7 +13,7 @@ use crate::collect::TracedClassifier;
 use scnn_nn::{Network, NnError};
 use scnn_rng::{ChaCha8Rng, Rng, SeedableRng};
 use scnn_tensor::Tensor;
-use scnn_uarch::{MacRun, Probe, Tap};
+use scnn_uarch::{Block, Probe};
 
 /// A deployable countermeasure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,17 +117,12 @@ struct ShapeCounts {
 }
 
 impl ShapeCounts {
-    /// Counts the events of a multiply-accumulate run.
-    fn add_mac_run(&mut self, run: &MacRun) {
-        self.loads += 2 * run.count;
-        self.stores += run.count;
-        self.alu += run.alu * run.count;
-    }
-
-    /// Counts the events of a convolution tap: two stores and a run.
-    fn add_tap(&mut self, tap: &Tap) {
-        self.stores += 2;
-        self.add_mac_run(&tap.run);
+    /// Counts the events of a block.
+    fn add_block(&mut self, block: &Block) {
+        let counts = block.counts();
+        self.loads += counts.loads;
+        self.stores += counts.stores;
+        self.alu += counts.alu;
     }
 
     fn max(self, other: ShapeCounts) -> ShapeCounts {
@@ -174,12 +169,8 @@ impl Probe for WindowCounter {
         self.current.alu += n;
     }
 
-    fn mac_run(&mut self, run: MacRun) {
-        self.current.add_mac_run(&run);
-    }
-
-    fn tap(&mut self, tap: Tap) {
-        self.current.add_tap(&tap);
+    fn block(&mut self, block: Block) {
+        self.current.add_block(&block);
     }
 
     fn layer_boundary(&mut self, _index: usize) {
@@ -239,17 +230,19 @@ impl<'p> PaddingProbe<'p> {
     }
 
     /// `n` padding loads or stores walking the arena from the cursor, as
-    /// one run per arena segment: a walk that reaches the arena's end
-    /// goes on from its start in a new run.
+    /// one stream block per arena segment: a walk that reaches the
+    /// arena's end goes on from its start in a new block.
     fn walk(&mut self, mut n: u64, write: bool) {
         while n > 0 {
             let i = self.cursor % PAD_ARENA;
             let k = n.min(PAD_ARENA - i);
-            if write {
-                self.inner.store_run(PAD_BASE + i * 4, 4, k, PAD_PC);
-            } else {
-                self.inner.load_run(PAD_BASE + i * 4, 4, k, PAD_PC);
-            }
+            self.inner.block(Block::Stream {
+                base: PAD_BASE + i * 4,
+                stride: 4,
+                count: k,
+                pc: PAD_PC,
+                write,
+            });
             self.cursor += k;
             n -= k;
         }
@@ -285,14 +278,9 @@ impl Probe for PaddingProbe<'_> {
         self.inner.alu(n);
     }
 
-    fn mac_run(&mut self, run: MacRun) {
-        self.current.add_mac_run(&run);
-        self.inner.mac_run(run);
-    }
-
-    fn tap(&mut self, tap: Tap) {
-        self.current.add_tap(&tap);
-        self.inner.tap(tap);
+    fn block(&mut self, block: Block) {
+        self.current.add_block(&block);
+        self.inner.block(block);
     }
 
     fn layer_boundary(&mut self, index: usize) {
@@ -668,14 +656,19 @@ mod tests {
             fn store(&mut self, addr: u64, _pc: u64) {
                 self.accesses.push((addr, true));
             }
-            fn load_run(&mut self, base: u64, stride: i64, count: u64, pc: u64) {
-                assert_eq!((stride, pc), (4, PAD_PC));
-                self.runs.push((base, count));
-                let mut addr = base;
-                for _ in 0..count {
-                    self.load(addr, pc);
-                    addr = addr.wrapping_add_signed(stride);
+            fn block(&mut self, block: Block) {
+                if let Block::Stream {
+                    base,
+                    stride,
+                    count,
+                    pc,
+                    write: false,
+                } = block
+                {
+                    assert_eq!((stride, pc), (4, PAD_PC));
+                    self.runs.push((base, count));
                 }
+                block.replay(self);
             }
         }
         let ceiling = ShapeCounts {

@@ -44,7 +44,9 @@
 //! from submission to completion — queueing included, because that is
 //! the latency a submitter experiences. A line that fails to parse is
 //! rejected with a response of id `null` (or the id, when one could be
-//! salvaged) rather than killing the connection.
+//! salvaged) rather than killing the connection. So is a line longer
+//! than [`MAX_LINE_BYTES`], whose excess is skipped without being
+//! kept, and a line that is not UTF-8.
 //!
 //! Responses arrive in **completion order**, not submission order — the
 //! id is the correlation key. With `workers = 1` the loop degrades to
@@ -54,13 +56,67 @@
 use crate::json::{self, ObjectWriter, ToJson};
 use crate::pipeline::CacheUsage;
 use scnn_par::{Pool, Threads};
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
 
 /// The reserved command that ends the serve loop.
 pub const SHUTDOWN_COMMAND: &str = "shutdown";
+
+/// The longest job line [`serve`] accepts: its bytes before the `\n`. A
+/// job object takes a few hundred; a longer line is rejected, and
+/// [`serve`] keeps none of its bytes past this cap.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// The next line of `input`, without its `\n` or `\r\n`: `None` at the
+/// end of the input, `Some(Err(message))` for a line longer than
+/// [`MAX_LINE_BYTES`] or not UTF-8. At most [`MAX_LINE_BYTES`] bytes of a
+/// line are held in memory, however long it runs.
+fn next_line(input: &mut impl BufRead) -> io::Result<Option<Result<String, String>>> {
+    let mut line = Vec::new();
+    let (mut read, mut too_long) = (0, false);
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            break;
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let part = &chunk[..newline.unwrap_or(chunk.len())];
+        if !too_long {
+            too_long = line.len() + part.len() > MAX_LINE_BYTES;
+            if too_long {
+                line = Vec::new();
+            } else {
+                line.extend_from_slice(part);
+            }
+        }
+        let used = part.len() + usize::from(newline.is_some());
+        read += used;
+        input.consume(used);
+        if newline.is_some() {
+            break;
+        }
+    }
+    if read == 0 {
+        return Ok(None);
+    }
+    if too_long {
+        return Ok(Some(Err(format!(
+            "job line longer than {MAX_LINE_BYTES} bytes"
+        ))));
+    }
+    if line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    Ok(Some(
+        String::from_utf8(line).map_err(|_| "job line is not UTF-8".to_owned()),
+    ))
+}
 
 /// One parsed job submission.
 #[derive(Debug, Clone, PartialEq)]
@@ -452,7 +508,7 @@ impl ToJson for json::Value {
 /// counters, and a `service.latency_ms` histogram, all flowing to an
 /// installed [`scnn_obs`] recorder.
 pub fn serve<F>(
-    input: impl BufRead,
+    mut input: impl BufRead,
     output: impl Write + Send,
     config: &ServiceConfig,
     executor: F,
@@ -470,7 +526,6 @@ where
     let tally = Mutex::new((0u64, 0u64, 0u64, CacheTraffic::default())); // ok, errors, rejected, cache
     let mut shutdown = false;
 
-    let mut lines = input.lines();
     let mut stopped = false;
     let shutdown_flag = &mut shutdown;
 
@@ -557,20 +612,23 @@ where
                 return None;
             }
             loop {
-                let line = match lines.next() {
-                    None => return None,
-                    Some(Err(_)) => {
+                let line = match next_line(&mut input) {
+                    Ok(None) => return None,
+                    Err(_) => {
                         stopped = true;
                         return None;
                     }
-                    Some(Ok(line)) => line,
+                    Ok(Some(line)) => line,
                 };
-                if line.trim().is_empty() {
+                if line.as_deref().is_ok_and(|line| line.trim().is_empty()) {
                     continue;
                 }
                 scnn_obs::counter_add("service.jobs", 1);
                 let at = Instant::now();
-                return Some(match JobSpec::parse_line(&line) {
+                let parsed = line
+                    .map_err(|error| (None, error))
+                    .and_then(|line| JobSpec::parse_line(&line));
+                return Some(match parsed {
                     Ok(spec) => {
                         if spec.is_shutdown() {
                             stopped = true;

@@ -9,9 +9,9 @@ use scnn_core::{Countermeasure, ProtectedModel, TracedClassifier};
 use scnn_hpc::{SimPmuConfig, SimulatedPmu};
 use scnn_nn::models;
 use scnn_tensor::Tensor;
-use scnn_uarch::{CoreSim, CounterSnapshot, NoiseConfig, Probe};
+use scnn_uarch::{Block, CoreSim, CounterSnapshot, NoiseConfig, Probe};
 
-/// Forwards single events only, so runs take the trait's per-element
+/// Forwards single events only, so blocks take the trait's per-element
 /// default.
 struct PerElement<'p>(&'p mut dyn Probe);
 
@@ -80,11 +80,13 @@ fn walk(probe: &mut dyn Probe, base: u64, cursor: &mut u64, mut n: u64, write: b
     while n > 0 {
         let i = *cursor % ARENA;
         let k = n.min(ARENA - i);
-        if write {
-            probe.store_run(base + i * 4, 4, k, WALK_PC);
-        } else {
-            probe.load_run(base + i * 4, 4, k, WALK_PC);
-        }
+        probe.block(Block::Stream {
+            base: base + i * 4,
+            stride: 4,
+            count: k,
+            pc: WALK_PC,
+            write,
+        });
         *cursor += k;
         n -= k;
     }

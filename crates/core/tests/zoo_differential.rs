@@ -5,7 +5,7 @@
 //! pollution interleaved), at every layer boundary of the recorded event
 //! stream of a real traced inference, and in every per-layer window the
 //! simulated PMU measures while the traced kernels hand the production
-//! core their runs whole.
+//! core their blocks whole.
 
 #[path = "../../uarch/tests/reference/mod.rs"]
 mod reference;
@@ -17,7 +17,7 @@ use scnn_hpc::{SimPmuConfig, SimulatedPmu};
 use scnn_nn::{models, Network};
 use scnn_rng::{ChaCha8Rng, Rng, SeedableRng};
 use scnn_tensor::Tensor;
-use scnn_uarch::{CounterSnapshot, MacRun, NoiseConfig, Probe, Tap};
+use scnn_uarch::{Block, CounterSnapshot, NoiseConfig, Probe};
 
 #[test]
 fn every_zoo_preset_matches_the_reference_core() {
@@ -31,7 +31,7 @@ fn every_zoo_preset_matches_the_reference_core() {
 }
 
 /// Records a traced inference as replayable ops, noting where each layer
-/// starts. Runs take the trait's default: one op per event.
+/// starts. Blocks take the trait's default: one op per event.
 #[derive(Default)]
 struct Recorder {
     ops: Vec<CoreOp>,
@@ -110,7 +110,7 @@ fn every_zoo_preset_matches_the_reference_core_on_a_traced_inference() {
     }
 }
 
-/// Forwards every event to `inner`, runs and taps whole, and records it
+/// Forwards every event to `inner`, blocks whole, and records it
 /// in `recorder`, one op per event.
 struct Tee<'p> {
     inner: &'p mut dyn Probe,
@@ -128,24 +128,9 @@ impl Probe for Tee<'_> {
         self.recorder.store(addr, pc);
     }
 
-    fn load_run(&mut self, base: u64, stride: i64, count: u64, pc: u64) {
-        self.inner.load_run(base, stride, count, pc);
-        self.recorder.load_run(base, stride, count, pc);
-    }
-
-    fn store_run(&mut self, base: u64, stride: i64, count: u64, pc: u64) {
-        self.inner.store_run(base, stride, count, pc);
-        self.recorder.store_run(base, stride, count, pc);
-    }
-
-    fn mac_run(&mut self, run: MacRun) {
-        self.inner.mac_run(run);
-        self.recorder.mac_run(run);
-    }
-
-    fn tap(&mut self, tap: Tap) {
-        self.inner.tap(tap);
-        self.recorder.tap(tap);
+    fn block(&mut self, block: Block) {
+        self.inner.block(block);
+        self.recorder.block(block);
     }
 
     fn branch(&mut self, pc: u64, taken: bool) {

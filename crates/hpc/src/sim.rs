@@ -3,9 +3,7 @@
 
 use crate::group::CounterGroup;
 use crate::pmu::{Measurement, Pmu, PmuError};
-use scnn_uarch::{
-    CoreConfig, CoreSim, CounterSnapshot, MacRun, NoiseConfig, NoiseModel, Probe, Tap,
-};
+use scnn_uarch::{Block, CoreConfig, CoreSim, CounterSnapshot, NoiseConfig, NoiseModel, Probe};
 
 /// How the measured process's cache state is treated between measurement
 /// windows.
@@ -197,20 +195,8 @@ impl Probe for LayerCapture<'_> {
         self.core.store(addr, pc);
     }
 
-    fn load_run(&mut self, base: u64, stride: i64, count: u64, pc: u64) {
-        self.core.load_run(base, stride, count, pc);
-    }
-
-    fn store_run(&mut self, base: u64, stride: i64, count: u64, pc: u64) {
-        self.core.store_run(base, stride, count, pc);
-    }
-
-    fn mac_run(&mut self, run: MacRun) {
-        self.core.mac_run(run);
-    }
-
-    fn tap(&mut self, tap: Tap) {
-        self.core.tap(tap);
+    fn block(&mut self, block: Block) {
+        self.core.block(block);
     }
 
     fn branch(&mut self, pc: u64, taken: bool) {

@@ -529,7 +529,7 @@ impl Layer for Conv2d {
                         step: pixels,
                     };
                     let scratch = [scratch_region, scratch_idx_region];
-                    c.tap(scratch, scratch_cursor, weights, acc, self.out_channels);
+                    c.conv_tap(scratch, scratch_cursor, weights, acc, self.out_channels);
                     scratch_cursor += 1;
                 },
             )?

@@ -247,7 +247,7 @@ impl Layer for Dense {
                 start: 0,
                 step: 1,
             };
-            ctx.mac_run(weights, acc, self.out_dim);
+            ctx.mac(weights, acc, self.out_dim);
             // The column walk is a vectorised AXPY.
             ctx.vector_loop(Site::LOOP, self.out_dim, 8);
         }

@@ -9,7 +9,7 @@
 //! [`NullProbe`](scnn_uarch::NullProbe) costs (almost) nothing.
 
 use crate::addr::{Region, SegmentAllocator, CODE_BASE};
-use scnn_uarch::{MacRun, Probe, Tap};
+use scnn_uarch::{Block, MacRun, Probe};
 
 /// Identifies a static code site (loop body, branch) inside a layer's
 /// kernel; combined with the layer index it yields a stable synthetic PC.
@@ -36,7 +36,7 @@ impl Site {
 }
 
 /// Elements `start`, `start + step`, … of a region: one operand stream of
-/// a multiply-accumulate run (see [`ExecContext::mac_run`]).
+/// a multiply-accumulate run (see [`ExecContext::mac`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Strided {
     /// The region the elements lie in.
@@ -116,28 +116,26 @@ impl<'p> ExecContext<'p> {
         self.probe.store(region.addr(i), pc);
     }
 
-    /// `count` multiply-accumulate iterations as one
-    /// [`Probe::mac_run`]: iteration `i` loads element `i` of `weights`
-    /// (site [`Site::WEIGHT`]), loads element `i` of `acc` (site
-    /// [`Site::ACC`]), retires a multiply and an add, and stores the
-    /// accumulator back — the events, and the event count, of that many
-    /// `load`, `load`, `alu(2)`, `store` calls.
+    /// `count` multiply-accumulate iterations as one [`Block::Mac`]
+    /// without scratch stores: iteration `i` loads element `i` of
+    /// `weights` (site [`Site::WEIGHT`]), loads element `i` of `acc`
+    /// (site [`Site::ACC`]), retires a multiply and an add, and stores
+    /// the accumulator back — the events, and the event count, of that
+    /// many `load`, `load`, `alu(2)`, `store` calls.
     #[inline]
-    pub fn mac_run(&mut self, weights: Strided, acc: Strided, count: usize) {
+    pub fn mac(&mut self, weights: Strided, acc: Strided, count: usize) {
         if count > 0 {
-            self.events += 4 * count as u64;
-            let run = self.mac(weights, acc, count);
-            self.probe.mac_run(run);
+            self.mac_block(None, weights, acc, count);
         }
     }
 
-    /// One convolution tap as one [`Probe::tap`]: stores to element
+    /// One convolution tap as one [`Block::Mac`]: stores to element
     /// `slot` of each of the two `scratch` regions (site
-    /// [`Site::SCRATCH`]), then [`mac_run`](Self::mac_run)`(weights, acc,
+    /// [`Site::SCRATCH`]), then [`mac`](Self::mac)`(weights, acc,
     /// count)` — the events, and the event count `2 + 4·count`, of those
     /// two `store` calls and that run.
     #[inline]
-    pub fn tap(
+    pub fn conv_tap(
         &mut self,
         scratch: [Region; 2],
         slot: usize,
@@ -145,18 +143,20 @@ impl<'p> ExecContext<'p> {
         acc: Strided,
         count: usize,
     ) {
-        self.events += 2 + 4 * count as u64;
-        let tap = Tap {
-            scratch: scratch.map(|region| region.addr(slot)),
-            scratch_pc: self.pc(Site::SCRATCH),
-            run: self.mac(weights, acc, count),
-        };
-        self.probe.tap(tap);
+        let scratch = scratch.map(|region| region.addr(slot));
+        self.mac_block(Some((scratch, self.pc(Site::SCRATCH))), weights, acc, count);
     }
 
-    /// The [`MacRun`] of `count` iterations over `weights` and `acc`.
+    /// Sends the [`Block::Mac`] of `count` iterations over `weights` and
+    /// `acc`, behind the `scratch` stores, tallying its events.
     #[inline]
-    fn mac(&self, weights: Strided, acc: Strided, count: usize) -> MacRun {
+    fn mac_block(
+        &mut self,
+        scratch: Option<([u64; 2], u64)>,
+        weights: Strided,
+        acc: Strided,
+        count: usize,
+    ) {
         let first = |s: Strided| match count.checked_sub(1) {
             Some(last) => {
                 // `Region::addr` bounds-checks the last iteration (debug builds).
@@ -167,7 +167,7 @@ impl<'p> ExecContext<'p> {
             None => 0,
         };
         let bytes = |s: Strided| s.step as i64 * crate::addr::ELEM_BYTES as i64;
-        MacRun {
+        let run = MacRun {
             weight: first(weights),
             weight_stride: bytes(weights),
             weight_pc: self.pc(Site::WEIGHT),
@@ -176,7 +176,10 @@ impl<'p> ExecContext<'p> {
             acc_pc: self.pc(Site::ACC),
             alu: 2,
             count: count as u64,
-        }
+        };
+        let block = Block::Mac { scratch, run };
+        self.events += block.counts().events;
+        self.probe.block(block);
     }
 
     /// A conditional branch at `site` with outcome `taken`.
@@ -260,7 +263,7 @@ mod tests {
                 start: 0,
                 step: 1,
             };
-            ctx.tap(scratch, 3, weights, acc, 3);
+            ctx.conv_tap(scratch, 3, weights, acc, 3);
             assert_eq!(ctx.events(), 2 + 4 * 3);
             // No filters: the stores alone, from regions of no elements.
             let none = Strided {
@@ -268,7 +271,7 @@ mod tests {
                 start: 0,
                 step: 1,
             };
-            ctx.tap(scratch, 0, none, none, 0);
+            ctx.conv_tap(scratch, 0, none, none, 0);
             assert_eq!(ctx.events(), 14 + 2);
         }
         assert_eq!(

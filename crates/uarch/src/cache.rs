@@ -484,32 +484,15 @@ impl Cache {
     /// takes the usual path and `hint` becomes the index it left the
     /// line at. Any value is a safe hint; a wrong one costs only the
     /// check.
+    ///
+    /// With `store_after`, a store to `addr` right after the access (a
+    /// load) is applied in the same lookup: the load leaves its line
+    /// remembered (a read that misses fills), so the store is a memo hit
+    /// on it, which ticks the clock, takes the stamp to the new clock
+    /// where hits refresh it and sets the dirty bit under write-back.
+    /// Returns the first access's outcome.
     #[inline(always)]
     pub(crate) fn access_hinted(
-        &mut self,
-        addr: u64,
-        write: bool,
-        hint: &mut usize,
-    ) -> AccessOutcome {
-        self.hinted(addr, write, false, hint)
-    }
-
-    /// A load of `addr` and a store to it right after, as
-    /// [`access_hinted`](Self::access_hinted)`(addr, false, hint)` and
-    /// then [`access`](Self::access)`(addr, true)` apply them, in one
-    /// lookup: the load leaves its line remembered (a read that misses
-    /// fills), so the store is a memo hit on it, which ticks the clock,
-    /// takes the stamp to the new clock where hits refresh it and sets
-    /// the dirty bit under write-back. Returns the load's outcome.
-    #[inline(always)]
-    pub(crate) fn load_store_hinted(&mut self, addr: u64, hint: &mut usize) -> AccessOutcome {
-        self.hinted(addr, false, true, hint)
-    }
-
-    /// [`access_hinted`](Self::access_hinted), followed by a store hit
-    /// on the line when `store_after`.
-    #[inline(always)]
-    fn hinted(
         &mut self,
         addr: u64,
         write: bool,
@@ -1168,12 +1151,12 @@ mod tests {
                     let before = hints[slot];
                     // Now and then a load with a store right after it.
                     let out = if step % 5 == 0 {
-                        let out = hinted.load_store_hinted(addr, &mut hints[slot]);
+                        let out = hinted.access_hinted(addr, false, true, &mut hints[slot]);
                         assert_eq!(out, plain.access(addr, false), "step {step}");
                         assert!(plain.access(addr, true).hit, "step {step}");
                         out
                     } else {
-                        let out = hinted.access_hinted(addr, write, &mut hints[slot]);
+                        let out = hinted.access_hinted(addr, write, false, &mut hints[slot]);
                         assert_eq!(out, plain.access(addr, write), "step {step}");
                         out
                     };

@@ -7,7 +7,7 @@ use crate::config::CoreConfig;
 use crate::cycles::RetiredCounts;
 use crate::hierarchy::{MemoryHierarchy, ServedBy};
 use crate::prefetch::LocalEntry;
-use crate::probe::{MacRun, Probe, Tap};
+use crate::probe::{Block, MacRun, Probe};
 use crate::tlb::Tlb;
 
 /// A raw snapshot of every architectural/microarchitectural count the
@@ -114,9 +114,9 @@ pub struct CoreSim {
     /// Where the latest tap's two scratch stores were found, guesses for
     /// the next tap's in the same way.
     scratch_hints: [Hint; 2],
-    /// Prefetch targets of the current run or tap whose L3 and L2 fills
-    /// are deferred (see [`MemoryHierarchy::fill_queued`]); empty
-    /// between calls.
+    /// Prefetch targets of the current multiply-accumulate block whose
+    /// L3 and L2 fills are deferred (see
+    /// [`MemoryHierarchy::fill_queued`]); empty between calls.
     fills: Vec<u64>,
 }
 
@@ -260,12 +260,16 @@ impl CoreSim {
         &self.tlb
     }
 
-    /// `count` accesses `stride` bytes apart from `base`, as that many
-    /// [`Probe::load`] or [`Probe::store`] calls. Accesses go one at a
-    /// time until one starts a steady chunk: accesses that stay on the
-    /// TLB's remembered page and are steady in the hierarchy (see
-    /// [`MemoryHierarchy::steady_run`]). A chunk is applied in closed
-    /// form.
+    /// `count` accesses `stride` bytes apart from `base`, leaving the
+    /// state that many [`Probe::load`] or [`Probe::store`] calls leave
+    /// (the block's counts are added by [`Probe::block`]). Accesses go
+    /// one at a time until one starts a steady chunk: accesses that stay
+    /// on the TLB's remembered page, memo hits applied at once by
+    /// [`Tlb::repeat_memo_hits`], and are steady in the hierarchy, where
+    /// [`MemoryHierarchy::steady_run`] applies them in closed form and
+    /// argues why that is exact. Pinned by the stream generator of
+    /// `blocks_match_per_element_events_for_every_cache_shape` in
+    /// `tests/differential.rs` and by `scnn-core`'s `oblivious_runs`.
     fn run(&mut self, base: u64, stride: i64, count: u64, pc: u64, write: bool) {
         let mut addr = base;
         let mut left = count;
@@ -283,33 +287,61 @@ impl CoreSim {
             } else {
                 self.tlb.repeat_memo_hits(k);
             }
-            if write {
-                self.stores += k;
-            } else {
-                self.loads += k;
-            }
             addr = addr.wrapping_add_signed(stride.wrapping_mul(k as i64));
             left -= k;
         }
     }
 
-    /// The iterations of `run` (see [`Probe::mac_run`] for `CoreSim`),
-    /// with the prefetch targets they propose left queued in `fills`.
+    /// A convolution tap's two scratch stores, from `pc`, with the
+    /// prefetch targets they propose queued in `fills`. The stores
+    /// alternate between the value and the index array under one PC, so
+    /// each has a hint of its own: it finds its array's line again until
+    /// the array's cursor crosses into the next line. Nothing runs
+    /// between the two, so the stride prefetcher observes both on a copy
+    /// of the site's entry (`LocalEntry`), written back once, which is
+    /// exact whether or not the site aliases the run's sites. Pinned by
+    /// the tap generator of
+    /// `blocks_match_per_element_events_for_every_cache_shape`.
+    fn scratch_stores(&mut self, addrs: [u64; 2], pc: u64) {
+        let (hierarchy, fills) = (&mut self.hierarchy, &mut self.fills);
+        let mut entry = hierarchy.prefetcher_mut().local(pc);
+        for (addr, hint) in addrs.into_iter().zip(&mut self.scratch_hints) {
+            self.tlb.translate_hinted(addr, &mut hint.tlb, 1);
+            let served = hierarchy.demand(addr, true, false, &mut hint.l1, fills);
+            queue(hierarchy, fills, &mut entry, pc, addr, served);
+        }
+        if let Some(entry) = entry {
+            hierarchy.prefetcher_mut().write_back(entry);
+        }
+    }
+
+    /// The iterations of `run`, with the prefetch targets they propose
+    /// queued in `fills` (see [`MemoryHierarchy::fill_queued`]). Each
+    /// weight load goes through the TLB and the hierarchy like a single
+    /// load. Each accumulator load and the store after it are one hinted
+    /// translation and one hinted L1 access that count twice
+    /// ([`MemoryHierarchy::demand`]); the store's observe is
+    /// `Prefetcher::observe_repeat`, and after the first iteration the
+    /// loads skip theirs where `Prefetcher::acc_loads_idle` says so.
+    /// When the two sites have stride entries of their own
+    /// (`Prefetcher::separate_entries`), nothing but the weight loads
+    /// touches the weight entry, so they observe a copy of it
+    /// (`LocalEntry`), written back once; and the stores rewrite the
+    /// accumulator entry whole while nothing reads it after the first
+    /// load, so one `observe_repeat` after the run stands for them all.
+    /// Lookups are hinted with where the same iteration of the previous
+    /// run found its operands (`Cache::access_hinted`). Pinned by the
+    /// run and tap generators of
+    /// `blocks_match_per_element_events_for_every_cache_shape` and the
+    /// hand-computed tests below.
     fn mac_iterations(&mut self, run: MacRun) {
         if run.count == 0 {
             return;
         }
-        self.loads += 2 * run.count;
-        self.stores += run.count;
-        self.alu_ops += run.alu * run.count;
         let prefetcher = self.hierarchy.prefetcher_mut();
         let idle = prefetcher.acc_loads_idle();
         let separate = prefetcher.separate_entries(run.weight_pc, run.acc_pc);
-        let mut weight_entry = if separate {
-            prefetcher.local(run.weight_pc)
-        } else {
-            None
-        };
+        let mut weight_entry = prefetcher.local(run.weight_pc).filter(|_| separate);
         let mut observe_acc = true;
         let slots = run.count.min(HINT_SLOTS as u64) as usize;
         if self.mac_hints.len() < slots {
@@ -320,21 +352,19 @@ impl CoreSim {
         for i in 0..run.count {
             let hint = &mut self.mac_hints[(i as usize).min(slots - 1)];
             self.tlb.translate_hinted(weight, &mut hint.weight.tlb, 1);
-            let served = hierarchy.demand(weight, false, &mut hint.weight.l1, fills);
-            let miss = served != ServedBy::L1;
+            let served = hierarchy.demand(weight, false, false, &mut hint.weight.l1, fills);
             queue(
                 hierarchy,
                 fills,
                 &mut weight_entry,
                 run.weight_pc,
                 weight,
-                miss,
+                served,
             );
             self.tlb.translate_hinted(acc, &mut hint.acc.tlb, 2);
-            let served = hierarchy.demand_load_store(acc, &mut hint.acc.l1, fills);
+            let served = hierarchy.demand(acc, false, true, &mut hint.acc.l1, fills);
             if observe_acc {
-                let miss = served != ServedBy::L1;
-                queue(hierarchy, fills, &mut None, run.acc_pc, acc, miss);
+                queue(hierarchy, fills, &mut None, run.acc_pc, acc, served);
                 observe_acc = !idle;
             }
             if !separate {
@@ -356,9 +386,9 @@ impl CoreSim {
     }
 }
 
-/// The prefetcher observes a demand access to `addr` from `pc` (`miss`
-/// when L1 missed), on `local` when it holds a copy of the site's entry;
-/// the targets it proposes join `fills`.
+/// The prefetcher observes a demand access to `addr` from `pc`, which
+/// `served`, on `local` when it holds a copy of the site's entry; the
+/// targets it proposes join `fills`.
 #[inline(always)]
 fn queue(
     hierarchy: &mut MemoryHierarchy,
@@ -366,11 +396,13 @@ fn queue(
     local: &mut Option<LocalEntry>,
     pc: u64,
     addr: u64,
-    miss: bool,
+    served: ServedBy,
 ) {
     let (targets, n) = match local {
         Some(entry) => entry.observe(pc, addr),
-        None => hierarchy.prefetcher_mut().observe(pc, addr, miss),
+        None => hierarchy
+            .prefetcher_mut()
+            .observe(pc, addr, served != ServedBy::L1),
     };
     for &target in &targets[..n] {
         fills.push(target);
@@ -390,79 +422,31 @@ impl Probe for CoreSim {
         self.hierarchy.access(addr, true, pc);
     }
 
-    fn load_run(&mut self, base: u64, stride: i64, count: u64, pc: u64) {
-        self.run(base, stride, count, pc, false);
-    }
-
-    fn store_run(&mut self, base: u64, stride: i64, count: u64, pc: u64) {
-        self.run(base, stride, count, pc, true);
-    }
-
-    /// The prefetch targets the iterations propose are queued, not filled
-    /// (`MemoryHierarchy::fill_queued`): the queue is filled into L3 and
-    /// L2 at the end of the run, or just before a demand access that
-    /// missed L1 reaches L2, whichever comes first.
-    ///
-    /// Each iteration's weight load goes through the TLB and the
-    /// hierarchy like a single load. The accumulator load and the store
-    /// right after it are one hinted translation that counts twice and
-    /// one hinted L1 access that counts twice and dirties the line
-    /// (`MemoryHierarchy::demand_load_store`): the load leaves the
-    /// page and the line remembered, so the store hits both. The
-    /// store's observe proposes nothing (next-line proposes on misses
-    /// only; the stride entry, holding `acc_pc` after the load, sees
-    /// stride 0) and leaves the entry holding `acc_pc` at the
-    /// accumulator with stride 0 and confidence 0
-    /// (`Prefetcher::observe_repeat`). After the first iteration,
-    /// accumulator loads skip the prefetcher when it provably proposes
-    /// nothing for them and the store after each rewrites what it would
-    /// change (`Prefetcher::acc_loads_idle`).
-    ///
-    /// When the two sites have stride entries of their own, nothing but
-    /// the weight loads reads or writes the weight entry during the run,
-    /// so they observe a copy of it, written back once after the run;
-    /// and the stores' rewrites of the accumulator entry, which nothing
-    /// reads after the first iteration's load, are made once after it.
-    ///
-    /// The weight and accumulator lookups and translations are hinted
-    /// with where the same iteration of the previous run found its
-    /// operands: runs one kernel tap apart revisit the same lines
-    /// iteration by iteration.
-    fn mac_run(&mut self, run: MacRun) {
-        self.mac_iterations(run);
-        self.hierarchy.fill_queued(&mut self.fills);
-    }
-
-    /// The two scratch stores go through the TLB and the hierarchy as
-    /// single stores, each with a hint of its own, since the two
-    /// alternate between the value and the index array. Nothing else
-    /// runs between them, so the stride prefetcher observes both on a
-    /// copy of the scratch site's entry, written back once. Then the
-    /// run, as in [`mac_run`](Probe::mac_run), with the stores' fills
-    /// queued in front of the run's.
-    fn tap(&mut self, tap: Tap) {
-        self.stores += 2;
-        let pc = tap.scratch_pc;
-        let mut entry = self.hierarchy.prefetcher_mut().local(pc);
-        for (addr, hint) in tap.scratch.into_iter().zip(&mut self.scratch_hints) {
-            self.tlb.translate_hinted(addr, &mut hint.tlb, 1);
-            let served = self
-                .hierarchy
-                .demand(addr, true, &mut hint.l1, &mut self.fills);
-            let miss = served != ServedBy::L1;
-            queue(
-                &mut self.hierarchy,
-                &mut self.fills,
-                &mut entry,
+    /// Applies `block` in bulk, leaving the counts and the state its
+    /// [`replay`](Block::replay) leaves: a stream in steady chunks, a
+    /// multiply-accumulate block as its scratch stores, its iterations
+    /// and then the fills they queued.
+    fn block(&mut self, block: Block) {
+        let counts = block.counts();
+        self.loads += counts.loads;
+        self.stores += counts.stores;
+        self.alu_ops += counts.alu;
+        match block {
+            Block::Stream {
+                base,
+                stride,
+                count,
                 pc,
-                addr,
-                miss,
-            );
+                write,
+            } => self.run(base, stride, count, pc, write),
+            Block::Mac { scratch, run } => {
+                if let Some((addrs, pc)) = scratch {
+                    self.scratch_stores(addrs, pc);
+                }
+                self.mac_iterations(run);
+                self.hierarchy.fill_queued(&mut self.fills);
+            }
         }
-        if let Some(entry) = entry {
-            self.hierarchy.prefetcher_mut().write_back(entry);
-        }
-        self.mac_run(tap.run);
     }
 
     fn branch(&mut self, pc: u64, taken: bool) {
@@ -576,7 +560,7 @@ mod tests {
     }
 
     #[test]
-    fn mac_run_counts_each_event_once() {
+    fn mac_block_counts_each_event_once() {
         use crate::prefetch::PrefetcherKind;
 
         let mut config = CoreConfig::tiny();
@@ -584,7 +568,7 @@ mod tests {
         let mut c = CoreSim::new(config).unwrap();
         // Weights 4 bytes apart on line 0, one accumulator, the two sites
         // in separate stride entries.
-        c.mac_run(MacRun {
+        c.block(mac(MacRun {
             weight: 0,
             weight_stride: 4,
             weight_pc: 0x40_0100,
@@ -593,7 +577,7 @@ mod tests {
             acc_pc: 0x40_0140,
             alu: 2,
             count: 8,
-        });
+        }));
         let s = c.snapshot();
         assert_eq!((s.loads, s.stores, s.instructions), (16, 8, 40));
         // Two cold misses; every other access hits L1.
@@ -630,8 +614,8 @@ mod tests {
             alu: 2,
             count: 6,
         };
-        fast.mac_run(run);
-        mac_run_per_element(&mut slow, run);
+        fast.block(mac(run));
+        mac(run).replay(&mut slow);
         assert!(fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb());
         let s = fast.snapshot();
         assert_eq!(s, slow.snapshot());
@@ -653,18 +637,13 @@ mod tests {
         assert!(fast.fills.is_empty(), "the run leaves no fill queued");
     }
 
-    /// The events of `run` one by one, as the trait's default makes them.
-    fn mac_run_per_element(c: &mut CoreSim, run: MacRun) {
-        run.for_each(|weight, acc| {
-            c.load(weight, run.weight_pc);
-            c.load(acc, run.acc_pc);
-            c.alu(run.alu);
-            c.store(acc, run.acc_pc);
-        });
+    /// `run` as a block, with no scratch stores.
+    fn mac(run: MacRun) -> Block {
+        Block::Mac { scratch: None, run }
     }
 
     #[test]
-    fn mac_run_recovers_from_hints_to_evicted_lines() {
+    fn mac_block_recovers_from_hints_to_evicted_lines() {
         let [mut fast, mut slow] = [core(), core()];
         // 8 L1 sets of 2 ways, 4 TLB sets of 2 ways. Iteration 0 finds
         // its weight on line 0 (L1 set 0) and its accumulator on line
@@ -679,8 +658,8 @@ mod tests {
             alu: 2,
             count: 2,
         };
-        fast.mac_run(first);
-        mac_run_per_element(&mut slow, first);
+        fast.block(mac(first));
+        mac(first).replay(&mut slow);
         let hint = fast.mac_hints[0];
         let l1 = |c: &CoreSim, addr| c.hierarchy().l1d().index_of(addr);
         assert_eq!(Some(hint.weight.l1), l1(&fast, 0));
@@ -697,8 +676,8 @@ mod tests {
             acc: 0x804c,
             ..first
         };
-        fast.mac_run(next);
-        mac_run_per_element(&mut slow, next);
+        fast.block(mac(next));
+        mac(next).replay(&mut slow);
         assert_eq!(fast.snapshot(), slow.snapshot());
         assert!(fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb());
         assert_eq!(Some(fast.mac_hints[0].weight.l1), l1(&fast, 0));

@@ -174,43 +174,26 @@ impl MemoryHierarchy {
     }
 
     /// The demand half of [`access`](Self::access), with the L1 lookup
-    /// hinted (see [`Cache::access_hinted`]): the lookup down the
+    /// hinted and, when `store_after`, followed by a store to `addr` in
+    /// one L1 access (see [`Cache::access_hinted`]): the lookup down the
     /// levels, the writeback of a dirty L1 victim and the latency. When
     /// L1 misses, the prefetch targets queued in `fills` are filled
-    /// first (see [`fill_queued`](Self::fill_queued)).
+    /// first (see [`fill_queued`](Self::fill_queued)). A store after a
+    /// load hits the line the load left in L1, so what follows is the
+    /// load's, and applying the store's L1 tick before the load's path
+    /// below L1 is exact: L1 never reads L2 or L3, and
+    /// [`below_l1`](Self::below_l1) reads only L1's outcome. Returns the
+    /// level that served the (first) access.
     #[inline]
     pub(crate) fn demand(
         &mut self,
         addr: u64,
         write: bool,
+        store_after: bool,
         hint: &mut usize,
         fills: &mut Vec<u64>,
     ) -> ServedBy {
-        let l1 = self.l1d.access_hinted(addr, write, hint);
-        self.below_l1_after(addr, l1, fills)
-    }
-
-    /// [`demand`](Self::demand) for a load of `addr` and a store to it
-    /// right after, whose L1 effects are applied in one hinted access
-    /// (see [`Cache::load_store_hinted`]). The store hits the line the
-    /// load left in L1, so what follows is the load's: it returns the
-    /// level that served the load.
-    #[inline]
-    pub(crate) fn demand_load_store(
-        &mut self,
-        addr: u64,
-        hint: &mut usize,
-        fills: &mut Vec<u64>,
-    ) -> ServedBy {
-        let l1 = self.l1d.load_store_hinted(addr, hint);
-        self.below_l1_after(addr, l1, fills)
-    }
-
-    /// [`below_l1`](Self::below_l1), after filling the queued targets
-    /// when L1 missed: those fills precede this access, and only an L1
-    /// miss reaches L2 and L3.
-    #[inline]
-    fn below_l1_after(&mut self, addr: u64, l1: AccessOutcome, fills: &mut Vec<u64>) -> ServedBy {
+        let l1 = self.l1d.access_hinted(addr, write, store_after, hint);
         if !l1.hit {
             self.fill_queued(fills);
         }
@@ -218,9 +201,12 @@ impl MemoryHierarchy {
     }
 
     /// Fills the prefetch targets queued in `fills`, in queue order, and
-    /// empties the queue. Deferring a fill past later L1 hits is exact:
-    /// L2 and L3 are touched only by fills and by the accesses that
-    /// miss L1, and L1 never reads them.
+    /// empties the queue. Deferring a fill past later L1 hits and TLB
+    /// translations is exact: L2 and L3 are touched only by fills and
+    /// by the path below an L1 miss, L1 never reads them, and that path
+    /// depends on L1 only through the miss. A fill must not pass an L1
+    /// miss, so [`demand`](Self::demand) fills the queue before one.
+    /// Pinned by `a_weight_that_misses_l1_finds_the_fills_queued_before_it`.
     #[inline]
     pub(crate) fn fill_queued(&mut self, fills: &mut Vec<u64>) {
         if !fills.is_empty() {
@@ -289,9 +275,18 @@ impl MemoryHierarchy {
     /// the prefetcher is steady on it (see [`Prefetcher::steady`]), and
     /// every target it proposes lies below 2^63 and, in each of L3 and
     /// L2, on the remembered line or on the resident line the targets
-    /// enter after it (see [`Cache::hit_span`]). Stores into a
-    /// write-through L1 are never steady. The effect equals that many
-    /// calls of [`access`](Self::access).
+    /// enter after it (see [`Cache::hit_span`]). The effect equals that
+    /// many calls of [`access`](Self::access): every access of the chunk
+    /// is a hit in every cache it reaches, so each clock advances by the
+    /// chunk's accesses to it (`k` in L1, `d·k` in L3 and L2 for degree
+    /// `d`), the stamps, dirty bit and tree-PLRU bits end as those hits
+    /// leave them (see [`fill_steady`]), and the stride entry ends at the
+    /// chunk's last access with confidence 3. Stores into a write-through
+    /// L1 are never steady, so that the closed form does not encode the
+    /// write-through store fidelity gap, and neither are targets outside
+    /// `0..=i64::MAX`, which the stride prefetcher drops. Pinned by the
+    /// `steady_run_*` tests below and the stream generator of
+    /// `blocks_match_per_element_events_for_every_cache_shape`.
     #[inline]
     pub(crate) fn steady_run(
         &mut self,
@@ -401,7 +396,10 @@ impl MemoryHierarchy {
 /// the element indices never fall, so every access to the remembered
 /// line comes before every access to the next one. The `t`-th targets
 /// (`t` from 0) of the first `min(k, memo − t)` accesses lie on the
-/// remembered line.
+/// remembered line: they are memo hits. The rest are one hit on the
+/// next line, then memo hits ([`Cache::repeat_hits_at`]). Nothing is
+/// evicted, and each cache holds state of its own, so applying each
+/// cache's share on its own equals the interleaved order.
 #[inline]
 fn fill_steady(cache: &mut Cache, span: HitSpan, k: u64, degree: u64) {
     debug_assert!(degree <= 2, "targets of degree {degree} are not monotone");

@@ -57,5 +57,5 @@ pub use cycles::CycleModel;
 pub use hierarchy::{HierarchyConfig, LatencyModel, MemoryHierarchy, ServedBy};
 pub use noise::{NoiseConfig, NoiseModel, NoiseSample};
 pub use prefetch::PrefetcherKind;
-pub use probe::{CountingProbe, MacRun, NullProbe, Probe, Tap};
+pub use probe::{Block, BlockCounts, CountingProbe, MacRun, NullProbe, Probe};
 pub use tlb::{Tlb, TlbConfig};

@@ -3,8 +3,9 @@
 //!
 //! Instrumented code calls the probe for every architectural event it
 //! would cause on real hardware: data loads/stores, conditional branches
-//! and retired ALU work. A [`NullProbe`] implementation compiles to
-//! nothing, so un-instrumented ("fast path") inference pays no cost.
+//! and retired ALU work, and many of them at once as one [`Block`]. A
+//! [`NullProbe`] implementation compiles to nothing, so un-instrumented
+//! ("fast path") inference pays no cost.
 
 /// Receiver of the architectural event stream produced by an instrumented
 /// workload.
@@ -12,11 +13,9 @@
 /// Implementors translate the stream into microarchitectural state updates
 /// (cache fills, predictor updates, …). The single-event methods have
 /// empty defaults so lightweight probes only override what they observe;
-/// the run methods ([`load_run`](Self::load_run),
-/// [`store_run`](Self::store_run), [`mac_run`](Self::mac_run)) default
-/// to one single-event call per element, and [`tap`](Self::tap) to its
-/// two stores and its run, so a probe that overrides only the single
-/// events still sees every event of a run.
+/// [`block`](Self::block) defaults to [`Block::replay`], one single-event
+/// call per event of the block, so a probe that overrides only the single
+/// events still sees every event of a block.
 pub trait Probe {
     /// A data load at virtual address `addr`, issued by the load
     /// instruction at program counter `pc` (the PC lets PC-indexed
@@ -30,51 +29,11 @@ pub trait Probe {
         let _ = (addr, pc);
     }
 
-    /// `count` data loads from `pc`, at `base`, `base + stride`, … with
-    /// wrapping address arithmetic: the same events as that many
-    /// [`load`](Self::load) calls, which is what the default makes.
-    /// Probes that can account for a run faster override it.
-    fn load_run(&mut self, base: u64, stride: i64, count: u64, pc: u64) {
-        let mut addr = base;
-        for _ in 0..count {
-            self.load(addr, pc);
-            addr = addr.wrapping_add_signed(stride);
-        }
-    }
-
-    /// `count` data stores from `pc`, laid out as in
-    /// [`load_run`](Self::load_run): the same events as that many
-    /// [`store`](Self::store) calls.
-    fn store_run(&mut self, base: u64, stride: i64, count: u64, pc: u64) {
-        let mut addr = base;
-        for _ in 0..count {
-            self.store(addr, pc);
-            addr = addr.wrapping_add_signed(stride);
-        }
-    }
-
-    /// The `count` iterations of a multiply-accumulate run (see
-    /// [`MacRun`]): the same events as the single calls
-    /// [`MacRun::for_each`] lists, which is what the default makes.
-    /// Probes that can account for a run faster override it.
-    fn mac_run(&mut self, run: MacRun) {
-        run.for_each(|weight, acc| {
-            self.load(weight, run.weight_pc);
-            self.load(acc, run.acc_pc);
-            self.alu(run.alu);
-            self.store(acc, run.acc_pc);
-        });
-    }
-
-    /// One convolution tap (see [`Tap`]): the stores to `tap.scratch[0]`
-    /// and `tap.scratch[1]` from `tap.scratch_pc`, then
-    /// [`mac_run`](Self::mac_run)`(tap.run)`, which is what the default
-    /// makes. Probes that can account for a tap faster override it.
-    fn tap(&mut self, tap: Tap) {
-        for addr in tap.scratch {
-            self.store(addr, tap.scratch_pc);
-        }
-        self.mac_run(tap.run);
+    /// The events of `block`: the same as its [`replay`](Block::replay),
+    /// which is what the default makes. Probes that can account for a
+    /// block faster override it.
+    fn block(&mut self, block: Block) {
+        block.replay(self);
     }
 
     /// A conditional branch at program location `pc` whose outcome was
@@ -95,6 +54,116 @@ pub trait Probe {
     /// their observations can ignore it (the default does).
     fn layer_boundary(&mut self, index: usize) {
         let _ = index;
+    }
+}
+
+/// Many events in one [`Probe::block`] call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Block {
+    /// `count` loads from `pc` (stores when `write`) at `base`,
+    /// `base + stride`, … with wrapping address arithmetic.
+    Stream {
+        /// Address of the first access.
+        base: u64,
+        /// Bytes between consecutive accesses.
+        stride: i64,
+        /// Number of accesses.
+        count: u64,
+        /// Load or store site of the accesses.
+        pc: u64,
+        /// Stores rather than loads.
+        write: bool,
+    },
+    /// A multiply-accumulate run, after a convolution tap's two stores
+    /// to its lowering scratch when `scratch` holds their addresses, in
+    /// order, and their store site.
+    Mac {
+        /// The two scratch stores' addresses and site, if any.
+        scratch: Option<([u64; 2], u64)>,
+        /// The multiply-accumulate run.
+        run: MacRun,
+    },
+}
+
+/// What a [`Block`] retires, and how many single events its
+/// [`replay`](Block::replay) makes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockCounts {
+    /// Data loads.
+    pub loads: u64,
+    /// Data stores.
+    pub stores: u64,
+    /// ALU instructions.
+    pub alu: u64,
+    /// Single-event calls of the replay (an `alu` call counts once,
+    /// whatever its `n`).
+    pub events: u64,
+}
+
+impl Block {
+    /// The block's counts, in O(1).
+    #[inline]
+    pub fn counts(&self) -> BlockCounts {
+        match *self {
+            Block::Stream { count, write, .. } => BlockCounts {
+                loads: if write { 0 } else { count },
+                stores: if write { count } else { 0 },
+                alu: 0,
+                events: count,
+            },
+            Block::Mac { scratch, run } => {
+                let prefix = if scratch.is_some() { 2 } else { 0 };
+                BlockCounts {
+                    loads: 2 * run.count,
+                    stores: prefix + run.count,
+                    alu: run.alu * run.count,
+                    events: prefix + 4 * run.count,
+                }
+            }
+        }
+    }
+
+    /// The block's events, one single-event call each, in order: a
+    /// stream's accesses; a run's scratch stores, then per iteration
+    /// the weight load, the accumulator load, `alu(run.alu)` and the
+    /// accumulator store.
+    #[inline]
+    pub fn replay<P: Probe + ?Sized>(&self, probe: &mut P) {
+        match *self {
+            Block::Stream {
+                base,
+                stride,
+                count,
+                pc,
+                write,
+            } => {
+                let mut addr = base;
+                for _ in 0..count {
+                    if write {
+                        probe.store(addr, pc);
+                    } else {
+                        probe.load(addr, pc);
+                    }
+                    addr = addr.wrapping_add_signed(stride);
+                }
+            }
+            Block::Mac { scratch, run } => {
+                if let Some((addrs, pc)) = scratch {
+                    for addr in addrs {
+                        probe.store(addr, pc);
+                    }
+                }
+                let (mut weight, mut acc) = (run.weight, run.acc);
+                for _ in 0..run.count {
+                    probe.load(weight, run.weight_pc);
+                    probe.load(acc, run.acc_pc);
+                    probe.alu(run.alu);
+                    probe.store(acc, run.acc_pc);
+                    weight = weight.wrapping_add_signed(run.weight_stride);
+                    acc = acc.wrapping_add_signed(run.acc_stride);
+                }
+            }
+        }
     }
 }
 
@@ -122,34 +191,6 @@ pub struct MacRun {
     pub alu: u64,
     /// Number of iterations.
     pub count: u64,
-}
-
-impl MacRun {
-    /// Calls `f(weight, acc)` with the addresses of each iteration, in
-    /// order.
-    #[inline]
-    pub fn for_each(&self, mut f: impl FnMut(u64, u64)) {
-        let (mut weight, mut acc) = (self.weight, self.acc);
-        for _ in 0..self.count {
-            f(weight, acc);
-            weight = weight.wrapping_add_signed(self.weight_stride);
-            acc = acc.wrapping_add_signed(self.acc_stride);
-        }
-    }
-}
-
-/// One tap of a convolution's scatter: the input pixel's entry is
-/// appended to a lowering scratch (a store to the value array, then one
-/// to the index array, both from `scratch_pc`), and then `run`
-/// multiply-accumulates it into every filter's output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Tap {
-    /// Addresses of the two scratch stores, in order.
-    pub scratch: [u64; 2],
-    /// Store site of the scratch entries.
-    pub scratch_pc: u64,
-    /// The multiply-accumulate run after the stores.
-    pub run: MacRun,
 }
 
 /// A probe that ignores everything — the zero-cost fast path.
@@ -206,23 +247,11 @@ impl Probe for CountingProbe {
         self.stores += 1;
     }
 
-    fn load_run(&mut self, _base: u64, _stride: i64, count: u64, _pc: u64) {
-        self.loads += count;
-    }
-
-    fn store_run(&mut self, _base: u64, _stride: i64, count: u64, _pc: u64) {
-        self.stores += count;
-    }
-
-    fn mac_run(&mut self, run: MacRun) {
-        self.loads += 2 * run.count;
-        self.stores += run.count;
-        self.alu_ops += run.alu * run.count;
-    }
-
-    fn tap(&mut self, tap: Tap) {
-        self.stores += 2;
-        self.mac_run(tap.run);
+    fn block(&mut self, block: Block) {
+        let counts = block.counts();
+        self.loads += counts.loads;
+        self.stores += counts.stores;
+        self.alu_ops += counts.alu;
     }
 
     fn branch(&mut self, _pc: u64, taken: bool) {
@@ -269,43 +298,21 @@ mod tests {
         assert_eq!(p.instructions(), 16);
     }
 
-    /// Forwards single events only, so runs take the trait's default.
-    struct PerElement(CountingProbe);
-
-    impl Probe for PerElement {
-        fn load(&mut self, addr: u64, pc: u64) {
-            self.0.load(addr, pc);
-        }
-
-        fn store(&mut self, addr: u64, pc: u64) {
-            self.0.store(addr, pc);
-        }
-
-        fn alu(&mut self, n: u64) {
-            self.0.alu(n);
-        }
-    }
-
     #[test]
-    fn counting_probe_runs_match_the_per_element_default() {
-        let mut fast = CountingProbe::new();
-        let mut slow = PerElement(CountingProbe::new());
+    fn counting_probe_counts_every_block_as_its_replay() {
+        let mut blocks = Vec::new();
         for (base, stride, count) in [(0, 4, 0), (64, 4, 1), (u64::MAX - 8, 4, 17), (0, -64, 1000)]
         {
-            fast.load_run(base, stride, count, 0x40);
-            slow.load_run(base, stride, count, 0x40);
-            fast.store_run(base, stride, count / 2, 0x40);
-            slow.store_run(base, stride, count / 2, 0x40);
-            assert_eq!(fast, slow.0, "run ({base}, {stride}, {count})");
+            for write in [false, true] {
+                blocks.push(Block::Stream {
+                    base,
+                    stride,
+                    count,
+                    pc: 0x40,
+                    write,
+                });
+            }
         }
-        assert_eq!(fast.loads, 1018);
-        assert_eq!(fast.stores, 508);
-    }
-
-    #[test]
-    fn counting_probe_mac_runs_match_the_per_element_default() {
-        let mut fast = CountingProbe::new();
-        let mut slow = PerElement(CountingProbe::new());
         for count in [0, 1, 6, 500] {
             let run = MacRun {
                 weight: 0x1000,
@@ -317,51 +324,63 @@ mod tests {
                 alu: 2,
                 count,
             };
-            fast.mac_run(run);
-            slow.mac_run(run);
-            assert_eq!(fast, slow.0, "{count}-iteration run");
-            let tap = Tap {
-                scratch: [0x2000, u64::MAX],
-                scratch_pc: 0xc0,
-                run,
-            };
-            fast.tap(tap);
-            slow.tap(tap);
-            assert_eq!(fast, slow.0, "tap of a {count}-iteration run");
+            for scratch in [None, Some(([0x2000, u64::MAX], 0xc0))] {
+                blocks.push(Block::Mac { scratch, run });
+            }
         }
-        assert_eq!((fast.loads, fast.stores, fast.alu_ops), (2028, 1022, 2028));
+        let mut fast = CountingProbe::new();
+        let mut slow = CountingProbe::new();
+        for block in blocks {
+            fast.block(block);
+            block.replay(&mut slow);
+            assert_eq!(fast, slow, "{block:?}");
+        }
+        assert_eq!(
+            (fast.loads, fast.stores, fast.alu_ops),
+            (1018 + 2028, 1018 + 1022, 2028)
+        );
+    }
+
+    /// Records each single event: an access's address and whether it is
+    /// a store, or an ALU call's `n`.
+    #[derive(Default)]
+    struct Events(Vec<(u64, bool)>);
+
+    impl Probe for Events {
+        fn load(&mut self, addr: u64, _pc: u64) {
+            self.0.push((addr, false));
+        }
+        fn store(&mut self, addr: u64, _pc: u64) {
+            self.0.push((addr, true));
+        }
+        fn alu(&mut self, n: u64) {
+            self.0.push((n, false));
+        }
+    }
+
+    /// The default's events for `block`, checked against its event count.
+    fn replayed(block: Block) -> Vec<(u64, bool)> {
+        let mut p = Events::default();
+        p.block(block);
+        assert_eq!(p.0.len() as u64, block.counts().events, "{block:?}");
+        p.0
     }
 
     #[test]
-    fn default_runs_walk_with_wrapping_addresses() {
-        #[derive(Default)]
-        struct Addrs(Vec<(u64, bool)>);
-        impl Probe for Addrs {
-            fn load(&mut self, addr: u64, _pc: u64) {
-                self.0.push((addr, false));
-            }
-            fn store(&mut self, addr: u64, _pc: u64) {
-                self.0.push((addr, true));
-            }
-            fn alu(&mut self, n: u64) {
-                self.0.push((n, false));
-            }
-        }
-        let mut p = Addrs::default();
-        p.load_run(u64::MAX - 3, 2, 3, 0x40);
-        p.store_run(2, -2, 2, 0x40);
+    fn default_blocks_walk_with_wrapping_addresses() {
+        let stream = |base, stride, count, write| Block::Stream {
+            base,
+            stride,
+            count,
+            pc: 0x40,
+            write,
+        };
         assert_eq!(
-            p.0,
-            [
-                (u64::MAX - 3, false),
-                (u64::MAX - 1, false),
-                (0, false),
-                (2, true),
-                (0, true)
-            ]
+            replayed(stream(u64::MAX - 3, 2, 3, false)),
+            [(u64::MAX - 3, false), (u64::MAX - 1, false), (0, false)]
         );
-        let mut p = Addrs::default();
-        p.mac_run(MacRun {
+        assert_eq!(replayed(stream(2, -2, 2, true)), [(2, true), (0, true)]);
+        let run = MacRun {
             weight: 8,
             weight_stride: -8,
             weight_pc: 0x40,
@@ -370,9 +389,9 @@ mod tests {
             acc_pc: 0x80,
             alu: 2,
             count: 2,
-        });
+        };
         assert_eq!(
-            p.0,
+            replayed(Block::Mac { scratch: None, run }),
             [
                 (8, false),
                 (u64::MAX, false),
@@ -385,23 +404,18 @@ mod tests {
             ]
         );
         // A tap: its two scratch stores, then its run.
-        let mut p = Addrs::default();
-        p.tap(Tap {
-            scratch: [16, u64::MAX],
-            scratch_pc: 0xc0,
+        let tap = Block::Mac {
+            scratch: Some(([16, u64::MAX], 0xc0)),
             run: MacRun {
-                weight: 8,
                 weight_stride: 4,
-                weight_pc: 0x40,
                 acc: 0,
                 acc_stride: 0,
-                acc_pc: 0x80,
-                alu: 2,
                 count: 1,
+                ..run
             },
-        });
+        };
         assert_eq!(
-            p.0,
+            replayed(tap),
             [
                 (16, true),
                 (u64::MAX, true),

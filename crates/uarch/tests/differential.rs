@@ -5,10 +5,11 @@
 //! `pollute` and `reset_stats` interleaved, and every observable result
 //! — access outcomes, statistics, occupancy, residency probes, prefetch
 //! targets, TLB verdicts and whole-core counter snapshots — must match
-//! exactly. A failing case prints its configuration and step. Runs
-//! (`Probe::load_run`/`store_run`/`mac_run`) and convolution taps
-//! (`Probe::tap`) are also checked against the same events made one by
-//! one on a second production core, whose whole state must match.
+//! exactly. A failing case prints its configuration and step. Blocks
+//! (`Probe::block`: streams, multiply-accumulate runs and convolution
+//! taps) are also checked against their replay, the same events made
+//! one by one, on a second production core, whose snapshot and whole
+//! state must match.
 
 mod reference;
 
@@ -20,7 +21,7 @@ use scnn_rng::{ChaCha8Rng, Rng, SeedableRng};
 use scnn_uarch::cache::{Cache, CacheConfig, ReplacementPolicy, WritePolicy};
 use scnn_uarch::hierarchy::{HierarchyConfig, MemoryHierarchy};
 use scnn_uarch::prefetch::Prefetcher;
-use scnn_uarch::{CoreConfig, CoreSim, MacRun, PrefetcherKind, Probe, Tap, Tlb, TlbConfig};
+use scnn_uarch::{Block, CoreConfig, CoreSim, MacRun, PrefetcherKind, Probe, Tlb, TlbConfig};
 
 /// (size, ways, line): direct-mapped, small, odd way counts for the PLRU
 /// tree, and the 64-way limit.
@@ -394,17 +395,10 @@ fn tlb_memo_matches_reference_on_repeat_heavy_streams() {
     }
 }
 
-/// One step of a run-heavy core workload.
+/// One step of a block-heavy core workload.
 #[derive(Debug, Clone, Copy)]
-enum RunStep {
-    /// `count` loads or stores from `pc` at `base`, `base + stride`, …
-    Run {
-        base: u64,
-        stride: i64,
-        count: u64,
-        pc: u64,
-        write: bool,
-    },
+enum Step {
+    Block(Block),
     Op(CoreOp),
 }
 
@@ -426,21 +420,21 @@ fn run_base(rng: &mut ChaCha8Rng) -> u64 {
 
 /// Single loads from `pc` at `start`, `start + stride`, …, returning the
 /// next address of the stream.
-fn stream(steps: &mut Vec<RunStep>, start: u64, stride: i64, n: i64, pc: u64) -> u64 {
+fn stream(steps: &mut Vec<Step>, start: u64, stride: i64, n: i64, pc: u64) -> u64 {
     for i in 0..n {
         let addr = start.wrapping_add_signed(stride * i);
-        steps.push(RunStep::Op(CoreOp::Load(addr, pc)));
+        steps.push(Step::Op(CoreOp::Load(addr, pc)));
     }
     start.wrapping_add_signed(stride * n)
 }
 
-/// Runs of every stride and count in [`RUN_STRIDES`] and [`RUN_COUNTS`]
+/// Stream blocks of every stride and count in [`RUN_STRIDES`] and [`RUN_COUNTS`]
 /// (20 000-element runs rarely, they dominate the per-element side's
 /// time), starting fresh, continuing the previous run of their load
 /// site, continuing a stream that single loads at the same site have
 /// trained, or at a site whose stride entry holds another stride; with
 /// cold starts, pollution, counter resets and stray events in between.
-fn run_steps(rng: &mut ChaCha8Rng, len: usize) -> Vec<RunStep> {
+fn run_steps(rng: &mut ChaCha8Rng, len: usize) -> Vec<Step> {
     let mut steps = Vec::new();
     let mut resume = [(0u64, 4i64); RUN_PCS.len()];
     while steps.len() < len {
@@ -469,13 +463,13 @@ fn run_steps(rng: &mut ChaCha8Rng, len: usize) -> Vec<RunStep> {
         } else {
             RUN_COUNTS[rng.gen_range(0..5)]
         };
-        steps.push(RunStep::Run {
+        steps.push(Step::Block(Block::Stream {
             base,
             stride,
             count,
             pc,
             write: rng.gen_range(0u32..3) == 0,
-        });
+        }));
         resume[site] = (
             base.wrapping_add_signed(stride.wrapping_mul(count as i64)),
             stride,
@@ -491,27 +485,9 @@ fn run_steps(rng: &mut ChaCha8Rng, len: usize) -> Vec<RunStep> {
             7 => CoreOp::Alu(rng.gen_range(1u64..64)),
             _ => continue,
         };
-        steps.push(RunStep::Op(op));
+        steps.push(Step::Op(op));
     }
     steps
-}
-
-/// Forwards single events only, so runs take the trait's per-element
-/// default.
-struct PerElement<'c>(&'c mut CoreSim);
-
-impl Probe for PerElement<'_> {
-    fn load(&mut self, addr: u64, pc: u64) {
-        self.0.load(addr, pc);
-    }
-
-    fn store(&mut self, addr: u64, pc: u64) {
-        self.0.store(addr, pc);
-    }
-
-    fn alu(&mut self, n: u64) {
-        self.0.alu(n);
-    }
 }
 
 /// One core per cache shape, replacement policy, L1 write policy and
@@ -561,59 +537,6 @@ fn every_cache_shape() -> Vec<CoreConfig> {
     configs
 }
 
-#[test]
-fn runs_match_per_element_accesses_for_every_cache_shape() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xd1ff_0008);
-    for config in every_cache_shape() {
-        let case = format!("{config:?}");
-        let mut fast = CoreSim::new(config).unwrap();
-        let mut slow = CoreSim::new(config).unwrap();
-        let mut reference = RefCore::new(config);
-        for (step, op) in run_steps(&mut rng, 24).into_iter().enumerate() {
-            match op {
-                RunStep::Run {
-                    base,
-                    stride,
-                    count,
-                    pc,
-                    write,
-                } => {
-                    if write {
-                        fast.store_run(base, stride, count, pc);
-                        PerElement(&mut slow).store_run(base, stride, count, pc);
-                    } else {
-                        fast.load_run(base, stride, count, pc);
-                        PerElement(&mut slow).load_run(base, stride, count, pc);
-                    }
-                    let mut addr = base;
-                    for _ in 0..count {
-                        if write {
-                            reference.store(addr, pc);
-                        } else {
-                            reference.load(addr, pc);
-                        }
-                        addr = addr.wrapping_add_signed(stride);
-                    }
-                }
-                RunStep::Op(op) => {
-                    apply_to(&mut fast, op);
-                    apply_to(&mut slow, op);
-                    apply_to(&mut reference, op);
-                }
-            }
-            assert_eq!(
-                fast.snapshot(),
-                reference.snapshot(),
-                "{case} step {step}: {op:?}"
-            );
-            assert!(
-                fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb(),
-                "{case} step {step}: {op:?} left another state than per-element accesses"
-            );
-        }
-    }
-}
-
 /// (weight site, accumulator site) pairs of multiply-accumulate runs:
 /// distinct stride-table entries (as the traced kernels' sites are),
 /// two sites aliasing one entry, one site for both, and sites that
@@ -641,19 +564,12 @@ fn mac_base(rng: &mut ChaCha8Rng) -> u64 {
     }
 }
 
-/// One step of a multiply-accumulate workload.
-#[derive(Debug, Clone, Copy)]
-enum MacStep {
-    Run(MacRun),
-    Op(CoreOp),
-}
-
 /// Multiply-accumulate runs as a convolution emits them: groups of runs
 /// one kernel tap apart (weights 4 bytes on, accumulators 4 bytes back,
 /// so each run revisits the lines of the one before), with fresh
 /// strides, sites and counts per group, and cold starts, pollution,
 /// counter resets and single events at the same sites in between.
-fn mac_steps(rng: &mut ChaCha8Rng, len: usize) -> Vec<MacStep> {
+fn mac_steps(rng: &mut ChaCha8Rng, len: usize) -> Vec<Step> {
     let mut steps = Vec::new();
     while steps.len() < len {
         let (weight_pc, acc_pc) = MAC_PCS[rng.gen_range(0..MAC_PCS.len())];
@@ -668,7 +584,7 @@ fn mac_steps(rng: &mut ChaCha8Rng, len: usize) -> Vec<MacStep> {
             count: MAC_COUNTS[rng.gen_range(0..MAC_COUNTS.len())],
         };
         for _ in 0..rng.gen_range(1..=5) {
-            steps.push(MacStep::Run(run));
+            steps.push(Step::Block(Block::Mac { scratch: None, run }));
             run.weight = run.weight.wrapping_add(4);
             run.acc = run.acc.wrapping_sub(4);
         }
@@ -683,48 +599,9 @@ fn mac_steps(rng: &mut ChaCha8Rng, len: usize) -> Vec<MacStep> {
             7 => CoreOp::Alu(rng.gen_range(1u64..64)),
             _ => continue,
         };
-        steps.push(MacStep::Op(op));
+        steps.push(Step::Op(op));
     }
     steps
-}
-
-#[test]
-fn mac_runs_match_per_element_events_for_every_cache_shape() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xd1ff_0009);
-    for config in every_cache_shape() {
-        let case = format!("{config:?}");
-        let mut fast = CoreSim::new(config).unwrap();
-        let mut slow = CoreSim::new(config).unwrap();
-        let mut reference = RefCore::new(config);
-        for (step, op) in mac_steps(&mut rng, 60).into_iter().enumerate() {
-            match op {
-                MacStep::Run(run) => {
-                    fast.mac_run(run);
-                    PerElement(&mut slow).mac_run(run);
-                    reference.mac_run(run);
-                }
-                MacStep::Op(op) => {
-                    apply_to(&mut fast, op);
-                    apply_to(&mut slow, op);
-                    apply_to(&mut reference, op);
-                }
-            }
-            assert_eq!(
-                fast.snapshot(),
-                slow.snapshot(),
-                "{case} step {step}: {op:?}"
-            );
-            assert_eq!(
-                fast.snapshot(),
-                reference.snapshot(),
-                "{case} step {step}: {op:?}"
-            );
-            assert!(
-                fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb(),
-                "{case} step {step}: {op:?} left another state than per-element events"
-            );
-        }
-    }
 }
 
 /// Scratch store sites of taps, for a run's (weight, accumulator) sites:
@@ -740,73 +617,74 @@ fn scratch_pc(rng: &mut ChaCha8Rng, (weight_pc, acc_pc): (u64, u64)) -> u64 {
     }
 }
 
-/// One step of a convolution-tap workload.
-#[derive(Debug, Clone, Copy)]
-enum TapStep {
-    Tap(Tap),
-    Op(CoreOp),
-}
-
 /// The runs of [`mac_steps`] as taps: before each run, two stores from
 /// one scratch site, to the next element of a value array and of an
 /// index array (a few lines to a few pages apart, or wrapping past
 /// `u64::MAX`), both arrays restarting now and then.
-fn tap_steps(rng: &mut ChaCha8Rng, len: usize) -> Vec<TapStep> {
+fn tap_steps(rng: &mut ChaCha8Rng, len: usize) -> Vec<Step> {
     let mut scratch = [0u64; 2];
     let mut pc = 0;
     mac_steps(rng, len)
         .into_iter()
         .map(|step| match step {
-            MacStep::Run(run) => {
+            Step::Block(Block::Mac { run, .. }) => {
                 if pc == 0 || rng.gen_range(0u32..6) == 0 {
                     let value = mac_base(rng);
                     let gap = [256, 4096, 40_000][rng.gen_range(0..3)];
                     scratch = [value, value.wrapping_add(gap)];
                     pc = scratch_pc(rng, (run.weight_pc, run.acc_pc));
                 }
-                let tap = Tap {
-                    scratch,
-                    scratch_pc: pc,
+                let tap = Block::Mac {
+                    scratch: Some((scratch, pc)),
                     run,
                 };
                 scratch = scratch.map(|addr| addr.wrapping_add(4));
-                TapStep::Tap(tap)
+                Step::Block(tap)
             }
-            MacStep::Op(op) => TapStep::Op(op),
+            step => step,
         })
         .collect()
 }
 
+/// The step generators of the block test, each with its seed: stream
+/// blocks, multiply-accumulate runs, and convolution taps.
+type Generator = (u64, fn(&mut ChaCha8Rng) -> Vec<Step>);
+const GENERATORS: [Generator; 3] = [
+    (0xd1ff_0008, |rng| run_steps(rng, 24)),
+    (0xd1ff_0009, |rng| mac_steps(rng, 60)),
+    (0xd1ff_000a, |rng| tap_steps(rng, 60)),
+];
+
 #[test]
-fn taps_match_per_element_events_for_every_cache_shape() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xd1ff_000a);
-    for config in every_cache_shape() {
-        let case = format!("{config:?}");
-        let mut fast = CoreSim::new(config).unwrap();
-        let mut slow = CoreSim::new(config).unwrap();
-        let mut reference = RefCore::new(config);
-        for (step, op) in tap_steps(&mut rng, 60).into_iter().enumerate() {
-            match op {
-                TapStep::Tap(tap) => {
-                    fast.tap(tap);
-                    PerElement(&mut slow).tap(tap);
-                    reference.tap(tap);
+fn blocks_match_per_element_events_for_every_cache_shape() {
+    for (seed, steps) in GENERATORS {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for config in every_cache_shape() {
+            let case = format!("{config:?}");
+            let mut fast = CoreSim::new(config).unwrap();
+            let mut slow = CoreSim::new(config).unwrap();
+            let mut reference = RefCore::new(config);
+            for (step, op) in steps(&mut rng).into_iter().enumerate() {
+                match op {
+                    Step::Block(block) => {
+                        fast.block(block);
+                        block.replay(&mut slow);
+                        block.replay(&mut reference);
+                    }
+                    Step::Op(op) => {
+                        apply_to(&mut fast, op);
+                        apply_to(&mut slow, op);
+                        apply_to(&mut reference, op);
+                    }
                 }
-                TapStep::Op(op) => {
-                    apply_to(&mut fast, op);
-                    apply_to(&mut slow, op);
-                    apply_to(&mut reference, op);
-                }
+                let snapshot = fast.snapshot();
+                assert_eq!(snapshot, slow.snapshot(), "{case} step {step}: {op:?}");
+                assert_eq!(snapshot, reference.snapshot(), "{case} step {step}: {op:?}");
+                assert!(
+                    fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb(),
+                    "{case} step {step}: {op:?} left another state than per-element events"
+                );
             }
-            assert_eq!(
-                fast.snapshot(),
-                reference.snapshot(),
-                "{case} step {step}: {op:?}"
-            );
-            assert!(
-                fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb(),
-                "{case} step {step}: {op:?} left another state than per-element events"
-            );
         }
     }
 }

@@ -14,11 +14,13 @@
 //!    quarantined).
 //! 3. **Failure isolation** — one failing or panicking job is an error
 //!    response, not a dead service.
+//! 4. **Bounded input** — a line past the length cap, or one that is
+//!    not UTF-8, is an `id: null` rejection, and serving goes on.
 
 use scnn::cache::ArtifactCache;
 use scnn::core::json;
 use scnn::core::pipeline::{DatasetKind, Experiment, ExperimentConfig};
-use scnn::core::service::{serve, CacheTraffic, JobOutput, JobSpec, ServiceConfig};
+use scnn::core::service::{serve, CacheTraffic, JobOutput, JobSpec, ServiceConfig, MAX_LINE_BYTES};
 use scnn::par::Threads;
 use std::io::{BufRead, BufReader, Cursor, Write};
 
@@ -238,4 +240,49 @@ fn failing_and_panicking_jobs_do_not_take_the_service_down() {
             other => panic!("unexpected response id {other}"),
         }
     }
+}
+
+#[test]
+fn over_long_and_non_utf8_lines_are_rejected_and_serving_goes_on() {
+    let mut input = vec![b'x'; MAX_LINE_BYTES + 1];
+    input.push(b'\n');
+    input.extend_from_slice(b"{\"id\":\"latin1\",\"command\":\"caf\xe9\"}\n");
+    input.extend_from_slice(b"{\"id\":\"valid\",\"command\":\"work\"}\n");
+    // A last line that never ends, far past the cap.
+    input.extend(std::iter::repeat_n(b'[', 4 * MAX_LINE_BYTES));
+    let mut out = Vec::new();
+    let report = serve(
+        Cursor::new(input),
+        &mut out,
+        &ServiceConfig {
+            workers: Threads::Count(1),
+            include_stdout: true,
+        },
+        |_: &JobSpec| {
+            Ok(JobOutput {
+                stdout: "done\n".into(),
+                cache: None,
+            })
+        },
+    );
+    assert_eq!(report.jobs, 4, "every line is accounted for");
+    assert_eq!((report.ok, report.rejected, report.errors), (1, 3, 0));
+    let responses: Vec<json::Value> = String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .map(|line| json::parse(line).unwrap())
+        .collect();
+    assert_eq!(responses.len(), 4, "one response per line");
+    let status = |value: &json::Value| value.get("status").unwrap().as_str().unwrap().to_owned();
+    for (value, too_long) in responses.iter().zip([true, false]) {
+        assert!(value.get("id").unwrap().is_null(), "no id to correlate");
+        assert_eq!(status(value), "error");
+        let error = value.get("error").unwrap().as_str().unwrap();
+        let want = if too_long { "longer than" } else { "not UTF-8" };
+        assert!(error.contains(want), "{error}");
+    }
+    assert_eq!(responses[2].get("id").unwrap().as_str(), Some("valid"));
+    assert_eq!(status(&responses[2]), "ok");
+    assert!(responses[3].get("id").unwrap().is_null());
+    assert_eq!(status(&responses[3]), "error");
 }
