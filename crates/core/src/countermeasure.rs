@@ -189,8 +189,9 @@ struct PaddingProbe<'p> {
     /// False until the first layer boundary: the staging window (input
     /// copy-in) is input-size-static already and stays unpadded.
     in_layer: bool,
-    /// Walk cursor over the padding arena, persisted across windows so
-    /// pad loads stream sequentially like real accesses.
+    /// Padding accesses made so far: the next walk starts at this
+    /// element modulo the arena's length, so pad loads stream
+    /// sequentially like real accesses, across windows too.
     cursor: u64,
 }
 
@@ -230,22 +231,19 @@ impl<'p> PaddingProbe<'p> {
     }
 
     /// `n` padding loads or stores walking the arena from the cursor, as
-    /// one stream block per arena segment: a walk that reaches the
-    /// arena's end goes on from its start in a new block.
-    fn walk(&mut self, mut n: u64, write: bool) {
-        while n > 0 {
-            let i = self.cursor % PAD_ARENA;
-            let k = n.min(PAD_ARENA - i);
-            self.inner.block(Block::Stream {
-                base: PAD_BASE + i * 4,
-                stride: 4,
-                count: k,
-                pc: PAD_PC,
-                write,
-            });
-            self.cursor += k;
-            n -= k;
-        }
+    /// one block that goes on from the arena's start when it reaches
+    /// the arena's end.
+    fn walk(&mut self, n: u64, write: bool) {
+        self.inner.block(Block::Walk {
+            base: PAD_BASE,
+            stride: 4,
+            pass: PAD_ARENA,
+            start: self.cursor,
+            count: n,
+            pc: PAD_PC,
+            write,
+        });
+        self.cursor += n;
     }
 
     /// Pads the final (still-open) layer window; call after the workload
@@ -643,11 +641,11 @@ mod tests {
     }
 
     #[test]
-    fn padding_walks_the_arena_as_one_run_per_segment() {
+    fn padding_walks_the_arena_as_one_block_per_walk() {
         #[derive(Default)]
         struct Recorder {
             accesses: Vec<(u64, bool)>,
-            runs: Vec<(u64, u64)>,
+            walks: Vec<(u64, u64, bool)>,
         }
         impl Probe for Recorder {
             fn load(&mut self, addr: u64, _pc: u64) {
@@ -657,16 +655,18 @@ mod tests {
                 self.accesses.push((addr, true));
             }
             fn block(&mut self, block: Block) {
-                if let Block::Stream {
+                if let Block::Walk {
                     base,
                     stride,
+                    pass,
+                    start,
                     count,
                     pc,
-                    write: false,
+                    write,
                 } = block
                 {
-                    assert_eq!((stride, pc), (4, PAD_PC));
-                    self.runs.push((base, count));
+                    assert_eq!((base, stride, pass, pc), (PAD_BASE, 4, PAD_ARENA, PAD_PC));
+                    self.walks.push((start, count, write));
                 }
                 block.replay(self);
             }
@@ -696,12 +696,12 @@ mod tests {
         }
         assert_eq!(inner.accesses, expected);
         assert_eq!(
-            inner.runs,
+            inner.walks,
             [
-                (PAD_BASE, PAD_ARENA),
-                (PAD_BASE, 99),
-                (PAD_BASE + 102 * 4, PAD_ARENA - 102),
-                (PAD_BASE, 202),
+                (0, PAD_ARENA + 99, false),
+                (PAD_ARENA + 99, 3, true),
+                (PAD_ARENA + 102, PAD_ARENA + 100, false),
+                (2 * PAD_ARENA + 202, 3, true),
             ]
         );
     }

@@ -1,8 +1,8 @@
-//! Oblivious-shape padding reaches the simulator as access runs. On
+//! Oblivious-shape padding reaches the simulator as arena walks. On
 //! every zoo preset, the per-layer windows of a padded inference, and
 //! the whole simulator state after padding-shaped arena walks, must be
-//! the same whether the simulator takes the runs whole or one access at
-//! a time.
+//! the same whether the simulator takes the walks whole (skipping the
+//! whole passes that repeat) or one access at a time.
 
 use scnn_core::zoo::zoo;
 use scnn_core::{Countermeasure, ProtectedModel, TracedClassifier};
@@ -37,7 +37,7 @@ impl Probe for PerElement<'_> {
     }
 }
 
-/// Windows of a padded inference, with or without the runs.
+/// Windows of a padded inference, with or without the walks.
 fn windows(config: SimPmuConfig, per_element: bool) -> Vec<CounterSnapshot> {
     let mut pmu = SimulatedPmu::new(config, 3).unwrap();
     let mut model = ProtectedModel::new(models::mnist_cnn(7), Countermeasure::ObliviousShape, 1);
@@ -53,7 +53,7 @@ fn windows(config: SimPmuConfig, per_element: bool) -> Vec<CounterSnapshot> {
 }
 
 #[test]
-fn padding_runs_match_per_element_padding_on_every_preset() {
+fn padding_walks_match_per_element_padding_on_every_preset() {
     for preset in zoo() {
         let config = SimPmuConfig {
             core: preset.core,
@@ -73,53 +73,82 @@ const ARENA: u64 = 16 * 1024;
 /// Load and store site of the arena walks.
 const WALK_PC: u64 = 0xf4_0000;
 
-/// `n` 4-byte loads or stores walking the arena at `base` from element
-/// `*cursor`, one run per segment: a walk that reaches the arena's end
-/// goes on from its start in a new run, as padding does.
-fn walk(probe: &mut dyn Probe, base: u64, cursor: &mut u64, mut n: u64, write: bool) {
-    while n > 0 {
-        let i = *cursor % ARENA;
-        let k = n.min(ARENA - i);
-        probe.block(Block::Stream {
-            base: base + i * 4,
-            stride: 4,
-            count: k,
-            pc: WALK_PC,
-            write,
-        });
-        *cursor += k;
-        n -= k;
-    }
+/// `n` 4-byte loads or stores walking the arena of `pass` elements at
+/// `base` from element `*cursor`, as one block, as padding walks.
+fn walk(probe: &mut dyn Probe, base: u64, pass: u64, cursor: &mut u64, n: u64, write: bool) {
+    probe.block(Block::Walk {
+        base,
+        stride: 4,
+        pass,
+        start: *cursor,
+        count: n,
+        pc: WALK_PC,
+        write,
+    });
+    *cursor = (*cursor + n) % pass;
 }
 
-#[test]
-fn arena_walks_match_per_element_accesses_on_every_preset() {
-    // Loads, then stores, each going round the arena more than once
-    // from where the last walk stopped, with a stray load from another
-    // site in between; the last arena starts mid-line.
-    let walks = [
-        (ARENA + 4_000, false),
-        (2 * ARENA + 9, true),
-        (30_000, false),
-        (ARENA - 3, true),
-    ];
+/// Walks of `(accesses, write)` over an arena of `pass` elements at each
+/// base, on a core that takes them whole and on one that takes them one
+/// access at a time, with stray traffic between walks: a load from
+/// another site and a store into the arena. Both cores must agree after
+/// every walk, in counts and in state.
+fn assert_walks_match(pass: u64, walks: &[(u64, bool)]) {
     for preset in zoo() {
         for base in [0x7f00_0000, 0x7f00_0000 + 36] {
             let mut fast = CoreSim::new(preset.core).unwrap();
             let mut slow = CoreSim::new(preset.core).unwrap();
             let (mut fast_cursor, mut slow_cursor) = (0, 0);
             for (step, &(n, write)) in walks.iter().enumerate() {
-                walk(&mut fast, base, &mut fast_cursor, n, write);
-                walk(&mut PerElement(&mut slow), base, &mut slow_cursor, n, write);
-                fast.load(0x10_0000 + step as u64 * 64, 0x40_0100);
-                slow.load(0x10_0000 + step as u64 * 64, 0x40_0100);
-                let case = format!("{} base {base:#x} walk {step}", preset.name);
+                walk(&mut fast, base, pass, &mut fast_cursor, n, write);
+                walk(
+                    &mut PerElement(&mut slow),
+                    base,
+                    pass,
+                    &mut slow_cursor,
+                    n,
+                    write,
+                );
+                let stray = base + (step as u64 * 4_100) % (pass * 4);
+                for core in [&mut fast, &mut slow] {
+                    core.load(0x10_0000 + step as u64 * 64, 0x40_0100);
+                    core.store(stray, 0x40_0140);
+                }
+                let case = format!("{} base {base:#x} arena {pass} walk {step}", preset.name);
                 assert_eq!(fast.snapshot(), slow.snapshot(), "{case}");
                 assert!(
                     fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb(),
-                    "{case}: runs left another state than per-element accesses"
+                    "{case}: walks left another state than per-element accesses"
                 );
             }
         }
     }
+}
+
+#[test]
+fn arena_walks_match_per_element_accesses_on_every_preset() {
+    // Loads and stores by turns, each going round the arena 30 times or
+    // more from where the last walk stopped (mid-arena), and walks of
+    // less than a pass; the second base starts the arena mid-line.
+    assert_walks_match(
+        ARENA,
+        &[
+            (30 * ARENA + 4_000, false),
+            (31 * ARENA + 9, true),
+            (30_000, false),
+            (ARENA - 3, true),
+            (32 * ARENA + 77, false),
+            (30 * ARENA, true),
+        ],
+    );
+}
+
+#[test]
+fn arena_walks_larger_than_l2_match_per_element_accesses_on_every_preset() {
+    // 1 MiB, more than every preset's L2: each pass misses L2, so no
+    // pass may be skipped.
+    assert_walks_match(
+        256 * 1024,
+        &[(4 * 256 * 1024 + 10, false), (5 * 256 * 1024, true)],
+    );
 }

@@ -641,6 +641,66 @@ impl Cache {
         self.repeat_memo_hits(k, false);
     }
 
+    /// The clock and the stored counts (misses, evictions, writebacks),
+    /// which accesses advance: a mark for
+    /// [`repeat_since`](Self::repeat_since).
+    #[inline]
+    pub(crate) fn tally(&self) -> (u64, CacheStats) {
+        (self.clock, self.stats)
+    }
+
+    /// Advances the clock and each stored count by `times` × its advance
+    /// since `since`, a [`tally`](Self::tally) of this cache: what
+    /// `times` more repeats of the accesses since then add to them.
+    /// Stamps stay as they are.
+    pub(crate) fn repeat_since(&mut self, since: (u64, CacheStats), times: u64) {
+        let grow = |now: u64, then: u64| now + times * (now - then);
+        let (clock, stats) = since;
+        self.clock = grow(self.clock, clock);
+        self.stats.misses = grow(self.stats.misses, stats.misses);
+        self.stats.evictions = grow(self.stats.evictions, stats.evictions);
+        self.stats.writebacks = grow(self.stats.writebacks, stats.writebacks);
+    }
+
+    /// Whether this cache is `earlier`, a copy of it, but for clock,
+    /// counts and stamp values: the same tags, valid, dirty and
+    /// tree-PLRU bits, memo and random-replacement state, and, where
+    /// stamps choose victims (LRU and FIFO), the valid lines of each set
+    /// in the same order of stamp (ties broken by way, as
+    /// `choose_victim` breaks them). From two such states the same
+    /// accesses hit, miss and evict alike.
+    pub(crate) fn same_shape(&self, earlier: &Cache) -> bool {
+        let same = self.tags == earlier.tags
+            && self.valid == earlier.valid
+            && self.dirty == earlier.dirty
+            && self.plru == earlier.plru
+            && (self.last_line, self.last_idx) == (earlier.last_line, earlier.last_idx)
+            && self.rng_state == earlier.rng_state;
+        if !same
+            || !matches!(
+                self.config.policy,
+                ReplacementPolicy::Lru | ReplacementPolicy::Fifo
+            )
+        {
+            return same;
+        }
+        let mut order = [0usize; MAX_ASSOCIATIVITY];
+        self.valid.iter().enumerate().all(|(set, &valid)| {
+            let base = set * self.ways;
+            let key = |stamps: &[u64], way: usize| (stamps[base + way], way);
+            let mut n = 0;
+            for way in (0..self.ways).filter(|&way| valid >> way & 1 != 0) {
+                order[n] = way;
+                n += 1;
+            }
+            let order = &mut order[..n];
+            order.sort_unstable_by_key(|&way| key(&earlier.stamps, way));
+            order
+                .windows(2)
+                .all(|pair| key(&self.stamps, pair[0]) < key(&self.stamps, pair[1]))
+        })
+    }
+
     /// The rest of an access that missed: the write-through bypass, or a
     /// victim choice, writeback and fill.
     #[inline(never)]

@@ -292,6 +292,92 @@ impl CoreSim {
         }
     }
 
+    /// The accesses of a [`Block::Walk`], leaving the state that many
+    /// single accesses leave, and how many whole passes it skipped. The
+    /// walk goes through [`run`](Self::run): up to the arena's end, then
+    /// pass by pass, then the tail. When a whole pass leaves the core
+    /// where the same pass repeats itself, every later whole pass
+    /// repeats it, so all but the last are skipped: their counts and
+    /// clocks are added in closed form, and the last whole pass and the
+    /// tail are simulated. A pass repeats itself when
+    ///
+    /// - no access of it missed L2, L3 or the TLB;
+    /// - at its end, L1 has the shape it had at its start (its lines,
+    ///   dirty bits, tree-PLRU bits, memo, random-replacement state and
+    ///   per-set stamp order, see `Cache::same_shape`);
+    /// - the stride entry of the walk's site is as it was.
+    ///
+    /// Why the skip is exact:
+    ///
+    /// - With no miss below L1, the contents of L2, L3 and the TLB are
+    ///   fixed, and they make no victim choice; their hits touch the
+    ///   same lines each pass, and a pass sets the same dirty and
+    ///   tree-PLRU bits each time (it overwrites them, so repeats change
+    ///   nothing).
+    /// - L1's victims depend only on its shape and its per-set stamp
+    ///   order, so with the stride entry and the untouched state below
+    ///   L1 the same, the next pass makes the same hits, misses, fills
+    ///   and evictions, the same L2 and L3 lookups, and the same
+    ///   prefetches.
+    /// - Each repeat moves every clock and count by the same amount and
+    ///   sets the same stamps, each by the same amount later. Stamps it
+    ///   sets stay newer than those it leaves, so skipping passes only
+    ///   moves clocks and counts: skipped stamps keep their order, and
+    ///   the last whole pass, from the state the skipped passes would
+    ///   leave but for those stamps, makes the same choices and rewrites
+    ///   each of them, as well as every memo and the stride entry, to
+    ///   what the replay leaves.
+    ///
+    /// The check copies L1, so it is tried only when a pass has at least
+    /// as many accesses as L1 has lines, and only while two or more
+    /// passes would follow. A failed check simulates the next pass in
+    /// full and checks again; under random L1 replacement the victim
+    /// generator's state is part of the shape, so those walks are
+    /// simulated pass by pass. Pinned by
+    /// `a_walk_skips_every_whole_pass_after_one_that_repeats_itself` and
+    /// `walk_edge_cases_match_their_replay_on_every_policy` below and by
+    /// `scnn-core`'s `oblivious_runs`.
+    #[allow(clippy::too_many_arguments)]
+    fn walk(
+        &mut self,
+        base: u64,
+        stride: i64,
+        pass: u64,
+        start: u64,
+        count: u64,
+        pc: u64,
+        write: bool,
+    ) -> u64 {
+        let element = |i: u64| base.wrapping_add((stride as u64).wrapping_mul(i));
+        if pass == 0 {
+            self.run(element(start), stride, count, pc, write);
+            return 0;
+        }
+        let first = start % pass;
+        let head = count.min(pass - first);
+        self.run(element(first), stride, head, pc, write);
+        let (mut passes, tail) = ((count - head) / pass, (count - head) % pass);
+        let l1 = self.hierarchy.l1d().config();
+        let worth_checking = pass >= (l1.size_bytes / l1.line_bytes) as u64;
+        let mut skipped = 0;
+        while passes > 0 {
+            let mark =
+                (worth_checking && passes > 2).then(|| (self.hierarchy.mark(pc), self.tlb.tally()));
+            self.run(base, stride, pass, pc, write);
+            passes -= 1;
+            if let Some((mark, tlb)) = mark {
+                if self.tlb.tally().1 == tlb.1 && self.hierarchy.repeats(&mark) {
+                    skipped = passes - 1;
+                    self.hierarchy.repeat(&mark, skipped);
+                    self.tlb.repeat_since(tlb, skipped);
+                    passes = 1;
+                }
+            }
+        }
+        self.run(base, stride, tail, pc, write);
+        skipped
+    }
+
     /// A convolution tap's two scratch stores, from `pc`, with the
     /// prefetch targets they propose queued in `fills`. The stores
     /// alternate between the value and the index array under one PC, so
@@ -424,6 +510,7 @@ impl Probe for CoreSim {
 
     /// Applies `block` in bulk, leaving the counts and the state its
     /// [`replay`](Block::replay) leaves: a stream in steady chunks, a
+    /// walk as streams with repeated whole passes skipped, a
     /// multiply-accumulate block as its scratch stores, its iterations
     /// and then the fills they queued.
     fn block(&mut self, block: Block) {
@@ -439,6 +526,17 @@ impl Probe for CoreSim {
                 pc,
                 write,
             } => self.run(base, stride, count, pc, write),
+            Block::Walk {
+                base,
+                stride,
+                pass,
+                start,
+                count,
+                pc,
+                write,
+            } => {
+                self.walk(base, stride, pass, start, count, pc, write);
+            }
             Block::Mac { scratch, run } => {
                 if let Some((addrs, pc)) = scratch {
                     self.scratch_stores(addrs, pc);
@@ -683,6 +781,244 @@ mod tests {
         assert_eq!(Some(fast.mac_hints[0].weight.l1), l1(&fast, 0));
         assert_ne!(fast.mac_hints[0].weight.tlb, hint.weight.tlb);
         assert_ne!(fast.mac_hints[0].acc.tlb, hint.acc.tlb);
+    }
+
+    /// A walk block over an arena of `pass` 4-byte elements at `base`.
+    fn walk(base: u64, pass: u64, start: u64, count: u64, write: bool) -> Block {
+        Block::Walk {
+            base,
+            stride: 4,
+            pass,
+            start,
+            count,
+            pc: 0x40_0200,
+            write,
+        }
+    }
+
+    /// Applies `block` to `fast` through [`CoreSim::walk`] and replays it
+    /// on `slow`; both must end in the same state. Returns the passes
+    /// the walk skipped.
+    fn skipped(fast: &mut CoreSim, slow: &mut CoreSim, block: Block) -> u64 {
+        let Block::Walk {
+            base,
+            stride,
+            pass,
+            start,
+            count,
+            pc,
+            write,
+        } = block
+        else {
+            unreachable!("a walk")
+        };
+        let counts = block.counts();
+        fast.loads += counts.loads;
+        fast.stores += counts.stores;
+        let skipped = fast.walk(base, stride, pass, start, count, pc, write);
+        block.replay(slow);
+        assert_eq!(fast.snapshot(), slow.snapshot(), "{block:?}");
+        assert!(
+            fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb(),
+            "{block:?}"
+        );
+        skipped
+    }
+
+    #[test]
+    fn a_walk_skips_every_whole_pass_after_one_that_repeats_itself() {
+        let [mut fast, mut slow] = [core(), core()];
+        // 32 lines of 4-byte elements, twice the 16-line L1 (8 sets of 2
+        // ways), half the 64-line L2, on one page. The head is the cold
+        // pass; whole pass 1 finds L1 holding the lines 16..32 of the
+        // arena, each set's two in the same ways and order as at its
+        // end, and hits L2: passes 2..=8 are skipped and pass 9 is
+        // simulated.
+        let base = 0x10000;
+        assert_eq!(
+            skipped(&mut fast, &mut slow, walk(base, 512, 0, 10 * 512, false)),
+            7
+        );
+        let s = fast.snapshot();
+        assert_eq!((s.loads, s.l1d_accesses, s.l1d_misses), (5120, 5120, 320));
+        // Every L1 miss goes to L2, which misses only in the cold pass.
+        assert_eq!((s.l2_accesses, s.l2_misses), (320, 32));
+        assert_eq!((s.llc_references, s.llc_misses, s.dtlb_misses), (32, 32, 1));
+        assert_eq!(
+            fast.hierarchy().stats().demand_cycles,
+            4800 * 4 + 32 * 200 + 288 * 12
+        );
+        // Stores from mid-arena: the head leaves the lines 16..32 in L1,
+        // dirty, as every whole pass does, so whole pass 1 repeats
+        // itself too: passes 2..=4 are skipped, then pass 5 and the
+        // 7-store tail are simulated.
+        assert_eq!(
+            skipped(
+                &mut fast,
+                &mut slow,
+                walk(base, 512, 100, 412 + 5 * 512 + 7, true)
+            ),
+            3
+        );
+        // Three passes or fewer after the head: nothing to skip.
+        assert_eq!(
+            skipped(&mut fast, &mut slow, walk(base, 512, 0, 3 * 512, false)),
+            0
+        );
+        // An arena of 128 lines, twice L2: every pass misses L2, so no
+        // pass repeats itself.
+        assert_eq!(
+            skipped(&mut fast, &mut slow, walk(base, 2048, 0, 10 * 2048, false)),
+            0
+        );
+        // A pass shorter than L1 has lines is never checked.
+        assert_eq!(
+            skipped(&mut fast, &mut slow, walk(base, 8, 0, 100, false)),
+            0
+        );
+    }
+
+    #[test]
+    fn a_pass_that_leaves_another_stamp_order_or_stride_entry_is_not_skipped() {
+        use crate::cache::WritePolicy;
+        use crate::prefetch::PrefetcherKind;
+
+        let base = 0x10000;
+        let line = |i: u64| base + 64 * i;
+        // 25 lines, pass by pass: L1 set 0 cycles through 4 of them and
+        // repeats, sets 1 to 7 through 3 (lines s, s + 8, s + 16) in 2
+        // ways. Before the walk, line s + 8 is the newer in each of
+        // sets 1 to 7. A pass then ends with the same lines in the same
+        // ways, but line s + 16 the newer, so the next pass evicts
+        // other ways: no pass repeats itself.
+        let [mut fast, mut slow] = [core(), core()];
+        for c in [&mut fast, &mut slow] {
+            (0..25)
+                .chain(9..16)
+                .chain([24])
+                .for_each(|i| c.load(line(i), 0x80));
+        }
+        assert_eq!(
+            skipped(
+                &mut fast,
+                &mut slow,
+                walk(base, 400, 399, 1 + 5 * 400, false)
+            ),
+            0
+        );
+
+        // 32 lines, 4 per set of a write-through L1, with a stride
+        // prefetcher. Stores from the walk's site, which bypass L1, leave
+        // its stride entry one step short of confidence on the stride
+        // from the arena's last element to its first, and lines T1 and
+        // T2, two and four such strides below the arena's last element,
+        // resident in L2 and L3. Whole pass 1 starts where its first
+        // access proposes T1 and T2, with the same L1 as at its end:
+        // only the stride entry tells it from pass 2, which repeats.
+        let mut config = CoreConfig::tiny();
+        config.hierarchy.l1d = config
+            .hierarchy
+            .l1d
+            .with_write_policy(WritePolicy::WriteThroughNoAllocate);
+        config.hierarchy.prefetcher = PrefetcherKind::Stride;
+        let [mut fast, mut slow] = [(); 2].map(|_| CoreSim::new(config).unwrap());
+        let last = base + 4 * 499;
+        let back = 4 * 499;
+        assert_eq!(
+            skipped(&mut fast, &mut slow, walk(base, 500, 0, 500, false)),
+            0
+        );
+        for c in [&mut fast, &mut slow] {
+            c.store(base - back, 0x80);
+            c.store(base - 2 * back, 0x80);
+            c.store(last + 2 * back, 0x40_0200);
+            c.store(last + back, 0x40_0200);
+        }
+        assert_eq!(
+            skipped(
+                &mut fast,
+                &mut slow,
+                walk(base, 500, 499, 1 + 5 * 500, false)
+            ),
+            2
+        );
+    }
+
+    #[test]
+    fn walk_edge_cases_match_their_replay_on_every_policy() {
+        use crate::cache::{ReplacementPolicy, WritePolicy};
+        use crate::prefetch::PrefetcherKind;
+        use crate::probe::CountingProbe;
+
+        // (base, stride, pass, start, count).
+        let cases: [(u64, i64, u64, u64, u64); 12] = [
+            (0x1000, 4, 512, 7, 0),
+            // Less than one pass, then a start at the arena's last element.
+            (0x1000, 4, 512, 7, 100),
+            (0x1000, 4, 512, 511, 4000),
+            // A one-element arena.
+            (0x1000, 4, 1, 5, 50),
+            // 500 elements, not a whole number of lines, from mid-line.
+            (0x1004, 4, 500, 3, 6000),
+            // A start past the arena's end.
+            (0x3000, 4, 300, 1000, 1000),
+            (0x9000, -4, 600, 5, 6000),
+            // Stores of one line each, over 40 lines; a stride of zero.
+            (0x2_0000, 64, 40, 0, 40 * 12),
+            (0x100, 0, 10, 3, 50),
+            // Addresses that wrap past `u64::MAX`.
+            (u64::MAX - 64, 4, 100, 10, 1500),
+            // Element indices near `u64::MAX`: three elements, then the
+            // wrap to element 0; and with `pass` 0, no wrap at all.
+            (0x4000, 4, u64::MAX, u64::MAX - 3, 10),
+            (0x5000, 4, 0, u64::MAX - 2, 6),
+        ];
+        let mut configs = Vec::new();
+        for policy in ReplacementPolicy::ALL {
+            for write_policy in WritePolicy::ALL {
+                for prefetcher in PrefetcherKind::ALL {
+                    let mut config = CoreConfig::tiny();
+                    let h = &mut config.hierarchy;
+                    h.l1d = h.l1d.with_policy(policy).with_write_policy(write_policy);
+                    h.l2 = h.l2.with_policy(policy);
+                    h.prefetcher = prefetcher;
+                    configs.push(config);
+                }
+            }
+        }
+        for config in configs {
+            let [mut fast, mut slow] = [(); 2].map(|_| CoreSim::new(config).unwrap());
+            for (step, &(base, stride, pass, start, count)) in cases.iter().enumerate() {
+                for write in [step % 2 == 0, step % 2 != 0] {
+                    let block = Block::Walk {
+                        base,
+                        stride,
+                        pass,
+                        start,
+                        count,
+                        pc: 0x40_0200,
+                        write,
+                    };
+                    let mut replayed = CountingProbe::new();
+                    block.replay(&mut replayed);
+                    let mut counted = CountingProbe::new();
+                    counted.block(block);
+                    assert_eq!(counted, replayed, "{block:?}");
+                    fast.block(block);
+                    block.replay(&mut slow);
+                    assert_eq!(fast.snapshot(), slow.snapshot(), "{config:?} {block:?}");
+                    assert!(
+                        fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb(),
+                        "{config:?} {block:?}"
+                    );
+                }
+            }
+        }
+        let endless = walk(0, 3, 1, u64::MAX, true).counts();
+        assert_eq!(
+            (endless.loads, endless.stores, endless.events),
+            (0, u64::MAX, u64::MAX)
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::cache::{
     AccessOutcome, Cache, CacheConfig, CacheConfigError, CacheStats, HitSpan, WritePolicy,
 };
-use crate::prefetch::{Prefetcher, PrefetcherKind};
+use crate::prefetch::{LocalEntry, Prefetcher, PrefetcherKind};
 
 /// Which level ultimately served a demand access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -338,6 +338,43 @@ impl MemoryHierarchy {
         k
     }
 
+    /// The hierarchy at the start of a pass of accesses from load site
+    /// `pc`, for [`repeats`](Self::repeats) and
+    /// [`repeat`](Self::repeat).
+    pub(crate) fn mark(&self, pc: u64) -> PassMark {
+        PassMark {
+            l1d: self.l1d.clone(),
+            pc,
+            entry: self.prefetcher.local(pc),
+            l2: self.l2.tally(),
+            l3: self.l3.tally(),
+            demand_llc: self.demand_llc,
+            miss_cycles: self.miss_cycles,
+        }
+    }
+
+    /// Whether the pass since `mark` left the hierarchy where the same
+    /// pass would repeat itself: no L2 or L3 access missed, L1 has the
+    /// shape it had (see [`Cache::same_shape`]), and the stride entry of
+    /// the pass's site is as it was.
+    pub(crate) fn repeats(&self, mark: &PassMark) -> bool {
+        self.l2.tally().1.misses == mark.l2.1.misses
+            && self.l3.tally().1.misses == mark.l3.1.misses
+            && self.prefetcher.local(mark.pc) == mark.entry
+            && self.l1d.same_shape(&mark.l1d)
+    }
+
+    /// Adds `times` × what the pass since `mark` added to every clock
+    /// and count, leaving stamps as they are (see
+    /// [`Cache::repeat_since`]).
+    pub(crate) fn repeat(&mut self, mark: &PassMark, times: u64) {
+        self.l1d.repeat_since(mark.l1d.tally(), times);
+        self.l2.repeat_since(mark.l2, times);
+        self.l3.repeat_since(mark.l3, times);
+        self.demand_llc += times * (self.demand_llc - mark.demand_llc);
+        self.miss_cycles += times * (self.miss_cycles - mark.miss_cycles);
+    }
+
     /// Statistics snapshot. Only demand L2 misses and prefetches reach
     /// the LLC, and only demand accesses reach L1 (DESIGN.md §13).
     pub fn stats(&self) -> HierarchyStats {
@@ -387,6 +424,19 @@ impl MemoryHierarchy {
     pub fn l3(&self) -> &Cache {
         &self.l3
     }
+}
+
+/// What [`MemoryHierarchy::mark`] keeps of the hierarchy at the start
+/// of a pass: a copy of L1, the stride entry of the pass's site, and
+/// the clocks and counts of the rest.
+pub(crate) struct PassMark {
+    l1d: Cache,
+    pc: u64,
+    entry: Option<LocalEntry>,
+    l2: (u64, CacheStats),
+    l3: (u64, CacheStats),
+    demand_llc: u64,
+    miss_cycles: u64,
 }
 
 /// Applies the `d·k` target accesses of a steady chunk of `k` accesses

@@ -178,7 +178,7 @@ impl Prefetcher {
 /// the copy as `observe` would leave the entry. It stands in for the
 /// entry while nothing else reads or writes that entry; one
 /// [`Prefetcher::write_back`] then brings the table up to date.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LocalEntry {
     idx: usize,
     entry: StrideEntry,

@@ -74,6 +74,28 @@ pub enum Block {
         /// Stores rather than loads.
         write: bool,
     },
+    /// `count` loads from `pc` (stores when `write`) walking an arena of
+    /// `pass` elements `stride` bytes apart from `base`, from element
+    /// `start` on, with element 0 after the last: access `j` touches
+    /// element `(start + j) mod pass`, at `base + stride · element` with
+    /// wrapping address arithmetic. A `pass` of 0 stands for 2^64
+    /// elements, so such a walk is the stream from element `start`.
+    Walk {
+        /// Address of the arena's first element.
+        base: u64,
+        /// Bytes between consecutive elements.
+        stride: i64,
+        /// Elements of the arena, which one pass walks.
+        pass: u64,
+        /// Element of the first access (taken modulo `pass`).
+        start: u64,
+        /// Number of accesses.
+        count: u64,
+        /// Load or store site of the accesses.
+        pc: u64,
+        /// Stores rather than loads.
+        write: bool,
+    },
     /// A multiply-accumulate run, after a convolution tap's two stores
     /// to its lowering scratch when `scratch` holds their addresses, in
     /// order, and their store site.
@@ -105,7 +127,7 @@ impl Block {
     #[inline]
     pub fn counts(&self) -> BlockCounts {
         match *self {
-            Block::Stream { count, write, .. } => BlockCounts {
+            Block::Stream { count, write, .. } | Block::Walk { count, write, .. } => BlockCounts {
                 loads: if write { 0 } else { count },
                 stores: if write { count } else { 0 },
                 alu: 0,
@@ -124,11 +146,18 @@ impl Block {
     }
 
     /// The block's events, one single-event call each, in order: a
-    /// stream's accesses; a run's scratch stores, then per iteration
-    /// the weight load, the accumulator load, `alu(run.alu)` and the
-    /// accumulator store.
+    /// stream's or a walk's accesses; a run's scratch stores, then per
+    /// iteration the weight load, the accumulator load, `alu(run.alu)`
+    /// and the accumulator store.
     #[inline]
     pub fn replay<P: Probe + ?Sized>(&self, probe: &mut P) {
+        let access = |probe: &mut P, addr, pc, write| {
+            if write {
+                probe.store(addr, pc);
+            } else {
+                probe.load(addr, pc);
+            }
+        };
         match *self {
             Block::Stream {
                 base,
@@ -139,12 +168,32 @@ impl Block {
             } => {
                 let mut addr = base;
                 for _ in 0..count {
-                    if write {
-                        probe.store(addr, pc);
-                    } else {
-                        probe.load(addr, pc);
-                    }
+                    access(probe, addr, pc, write);
                     addr = addr.wrapping_add_signed(stride);
+                }
+            }
+            Block::Walk {
+                base,
+                stride,
+                pass,
+                start,
+                count,
+                pc,
+                write,
+            } => {
+                // With `pass` 0, `i` wraps at 2^64 by itself.
+                let mut i = if pass == 0 { start } else { start % pass };
+                for _ in 0..count {
+                    access(
+                        probe,
+                        base.wrapping_add((stride as u64).wrapping_mul(i)),
+                        pc,
+                        write,
+                    );
+                    i = i.wrapping_add(1);
+                    if i == pass {
+                        i = 0;
+                    }
                 }
             }
             Block::Mac { scratch, run } => {
@@ -313,6 +362,19 @@ mod tests {
                 });
             }
         }
+        for (pass, start, count) in [(512, 7, 0), (512, 511, 1200), (1, 3, 5), (0, u64::MAX, 4)] {
+            for write in [false, true] {
+                blocks.push(Block::Walk {
+                    base: u64::MAX - 8,
+                    stride: -4,
+                    pass,
+                    start,
+                    count,
+                    pc: 0x40,
+                    write,
+                });
+            }
+        }
         for count in [0, 1, 6, 500] {
             let run = MacRun {
                 weight: 0x1000,
@@ -337,7 +399,7 @@ mod tests {
         }
         assert_eq!(
             (fast.loads, fast.stores, fast.alu_ops),
-            (1018 + 2028, 1018 + 1022, 2028)
+            (1018 + 1209 + 2028, 1018 + 1209 + 1022, 2028)
         );
     }
 
@@ -380,6 +442,25 @@ mod tests {
             [(u64::MAX - 3, false), (u64::MAX - 1, false), (0, false)]
         );
         assert_eq!(replayed(stream(2, -2, 2, true)), [(2, true), (0, true)]);
+        let walk = |pass, start, count| Block::Walk {
+            base: 0x100,
+            stride: -4,
+            pass,
+            start,
+            count,
+            pc: 0x40,
+            write: false,
+        };
+        // Elements 2, 0, 1, 2, 0 of a three-element arena.
+        assert_eq!(
+            replayed(walk(3, 5, 5)),
+            [0xf8, 0x100, 0xfc, 0xf8, 0x100].map(|addr| (addr, false))
+        );
+        // With `pass` 0 the element index wraps at 2^64 only.
+        assert_eq!(
+            replayed(walk(0, u64::MAX, 2)),
+            [(0x104, false), (0x100, false)]
+        );
         let run = MacRun {
             weight: 8,
             weight_stride: -8,

@@ -218,6 +218,21 @@ impl Tlb {
         self.stamps[self.last_idx] = self.clock;
     }
 
+    /// The clock and the miss count: a mark for
+    /// [`repeat_since`](Self::repeat_since).
+    #[inline]
+    pub(crate) fn tally(&self) -> (u64, u64) {
+        (self.clock, self.misses)
+    }
+
+    /// Advances the clock and the miss count by `times` × their advance
+    /// since `since`, a [`tally`](Self::tally) of this TLB. Stamps stay
+    /// as they are.
+    pub(crate) fn repeat_since(&mut self, since: (u64, u64), times: u64) {
+        self.clock += times * (self.clock - since.0);
+        self.misses += times * (self.misses - since.1);
+    }
+
     /// Invalidates every entry (context switch without PCID).
     pub fn flush(&mut self) {
         self.last_vpn = u64::MAX;
