@@ -27,6 +27,15 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
+# The benches write their reports over the committed BENCH_parallel.json
+# and BENCH_service.json. Move the committed copies aside, so each check
+# below reads what its bench just wrote (a bench that writes nothing
+# fails), and put them back when the gate ends, pass or fail, so the
+# tree is as clean as before.
+saved="$(mktemp -d)"
+mv BENCH_parallel.json BENCH_service.json "$saved/"
+trap 'mv -f "$saved"/BENCH_parallel.json "$saved"/BENCH_service.json . && rm -rf "$saved"' EXIT
+
 echo "== bench gate: parallel invariants =="
 cargo bench -q --offline -p scnn-bench --bench parallel
 

@@ -40,11 +40,11 @@
 //! fraction of measurements spent profiling, strictly inside (0, 1);
 //! defaults 0.5/0.75/0.6),
 //! `--dummy-events <N>` (noise-injection volume for
-//! `ablation`/`extract`/`frontier`, default 20000), `--decoys <N>`
-//! (decoy classifications per real inference for `frontier`, default
-//! 3), `--target-t <T>` (calibration target for the frontier's
-//! calibrated-noise arm: double the noise volume until max |t| falls
-//! below T, default 1.5), `--out <path>` (for
+//! `ablation`/`extract`/`frontier`, 1 to 10⁷, default 20000),
+//! `--decoys <N>` (decoy classifications per real inference for
+//! `frontier`, 1 to 1000, default 3), `--target-t <T>` (calibration
+//! target for the frontier's calibrated-noise arm: double the noise
+//! volume until max |t| falls below T, default 1.5), `--out <path>` (for
 //! `sweep`/`extract`/`frontier`: also write the result as JSON; for
 //! `serve`: write the service report as JSON).
 //!
@@ -112,6 +112,13 @@ macro_rules! op {
 
 /// Most measurements per category `--samples` accepts.
 const MAX_SAMPLES: usize = 1_000_000;
+/// Most mean dummy events `--dummy-events` accepts. Each measurement of
+/// a noise arm runs up to 1.5× that many dummy loads and branches, so a
+/// larger volume would hold a run (or a `serve` worker) for hours.
+const MAX_DUMMY_EVENTS: u64 = 10_000_000;
+/// Most decoy inferences per real one `--decoys` accepts. Each
+/// measurement of the decoy arm runs that many extra inferences.
+const MAX_DECOYS: u64 = 1_000;
 
 #[derive(Clone)]
 struct Options {
@@ -165,6 +172,15 @@ fn parse_threads(flag: &str, text: &str) -> Result<Threads, String> {
         _ => Err(format!(
             "{flag} needs a count of at least 1 or \"auto\", got {text:?}"
         )),
+    }
+}
+
+/// A count from 1 to `max`: every measurement runs it, so a count past
+/// `max` is rejected rather than left to hang the run.
+fn parse_bounded(flag: &'static str, text: &str, max: u64) -> Result<u64, String> {
+    match scnn_bench::parse_positive_u64(flag, text).map_err(|e| e.to_string())? {
+        n if n > max => Err(format!("{flag} allows at most {max}, got {text:?}")),
+        n => Ok(n),
     }
 }
 
@@ -231,13 +247,9 @@ impl Options {
                 }
             },
             "--dummy-events" => {
-                self.dummy_events = scnn_bench::parse_positive_u64("--dummy-events", text)
-                    .map_err(|e| e.to_string())?;
+                self.dummy_events = parse_bounded("--dummy-events", text, MAX_DUMMY_EVENTS)?;
             }
-            "--decoys" => {
-                self.decoys =
-                    scnn_bench::parse_positive_u64("--decoys", text).map_err(|e| e.to_string())?;
-            }
+            "--decoys" => self.decoys = parse_bounded("--decoys", text, MAX_DECOYS)?,
             "--target-t" => {
                 self.target_t = scnn_bench::parse_positive_f64("--target-t", text)
                     .map_err(|e| e.to_string())?;
@@ -1512,7 +1524,23 @@ mod tests {
         assert_eq!(options.samples, 8);
         let mut most = Options::default();
         most.set("--samples", &MAX_SAMPLES.to_string()).unwrap();
+        most.set("--dummy-events", &MAX_DUMMY_EVENTS.to_string())
+            .unwrap();
+        most.set("--decoys", &MAX_DECOYS.to_string()).unwrap();
         assert_eq!(most.samples, MAX_SAMPLES);
+        assert_eq!(
+            (most.dummy_events, most.decoys),
+            (MAX_DUMMY_EVENTS, MAX_DECOYS)
+        );
+        // `--help` states each range.
+        let help = repro_flags().help();
+        for range in [
+            format!("2 to {MAX_SAMPLES}"),
+            format!("1 to {MAX_DUMMY_EVENTS}"),
+            format!("1 to {MAX_DECOYS}"),
+        ] {
+            assert!(help.contains(&range), "{range} not in:\n{help}");
+        }
         assert!(options.quick);
         assert_eq!(options.threads, Threads::Auto);
         assert_eq!(options.profile_frac, Some(0.6));
@@ -1533,6 +1561,10 @@ mod tests {
             ("--profile-frac", "inf"),
             ("--quick", "yes"),
             ("--dummy-events", "0"),
+            ("--dummy-events", "10000001"),
+            ("--dummy-events", "18446744073709551615"),
+            ("--decoys", "0"),
+            ("--decoys", "1001"),
             ("--target-t", "nan"),
             ("--classifier", "svm"),
         ] {

@@ -81,12 +81,12 @@ pub fn repro_flags() -> FlagSet {
     .value(
         "--dummy-events",
         "N",
-        "for `ablation`/`extract`/`frontier`: mean dummy events of the noise arms (default 20000)",
+        "for `ablation`/`extract`/`frontier`: mean dummy events of the noise arms, 1 to 10000000 (default 20000)",
     )
     .value(
         "--decoys",
         "N",
-        "for `frontier`: decoy classifications per real inference (default 3)",
+        "for `frontier`: decoy classifications per real inference, 1 to 1000 (default 3)",
     )
     .value(
         "--target-t",

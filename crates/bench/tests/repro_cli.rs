@@ -55,6 +55,33 @@ fn huge_sample_counts_exit_1_without_allocating() {
 }
 
 #[test]
+fn huge_noise_and_decoy_volumes_exit_1_before_running() {
+    // Each measurement runs the volume, so decoding rejects it: before,
+    // u64::MAX dummy events overflowed the sampled range (a panic) and
+    // large volumes ran for hours.
+    for (flag, value, message) in [
+        (
+            "--dummy-events",
+            "18446744073709551615",
+            "--dummy-events allows at most 10000000",
+        ),
+        (
+            "--dummy-events",
+            "10000001",
+            "--dummy-events allows at most 10000000",
+        ),
+        ("--decoys", "1001", "--decoys allows at most 1000"),
+    ] {
+        let args = ["ablation", "--quick", "--samples", "2", "--threads", "1"];
+        let out = repro(&[&args[..], &[flag, value]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(message), "{flag} {value}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag} {value}: nothing ran");
+    }
+}
+
+#[test]
 fn closed_stdout_exits_1_without_panicking() {
     // As `repro table1 | head -1` does once `head` has its line; here
     // the reader is gone before the first write, so the banner fails.
@@ -132,6 +159,10 @@ fn jobs_decode_options_like_flags() {
             "\n",
             r#"{"id":"huge","command":"table1","quick":true,"samples":100000000000}"#,
             "\n",
+            r#"{"id":"noise","command":"frontier","quick":true,"samples":8,"dummy_events":10000001}"#,
+            "\n",
+            r#"{"id":"decoys","command":"frontier","quick":true,"samples":8,"decoys":1001}"#,
+            "\n",
             r#"{"id":"bye","command":"shutdown"}"#,
             "\n",
         ),
@@ -159,5 +190,11 @@ fn jobs_decode_options_like_flags() {
     let huge = line("huge");
     assert!(huge.contains(r#""status":"error""#), "{huge}");
     assert!(huge.contains("at most 1000000"), "{huge}");
+    let noise = line("noise");
+    assert!(noise.contains(r#""status":"error""#), "{noise}");
+    assert!(noise.contains("--dummy-events allows at most"), "{noise}");
+    let decoys = line("decoys");
+    assert!(decoys.contains(r#""status":"error""#), "{decoys}");
+    assert!(decoys.contains("--decoys allows at most"), "{decoys}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -30,14 +30,12 @@
 
 #![warn(missing_docs)]
 
-pub mod augment;
 pub mod cifar_bin;
 pub mod cifar_synth;
 pub mod dataset;
 pub mod idx;
 pub mod mnist_synth;
 
-pub use augment::{apply as augment_apply, expand as augment_expand, Augmentation};
 pub use cifar_bin::CifarBinError;
 pub use dataset::{Dataset, DatasetError};
 pub use idx::IdxError;

@@ -294,12 +294,13 @@ impl CoreSim {
 
     /// The accesses of a [`Block::Walk`], leaving the state that many
     /// single accesses leave, and how many whole passes it skipped. The
-    /// walk goes through [`run`](Self::run): up to the arena's end, then
-    /// pass by pass, then the tail. When a whole pass leaves the core
-    /// where the same pass repeats itself, every later whole pass
-    /// repeats it, so all but the last are skipped: their counts and
-    /// clocks are added in closed form, and the last whole pass and the
-    /// tail are simulated. A pass repeats itself when
+    /// walk goes through [`run`](Self::run): a `pass` 0 walk as one
+    /// stream, any other up to the arena's end, then pass by pass, then
+    /// the tail. When a whole pass leaves the core where the same pass
+    /// repeats itself, every later whole pass repeats it, so all but the
+    /// last are skipped: their counts and clocks are added in closed
+    /// form, and the last whole pass and the tail are simulated. A pass
+    /// repeats itself when
     ///
     /// - no access of it missed L2, L3 or the TLB;
     /// - at its end, L1 has the shape it had at its start (its lines,
@@ -335,7 +336,10 @@ impl CoreSim {
     /// generator's state is part of the shape, so those walks are
     /// simulated pass by pass. Pinned by
     /// `a_walk_skips_every_whole_pass_after_one_that_repeats_itself` and
-    /// `walk_edge_cases_match_their_replay_on_every_policy` below and by
+    /// `walk_edge_cases_match_their_replay_on_every_policy` below, by the
+    /// walk generator of
+    /// `blocks_match_per_element_events_for_every_cache_shape` and the
+    /// two `a_pass_that_*` cases in `tests/differential.rs`, and by
     /// `scnn-core`'s `oblivious_runs`.
     #[allow(clippy::too_many_arguments)]
     fn walk(
@@ -509,23 +513,16 @@ impl Probe for CoreSim {
     }
 
     /// Applies `block` in bulk, leaving the counts and the state its
-    /// [`replay`](Block::replay) leaves: a stream in steady chunks, a
-    /// walk as streams with repeated whole passes skipped, a
-    /// multiply-accumulate block as its scratch stores, its iterations
-    /// and then the fills they queued.
+    /// [`replay`](Block::replay) leaves: a walk as steady-chunk
+    /// streams with repeated whole passes skipped (a `pass` 0 walk is
+    /// one stream), a multiply-accumulate block as its scratch stores,
+    /// its iterations and then the fills they queued.
     fn block(&mut self, block: Block) {
         let counts = block.counts();
         self.loads += counts.loads;
         self.stores += counts.stores;
         self.alu_ops += counts.alu;
         match block {
-            Block::Stream {
-                base,
-                stride,
-                count,
-                pc,
-                write,
-            } => self.run(base, stride, count, pc, write),
             Block::Walk {
                 base,
                 stride,

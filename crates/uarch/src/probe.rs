@@ -60,26 +60,13 @@ pub trait Probe {
 /// Many events in one [`Probe::block`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Block {
-    /// `count` loads from `pc` (stores when `write`) at `base`,
-    /// `base + stride`, … with wrapping address arithmetic.
-    Stream {
-        /// Address of the first access.
-        base: u64,
-        /// Bytes between consecutive accesses.
-        stride: i64,
-        /// Number of accesses.
-        count: u64,
-        /// Load or store site of the accesses.
-        pc: u64,
-        /// Stores rather than loads.
-        write: bool,
-    },
     /// `count` loads from `pc` (stores when `write`) walking an arena of
     /// `pass` elements `stride` bytes apart from `base`, from element
     /// `start` on, with element 0 after the last: access `j` touches
     /// element `(start + j) mod pass`, at `base + stride · element` with
     /// wrapping address arithmetic. A `pass` of 0 stands for 2^64
-    /// elements, so such a walk is the stream from element `start`.
+    /// elements, so such a walk never wraps: from `start` 0 it is the
+    /// plain strided stream `base`, `base + stride`, ….
     Walk {
         /// Address of the arena's first element.
         base: u64,
@@ -127,7 +114,7 @@ impl Block {
     #[inline]
     pub fn counts(&self) -> BlockCounts {
         match *self {
-            Block::Stream { count, write, .. } | Block::Walk { count, write, .. } => BlockCounts {
+            Block::Walk { count, write, .. } => BlockCounts {
                 loads: if write { 0 } else { count },
                 stores: if write { count } else { 0 },
                 alu: 0,
@@ -146,7 +133,7 @@ impl Block {
     }
 
     /// The block's events, one single-event call each, in order: a
-    /// stream's or a walk's accesses; a run's scratch stores, then per
+    /// walk's accesses; a run's scratch stores, then per
     /// iteration the weight load, the accumulator load, `alu(run.alu)`
     /// and the accumulator store.
     #[inline]
@@ -159,19 +146,6 @@ impl Block {
             }
         };
         match *self {
-            Block::Stream {
-                base,
-                stride,
-                count,
-                pc,
-                write,
-            } => {
-                let mut addr = base;
-                for _ in 0..count {
-                    access(probe, addr, pc, write);
-                    addr = addr.wrapping_add_signed(stride);
-                }
-            }
             Block::Walk {
                 base,
                 stride,
@@ -353,9 +327,11 @@ mod tests {
         for (base, stride, count) in [(0, 4, 0), (64, 4, 1), (u64::MAX - 8, 4, 17), (0, -64, 1000)]
         {
             for write in [false, true] {
-                blocks.push(Block::Stream {
+                blocks.push(Block::Walk {
                     base,
                     stride,
+                    pass: 0,
+                    start: 0,
                     count,
                     pc: 0x40,
                     write,
@@ -430,9 +406,12 @@ mod tests {
 
     #[test]
     fn default_blocks_walk_with_wrapping_addresses() {
-        let stream = |base, stride, count, write| Block::Stream {
+        // A `pass` 0 walk from element 0 is a plain stream.
+        let stream = |base, stride, count, write| Block::Walk {
             base,
             stride,
+            pass: 0,
+            start: 0,
             count,
             pc: 0x40,
             write,

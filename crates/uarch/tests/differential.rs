@@ -6,10 +6,11 @@
 //! — access outcomes, statistics, occupancy, residency probes, prefetch
 //! targets, TLB verdicts and whole-core counter snapshots — must match
 //! exactly. A failing case prints its configuration and step. Blocks
-//! (`Probe::block`: streams, multiply-accumulate runs and convolution
-//! taps) are also checked against their replay, the same events made
-//! one by one, on a second production core, whose snapshot and whole
-//! state must match.
+//! (`Probe::block`: plain streams, wrapping walks whose repeated passes
+//! the simulator skips, multiply-accumulate runs and convolution taps)
+//! are also checked against their replay, the same events made one by
+//! one, on the reference model and on a second production core, whose
+//! snapshot and whole state must match.
 
 mod reference;
 
@@ -428,12 +429,13 @@ fn stream(steps: &mut Vec<Step>, start: u64, stride: i64, n: i64, pc: u64) -> u6
     start.wrapping_add_signed(stride * n)
 }
 
-/// Stream blocks of every stride and count in [`RUN_STRIDES`] and [`RUN_COUNTS`]
-/// (20 000-element runs rarely, they dominate the per-element side's
-/// time), starting fresh, continuing the previous run of their load
-/// site, continuing a stream that single loads at the same site have
-/// trained, or at a site whose stride entry holds another stride; with
-/// cold starts, pollution, counter resets and stray events in between.
+/// Plain streams (walks with `pass` 0 from element 0) of every stride
+/// and count in [`RUN_STRIDES`] and [`RUN_COUNTS`] (20 000-element runs
+/// rarely, they dominate the per-element side's time), starting fresh,
+/// continuing the previous run of their load site, continuing a stream
+/// that single loads at the same site have trained, or at a site whose
+/// stride entry holds another stride; with cold starts, pollution,
+/// counter resets and stray events in between.
 fn run_steps(rng: &mut ChaCha8Rng, len: usize) -> Vec<Step> {
     let mut steps = Vec::new();
     let mut resume = [(0u64, 4i64); RUN_PCS.len()];
@@ -463,9 +465,11 @@ fn run_steps(rng: &mut ChaCha8Rng, len: usize) -> Vec<Step> {
         } else {
             RUN_COUNTS[rng.gen_range(0..5)]
         };
-        steps.push(Step::Block(Block::Stream {
+        steps.push(Step::Block(Block::Walk {
             base,
             stride,
+            pass: 0,
+            start: 0,
             count,
             pc,
             write: rng.gen_range(0u32..3) == 0,
@@ -646,45 +650,215 @@ fn tap_steps(rng: &mut ChaCha8Rng, len: usize) -> Vec<Step> {
         .collect()
 }
 
-/// The step generators of the block test, each with its seed: stream
-/// blocks, multiply-accumulate runs, and convolution taps.
+/// Arena lengths of the wrapping walks: one and three elements, and
+/// arenas larger than some of [`every_cache_shape`]'s L1s, L2s and TLB
+/// reaches.
+const WALK_PASSES: [u64; 4] = [1, 3, 130, 700];
+const WALK_STRIDES: [i64; 3] = [4, 64, -4];
+
+/// Wrapping walks as oblivious padding makes them: groups of walks over
+/// one arena from one site, loads and stores mostly by turns, each from
+/// where the last stopped, from anywhere in the arena or from past its
+/// end (taken modulo its length), over up to six whole passes and a
+/// part. So some whole passes repeat themselves and are skipped, and
+/// some must not be: a first pass that still fills the cache, a pass
+/// over an arena larger than L2 or than the TLB's reach, or one that
+/// starts from the lines it ends with in another stamp order. For the
+/// last, a walk now and then stops at the arena's last element, another
+/// site reads the arena's last elements again backwards, and the next
+/// walk resumes in the same direction, one access before its whole
+/// passes. Single accesses to the arena, cold starts, pollution, counter
+/// resets and stray events come in between.
+fn walk_steps(rng: &mut ChaCha8Rng, len: usize) -> Vec<Step> {
+    let mut steps = Vec::new();
+    while steps.len() < len {
+        let pass = WALK_PASSES[rng.gen_range(0..WALK_PASSES.len())];
+        let stride = WALK_STRIDES[rng.gen_range(0..WALK_STRIDES.len())];
+        let base = run_base(rng);
+        let element = |i: u64| base.wrapping_add((stride as u64).wrapping_mul(i));
+        let pc = RUN_PCS[rng.gen_range(0..RUN_PCS.len())];
+        let mut cursor = rng.gen_range(0..pass);
+        let mut write = rng.gen();
+        let mut resume = false;
+        for _ in 0..rng.gen_range(1..=4) {
+            let start = match rng.gen_range(0u32..8) {
+                _ if resume => cursor,
+                0 => rng.gen_range(0..pass),
+                1 => rng.gen_range(pass..u64::MAX),
+                _ => cursor,
+            };
+            let to_last = rng.gen::<bool>();
+            let part = if to_last {
+                (2 * pass - 1 - start % pass) % pass
+            } else {
+                rng.gen_range(0..pass)
+            };
+            let passes = rng.gen_range(if resume { 4 } else { 0 }..=6);
+            let count = passes * pass + part;
+            steps.push(Step::Block(Block::Walk {
+                base,
+                stride,
+                pass,
+                start,
+                count,
+                pc,
+                write,
+            }));
+            cursor = (start % pass + count % pass) % pass;
+            resume = to_last && rng.gen();
+            if resume {
+                steps.push(Step::Block(Block::Walk {
+                    base: element(pass - 1),
+                    stride: -stride,
+                    pass: 0,
+                    start: 0,
+                    count: rng.gen_range(1..=pass),
+                    pc: 0x4000,
+                    write: false,
+                }));
+                continue;
+            }
+            write ^= rng.gen_range(0u32..4) != 0;
+            let element = element(rng.gen_range(0..pass));
+            let op = match rng.gen_range(0u32..16) {
+                0 => CoreOp::ColdStart,
+                1 => CoreOp::Pollute(1.0, rng.gen()),
+                2 => CoreOp::Pollute(rng.gen_range(0.0..1.0), rng.gen()),
+                3 => CoreOp::ResetCounters,
+                4 => CoreOp::Load(element, pc),
+                5 => CoreOp::Store(element, 0x4000),
+                6 => CoreOp::Load(rng.gen_range(0u64..1 << 20), 0x4000),
+                7 => CoreOp::Branch(0x800, rng.gen()),
+                8 => CoreOp::Alu(rng.gen_range(1u64..64)),
+                _ => continue,
+            };
+            steps.push(Step::Op(op));
+        }
+    }
+    steps
+}
+
+/// The step generators of the block test, each with its seed: plain
+/// streams, multiply-accumulate runs, convolution taps, and wrapping
+/// walks.
 type Generator = (u64, fn(&mut ChaCha8Rng) -> Vec<Step>);
-const GENERATORS: [Generator; 3] = [
+const GENERATORS: [Generator; 4] = [
     (0xd1ff_0008, |rng| run_steps(rng, 24)),
     (0xd1ff_0009, |rng| mac_steps(rng, 60)),
     (0xd1ff_000a, |rng| tap_steps(rng, 60)),
+    (0xd1ff_000b, |rng| walk_steps(rng, 24)),
 ];
+
+/// Drives a fast core with `steps`, and a slow core and the reference
+/// model with each block's replay: after every step the three
+/// snapshots must match, and so must the two production cores' state.
+fn assert_blocks_match(config: CoreConfig, steps: Vec<Step>) {
+    let case = format!("{config:?}");
+    let mut fast = CoreSim::new(config).unwrap();
+    let mut slow = CoreSim::new(config).unwrap();
+    let mut reference = RefCore::new(config);
+    for (step, op) in steps.into_iter().enumerate() {
+        match op {
+            Step::Block(block) => {
+                fast.block(block);
+                block.replay(&mut slow);
+                block.replay(&mut reference);
+            }
+            Step::Op(op) => {
+                apply_to(&mut fast, op);
+                apply_to(&mut slow, op);
+                apply_to(&mut reference, op);
+            }
+        }
+        let snapshot = fast.snapshot();
+        assert_eq!(snapshot, slow.snapshot(), "{case} step {step}: {op:?}");
+        assert_eq!(snapshot, reference.snapshot(), "{case} step {step}: {op:?}");
+        assert!(
+            fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb(),
+            "{case} step {step}: {op:?} left another state than per-element events"
+        );
+    }
+}
 
 #[test]
 fn blocks_match_per_element_events_for_every_cache_shape() {
     for (seed, steps) in GENERATORS {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         for config in every_cache_shape() {
-            let case = format!("{config:?}");
-            let mut fast = CoreSim::new(config).unwrap();
-            let mut slow = CoreSim::new(config).unwrap();
-            let mut reference = RefCore::new(config);
-            for (step, op) in steps(&mut rng).into_iter().enumerate() {
-                match op {
-                    Step::Block(block) => {
-                        fast.block(block);
-                        block.replay(&mut slow);
-                        block.replay(&mut reference);
-                    }
-                    Step::Op(op) => {
-                        apply_to(&mut fast, op);
-                        apply_to(&mut slow, op);
-                        apply_to(&mut reference, op);
-                    }
-                }
-                let snapshot = fast.snapshot();
-                assert_eq!(snapshot, slow.snapshot(), "{case} step {step}: {op:?}");
-                assert_eq!(snapshot, reference.snapshot(), "{case} step {step}: {op:?}");
-                assert!(
-                    fast.hierarchy() == slow.hierarchy() && fast.tlb() == slow.tlb(),
-                    "{case} step {step}: {op:?} left another state than per-element events"
-                );
-            }
+            assert_blocks_match(config, steps(&mut rng));
         }
     }
+}
+
+/// A whole pass that ends with the lines it started with, in the same
+/// ways but in another stamp order, must not be skipped: the next pass
+/// evicts other ways. The walk generator cannot build one on
+/// [`every_cache_shape`]: every whole pass starts right after the
+/// arena's last element, and in that element's L1 set, which holds the
+/// most arena lines, an LRU eviction chain closes only with two ways.
+/// So this builds it on two-way L1s, for each L1 write policy and
+/// prefetcher: 25 lines over 8 sets, set 0 cycling through 4 of them and
+/// sets 1 to 7 through 3 (lines s, s + 8, s + 16), with line s + 8 the
+/// newer in sets 1 to 7 before the walk.
+#[test]
+fn a_pass_that_reorders_its_lines_matches_the_reference_model() {
+    let base = 0x10000;
+    let line = |i: u64| base + 64 * i;
+    for write_policy in WritePolicy::ALL {
+        for prefetcher in PrefetcherKind::ALL {
+            let mut config = CoreConfig::tiny();
+            config.hierarchy.l1d = config.hierarchy.l1d.with_write_policy(write_policy);
+            config.hierarchy.prefetcher = prefetcher;
+            assert_eq!(config.hierarchy.l1d.associativity, 2);
+            let mut steps: Vec<Step> = (0..25)
+                .chain(9..16)
+                .chain([24])
+                .map(|i| Step::Op(CoreOp::Load(line(i), 0x80)))
+                .collect();
+            steps.push(Step::Block(Block::Walk {
+                base,
+                stride: 4,
+                pass: 400,
+                start: 399,
+                count: 1 + 5 * 400,
+                pc: 0x40_0200,
+                write: false,
+            }));
+            assert_blocks_match(config, steps);
+        }
+    }
+}
+
+/// A whole pass that misses L3 but not L2 must not be skipped: the line
+/// it fills into L3 stays there, so the next pass does not miss. The
+/// walk generator cannot build one either: a pass misses L3 under L2
+/// hits only on a prefetch target that L2 holds and L3 has lost, and it
+/// never evicts from L3 what L2 keeps. So this builds it on the tiny
+/// core with the stride prefetcher: an arena of two lines (32 elements
+/// of 4 bytes), its first line `a` held by L1 and L2 but evicted from
+/// L3 by four loads that L3's set saw after `a` and L2's set before a
+/// second load of `a`, and a walk from the second line, whose head
+/// proposes only that line and the one after the arena. Its first
+/// whole pass proposes `a` again, misses L3 once and leaves L1 and the
+/// stride entry as it found them.
+#[test]
+fn a_pass_that_misses_l3_under_l2_hits_matches_the_reference_model() {
+    let mut config = CoreConfig::tiny();
+    config.hierarchy.prefetcher = PrefetcherKind::Stride;
+    let a = 0x10000;
+    let set = |k: u64| a + 4096 * k;
+    let mut steps: Vec<Step> = [a, set(1), set(3), set(2), a, set(4), a]
+        .into_iter()
+        .map(|addr| Step::Op(CoreOp::Load(addr, 0x80)))
+        .collect();
+    steps.push(Step::Block(Block::Walk {
+        base: a,
+        stride: 4,
+        pass: 32,
+        start: 16,
+        count: 16 + 5 * 32,
+        pc: 0x40,
+        write: false,
+    }));
+    assert_blocks_match(config, steps);
 }
